@@ -18,7 +18,8 @@ from .configure import (
     ConfigureError,
     build_registry,
     configure_pipeline,
-    mean_estimation_pilot,
+    slicing_objective,
+    target_pilot_record,
 )
 from .datalog import DatalogError, MissingExternal, dump_facts
 from .datalog.corpus import ALL_EXTERNALS
@@ -239,13 +240,7 @@ def configure(ctx, pipeline_path):
         records = read_pilot_csv(cfg.pilot_csv)
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
-        pilot_record = mean_estimation_pilot(
-            [r for r in records
-             if r.kind == "estimation"
-             and r.no_records == target.n_records
-             and abs(r.volume - target.volume_mb) < 1e-9]
-            or records
-        )
+        pilot_record = target_pilot_record(records, target)
         if pipeline_path is not None:
             with open(pipeline_path) as fh:
                 graph = parse_pipeline(fh.read())
@@ -353,11 +348,7 @@ def report(ctx):
         _, time_model = _load_models(cfg, ctx)
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
-        pilot_record = mean_estimation_pilot(
-            [r for r in records if r.kind == "estimation"] or records
-        )
-        from .configure import slicing_objective
-
+        pilot_record = target_pilot_record(records, target)
         objective = slicing_objective(
             time_model, float(target.n_records), target.volume_mb,
             pilot_record.slice_time, pilot_record.prepare_time,

@@ -67,15 +67,18 @@ class ProjectConfig:
     def cluster_spec(self):
         fields = dict(self.cluster)
         queue_latency = fields.pop("queue_latency", None)
-        cluster = default_cluster(
-            node_count=int(fields.pop("nodes", 7)),
-            node_memory=float(fields.pop("node_memory", 128.0)),
-            node_storage=float(fields.pop("node_storage", 4096.0)),
-        )
+        try:
+            cluster = default_cluster(
+                node_count=int(fields.pop("nodes", 7)),
+                node_memory=float(fields.pop("node_memory", 128.0)),
+                node_storage=float(fields.pop("node_storage", 4096.0)),
+            )
+            if queue_latency is not None:
+                cluster = dataclasses.replace(cluster, queue_latency=float(queue_latency))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad cluster settings: %s" % exc)
         if fields:
             raise ConfigError("unknown cluster keys: %s" % sorted(fields))
-        if queue_latency is not None:
-            cluster = dataclasses.replace(cluster, queue_latency=float(queue_latency))
         return cluster
 
     def cost_model(self, **overrides):
@@ -83,7 +86,7 @@ class ProjectConfig:
         fields.update(overrides)
         try:
             return CostModel(**fields)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError("bad cost model settings: %s" % exc)
 
     def cloud_attributes(self):

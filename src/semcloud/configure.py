@@ -108,6 +108,21 @@ def configure_pipeline(graph, cloud, registry, pilot, diagnostics=None):
     return config, configured, idb
 
 
+def target_pilot_record(records, workload):
+    """The one pilot seed record for ``workload``, shared by every stage.
+
+    Averages the estimation rows measured on the target workload (same
+    record count and volume); when none were, averages them all.
+    """
+    return mean_estimation_pilot(
+        [r for r in records
+         if r.kind == "estimation"
+         and r.no_records == workload.n_records
+         and abs(r.volume - workload.volume_mb) < 1e-9]
+        or records
+    )
+
+
 def mean_estimation_pilot(records, pipeline_id=None):
     """Average the estimation-kind pilot rows into one seed record."""
     rows = [

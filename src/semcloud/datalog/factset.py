@@ -36,13 +36,6 @@ class FactSet:
         fs._index = {k: set(v) for k, v in self._index.items()}
         return fs
 
-    def union(self, other: "FactSet") -> "FactSet":
-        fs = self.copy()
-        for (pred, _), tuples in other._index.items():
-            for t in tuples:
-                fs.add(pred, t)
-        return fs
-
     def __len__(self) -> int:
         return sum(len(v) for v in self._index.values())
 

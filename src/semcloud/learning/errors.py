@@ -6,10 +6,6 @@ class DimensionMismatch(LearningError):
     """Input feature count does not match the model."""
 
 
-class RankDeficient(LearningError):
-    """Expanded design matrix is rank deficient (minimum-norm fit used)."""
-
-
 class Divergence(LearningError):
     """Training loss became non-finite."""
 

@@ -235,7 +235,7 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
         if spans
     }
     intervals = [iv for step in ("retrieve", "slice", "prepare", "store") for iv in by_step[step]]
-    trace = build_trace(intervals, windows, channels, storage)
+    trace = build_trace(intervals, windows, channels)
     trace.restarts = restarts[0]
 
     ts = _window_len(windows.get("slice"))

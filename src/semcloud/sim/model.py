@@ -1,10 +1,8 @@
 """Cluster, cost model, and trace data types."""
 
 import dataclasses
-
-import numpy as np
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+import itertools
+import math
 
 MB = 2**20
 
@@ -74,6 +72,9 @@ class CostModel:
     noise_seed: int = 0
 
     def __post_init__(self):
+        for name in ("thr_retrieve", "thr_slice", "thr_prepare", "thr_store"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError("%s must be positive" % name)
         if not 0.0 <= self.noise_amplitude <= 0.5:
             raise ValueError("noise amplitude must be in [0, 0.5]")
 
@@ -104,18 +105,6 @@ class SimWorkload:
             pipeline=pipeline,
         )
 
-    @classmethod
-    def from_records(cls, records, pipeline="p1"):
-        records = list(records)
-        machines = len({r.machine_id for r in records})
-        rb = records[0].record_bytes if records else 0
-        return cls(
-            n_records=len(records),
-            record_bytes=rb,
-            machines=max(machines, 1),
-            pipeline=pipeline,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class StepInstance:
@@ -139,86 +128,88 @@ class QueueChannel:
 
 @dataclasses.dataclass
 class RunTrace:
-    """Per-node memory/cpu step series plus totals.
+    """One run as its busy intervals, plus the totals callers read.
 
-    Series share the times axis and hold the value immediately after
-    each boundary; boundaries appear twice so the trapezoidal integral
-    of the step function is exact.
+    ``intervals`` are (start, end, node, mem_mb, cpu) tuples and are the
+    only stored form of the run; ``times`` are their distinct boundaries
+    in ascending order.  The totals come straight from the intervals:
+    ``consumed_time`` is the last end, ``cpu_integral`` the sum of
+    (end - start) * cpu, and ``peak_memory`` the highest per-node level.
+    ``write_trace`` expands the intervals into per-node step series.
     """
 
+    intervals: list
     times: list
-    memory: dict  # node -> list of MB
-    cpu: dict  # node -> list of millicores
     step_windows: dict  # step -> (start, end)
-    consumed_time: float = 0.0
-    cpu_integral: float = 0.0
-    peak_memory: dict = dataclasses.field(default_factory=dict)
-    restarts: int = 0
+    consumed_time: float
+    cpu_integral: float  # millicore*s
+    peak_memory: dict  # node -> MB
     channels: list = dataclasses.field(default_factory=list)
-    storage_mb: dict = dataclasses.field(default_factory=dict)
-
-    def total_cpu_series(self):
-        return [sum(vals) for vals in zip(*self.cpu.values())]
+    restarts: int = 0
 
 
-def build_trace(intervals, step_windows, channels=None, storage_mb=None):
-    """Assemble a RunTrace from (start, end, node, mem_mb, cpu) intervals."""
-    nodes = sorted({node for _, _, node, _, _ in intervals})
+def _sweep(intervals):
+    """Yield (time, changed, mem, cpu) once per distinct boundary, ascending.
+
+    ``mem`` and ``cpu`` map every node (sorted by name) to its level
+    after all changes at that boundary; they are the same dicts on each
+    yield, updated in place, so read them before advancing.  ``changed``
+    lists the nodes whose levels changed there.
+    """
     deltas = []
     for start, end, node, mem, cpu in intervals:
         deltas.append((start, node, mem, cpu))
         deltas.append((end, node, -mem, -cpu))
     deltas.sort(key=lambda d: d[0])
+    nodes = sorted({d[1] for d in deltas})
+    mem = dict.fromkeys(nodes, 0.0)
+    cpu = dict.fromkeys(nodes, 0.0)
+    for t, changes in itertools.groupby(deltas, key=lambda d: d[0]):
+        changed = []
+        for _, node, dm, dc in changes:
+            mem[node] += dm
+            cpu[node] += dc
+            changed.append(node)
+        yield t, changed, mem, cpu
+
+
+def build_trace(intervals, step_windows, channels=None):
+    """Assemble a RunTrace from (start, end, node, mem_mb, cpu) intervals."""
+    intervals = list(intervals)
     times = []
-    memory = {node: [] for node in nodes}
-    cpu = {node: [] for node in nodes}
-    level_mem = {node: 0.0 for node in nodes}
-    level_cpu = {node: 0.0 for node in nodes}
-
-    def emit(t):
+    peak = dict.fromkeys(sorted({node for _, _, node, _, _ in intervals}), 0.0)
+    for t, changed, mem, _ in _sweep(intervals):
         times.append(t)
-        for node in nodes:
-            memory[node].append(level_mem[node])
-            cpu[node].append(level_cpu[node])
-
-    i = 0
-    while i < len(deltas):
-        t = deltas[i][0]
-        emit(t)  # value before the change
-        while i < len(deltas) and deltas[i][0] == t:
-            _, node, dm, dc = deltas[i]
-            level_mem[node] += dm
-            level_cpu[node] += dc
-            i += 1
-        emit(t)  # value after the change
-    trace = RunTrace(
+        for node in changed:
+            if mem[node] > peak[node]:
+                peak[node] = mem[node]
+    return RunTrace(
+        intervals=intervals,
         times=times,
-        memory=memory,
-        cpu=cpu,
         step_windows=dict(step_windows),
+        consumed_time=max((end for _, end, *_ in intervals), default=0.0),
+        cpu_integral=math.fsum((end - start) * cpu for start, end, _, _, cpu in intervals),
+        peak_memory=peak,
         channels=list(channels or []),
-        storage_mb=dict(storage_mb or {}),
     )
-    trace.consumed_time = max((end for _, end, *_ in intervals), default=0.0)
-    total_cpu = trace.total_cpu_series()
-    if times:
-        trace.cpu_integral = float(_trapezoid(total_cpu, times))
-    trace.peak_memory = {
-        node: (max(memory[node]) if memory[node] else 0.0) for node in nodes
-    }
-    return trace
 
 
 def write_trace(path, trace):
-    nodes = sorted(trace.memory)
+    """Write the per-node memory/cpu step series of a trace as TSV.
+
+    Columns are ``time``, ``mem_<node>`` and ``cpu_<node>`` for the
+    nodes in name order.  Each boundary gives two rows, the levels just
+    before and just after its changes, so the trapezoidal integral of a
+    column over ``time`` is the exact integral of the step function.
+    """
+    nodes = sorted(trace.peak_memory)
     header = ["time"]
     header += ["mem_%s" % n for n in nodes]
     header += ["cpu_%s" % n for n in nodes]
-    lines = ["\t".join(header)]
-    for i, t in enumerate(trace.times):
-        row = [repr(t)]
-        row += [repr(trace.memory[n][i]) for n in nodes]
-        row += [repr(trace.cpu[n][i]) for n in nodes]
-        lines.append("\t".join(row))
+    levels = "\t".join(["0.0"] * 2 * len(nodes))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\t".join(header) + "\n")
+        for t, _, mem, cpu in _sweep(trace.intervals):
+            fh.write("%r\t%s\n" % (t, levels))
+            levels = "\t".join([repr(mem[n]) for n in nodes] + [repr(cpu[n]) for n in nodes])
+            fh.write("%r\t%s\n" % (t, levels))

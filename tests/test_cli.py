@@ -142,6 +142,21 @@ class TestIndividualCommands:
         assert result.exit_code == 0
         assert "nothing to report" in result.combined
 
+    def test_empty_cluster_is_usage_error(self, tmp_path):
+        config_path = write_project(tmp_path, cluster={"nodes": 0})
+        result = invoke(config_path, "pilot", "--dry-run")
+        assert result.exit_code == 2
+        assert "config error:" in result.combined
+        assert "Traceback" not in result.combined
+
+    def test_zero_throughput_is_usage_error(self, tmp_path):
+        config_path = write_project(tmp_path, cost={"thr_prepare": 0})
+        result = invoke(config_path, "simulate", "--legacy-only")
+        assert result.exit_code == 2
+        assert "config error:" in result.combined
+        assert "thr_prepare" in result.combined
+        assert "Traceback" not in result.combined
+
     def test_gen_machines_override(self, tmp_path):
         config_path = write_project(tmp_path)
         result = invoke(config_path, "gen", "--machines", "3")
@@ -149,3 +164,17 @@ class TestIndividualCommands:
         csv_path = os.path.join(str(tmp_path), "out", "workload", "source_csv.csv")
         text = open(csv_path).read()
         assert "m03" in text and "m04" not in text
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_report_sweet_spot_is_the_configured_slice_size(tmp_path, seed):
+    """report's sweet spot and configure's choice share one pilot seed record."""
+    config_path = write_project(tmp_path, seed=seed)
+    for command in ("pilot", "learn", "configure", "report"):
+        assert invoke(config_path, command).exit_code == 0, command
+    workdir = os.path.join(str(tmp_path), "out")
+    with open(os.path.join(workdir, "resource_config.tsv")) as fh:
+        config = dict(zip(*[line.split("\t") for line in fh.read().splitlines()]))
+    with open(os.path.join(workdir, "reports", "summary.txt")) as fh:
+        summary = fh.readline()
+    assert summary.startswith("sweet spot: slice_size=%d " % float(config["slice_size"]))

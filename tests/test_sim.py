@@ -22,6 +22,7 @@ from semcloud.sim import (
     legacy_node,
     run,
     run_legacy,
+    write_trace,
 )
 
 
@@ -178,6 +179,55 @@ class TestTrace:
         trace = build_trace([], {})
         assert trace.consumed_time == 0.0
         assert trace.cpu_integral == 0.0
+
+    def test_back_to_back_intervals_do_not_stack(self):
+        # one interval ends exactly where the next on the same node starts
+        trace = build_trace(
+            [(0.0, 1.0, "n1", 10.0, 100.0), (1.0, 2.0, "n1", 6.0, 100.0)], {})
+        assert trace.peak_memory == {"n1": 10.0}
+        assert trace.times == [0.0, 1.0, 2.0]
+        assert trace.cpu_integral == 200.0
+
+    def test_written_series_golden(self, tmp_path):
+        # node a runs back to back over t=1; a and b both stop at t=2
+        trace = build_trace(
+            [(0.0, 1.0, "a", 10.0, 100.0), (0.5, 2.0, "b", 4.0, 50.0),
+             (1.0, 2.0, "a", 6.0, 100.0)], {})
+        path = tmp_path / "trace.tsv"
+        write_trace(str(path), trace)
+        assert path.read_text() == (
+            "time\tmem_a\tmem_b\tcpu_a\tcpu_b\n"
+            "0.0\t0.0\t0.0\t0.0\t0.0\n"
+            "0.0\t10.0\t0.0\t100.0\t0.0\n"
+            "0.5\t10.0\t0.0\t100.0\t0.0\n"
+            "0.5\t10.0\t4.0\t100.0\t50.0\n"
+            "1.0\t10.0\t4.0\t100.0\t50.0\n"
+            "1.0\t6.0\t4.0\t100.0\t50.0\n"
+            "2.0\t6.0\t4.0\t100.0\t50.0\n"
+            "2.0\t0.0\t0.0\t0.0\t0.0\n"
+        )
+        assert trace.times == [0.0, 0.5, 1.0, 2.0]
+        assert trace.peak_memory == {"a": 10.0, "b": 4.0}
+
+    def test_written_series_agree_with_totals(self, tmp_path):
+        cost = CostModel(noise_amplitude=0.05)
+        workload = small_workload(n=530)
+        plan = deploy(None, default_cluster(), cost, workload, nc=100, ns=7)
+        trace, _ = run(plan, workload, cost, seed=3)
+        path = tmp_path / "trace.tsv"
+        write_trace(str(path), trace)
+        header, *rows = [line.split("\t") for line in path.read_text().splitlines()]
+        columns = {name: [float(row[j]) for row in rows]
+                   for j, name in enumerate(header)}
+        times = columns["time"]
+        assert len(times) == 2 * len(trace.times)
+        for node, peak in trace.peak_memory.items():
+            assert max(columns["mem_" + node]) == peak
+        cpu = [sum(vals) for vals in
+               zip(*(col for name, col in columns.items() if name.startswith("cpu_")))]
+        integral = sum((t1 - t0) * (c0 + c1) / 2.0
+                       for t0, t1, c0, c1 in zip(times, times[1:], cpu, cpu[1:]))
+        assert integral == pytest.approx(trace.cpu_integral, rel=1e-12)
 
 
 class TestLegacy:
