@@ -23,7 +23,7 @@ from .configure import (
 )
 from .datalog import DatalogError, MissingExternal, dump_facts
 from .datalog.corpus import ALL_EXTERNALS
-from .etl import EtlError, WorkloadSpec, generate_workload
+from .etl import EtlError, generate_workload
 from .kg import PipelineGraphError, frequent_pipeline, parse_pipeline, serialize_pipeline
 from .learning import (
     LearningError,
@@ -70,14 +70,16 @@ def _status(command, ok, **fields):
 
 
 def _run_command(ctx, command, body):
+    """Load the project config, run ``body(cfg)``, print one status line."""
     try:
-        fields = body() or {}
+        fields = body(load_config(ctx.obj["config_path"])) or {}
     except _DOMAIN_ERRORS as exc:
         click.echo("error: %s" % exc, err=True)
         _status(command, False, error=type(exc).__name__)
         ctx.exit(1)
     except ConfigError as exc:
         click.echo("config error: %s" % exc, err=True)
+        _status(command, False, error=type(exc).__name__)
         ctx.exit(2)
     _status(command, True, **fields)
 
@@ -92,30 +94,20 @@ def main(ctx, config_path):
     ctx.obj["config_path"] = config_path
 
 
-def _load(ctx):
-    try:
-        return load_config(ctx.obj["config_path"])
-    except ConfigError as exc:
-        click.echo("config error: %s" % exc, err=True)
-        ctx.exit(2)
-
-
 @main.command()
 @click.option("--machines", type=int, default=None, help="Override machine count.")
 @click.pass_context
 def gen(ctx, machines):
     """Generate the heterogeneous source files."""
-    cfg = _load(ctx)
 
-    def body():
-        fields = dict(cfg.workload)
+    def body(cfg):
+        overrides = {"seed": derive_seed(cfg.seed, "gen")}
         if machines is not None:
-            fields["machines"] = machines
-            fields["production_lines"] = min(
-                int(fields.get("production_lines", 3)), machines
+            overrides["machines"] = machines
+            overrides["production_lines"] = min(
+                int(cfg.workload.get("production_lines", 3)), machines
             )
-        fields["seed"] = derive_seed(cfg.seed, "gen")
-        spec = WorkloadSpec(**fields)
+        spec = cfg.workload_spec(**overrides)
         descriptors = generate_workload(spec, cfg.workload_dir)
         for desc in descriptors:
             click.echo("%s: %d records" % (desc.location, spec.total_records()))
@@ -129,35 +121,17 @@ def gen(ctx, machines):
 @click.pass_context
 def pilot(ctx, dry_run):
     """Collect pilot running statistics from instrumented simulations."""
-    cfg = _load(ctx)
 
-    def body():
-        plan = cfg.pilot_plan()
-        spec = cfg.workload_spec()
-        cluster = cfg.cluster_spec()
-        cost = cfg.cost_model(noise_amplitude=float(plan["noise_amplitude"]))
-        base = derive_seed(cfg.seed, "pilot")
-        est_workloads = [
-            SimWorkload(
-                n_records=spec.machines * int(spec.rate * d),
-                record_bytes=rb,
-                machines=spec.machines,
-            )
-            for d in plan["durations"]
-            for rb in plan["record_bytes"]
-        ]
-        target = SimWorkload.from_spec(spec)
-        grid = list(cfg.search_space(target.n_records).candidates())
-        est_seeds = [(base + i) % 2**31 for i in range(int(plan["estimation_seeds"]))]
-        conf_seeds = [(base + 101 + i) % 2**31 for i in range(int(plan["configuration_seeds"]))]
-        rows = (len(est_workloads) * len(est_seeds)
-                + len(grid) * len(conf_seeds))
+    def body(cfg):
+        runs = cfg.pilot_runs()
         if dry_run:
             click.echo("would run %d estimation + %d configuration simulations"
-                       % (len(est_workloads) * len(est_seeds), len(grid) * len(conf_seeds)))
-            return {"rows": 0, "planned": rows}
-        est, err1 = collect_pilot_stats(None, cluster, cost, est_workloads, [None], est_seeds)
-        conf, err2 = collect_pilot_stats(None, cluster, cost, [target], grid, conf_seeds)
+                       % (runs.estimation_count, runs.configuration_count))
+            return {"rows": 0, "planned": runs.estimation_count + runs.configuration_count}
+        est, err1 = collect_pilot_stats(None, runs.cluster, runs.cost, runs.estimation_workloads,
+                                        [None], runs.estimation_seeds)
+        conf, err2 = collect_pilot_stats(None, runs.cluster, runs.cost, [runs.target],
+                                         runs.grid, runs.configuration_seeds)
         records = est + conf
         os.makedirs(cfg.workdir, exist_ok=True)
         write_pilot_csv(records, cfg.pilot_csv)
@@ -176,9 +150,8 @@ def pilot(ctx, dry_run):
 @click.pass_context
 def learn(ctx, methods):
     """Fit the rule externals and the time model from pilot statistics."""
-    cfg = _load(ctx)
 
-    def body():
+    def body(cfg):
         plan = cfg.learn_plan()
         chosen = tuple(methods) or tuple(plan["methods"])
         records = read_pilot_csv(cfg.pilot_csv)
@@ -209,7 +182,7 @@ def learn(ctx, methods):
     _run_command(ctx, "learn", body)
 
 
-def _load_models(cfg, ctx):
+def _load_models(cfg):
     models = {}
     for name, _ in ALL_EXTERNALS:
         if name not in EXTERNAL_TARGETS:
@@ -234,9 +207,8 @@ def _load_models(cfg, ctx):
 @click.pass_context
 def configure(ctx, pipeline_path):
     """Derive the resource configuration via the rule corpus."""
-    cfg = _load(ctx)
 
-    def body():
+    def body(cfg):
         records = read_pilot_csv(cfg.pilot_csv)
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
@@ -256,7 +228,7 @@ def configure(ctx, pipeline_path):
                 memory_reservation=pilot_record.prepare_memory,
                 storage_mode="fast",
             )
-        models, time_model = _load_models(cfg, ctx)
+        models, time_model = _load_models(cfg)
         registry = build_registry(models, time_model, cfg.search_space)
         cloud = cfg.cloud_attributes()
         config, configured, idb = configure_pipeline(graph, cloud, registry, pilot_record)
@@ -288,9 +260,8 @@ def configure(ctx, pipeline_path):
 @click.pass_context
 def simulate(ctx, legacy_only):
     """Simulate the configured pipeline against the legacy baseline."""
-    cfg = _load(ctx)
 
-    def body():
+    def body(cfg):
         plan = cfg.simulate_plan()
         spec = cfg.workload_spec()
         cluster = cfg.cluster_spec()
@@ -335,9 +306,8 @@ def simulate(ctx, legacy_only):
 @click.pass_context
 def report(ctx):
     """Consolidate sweet-spot and minimal-training-data series."""
-    cfg = _load(ctx)
 
-    def body():
+    def body(cfg):
         have_pilot = os.path.exists(cfg.pilot_csv)
         have_models = os.path.exists(os.path.join(cfg.models_dir, "time_model.json"))
         if not (have_pilot and have_models):
@@ -345,15 +315,15 @@ def report(ctx):
             return {"rows": 0}
         os.makedirs(cfg.reports_dir, exist_ok=True)
         records = read_pilot_csv(cfg.pilot_csv)
-        _, time_model = _load_models(cfg, ctx)
+        _, time_model = _load_models(cfg)
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
         pilot_record = target_pilot_record(records, target)
+        space = cfg.search_space(target.n_records)
         objective = slicing_objective(
             time_model, float(target.n_records), target.volume_mb,
-            pilot_record.slice_time, pilot_record.prepare_time,
+            pilot_record.slice_time, pilot_record.prepare_time, space,
         )
-        space = cfg.search_space(target.n_records)
         curve = sweet_spot_curve(objective, space)
         write_curve(cfg.path("reports", "sweet_spot.tsv"), curve,
                     header=("slice_size", "predicted_time"))

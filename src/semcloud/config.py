@@ -9,11 +9,37 @@ import yaml
 from .etl import WorkloadSpec
 from .kg import CloudAttributes
 from .optimizer import SearchSpace
-from .sim import CostModel, default_cluster
+from .sim import ClusterSpec, CostModel, SimWorkload, default_cluster
 
 
 class ConfigError(Exception):
     pass
+
+
+@dataclasses.dataclass(frozen=True)
+class PilotRuns:
+    """The simulations ``semcloud pilot`` makes for one project.
+
+    Estimation runs: each estimation workload, unsliced, once per
+    estimation seed.  Configuration runs: the target workload at each
+    (nc, ns) candidate of the search space, once per configuration seed.
+    """
+
+    cluster: ClusterSpec
+    cost: CostModel
+    estimation_workloads: tuple
+    estimation_seeds: tuple
+    target: SimWorkload
+    grid: tuple
+    configuration_seeds: tuple
+
+    @property
+    def estimation_count(self):
+        return len(self.estimation_workloads) * len(self.estimation_seeds)
+
+    @property
+    def configuration_count(self):
+        return len(self.grid) * len(self.configuration_seeds)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,11 +84,13 @@ class ProjectConfig:
         return self.path("configured_facts.dl")
 
     # domain objects
-    def workload_spec(self, seed=None):
+    def workload_spec(self, **overrides):
         fields = dict(self.workload)
-        if seed is not None:
-            fields["seed"] = seed
-        return WorkloadSpec(**fields)
+        fields.update(overrides)
+        try:
+            return WorkloadSpec(**fields)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad workload settings: %s" % exc)
 
     def cluster_spec(self):
         fields = dict(self.cluster)
@@ -109,6 +137,28 @@ class ProjectConfig:
         }
         plan.update(self.pilot)
         return plan
+
+    def pilot_runs(self):
+        plan = self.pilot_plan()
+        spec = self.workload_spec()
+        base = derive_seed(self.seed, "pilot")
+        target = SimWorkload.from_spec(spec)
+        return PilotRuns(
+            cluster=self.cluster_spec(),
+            cost=self.cost_model(noise_amplitude=float(plan["noise_amplitude"])),
+            estimation_workloads=tuple(
+                SimWorkload(n_records=spec.machines * int(spec.rate * d),
+                            record_bytes=rb, machines=spec.machines)
+                for d in plan["durations"]
+                for rb in plan["record_bytes"]
+            ),
+            estimation_seeds=tuple(
+                (base + i) % 2**31 for i in range(int(plan["estimation_seeds"]))),
+            target=target,
+            grid=tuple(self.search_space(target.n_records).candidates()),
+            configuration_seeds=tuple(
+                (base + 101 + i) % 2**31 for i in range(int(plan["configuration_seeds"]))),
+        )
 
     def learn_plan(self):
         plan = {"methods": ["polyr", "knn"], "time_method": "knn", "target_nmae": 0.10}

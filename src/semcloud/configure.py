@@ -22,14 +22,26 @@ class ConfigureError(Exception):
     pass
 
 
-def slicing_objective(time_model, n, v, ts, tp):
-    """objective(nc, ns) -> predicted total time for the fixed workload."""
+def slicing_objective(time_model, n, v, ts, tp, space):
+    """objective(nc, ns) -> predicted total time for the fixed workload.
+
+    One predict_method call scores every candidate of ``space``; the
+    objective answers the searches' scalar calls from that table.
+    """
+    grid = list(space.candidates())
+    rows = [{"volume": v, "no_records": n, "chunk_size": nc, "slice_size": ns,
+             "slice_time": ts, "prepare_time": tp} for nc, ns in grid]
+    X = np.array([[row[f] for f in TIME_FEATURES] for row in rows], dtype=float)
+    X = X.reshape(len(grid), len(TIME_FEATURES))
+    table = dict(zip(grid, predict_method(time_model, X).tolist()))
 
     def objective(nc, ns):
-        features = {"volume": v, "no_records": n, "chunk_size": nc,
-                    "slice_size": ns, "slice_time": ts, "prepare_time": tp}
-        X = np.array([[features[f] for f in TIME_FEATURES]], dtype=float)
-        return float(predict_method(time_model, X)[0])
+        try:
+            return table[(nc, ns)]
+        except KeyError:
+            raise ConfigureError(
+                "(%s, %s) is not a candidate of the slicing search space" % (nc, ns)
+            ) from None
 
     return objective
 
@@ -46,7 +58,7 @@ def register_slicing_externals(time_model, registry, space_factory=SearchSpace):
     @functools.lru_cache(maxsize=None)
     def best(n, v, ts, tp):
         space = space_factory(n=int(round(n)))
-        result = optimize_slicing(slicing_objective(time_model, n, v, ts, tp), space)
+        result = optimize_slicing(slicing_objective(time_model, n, v, ts, tp, space), space)
         return float(result.nc), float(result.ns)
 
     for name, index in (("func_fs_1", 0), ("func_fs_2", 1),

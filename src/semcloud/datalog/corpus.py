@@ -15,6 +15,8 @@ In the no-slicing branches the whole input is handled as one chunk/slice
 so that mrs <= ms and mrp <= mp hold on every derived configuration.
 """
 
+import functools
+
 from .parser import parse_program
 
 # (name, arity) of every external the corpus calls.  The estimation functions
@@ -118,8 +120,13 @@ configured_resource(p,nc,ns,cs,mrs,mrp) <-
 """
 
 
+@functools.lru_cache(maxsize=None)
 def configuration_program():
-    """Parse and return the full shipped program."""
+    """The full shipped program, parsed once per process.
+
+    A ``Program`` is a frozen dataclass of tuples, so every caller can
+    share the one parse.
+    """
     return parse_program(RULES_TEXT)
 
 

@@ -136,7 +136,7 @@ def _match_body(rule, elements, env, facts, registry, diagnostics):
         return
     el, rest = elements[0], elements[1:]
     if isinstance(el, Atom):
-        for tup in facts.lookup(el.predicate, el.arity):
+        for tup in _candidates(el, env, facts):
             extended = _unify(el.args, tup, env)
             if extended is not None:
                 yield from _match_body(rule, rest, extended, facts, registry, diagnostics)
@@ -160,6 +160,19 @@ def _match_body(rule, elements, env, facts, registry, diagnostics):
             _record(diagnostics, rule, el, fail.reason, env)
     else:  # pragma: no cover - parser only produces the three kinds
         raise TypeError(f"unknown body element {el!r}")
+
+
+def _candidates(atom, env, facts):
+    """The atom's tuples that can match: looked up on its bound positions."""
+    positions, key = [], []
+    for i, arg in enumerate(atom.args):
+        if isinstance(arg, Const):
+            positions.append(i)
+            key.append(arg.value)
+        elif isinstance(arg, Var) and arg.name in env and not arg.is_anonymous:
+            positions.append(i)
+            key.append(env[arg.name])
+    return facts.lookup(atom.predicate, atom.arity, tuple(positions), tuple(key))
 
 
 def _unify(args, tup, env):
@@ -259,7 +272,7 @@ def _comprehension_scopes(condition, env, facts):
             yield scope
             return
         atom, rest = atoms[0], atoms[1:]
-        for tup in facts.lookup(atom.predicate, atom.arity):
+        for tup in _candidates(atom, scope, facts):
             extended = _unify(atom.args, tup, scope)
             if extended is not None:
                 yield from recurse(rest, extended)

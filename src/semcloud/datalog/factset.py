@@ -1,4 +1,11 @@
-"""Ground fact storage, indexed by (predicate, arity), with set semantics."""
+"""Ground fact storage, indexed by (predicate, arity), with set semantics.
+
+Each relation also gets hash indexes on the argument positions a join has
+already bound (the hash-join indexing of bottom-up engines; Abiteboul, Hull
+& Vianu, *Foundations of Databases*, ch. 13).  An index is built on first
+use and dropped when its relation gains a tuple, so its buckets always list
+tuples in the relation's own iteration order.
+"""
 
 from __future__ import annotations
 
@@ -18,15 +25,35 @@ class FactSet:
 
     def __init__(self, facts: Iterable = ()):
         self._index: dict = {}
+        # (predicate, arity) -> {positions: {key: [tuple, ...]}}
+        self._hashes: dict = {}
         for pred, args in facts:
             self.add(pred, args)
 
     def add(self, predicate: str, args: Iterable) -> None:
         tup = tuple(float(a) if isinstance(a, (int, float)) and not isinstance(a, bool) else a for a in args)
-        self._index.setdefault((predicate, len(tup)), set()).add(tup)
+        relation = self._index.setdefault((predicate, len(tup)), set())
+        if tup not in relation:
+            relation.add(tup)
+            self._hashes.pop((predicate, len(tup)), None)
 
-    def lookup(self, predicate: str, arity: int) -> frozenset:
-        return self._index.get((predicate, arity), frozenset())
+    def lookup(self, predicate: str, arity: int, positions: tuple = (), key: tuple = ()):
+        """Tuples of a relation whose args at ``positions`` equal ``key``.
+
+        With no positions this is the whole relation.  Otherwise the
+        matching tuples come from the relation's hash index on those
+        positions, in the relation's iteration order.
+        """
+        relation = self._index.get((predicate, arity), frozenset())
+        if not positions or not relation:
+            return relation
+        by_positions = self._hashes.setdefault((predicate, arity), {})
+        buckets = by_positions.get(positions)
+        if buckets is None:
+            buckets = by_positions[positions] = {}
+            for tup in relation:
+                buckets.setdefault(tuple(tup[i] for i in positions), []).append(tup)
+        return buckets.get(key, ())
 
     def predicates(self):
         return sorted(self._index.keys())

@@ -25,6 +25,11 @@ from .validate import validate
 
 FORMAT = "semcloud-pipeline/1"
 
+# libyaml's C loader and dumper when PyYAML was built with them; they read
+# and write the same documents as the pure-Python ones.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 _TASK_PROPS = {
     "hasChunkSize": "chunk_size",
     "hasSliceSize": "slice_size",
@@ -57,7 +62,7 @@ def parse_pipeline(document: str) -> PipelineGraph:
     hasNextTask is cyclic, StructureError on any other invariant violation.
     """
     try:
-        data = yaml.safe_load(document)
+        data = yaml.load(document, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise SchemaError(f"unreadable document: {exc}") from exc
     if not isinstance(data, dict):
@@ -178,7 +183,7 @@ def _from_triples(triples) -> PipelineGraph:
         s, p = str(s), str(p)
         if p == "a":
             classes.setdefault(str(o), []).append(s)
-        elif p in EDGE_RELATIONS:
+        elif p in EDGE_RELATIONS and p != "hasIO":  # hasIO is a task property
             edges.append((p, s, str(o)))
         else:
             props.setdefault(s, {})[p] = o
@@ -264,4 +269,4 @@ def serialize_pipeline(graph: PipelineGraph) -> str:
         ],
         "edges": [[s, rel, o] for rel, s, o in graph.edges],
     }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=_Dumper, sort_keys=False)

@@ -274,6 +274,36 @@ def fit_knn(X, y, k: int) -> KNNModel:
     return KNNModel(k=k, samples=standardizer.apply(X), targets=y, standardizer=standardizer)
 
 
+# Rows scored per broadcast block in predict_knn: the block's
+# (rows, samples, features) difference array holds about this many floats
+# (512 KB).  Larger blocks were no faster and raise peak memory.
+_KNN_BLOCK_ELEMENTS = 1 << 16
+
+
+def _nearest(dist: np.ndarray, k: int):
+    """Per row, the first k indices of a stable argsort of ``dist``, and
+    their distances.
+
+    A partition finds each row's k-th smallest distance; the samples up to
+    it are the k nearest (of those tied with it, the lowest-indexed), and
+    one stable argsort puts them in (distance, index) order.
+    """
+    rows = np.arange(dist.shape[0])[:, None]
+    if k < dist.shape[1]:
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        take = dist <= kth
+        if np.count_nonzero(take) > k * dist.shape[0]:  # ties at the k-th distance
+            below = dist < kth
+            tied = dist == kth
+            room = k - below.sum(axis=1, keepdims=True)
+            take = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        index = np.nonzero(take)[1].reshape(-1, k)
+    else:
+        index = np.broadcast_to(np.arange(k), dist.shape)
+    nearest = index[rows, np.argsort(dist[rows, index], axis=1, kind="stable")]
+    return nearest, dist[rows, nearest]
+
+
 def predict_knn(model: KNNModel, X) -> np.ndarray:
     X = _as_matrix(X)
     if X.shape[1] != model.n_features:
@@ -282,13 +312,14 @@ def predict_knn(model: KNNModel, X) -> np.ndarray:
         )
     Xs = model.standardizer.apply(X)
     out = np.empty(Xs.shape[0])
-    for row, x in enumerate(Xs):
-        dist = np.sqrt(np.sum((model.samples - x) ** 2, axis=1))
-        nearest = np.argsort(dist, kind="stable")[: model.k]
-        d = dist[nearest]
-        if d[0] == 0.0:  # exact stored point
-            out[row] = model.targets[nearest[0]]
-            continue
-        w = 1.0 / d
-        out[row] = float(np.sum(w * model.targets[nearest]) / np.sum(w))
+    rows = max(1, _KNN_BLOCK_ELEMENTS // model.samples.size)
+    for start in range(0, Xs.shape[0], rows):
+        block = Xs[start:start + rows]
+        dist = np.sqrt(np.sum((model.samples[None, :, :] - block[:, None, :]) ** 2, axis=2))
+        nearest, d = _nearest(dist, model.k)
+        targets = model.targets[nearest]
+        exact = d[:, 0] == 0.0  # exact stored point: its target, no weighting
+        w = 1.0 / np.where(exact[:, None], 1.0, d)
+        weighted = np.sum(w * targets, axis=1) / np.sum(w, axis=1)
+        out[start:start + rows] = np.where(exact, targets[:, 0], weighted)
     return out

@@ -11,6 +11,8 @@ import csv
 import io
 from dataclasses import asdict, dataclass, fields
 
+from .errors import LearningError
+
 RUN_KINDS = ("estimation", "configuration")
 
 
@@ -84,21 +86,29 @@ def write_pilot_csv(records, stream_or_path) -> None:
 
 
 def read_pilot_csv(stream_or_path) -> list:
+    """Pilot records from a CSV stream or path; LearningError if unreadable."""
     def _read(stream):
         reader = csv.DictReader(stream)
         missing = set(FIELD_NAMES) - set(reader.fieldnames or ())
         if missing:
-            raise ValueError(f"pilot stats file missing columns {sorted(missing)}")
+            raise LearningError(f"pilot stats file missing columns {sorted(missing)}")
         out = []
         for row in reader:
-            values = {
-                name: row[name] if name in _STR_FIELDS else float(row[name])
-                for name in FIELD_NAMES
-            }
+            try:
+                values = {
+                    name: row[name] if name in _STR_FIELDS else float(row[name])
+                    for name in FIELD_NAMES
+                }
+            except (TypeError, ValueError) as exc:
+                raise LearningError(f"pilot stats line {reader.line_num}: {exc}") from None
             out.append(PilotRunRecord(**values))
         return out
 
     if isinstance(stream_or_path, io.TextIOBase):
         return _read(stream_or_path)
-    with open(stream_or_path, newline="") as stream:
-        return _read(stream)
+    try:
+        with open(stream_or_path, newline="") as stream:
+            return _read(stream)
+    except OSError as exc:
+        raise LearningError(
+            f"cannot read pilot stats ({exc}); run `semcloud pilot` first") from None

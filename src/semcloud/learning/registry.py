@@ -199,5 +199,9 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    """The model saved at ``path``; LearningError if unreadable or malformed."""
+    try:
+        with open(path) as fh:
+            return model_from_dict(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise LearningError(f"cannot load model file {path}: {type(exc).__name__}: {exc}") from None

@@ -11,7 +11,7 @@ import pytest
 
 from semcloud.config import ProjectConfig, derive_seed
 from semcloud.learning import learn_externals, learn_time_model
-from semcloud.sim import SimWorkload, collect_pilot_stats
+from semcloud.sim import collect_pilot_stats
 
 
 @pytest.fixture(scope="session")
@@ -22,30 +22,11 @@ def project_config():
 @pytest.fixture(scope="session")
 def pilot_records(project_config):
     """Noisy estimation + configuration pilot rows for the desk workload."""
-    cfg = project_config
-    plan = cfg.pilot_plan()
-    spec = cfg.workload_spec()
-    cluster = cfg.cluster_spec()
-    cost = cfg.cost_model(noise_amplitude=float(plan["noise_amplitude"]))
-    base = derive_seed(cfg.seed, "pilot")
-    est_workloads = [
-        SimWorkload(
-            n_records=spec.machines * int(spec.rate * d),
-            record_bytes=rb,
-            machines=spec.machines,
-        )
-        for d in plan["durations"]
-        for rb in plan["record_bytes"]
-    ]
-    target = SimWorkload.from_spec(spec)
-    grid = list(cfg.search_space(target.n_records).candidates())
-    est_seeds = [(base + i) % 2**31 for i in range(int(plan["estimation_seeds"]))]
-    conf_seeds = [(base + 101 + i) % 2**31
-                  for i in range(int(plan["configuration_seeds"]))]
-    est, err1 = collect_pilot_stats(None, cluster, cost, est_workloads,
-                                    [None], est_seeds)
-    conf, err2 = collect_pilot_stats(None, cluster, cost, [target],
-                                     grid, conf_seeds)
+    runs = project_config.pilot_runs()
+    est, err1 = collect_pilot_stats(None, runs.cluster, runs.cost, runs.estimation_workloads,
+                                    [None], runs.estimation_seeds)
+    conf, err2 = collect_pilot_stats(None, runs.cluster, runs.cost, [runs.target],
+                                     runs.grid, runs.configuration_seeds)
     assert not err1 and not err2
     return est + conf
 

@@ -1,6 +1,7 @@
 """Command-line interface: the full loop on a small project config."""
 
 import os
+import shutil
 
 import pytest
 import yaml
@@ -178,3 +179,53 @@ def test_report_sweet_spot_is_the_configured_slice_size(tmp_path, seed):
     with open(os.path.join(workdir, "reports", "summary.txt")) as fh:
         summary = fh.readline()
     assert summary.startswith("sweet spot: slice_size=%d " % float(config["slice_size"]))
+
+
+def status_lines(result):
+    return [line for line in result.stderr.splitlines()
+            if line.startswith("semcloud-status ")]
+
+
+class TestContract:
+    """Bad input exits 1 (domain) or 2 (usage) with one status line, no traceback."""
+
+    def assert_failure(self, result, command, code, error):
+        assert result.exit_code == code
+        assert status_lines(result) == [
+            "semcloud-status command=%s ok=0 error=%s" % (command, error)]
+        assert "Traceback" not in result.combined
+
+    def test_learn_without_pilot_stats(self, tmp_path):
+        result = invoke(write_project(tmp_path), "learn")
+        self.assert_failure(result, "learn", 1, "LearningError")
+        assert "semcloud pilot" in result.combined
+
+    def test_truncated_model_file(self, tmp_path, completed_chain):
+        _, workdir, _ = completed_chain
+        copy = tmp_path / "out"
+        shutil.copytree(workdir, copy)
+        path = copy / "models" / "time_model.json"
+        path.write_text(path.read_text()[:100])
+        result = invoke(write_project(tmp_path), "configure")
+        self.assert_failure(result, "configure", 1, "LearningError")
+        assert "time_model.json" in result.combined
+
+    @pytest.mark.parametrize("command", [["gen"], ["pilot", "--dry-run"]])
+    def test_negative_machine_count(self, tmp_path, command):
+        workload = dict(SMALL_PROJECT["workload"], machines=-3)
+        result = invoke(write_project(tmp_path, workload=workload), *command)
+        self.assert_failure(result, command[0], 2, "ConfigError")
+        assert "config error:" in result.combined
+
+    @pytest.mark.parametrize("overrides, command", [
+        ({"cluster": {"nodes": 0}}, ["pilot", "--dry-run"]),
+        ({"cost": {"thr_prepare": 0}}, ["simulate", "--legacy-only"]),
+        ({"workload": {"machines": 2, "production_lines": 3}}, ["gen"]),
+    ])
+    def test_config_errors_in_a_stage_print_one_status_line(self, tmp_path, overrides, command):
+        result = invoke(write_project(tmp_path, **overrides), *command)
+        self.assert_failure(result, command[0], 2, "ConfigError")
+
+    def test_unreadable_config_prints_one_status_line(self, tmp_path):
+        result = invoke(str(tmp_path / "nope.yaml"), "report")
+        self.assert_failure(result, "report", 2, "ConfigError")

@@ -193,6 +193,43 @@ class TestFactSet:
         facts = FactSet([("p", (1,))])
         assert ("p", (1.0,)) in facts
 
+    def test_lookup_on_bound_positions(self):
+        facts = FactSet([("p", (1.0, "a")), ("p", (2.0, "b")), ("p", (3.0, "a"))])
+        assert sorted(facts.lookup("p", 2, (1,), ("a",))) == [(1.0, "a"), (3.0, "a")]
+        assert list(facts.lookup("p", 2, (0, 1), (2.0, "b"))) == [(2.0, "b")]
+        assert list(facts.lookup("p", 2, (1,), ("c",))) == []
+        assert list(facts.lookup("q", 2, (1,), ("a",))) == []
+        assert facts.lookup("p", 2) == {(1.0, "a"), (2.0, "b"), (3.0, "a")}
+
+    def test_index_buckets_follow_relation_order(self):
+        facts = FactSet(("p", (float(i), float(i % 3))) for i in range(60))
+        for value in (0.0, 1.0, 2.0):
+            bucket = list(facts.lookup("p", 2, (1,), (value,)))
+            assert bucket == [t for t in facts.lookup("p", 2) if t[1] == value]
+
+    def test_index_follows_a_growing_relation(self):
+        facts = FactSet([("p", (1.0, "a")), ("p", (2.0, "b"))])
+        assert list(facts.lookup("p", 2, (1,), ("a",))) == [(1.0, "a")]
+        facts.add("p", (3.0, "a"))
+        facts.add("p", (1.0, "a"))  # already there: no change
+        assert sorted(facts.lookup("p", 2, (1,), ("a",))) == [(1.0, "a"), (3.0, "a")]
+        assert list(facts.lookup("p", 2, (1,), ("c",))) == []
+        facts.add("p", (4.0, "c"))
+        assert list(facts.lookup("p", 2, (1,), ("c",))) == [(4.0, "c")]
+
+    def test_copy_shares_no_index(self):
+        facts = FactSet([("p", (1.0, "a"))])
+        assert list(facts.lookup("p", 2, (1,), ("a",))) == [(1.0, "a")]
+        clone = facts.copy()
+        assert list(clone.lookup("p", 2, (1,), ("a",))) == [(1.0, "a")]
+        clone.add("p", (2.0, "a"))
+        facts.add("p", (3.0, "a"))
+        assert sorted(facts.lookup("p", 2, (1,), ("a",))) == [(1.0, "a"), (3.0, "a")]
+        assert sorted(clone.lookup("p", 2, (1,), ("a",))) == [(1.0, "a"), (2.0, "a")]
+
+    def test_corpus_is_parsed_once(self):
+        assert configuration_program() is configuration_program()
+
 
 class TestCorpusAgainstOracle:
     def test_corpus_matches_brute_force_on_random_edbs(self):

@@ -3,9 +3,11 @@
 import dataclasses
 
 import pytest
+import yaml
 
 from semcloud.datalog import FactSet, query
 from semcloud.kg import (
+    FORMAT,
     CloudAttributes,
     CycleError,
     DataEntity,
@@ -24,6 +26,25 @@ from semcloud.kg import (
     to_facts,
     validate,
 )
+
+
+def tree_to_triples(tree):
+    """The ``triples:`` spelling of a tree-form pipeline document."""
+    head = tree["ETLPipeline"]
+    triples = [[head["id"], "a", "ETLPipeline"]]
+    triples += [[head["id"], key, value] for key, value in head.items() if key != "id"]
+    for section, default_class in (("layers", None), ("tasks", None),
+                                   ("data_entities", "DataEntity"),
+                                   ("io_handlers", "IOHandler")):
+        for item in tree.get(section, []):
+            triples.append([item["id"], "a", item.get("type", default_class)])
+            for key, value in item.items():
+                if key in ("id", "type"):
+                    continue
+                values = value if key in ("hasInput", "hasOutput") else [value]
+                triples += [[item["id"], key, v] for v in values]
+    triples += tree.get("edges", [])
+    return triples
 
 
 def default_cloud():
@@ -138,6 +159,13 @@ class TestDocument:
     def test_parse_not_yaml(self):
         with pytest.raises(SchemaError):
             parse_pipeline(":\n  - ][")
+
+    @pytest.mark.parametrize("build", [frequent_pipeline, infrequent_pipeline])
+    def test_triples_spelling_parses_to_the_tree_graph(self, build):
+        g = build()
+        document = yaml.safe_dump({"format": FORMAT, "triples": tree_to_triples(
+            yaml.safe_load(serialize_pipeline(g)))})
+        assert parse_pipeline(document) == g
 
 
 class TestFacts:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semcloud.datalog import MissingExternal
+from semcloud.learning.models import _KNN_BLOCK_ELEMENTS
 from semcloud.learning import (
     CONFIGURATION_TARGETS,
     ESTIMATION_TARGETS,
@@ -153,6 +154,69 @@ class TestKNN:
     def test_k_out_of_range_rejected(self):
         with pytest.raises(LearningError):
             fit_knn(np.ones((3, 1)), np.ones(3), k=4)
+
+
+def per_row_knn(model, X):
+    """predict_knn one row at a time: full stable argsort, weights per row."""
+    Xs = model.standardizer.apply(np.asarray(X, dtype=float))
+    out = np.empty(Xs.shape[0])
+    for row, x in enumerate(Xs):
+        dist = np.sqrt(np.sum((model.samples - x) ** 2, axis=1))
+        nearest = np.argsort(dist, kind="stable")[: model.k]
+        d = dist[nearest]
+        if d[0] == 0.0:
+            out[row] = model.targets[nearest[0]]
+            continue
+        w = 1.0 / d
+        out[row] = float(np.sum(w * model.targets[nearest]) / np.sum(w))
+    return out
+
+
+class TestKNNBlocks:
+    """The blocked predict_knn equals the per-row algorithm bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(model, X):
+        assert predict_knn(model, X).tobytes() == per_row_knn(model, X).tobytes()
+
+    @pytest.mark.parametrize("features", [1, 2, 4, 6, 9])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_random_data(self, features, k):
+        rng = np.random.RandomState(features * 10 + k)
+        X = rng.randn(80, features) * rng.uniform(0.1, 100.0, size=features)
+        model = fit_knn(X, rng.randn(80), k=k)
+        self.assert_bitwise(model, rng.randn(50, features) * X.std(axis=0))
+
+    def test_exact_stored_points(self):
+        rng = np.random.RandomState(1)
+        X = rng.randn(40, 3)
+        model = fit_knn(X, rng.randn(40), k=4)
+        queries = np.vstack([X[::3], rng.randn(10, 3)])
+        self.assert_bitwise(model, queries)
+        assert np.array_equal(predict_knn(model, X[::3]), model.targets[::3])
+
+    def test_tied_distances(self):
+        # integer lattice samples and queries: many equal distances,
+        # including ties at the k-th nearest
+        rng = np.random.RandomState(2)
+        X = rng.randint(0, 4, size=(60, 2)).astype(float)
+        queries = rng.randint(0, 4, size=(40, 2)) + 0.5
+        for k in (1, 2, 5, 11):
+            self.assert_bitwise(fit_knn(X, rng.randn(60), k=k), queries)
+
+    def test_k_equals_n(self):
+        rng = np.random.RandomState(3)
+        X = rng.randn(25, 4)
+        self.assert_bitwise(fit_knn(X, rng.randn(25), k=25), rng.randn(30, 4))
+
+    def test_queries_cross_block_boundaries(self):
+        rng = np.random.RandomState(4)
+        X = rng.randn(300, 4)
+        model = fit_knn(X, rng.randn(300), k=3)
+        rows = _KNN_BLOCK_ELEMENTS // model.samples.size
+        queries = rng.randn(2 * rows + 7, 4)
+        self.assert_bitwise(model, queries)
+        self.assert_bitwise(model, queries[: rows + 1])
 
 
 class TestMLP:
