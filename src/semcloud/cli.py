@@ -202,21 +202,30 @@ def _load_models(cfg):
 
 
 @main.command()
-@click.option("--pipeline", "pipeline_path", type=click.Path(exists=True),
+@click.option("--pipeline", "pipeline_path", type=click.Path(),
               default=None, help="Pre-configured pipeline document to configure.")
 @click.pass_context
 def configure(ctx, pipeline_path):
     """Derive the resource configuration via the rule corpus."""
 
     def body(cfg):
-        records = read_pilot_csv(cfg.pilot_csv)
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
-        pilot_record = target_pilot_record(records, target)
+        # Only the slicing branches build a search space: check the settings
+        # here so that a bad search section fails on every branch.
+        cfg.search_space(target.n_records)
+        cloud = cfg.cloud_attributes()
+        graph = None
         if pipeline_path is not None:
-            with open(pipeline_path) as fh:
-                graph = parse_pipeline(fh.read())
-        else:
+            try:
+                with open(pipeline_path) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError("cannot read pipeline document: %s" % exc)
+            graph = parse_pipeline(text)
+        records = read_pilot_csv(cfg.pilot_csv)
+        pilot_record = target_pilot_record(records, target)
+        if graph is None:
             graph = frequent_pipeline(
                 target.pipeline,
                 no_records=target.n_records,
@@ -230,7 +239,6 @@ def configure(ctx, pipeline_path):
             )
         models, time_model = _load_models(cfg)
         registry = build_registry(models, time_model, cfg.search_space)
-        cloud = cfg.cloud_attributes()
         config, configured, idb = configure_pipeline(graph, cloud, registry, pilot_record)
         os.makedirs(cfg.workdir, exist_ok=True)
         with open(cfg.configured_pipeline_path, "w") as fh:

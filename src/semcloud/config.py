@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 
 import yaml
 
 from .etl import WorkloadSpec
 from .kg import CloudAttributes
+from .learning import DEFAULT_GRIDS
 from .optimizer import SearchSpace
 from .sim import ClusterSpec, CostModel, SimWorkload, default_cluster
 
@@ -120,12 +122,18 @@ class ProjectConfig:
     def cloud_attributes(self):
         fields = dict(self.cloud)
         fields.setdefault("id", "c1")
-        fields.setdefault("node_memory", float(self.cluster.get("node_memory", 128.0)))
-        fields.setdefault("node_storage", float(self.cluster.get("node_storage", 4096.0)))
-        return CloudAttributes(**fields)
+        try:
+            fields.setdefault("node_memory", float(self.cluster.get("node_memory", 128.0)))
+            fields.setdefault("node_storage", float(self.cluster.get("node_storage", 4096.0)))
+            return CloudAttributes(**fields)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad cloud settings: %s" % exc)
 
     def search_space(self, n):
-        return SearchSpace(n=n, **self.search)
+        try:
+            return SearchSpace(n=n, **self.search)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad search settings: %s" % exc)
 
     def pilot_plan(self):
         plan = {
@@ -143,31 +151,55 @@ class ProjectConfig:
         spec = self.workload_spec()
         base = derive_seed(self.seed, "pilot")
         target = SimWorkload.from_spec(spec)
-        return PilotRuns(
-            cluster=self.cluster_spec(),
-            cost=self.cost_model(noise_amplitude=float(plan["noise_amplitude"])),
-            estimation_workloads=tuple(
+        try:
+            noise_amplitude = float(plan["noise_amplitude"])
+            estimation_workloads = tuple(
                 SimWorkload(n_records=spec.machines * int(spec.rate * d),
                             record_bytes=rb, machines=spec.machines)
                 for d in plan["durations"]
                 for rb in plan["record_bytes"]
-            ),
-            estimation_seeds=tuple(
-                (base + i) % 2**31 for i in range(int(plan["estimation_seeds"]))),
+            )
+            estimation_seeds = tuple(
+                (base + i) % 2**31 for i in range(int(plan["estimation_seeds"])))
+            configuration_seeds = tuple(
+                (base + 101 + i) % 2**31 for i in range(int(plan["configuration_seeds"])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad pilot settings: %s" % exc)
+        return PilotRuns(
+            cluster=self.cluster_spec(),
+            cost=self.cost_model(noise_amplitude=noise_amplitude),
+            estimation_workloads=estimation_workloads,
+            estimation_seeds=estimation_seeds,
             target=target,
             grid=tuple(self.search_space(target.n_records).candidates()),
-            configuration_seeds=tuple(
-                (base + 101 + i) % 2**31 for i in range(int(plan["configuration_seeds"]))),
+            configuration_seeds=configuration_seeds,
         )
 
     def learn_plan(self):
         plan = {"methods": ["polyr", "knn"], "time_method": "knn", "target_nmae": 0.10}
         plan.update(self.learn)
+        methods = plan["methods"]
+        if (not isinstance(methods, list) or not methods
+                or not all(isinstance(m, str) and m in DEFAULT_GRIDS for m in methods)):
+            raise ConfigError("learn.methods must be a non-empty list of %s, got %r"
+                              % (sorted(DEFAULT_GRIDS), methods))
+        if not isinstance(plan["time_method"], str) or plan["time_method"] not in DEFAULT_GRIDS:
+            raise ConfigError("learn.time_method must be one of %s, got %r"
+                              % (sorted(DEFAULT_GRIDS), plan["time_method"]))
+        try:
+            plan["target_nmae"] = float(plan["target_nmae"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad learn settings: %s" % exc)
         return plan
 
     def simulate_plan(self):
         plan = {"durations": [21.6, 43.2, 64.8, 86.4]}
         plan.update(self.simulate)
+        durations = plan["durations"]
+        if (not isinstance(durations, list) or not durations
+                or not all(isinstance(d, (int, float)) and 0 < d < math.inf for d in durations)):
+            raise ConfigError("simulate.durations must be a non-empty list of positive "
+                              "seconds, got %r" % (durations,))
         return plan
 
 

@@ -1,11 +1,13 @@
 """Bottom-up evaluation of non-recursive programs.
 
 Rules are evaluated once each, grouped by head predicate in a topological
-order of the predicate dependency graph, so the result is independent of the
-textual rule order.  Body elements are processed left to right; a binding
-``x = expr`` assigns (and, if x was bound by an earlier atom, overwrites) the
-variable -- the configuration rules rely on this to replace pre-configured
-values read from the pipeline graph with freshly computed ones.
+order of the predicate dependency graph (``terms.rule_order``), so every rule
+runs after each predicate it reads, comprehension conditions included, and
+the result is independent of the textual rule order.  Body elements are
+processed left to right; a binding ``x = expr`` assigns (and, if x was bound
+by an earlier atom, overwrites) the variable -- the configuration rules rely
+on this to replace pre-configured values read from the pipeline graph with
+freshly computed ones.
 
 External calls are resolved during grounding and replaced by their concrete
 values.  A failing ground instance (division by zero, non-finite external
@@ -15,6 +17,7 @@ channel; it never aborts the evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,7 +41,8 @@ from .terms import (
     Rule,
     Var,
     format_body_element,
-    rule_externals,
+    rule_nodes,
+    rule_order,
 )
 
 
@@ -87,9 +91,11 @@ class _InstanceFailure(Exception):
 def evaluate(program: Program, edb: FactSet, registry: ExternalRegistry,
              diagnostics: list | None = None) -> FactSet:
     """Return EDB plus all derived facts; a pure function of its arguments."""
-    _check_externals(program, registry)
+    order, calls = _schedule(program.rules)
+    for name, arity in calls:
+        registry.resolve(name, arity)
     facts = edb.copy()
-    for rule in _rule_order(program):
+    for rule in order:
         for env in _match_body(rule, rule.body, {}, facts, registry, diagnostics):
             try:
                 args = tuple(_eval_term(a, env, facts, registry) for a in rule.head.args)
@@ -100,34 +106,19 @@ def evaluate(program: Program, edb: FactSet, registry: ExternalRegistry,
     return facts
 
 
-def _check_externals(program: Program, registry: ExternalRegistry) -> None:
-    for rule in program.rules:
-        for call in rule_externals(rule):
-            registry.resolve(call.name, len(call.args))
+@functools.lru_cache(maxsize=32)
+def _schedule(rules: tuple):
+    """The rule order and each external's ``(name, arity)``, in first-call order.
 
-
-def _rule_order(program: Program):
-    """Rules sorted by the stratum of their head predicate (Kahn layering)."""
-    heads = {}
-    for rule in program.rules:
-        heads.setdefault(rule.head.predicate, []).append(rule)
-    deps = {p: set() for p in heads}
-    for pred, rules in heads.items():
-        for rule in rules:
-            for el in rule.body:
-                if isinstance(el, Atom) and el.predicate in heads:
-                    deps[pred].add(el.predicate)
-    stratum = {}
-
-    def height(p):
-        if p not in stratum:
-            stratum[p] = 1 + max((height(q) for q in deps[p] if q != p), default=0)
-        return stratum[p]
-
-    ordered = []
-    for pred in sorted(heads, key=lambda p: (height(p), p)):
-        ordered.extend(heads[pred])
-    return ordered
+    Both depend on the rules alone, and walking every node of the corpus for
+    them costs more than evaluating one pipeline, so they are kept per rule
+    tuple.
+    """
+    calls = dict.fromkeys(
+        (node.name, len(node.args)) for rule in rules for node in rule_nodes(rule)
+        if isinstance(node, ExternalCall)
+    )
+    return rule_order(rules), tuple(calls)
 
 
 def _match_body(rule, elements, env, facts, registry, diagnostics):
@@ -247,9 +238,10 @@ def _eval_term(term, env, facts, registry):
 def evaluate_aggregate(agg: Aggregate, env, facts, registry) -> float:
     """#max/#min/#avg over a term list or a comprehension's value multiset."""
     if agg.is_comprehension:
+        # condition atoms only: no rule or diagnostics are needed to match them
         values = [
             _eval_term(agg.expr, scope, facts, registry)
-            for scope in _comprehension_scopes(agg.condition, env, facts)
+            for scope in _match_body(None, agg.condition, env, facts, registry, None)
         ]
         if not values:
             raise EmptyAggregate(
@@ -264,20 +256,6 @@ def evaluate_aggregate(agg: Aggregate, env, facts, registry) -> float:
     if agg.kind == "min":
         return min(values)
     return sum(values) / len(values)
-
-
-def _comprehension_scopes(condition, env, facts):
-    def recurse(atoms, scope):
-        if not atoms:
-            yield scope
-            return
-        atom, rest = atoms[0], atoms[1:]
-        for tup in _candidates(atom, scope, facts):
-            extended = _unify(atom.args, tup, scope)
-            if extended is not None:
-                yield from recurse(rest, extended)
-
-    yield from recurse(tuple(condition), dict(env))
 
 
 def _record(diagnostics, rule: Rule, element, reason: str, env: dict) -> None:

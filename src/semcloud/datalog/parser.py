@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .errors import DatalogSyntaxError, ProgramRecursionError, SafetyError
+from .errors import DatalogSyntaxError, SafetyError
 from .terms import (
     AGGREGATE_KINDS,
     Aggregate,
@@ -33,7 +33,9 @@ from .terms import (
     Program,
     Rule,
     Var,
-    term_variables,
+    rule_nodes,
+    rule_order,
+    walk,
 )
 
 _TOKEN_RE = re.compile(
@@ -165,6 +167,11 @@ class _Parser:
             return Binding(var=left, expr=right)
         # plain positive atom: re-parse the span as an atom
         self.pos = start
+        return self.parse_body_atom()
+
+    def parse_body_atom(self) -> Atom:
+        """An atom that matches facts: a body atom or a comprehension condition."""
+        tok = self.peek()
         atom = self.parse_atom()
         for a in atom.args:
             if not isinstance(a, (Var, Const)):
@@ -219,10 +226,10 @@ class _Parser:
             first = self.parse_expr()
             if self.at(":"):
                 self.next()
-                condition = [self.parse_atom()]
+                condition = [self.parse_body_atom()]
                 while self.at(","):
                     self.next()
-                    condition.append(self.parse_atom())
+                    condition.append(self.parse_body_atom())
                 self.expect("}")
                 return Aggregate(kind=kind, expr=first, condition=tuple(condition))
             elements = [first]
@@ -240,126 +247,59 @@ class _Parser:
         raise DatalogSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def _bound_after(element, bound: set) -> set:
-    if isinstance(element, Atom):
-        return bound | {v.name for a in element.args for v in term_variables(a)}
-    if isinstance(element, Binding):
-        return bound | {element.var.name}
-    return bound
+def _variables(nodes) -> set:
+    return {node.name for node in nodes if isinstance(node, Var)}
+
+
+def _reads(terms) -> set:
+    """Variables the terms read from their rule.
+
+    The only atoms inside terms are comprehension conditions, and the
+    variables they bind are local to the comprehension.
+    """
+    nodes = [node for term in terms for node in walk(term)]
+    local = {name for node in nodes if isinstance(node, Atom) for name in _variables(node.args)}
+    return _variables(nodes) - local
 
 
 def _check_safety(rule: Rule) -> None:
     bound: set = set()
     seen_bindings: set = set()
     for el in rule.body:
-        if isinstance(el, Binding):
+        if isinstance(el, Atom):
+            bound |= _variables(el.args)
+        elif isinstance(el, Binding):
             if el.var.name in seen_bindings:
                 raise SafetyError(
                     f"variable {el.var.name} bound twice in rule for {rule.head.predicate}"
                 )
             seen_bindings.add(el.var.name)
-            free = {v.name for v in term_variables(el.expr)} - bound
-            free -= _comprehension_locals(el.expr)
+            free = _reads((el.expr,)) - bound
             if free:
                 raise SafetyError(
                     f"binding of {el.var.name} uses unbound variables {sorted(free)}"
                 )
-        elif isinstance(el, Comparison):
-            free = {v.name for v in term_variables(el.left)} | {
-                v.name for v in term_variables(el.right)
-            }
-            free -= bound
-            free -= _comprehension_locals(el.left) | _comprehension_locals(el.right)
+            bound.add(el.var.name)
+        else:
+            free = _reads((el.left, el.right)) - bound
             if free:
                 raise SafetyError(f"comparison uses unbound variables {sorted(free)}")
-        bound = _bound_after(el, bound)
-    unbound_head = {
-        v.name for a in rule.head.args for v in term_variables(a)
-    } - bound
+    unbound_head = _reads(rule.head.args) - bound
     if unbound_head:
         raise SafetyError(
             f"head variables {sorted(unbound_head)} of {rule.head.predicate} are unsafe"
         )
 
 
-def _comprehension_locals(term) -> set:
-    """Variables introduced inside comprehension conditions (locally bound)."""
-    locals_: set = set()
-    if isinstance(term, Aggregate):
-        for atom in term.condition:
-            for a in atom.args:
-                for v in term_variables(a):
-                    locals_.add(v.name)
-        for e in term.elements:
-            locals_ |= _comprehension_locals(e)
-        if term.expr is not None:
-            locals_ |= _comprehension_locals(term.expr)
-    elif isinstance(term, Arith):
-        locals_ = _comprehension_locals(term.left) | _comprehension_locals(term.right)
-    elif isinstance(term, ExternalCall):
-        for a in term.args:
-            locals_ |= _comprehension_locals(a)
-    return locals_
-
-
-def _check_nonrecursive(rules) -> None:
-    deps: dict = {}
-    for rule in rules:
-        head = rule.head.predicate
-        deps.setdefault(head, set())
-        for el in rule.body:
-            if isinstance(el, Atom):
-                deps[head].add(el.predicate)
-            elif isinstance(el, (Binding, Comparison)):
-                for t in (el.expr,) if isinstance(el, Binding) else (el.left, el.right):
-                    for atom in _condition_atoms(t):
-                        deps[head].add(atom.predicate)
-    # DFS cycle detection restricted to rule-defined predicates
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {p: WHITE for p in deps}
-
-    def visit(p):
-        color[p] = GREY
-        for q in deps.get(p, ()):
-            if q not in color:
-                continue
-            if color[q] == GREY:
-                raise ProgramRecursionError(f"recursion through predicate {q}")
-            if color[q] == WHITE:
-                visit(q)
-        color[p] = BLACK
-
-    for p in list(color):
-        if color[p] == WHITE:
-            visit(p)
-
-
-def _condition_atoms(term):
-    if isinstance(term, Aggregate):
-        yield from term.condition
-        for e in term.elements:
-            yield from _condition_atoms(e)
-        if term.expr is not None:
-            yield from _condition_atoms(term.expr)
-    elif isinstance(term, Arith):
-        yield from _condition_atoms(term.left)
-        yield from _condition_atoms(term.right)
-    elif isinstance(term, ExternalCall):
-        for a in term.args:
-            yield from _condition_atoms(a)
-
-
 def parse_program(text: str) -> Program:
     """Parse rule text into a validated (safe, non-recursive) Program."""
     rules = _Parser(text).parse_program()
-    _check_nonrecursive(rules)
-    externals = set()
+    rule_order(rules)
     for rule in rules:
         _check_safety(rule)
-        from .terms import rule_externals
-
-        for call in rule_externals(rule):
-            externals.add(call.name)
+    externals = {
+        node.name for rule in rules for node in rule_nodes(rule) if isinstance(node, ExternalCall)
+    }
     return Program(rules=tuple(rules), externals=tuple(sorted(externals)))
 
 

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
+from .errors import ProgramRecursionError
+
 AGGREGATE_KINDS = ("max", "min", "avg")
 
 COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -103,49 +105,65 @@ class Program:
     externals: tuple = field(default=())  # declared external names, no '@'
 
 
-def term_variables(term: Term):
-    """All variables occurring in a term, comprehension-bound ones included."""
-    if isinstance(term, Var):
-        yield term
-    elif isinstance(term, Arith):
-        yield from term_variables(term.left)
-        yield from term_variables(term.right)
-    elif isinstance(term, ExternalCall):
-        for a in term.args:
-            yield from term_variables(a)
-    elif isinstance(term, Aggregate):
-        for e in term.elements:
-            yield from term_variables(e)
-        if term.expr is not None:
-            yield from term_variables(term.expr)
-        for atom in term.condition:
-            for a in atom.args:
-                yield from term_variables(a)
+def walk(node):
+    """Yield a node and every node below it, depth first.
+
+    A node is a term, an atom or a body element.  The walk descends into
+    Arith operands, ExternalCall and Atom args, Aggregate elements and expr,
+    comprehension condition atoms, and both sides of comparisons and bindings.
+    """
+    yield node
+    if isinstance(node, (Arith, Comparison)):
+        children = (node.left, node.right)
+    elif isinstance(node, (ExternalCall, Atom)):
+        children = node.args
+    elif isinstance(node, Aggregate):
+        expr = (node.expr,) if node.is_comprehension else ()
+        children = node.elements + expr + node.condition
+    elif isinstance(node, Binding):
+        children = (node.var, node.expr)
+    else:
+        children = ()
+    for child in children:
+        yield from walk(child)
 
 
-def term_externals(term: Term):
-    if isinstance(term, Arith):
-        yield from term_externals(term.left)
-        yield from term_externals(term.right)
-    elif isinstance(term, ExternalCall):
-        yield term
-        for a in term.args:
-            yield from term_externals(a)
-    elif isinstance(term, Aggregate):
-        for e in term.elements:
-            yield from term_externals(e)
-        if term.expr is not None:
-            yield from term_externals(term.expr)
+def rule_nodes(rule: Rule):
+    """Every node of a rule: its head args, then each body element, at any depth."""
+    for node in rule.head.args + rule.body:
+        yield from walk(node)
 
 
-def rule_externals(rule: Rule):
-    """Every external call appearing anywhere in a rule."""
-    for el in rule.body:
-        if isinstance(el, Comparison):
-            yield from term_externals(el.left)
-            yield from term_externals(el.right)
-        elif isinstance(el, Binding):
-            yield from term_externals(el.expr)
+def rule_order(rules) -> tuple:
+    """The rules in an order that evaluates each after every predicate it reads.
+
+    A head predicate depends on the predicates of every atom in its rules --
+    body atoms and comprehension condition atoms at any depth.  Rules go by
+    ``(height, predicate)``, where a predicate's height is one more than the
+    greatest height among the rule-defined predicates it reads, and keep their
+    textual order within a predicate.  Raises ProgramRecursionError on a cycle.
+    """
+    heads: dict = {}
+    for rule in rules:
+        heads.setdefault(rule.head.predicate, []).append(rule)
+    deps = {
+        pred: {node.predicate for rule in group for node in rule_nodes(rule)
+               if isinstance(node, Atom) and node.predicate in heads}
+        for pred, group in heads.items()
+    }
+    height: dict = {}
+    visiting: set = set()
+
+    def visit(pred):
+        if pred not in height:
+            if pred in visiting:
+                raise ProgramRecursionError(f"recursion through predicate {pred}")
+            visiting.add(pred)
+            height[pred] = 1 + max(map(visit, deps[pred]), default=0)
+        return height[pred]
+
+    return tuple(rule for pred in sorted(heads, key=lambda p: (visit(p), p))
+                 for rule in heads[pred])
 
 
 def format_value(value) -> str:

@@ -56,6 +56,16 @@ class Standardizer:
         return (X - self.mean) / self.scale
 
 
+def _row_dot(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Products of ``A`` and ``w`` summed along the last axis.
+
+    Each row is summed the same way however many rows share the call, so a
+    prediction does not depend on its batch.  A matrix product does not give
+    that: BLAS rounds one row (gemv) differently from many (gemm).
+    """
+    return (A * w).sum(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # polynomial regression
 # ---------------------------------------------------------------------------
@@ -120,7 +130,7 @@ def predict_polyr(model: PolyRModel, X) -> np.ndarray:
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
     design = _poly_design(X, model.degree, model.feature_scale, model.cross_terms)
-    return design @ model.weights
+    return _row_dot(design, model.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +252,11 @@ def predict_mlp(model: MLPModel, X) -> np.ndarray:
         raise DimensionMismatch(
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
-    pred, _ = _forward(model.weights, model.biases, model.standardizer.apply(X))
-    return pred * model.target_scale
+    # _forward's matrix products would round one row differently from many
+    h = np.ascontiguousarray(model.standardizer.apply(X))
+    for W, b in zip(model.weights, model.biases):
+        h = np.maximum(0.0, _row_dot(h[:, None, :], W) + b)
+    return h[:, 0] * model.target_scale
 
 
 # ---------------------------------------------------------------------------

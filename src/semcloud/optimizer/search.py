@@ -47,6 +47,12 @@ class SearchSpace:
     ns_steps: int = 16
     span: int = 64
 
+    def __post_init__(self):
+        for name in ("nc_steps", "ns_steps", "span"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError("%s must be a positive integer, got %r" % (name, value))
+
     def nc_values(self):
         return geometric_grid(self.n / self.span, self.n, self.nc_steps)
 

@@ -221,6 +221,15 @@ class TestContract:
         ({"cluster": {"nodes": 0}}, ["pilot", "--dry-run"]),
         ({"cost": {"thr_prepare": 0}}, ["simulate", "--legacy-only"]),
         ({"workload": {"machines": 2, "production_lines": 3}}, ["gen"]),
+        ({"cloud": {"foo": 1}}, ["configure"]),
+        ({"search": {"foo": 1}}, ["configure"]),
+        ({"search": {"nc_steps": "x"}}, ["configure"]),
+        ({"search": {"span": 0}}, ["configure"]),
+        ({}, ["configure", "--pipeline", os.path.join("no", "such", "pipeline.yaml")]),
+        ({"learn": {"methods": ["bogus"]}}, ["learn"]),
+        ({"learn": {"time_method": "bogus"}}, ["learn"]),
+        ({"simulate": {"durations": 5}}, ["simulate"]),
+        ({"pilot": {"estimation_seeds": "x"}}, ["pilot"]),
     ])
     def test_config_errors_in_a_stage_print_one_status_line(self, tmp_path, overrides, command):
         result = invoke(write_project(tmp_path, **overrides), *command)

@@ -44,7 +44,7 @@ def time_model(request, pilot_records):
 
 @pytest.mark.parametrize("n", [517, 1032, 4000])
 def test_table_objective_matches_per_point_search(time_model, pilot_records, n):
-    method, model = time_model
+    _, model = time_model
     pilot = mean_estimation_pilot(pilot_records)
     args = (float(n), n * 1250 / MB, pilot.slice_time, pilot.prepare_time)
     space = SearchSpace(n=n)
@@ -54,15 +54,9 @@ def test_table_objective_matches_per_point_search(time_model, pilot_records, n):
     assert (best.nc, best.ns, best.evaluated) == (expected.nc, expected.ns, expected.evaluated)
     values = [table(nc, ns) for nc, ns in space.candidates()]
     singles = [single(nc, ns) for nc, ns in space.candidates()]
-    if method == "polyr":
-        # numpy's matrix-vector product (BLAS gemv) and its single-row dot
-        # product round the polynomial's last bits differently
-        assert best.value == pytest.approx(expected.value, rel=1e-12)
-        assert values == pytest.approx(singles, rel=1e-12)
-    else:
-        assert best.value == expected.value
-        assert values == singles
-        assert sweet_spot_curve(table, space) == sweet_spot_curve(single, space)
+    assert best.value == expected.value
+    assert values == singles
+    assert sweet_spot_curve(table, space) == sweet_spot_curve(single, space)
 
 
 def test_table_objective_rejects_points_outside_the_space(learned):

@@ -65,6 +65,14 @@ class TestParser:
         with pytest.raises(ProgramRecursionError):
             parse_program("a(x) <- b(x). b(x) <- a(x).")
 
+    @pytest.mark.parametrize("text", [
+        "a(m) <- u(z), m = #max{y : b(y)}.  b(x) <- a(x).",
+        "a(#max{y : b(y)}) <- u(z).  b(x) <- a(x).",
+    ])
+    def test_recursion_through_a_comprehension_rejected(self, text):
+        with pytest.raises(ProgramRecursionError):
+            parse_program(text)
+
     def test_unsafe_head_variable(self):
         with pytest.raises(SafetyError):
             parse_program("a(x,y) <- b(x).")
@@ -76,6 +84,15 @@ class TestParser:
     def test_syntax_error_reports_position(self):
         with pytest.raises(DatalogSyntaxError):
             parse_program("a(x <- b(x).")
+
+    @pytest.mark.parametrize("text", [
+        "a(m) <- u(z), m = #max{y : s(y + 1)}.",
+        "a(m) <- u(z), m = #max{y : s(y, @f(z))}.",
+        "a(m) <- u(z), m = #avg{y : s(y), t(#min{y, z})}.",
+    ])
+    def test_comprehension_atom_arguments_are_variables_or_constants(self, text):
+        with pytest.raises((DatalogSyntaxError, SafetyError)):
+            parse_program(text)
 
     def test_ground_atom_parses_numbers_and_symbols(self):
         pred, args = parse_ground_atom("p(a,1.5,b).")
@@ -229,6 +246,47 @@ class TestFactSet:
 
     def test_corpus_is_parsed_once(self):
         assert configuration_program() is configuration_program()
+
+
+def _double_plus_one(x):
+    return 2.0 * x + 1.0
+
+
+# (program, EDB, externals): each rule reads a predicate, or calls an
+# external, somewhere other than a plain body atom.
+DEPENDENCY_CASES = [
+    pytest.param("a(m) <- u(z), m = #max{y : z_r(y)}.  z_r(x) <- s(x).",
+                 [("u", (1.0,)), ("s", (5.0,)), ("s", (2.0,))], {},
+                 id="comprehension-over-idb"),
+    pytest.param("a(m) <- u(z), m = #min{y : z_q(y)}.  z_q(x) <- z_r(x), x > 1.  z_r(x) <- s(x).",
+                 [("u", (1.0,)), ("s", (5.0,)), ("s", (2.0,)), ("s", (1.0,))], {},
+                 id="comprehension-two-strata-down"),
+    pytest.param("a(z) <- u(z), z < 1 + #max{y : z_r(y)}.  b(#avg{y : z_r(y)}) <- u(z).  "
+                 "z_r(x) <- s(x).",
+                 [("u", (1.0,)), ("u", (9.0,)), ("s", (5.0,)), ("s", (2.0,))], {},
+                 id="comprehension-in-arithmetic-and-head"),
+    pytest.param("g(@f(x)) <- s(x).", [("s", (1.0,)), ("s", (2.5,))],
+                 {"f": _double_plus_one}, id="external-in-head"),
+    pytest.param("a(m) <- u(z), m = #max{@f(y) : z_r(y)}.  z_r(x) <- s(x).",
+                 [("u", (1.0,)), ("s", (3.0,))], {"f": _double_plus_one},
+                 id="external-in-comprehension"),
+]
+
+
+@pytest.mark.parametrize("text,edb,funcs", DEPENDENCY_CASES)
+def test_engine_reads_every_dependency_like_the_oracle(text, edb, funcs):
+    program = parse_program(text)
+    assert program.externals == tuple(sorted(funcs))
+    registry = ExternalRegistry()
+    for name, func in funcs.items():
+        registry.register(name, func, 1)
+    diagnostics = []
+    engine = evaluate(program, FactSet(edb), registry, diagnostics)
+    _assert_same_facts(engine, brute_force_ground(program, edb, funcs))
+    assert diagnostics == []
+    if funcs:
+        with pytest.raises(MissingExternal):
+            evaluate(program, FactSet(), EMPTY)
 
 
 class TestCorpusAgainstOracle:

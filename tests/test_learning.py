@@ -219,6 +219,28 @@ class TestKNNBlocks:
         self.assert_bitwise(model, queries[: rows + 1])
 
 
+ROW_MODELS = [
+    pytest.param("polyr", {"degree": degree, "cross_terms": cross},
+                 id="polyr-%d%s" % (degree, "-cross" if cross else ""))
+    for degree in range(1, 7) for cross in (False, True)
+] + [
+    pytest.param("mlp", {"hidden_widths": (10, 9), "epochs": 20}, id="mlp"),
+    pytest.param("knn", {"k": 3}, id="knn"),
+]
+
+
+@pytest.mark.parametrize("method, params", ROW_MODELS)
+def test_prediction_of_a_row_does_not_depend_on_the_batch(method, params):
+    rng = np.random.RandomState(12)
+    X = rng.uniform(1.0, 1000.0, size=(120, 6))
+    y = X @ rng.uniform(0.1, 2.0, size=6) + rng.randn(120)
+    model = fit_method(method, X, y, params)
+    queries = rng.uniform(1.0, 1000.0, size=(500, 6))
+    batch = predict_method(model, queries)
+    one_by_one = np.concatenate([predict_method(model, row[None, :]) for row in queries])
+    assert batch.tobytes() == one_by_one.tobytes()
+
+
 class TestMLP:
     def test_gradients_match_finite_differences(self):
         rng = np.random.RandomState(0)
