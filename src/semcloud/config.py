@@ -18,6 +18,19 @@ class ConfigError(Exception):
     pass
 
 
+# Cloud attributes the rules do arithmetic on.
+_CLOUD_NUMBERS = ("memory_buffer_coefficient", "storage_buffer_coefficient",
+                  "max_memory_coefficient", "node_memory", "node_storage")
+
+
+def _plan(name, defaults, section):
+    """The defaults updated by a config section that may only set their keys."""
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise ConfigError("unknown %s keys: %s" % (name, sorted(unknown)))
+    return dict(defaults, **section)
+
+
 @dataclasses.dataclass(frozen=True)
 class PilotRuns:
     """The simulations ``semcloud pilot`` makes for one project.
@@ -125,9 +138,15 @@ class ProjectConfig:
         try:
             fields.setdefault("node_memory", float(self.cluster.get("node_memory", 128.0)))
             fields.setdefault("node_storage", float(self.cluster.get("node_storage", 4096.0)))
-            return CloudAttributes(**fields)
+            cloud = CloudAttributes(**fields)
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad cloud settings: %s" % exc)
+        for name in _CLOUD_NUMBERS:
+            value = getattr(cloud, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError("cloud.%s must be a finite number, got %r" % (name, value))
+        return cloud
 
     def search_space(self, n):
         try:
@@ -136,15 +155,13 @@ class ProjectConfig:
             raise ConfigError("bad search settings: %s" % exc)
 
     def pilot_plan(self):
-        plan = {
+        return _plan("pilot", {
             "durations": [21.6, 43.2, 64.8, 86.4],
             "record_bytes": [625, 1250, 2500],
             "estimation_seeds": 5,
             "configuration_seeds": 3,
             "noise_amplitude": 0.05,
-        }
-        plan.update(self.pilot)
-        return plan
+        }, self.pilot)
 
     def pilot_runs(self):
         plan = self.pilot_plan()
@@ -176,8 +193,8 @@ class ProjectConfig:
         )
 
     def learn_plan(self):
-        plan = {"methods": ["polyr", "knn"], "time_method": "knn", "target_nmae": 0.10}
-        plan.update(self.learn)
+        plan = _plan("learn", {"methods": ["polyr", "knn"], "time_method": "knn",
+                               "target_nmae": 0.10}, self.learn)
         methods = plan["methods"]
         if (not isinstance(methods, list) or not methods
                 or not all(isinstance(m, str) and m in DEFAULT_GRIDS for m in methods)):
@@ -193,8 +210,7 @@ class ProjectConfig:
         return plan
 
     def simulate_plan(self):
-        plan = {"durations": [21.6, 43.2, 64.8, 86.4]}
-        plan.update(self.simulate)
+        plan = _plan("simulate", {"durations": [21.6, 43.2, 64.8, 86.4]}, self.simulate)
         durations = plan["durations"]
         if (not isinstance(durations, list) or not durations
                 or not all(isinstance(d, (int, float)) and 0 < d < math.inf for d in durations)):
@@ -204,19 +220,27 @@ class ProjectConfig:
 
 
 _SECTION_KEYS = {f.name for f in dataclasses.fields(ProjectConfig)}
+_MAPPING_SECTIONS = {f.name for f in dataclasses.fields(ProjectConfig) if f.type is dict}
 
 
 def load_config(path):
     try:
         with open(path) as fh:
             tree = yaml.safe_load(fh) or {}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
     unknown = set(tree) - _SECTION_KEYS
     if unknown:
         raise ConfigError("unknown config sections: %s" % sorted(unknown))
+    scalar = sorted(k for k in _MAPPING_SECTIONS & set(tree) if not isinstance(tree[k], dict))
+    if scalar:
+        raise ConfigError("config sections must be mappings: %s" % scalar)
+    seed, workdir = tree.get("seed", 0), tree.get("workdir", "out")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not isinstance(workdir, str):
+        raise ConfigError("seed must be an integer and workdir a path, got %r and %r"
+                          % (seed, workdir))
     return ProjectConfig(**tree)
 
 

@@ -38,6 +38,8 @@ UNIFIED_HEADER = KEY_FIELDS + UNIFIED_ATTRIBUTES + ("record_bytes",)
 
 NULL_TOKEN = ""
 
+_POSITION = {name: i for i, name in enumerate(UNIFIED_ATTRIBUTES)}
+
 
 @dataclasses.dataclass(frozen=True)
 class UnifiedRecord:
@@ -48,10 +50,7 @@ class UnifiedRecord:
     record_bytes: int
 
     def attribute(self, name):
-        for key, value in self.attributes:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return self.attributes[_POSITION[name]][1]
 
     def identity(self):
         """Hashable identity for multiset comparisons."""
@@ -60,7 +59,7 @@ class UnifiedRecord:
 
 def make_record(machine_id, program_id, timestamp, values, record_bytes):
     """Build a UnifiedRecord from a name->value dict; missing names are null."""
-    attrs = tuple((name, values.get(name)) for name in UNIFIED_ATTRIBUTES)
+    attrs = tuple(zip(UNIFIED_ATTRIBUTES, map(values.get, UNIFIED_ATTRIBUTES)))
     return UnifiedRecord(
         machine_id=str(machine_id),
         program_id=str(program_id),
@@ -70,22 +69,20 @@ def make_record(machine_id, program_id, timestamp, values, record_bytes):
     )
 
 
-def _format_cell(value):
-    if value is None:
-        return NULL_TOKEN
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def record_cells(record):
+    """The canonical cell strings of a record, in UNIFIED_HEADER order
+    without record_bytes: the key fields, then each attribute's repr, or
+    NULL_TOKEN for a null."""
+    cells = [record.machine_id, record.program_id, repr(record.timestamp)]
+    cells += [NULL_TOKEN if value is None else repr(value) for _, value in record.attributes]
+    return cells
 
 
 def write_unified(path, records):
     """Write unified records as a tab-delimited file with canonical header."""
     lines = ["\t".join(UNIFIED_HEADER)]
     for rec in records:
-        row = [rec.machine_id, rec.program_id, repr(rec.timestamp)]
-        row.extend(_format_cell(value) for _, value in rec.attributes)
-        row.append(str(rec.record_bytes))
-        lines.append("\t".join(row))
+        lines.append("\t".join(record_cells(rec) + [str(rec.record_bytes)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -7,11 +7,13 @@ availability.  Output is byte-deterministic for a given seed.
 
 import dataclasses
 import json
+import math
+import operator
 import os
 
 import numpy as np
 
-from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, make_record
+from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER, make_record, record_cells
 from .sources import SourceDescriptor
 
 # Per-source field name schemes: the same unified property goes by a
@@ -74,6 +76,12 @@ class WorkloadSpec:
     def __post_init__(self):
         if not 1 <= self.production_lines <= self.machines:
             raise ValueError("need machines >= production_lines >= 1")
+        for name in ("duration", "rate", "record_bytes"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, getattr(self, name)))
+        if self.records_per_machine() < 1:
+            raise ValueError("rate * duration must give each machine a record")
 
     def records_per_machine(self):
         return int(self.rate * self.duration)
@@ -91,14 +99,16 @@ def base_records(spec):
     rng = np.random.RandomState(spec.seed)
     records = []
     per_machine = spec.records_per_machine()
+    scale = 10.0 * np.arange(1, len(UNIFIED_ATTRIBUTES) + 1)
     for m_index, machine in enumerate(machine_ids(spec)):
+        base = scale + 0.5 * m_index
         for k in range(per_machine):
             program = "p%d" % (rng.randint(PROGRAM_COUNT) + 1)
             timestamp = round(k / spec.rate, 6)
-            values = {}
-            for j, name in enumerate(UNIFIED_ATTRIBUTES):
-                base = 10.0 * (j + 1) + 0.5 * m_index
-                values[name] = round(base * (1.0 + 0.1 * rng.rand()), 6)
+            # rand(n) draws what n rand() calls draw; Python's round, unlike
+            # np.round, rounds each value to the bits the scalar formula gives.
+            row = (base * (1.0 + 0.1 * rng.rand(len(scale)))).tolist()
+            values = dict(zip(UNIFIED_ATTRIBUTES, [round(v, 6) for v in row]))
             records.append(
                 make_record(machine, program, timestamp, values, spec.record_bytes)
             )
@@ -110,42 +120,38 @@ def _source_fields(field_of, absent):
     return [(field_of(prop), prop) for prop in props]
 
 
-def _cell(record, prop):
-    if prop == "machine_id":
-        return record.machine_id
-    if prop == "program_id":
-        return record.program_id
-    if prop == "timestamp":
-        return repr(record.timestamp)
-    return repr(record.attribute(prop))
+def _picker(fields):
+    """A getter for the cells of a record_cells row that a source's fields carry."""
+    return operator.itemgetter(*(UNIFIED_HEADER.index(prop) for _, prop in fields))
 
 
-def _write_csv(path, fields, records):
+def _write_csv(path, fields, rows):
+    pick = _picker(fields)
     lines = [",".join(field for field, _ in fields)]
-    for rec in records:
-        lines.append(",".join(_cell(rec, prop) for _, prop in fields))
+    lines += [",".join(pick(row)) for row in rows]
     _write(path, "\n".join(lines) + "\n")
 
 
-def _write_json(path, fields, records):
+def _write_json(path, fields, rows):
+    # The exact text of json.dumps(entries, indent=1): the key strings are
+    # quoted, and every other cell is a float repr, so already a JSON number.
+    pick, quote = _picker(fields), json.encoder.encode_basestring_ascii
+    text = [j for j, (_, prop) in enumerate(fields) if prop in ("machine_id", "program_id")]
+    template = " {\n%s\n }" % ",\n".join("  %s: %%s" % quote(field) for field, _ in fields)
     entries = []
-    for rec in records:
-        entry = {}
-        for field, prop in fields:
-            cell = _cell(rec, prop)
-            entry[field] = cell if prop in ("machine_id", "program_id") else float(cell)
-        entries.append(entry)
-    _write(path, json.dumps(entries, indent=1) + "\n")
+    for row in rows:
+        cells = list(pick(row))
+        for j in text:
+            cells[j] = quote(cells[j])
+        entries.append(template % tuple(cells))
+    _write(path, "[\n%s\n]\n" % ",\n".join(entries))
 
 
-def _write_xml(path, fields, records):
+def _write_xml(path, fields, rows):
+    pick = _picker(fields)
+    template = "  <record>%s</record>" % "".join("<%s>%%s</%s>" % (f, f) for f, _ in fields)
     lines = ["<records>"]
-    for rec in records:
-        parts = ["  <record>"]
-        for field, prop in fields:
-            parts.append("<%s>%s</%s>" % (field, _cell(rec, prop), field))
-        parts.append("</record>")
-        lines.append("".join(parts))
+    lines += [template % pick(row) for row in rows]
     lines.append("</records>")
     _write(path, "\n".join(lines) + "\n")
 
@@ -161,12 +167,12 @@ _WRITERS = {"csv": _write_csv, "json": _write_json, "xml": _write_xml}
 def generate_workload(spec, out_dir):
     """Write the three heterogeneous source files; returns descriptors."""
     os.makedirs(out_dir, exist_ok=True)
-    records = base_records(spec)
+    rows = [record_cells(rec) for rec in base_records(spec)]
     descriptors = []
     for fmt, field_of, absent in _SCHEMES:
         fields = _source_fields(field_of, absent)
         location = os.path.join(out_dir, "source_%s.%s" % (fmt, fmt))
-        _WRITERS[fmt](location, fields, records)
+        _WRITERS[fmt](location, fields, rows)
         descriptors.append(
             SourceDescriptor(
                 format=fmt,

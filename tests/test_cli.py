@@ -1,6 +1,7 @@
 """Command-line interface: the full loop on a small project config."""
 
 import os
+import pathlib
 import shutil
 
 import pytest
@@ -89,7 +90,7 @@ class TestChain:
 
     def test_configured_facts_hold_one_configuration(self, completed_chain):
         _, workdir, _ = completed_chain
-        text = open(os.path.join(workdir, "configured_facts.dl")).read()
+        text = pathlib.Path(workdir, "configured_facts.dl").read_text()
         hits = [l for l in text.splitlines()
                 if l.startswith("configured_resource(")]
         assert len(hits) == 1
@@ -163,7 +164,7 @@ class TestIndividualCommands:
         result = invoke(config_path, "gen", "--machines", "3")
         assert result.exit_code == 0
         csv_path = os.path.join(str(tmp_path), "out", "workload", "source_csv.csv")
-        text = open(csv_path).read()
+        text = pathlib.Path(csv_path).read_text()
         assert "m03" in text and "m04" not in text
 
 
@@ -230,6 +231,18 @@ class TestContract:
         ({"learn": {"time_method": "bogus"}}, ["learn"]),
         ({"simulate": {"durations": 5}}, ["simulate"]),
         ({"pilot": {"estimation_seeds": "x"}}, ["pilot"]),
+        ({"workload": dict(SMALL_PROJECT["workload"], record_bytes=-1)}, ["pilot"]),
+        ({"workload": dict(SMALL_PROJECT["workload"], duration=-5.0)}, ["gen"]),
+        ({"workload": dict(SMALL_PROJECT["workload"], rate=0.0)}, ["gen"]),
+        ({"workload": dict(SMALL_PROJECT["workload"], rate=0.0)}, ["pilot"]),
+        ({"learn": {"foo": 1}}, ["learn"]),
+        ({"simulate": {"foo": 1}}, ["simulate"]),
+        ({"pilot": {"foo": 1}}, ["pilot"]),
+        ({"cloud": {"node_memory": "x"}}, ["configure"]),
+        ({"workload": 5}, ["gen"]),
+        ({"cloud": 5}, ["configure"]),
+        ({"seed": "x"}, ["gen"]),
+        ({"workdir": [1]}, ["gen"]),
     ])
     def test_config_errors_in_a_stage_print_one_status_line(self, tmp_path, overrides, command):
         result = invoke(write_project(tmp_path, **overrides), *command)
@@ -238,3 +251,10 @@ class TestContract:
     def test_unreadable_config_prints_one_status_line(self, tmp_path):
         result = invoke(str(tmp_path / "nope.yaml"), "report")
         self.assert_failure(result, "report", 2, "ConfigError")
+
+    @pytest.mark.parametrize("content", [b"seed: [\n", b"\xff\xfe seed: 0\n"])
+    def test_malformed_config_prints_one_status_line(self, tmp_path, content):
+        path = tmp_path / "project.yaml"
+        path.write_bytes(content)
+        result = invoke(str(path), "gen")
+        self.assert_failure(result, "gen", 2, "ConfigError")

@@ -1,7 +1,10 @@
 """ETL core: workload generation, ingestion, slicing, prepare, store."""
 
 import dataclasses
+import hashlib
 import json
+import math
+import pathlib
 
 import pytest
 
@@ -31,6 +34,15 @@ from semcloud.etl import (
     store_prepared,
     write_unified,
 )
+from semcloud.etl.records import NULL_TOKEN, UNIFIED_HEADER, record_cells
+
+# sha256 of each source GOLDEN_SPEC generates: every generated byte is pinned.
+GOLDEN_SPEC = WorkloadSpec(machines=3, production_lines=1, duration=4.0, seed=11)
+GOLDEN_DIGESTS = {
+    "source_csv.csv": "bc36a744a80efb9b6844a9923693c20a29ea92b9d784bff1af667f36e0822906",
+    "source_json.json": "07c8e541315debc37ae4cec15017566a67c862c65425e8d317a374dd7d62a85a",
+    "source_xml.xml": "358c8c06b42f708cde472badc37f35adaa1a2029b5722487b959fbfffc6f48aa",
+}
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +75,27 @@ class TestWorkloadGeneration:
         spec, descriptors = workload
         again = generate_workload(spec, str(tmp_path))
         for a, b in zip(descriptors, again):
-            assert open(a.location, "rb").read() == open(b.location, "rb").read()
+            assert pathlib.Path(a.location).read_bytes() == pathlib.Path(b.location).read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        generate_workload(GOLDEN_SPEC, str(tmp_path))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_DIGESTS}
+        assert digests == GOLDEN_DIGESTS
+
+    def test_json_source_is_what_json_dumps_writes(self, workload):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "json")
+        text = pathlib.Path(desc.location).read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+    @pytest.mark.parametrize("fields", [
+        {"duration": -5.0}, {"duration": math.inf}, {"rate": 0.0}, {"rate": math.nan},
+        {"record_bytes": -1}, {"record_bytes": 0}, {"duration": 0.5},
+    ])
+    def test_impossible_spec_rejected(self, fields):
+        with pytest.raises(ValueError):
+            WorkloadSpec(**fields)
 
     def test_machine_ids(self):
         ids = machine_ids(WorkloadSpec(machines=3))
@@ -101,7 +133,7 @@ class TestIngestion:
     def test_rejects_bad_csv_row(self, workload, tmp_path):
         _, descriptors = workload
         desc = next(d for d in descriptors if d.format == "csv")
-        text = open(desc.location).read().splitlines()
+        text = pathlib.Path(desc.location).read_text().splitlines()
         text.insert(3, "broken,row")  # wrong cell count
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(text) + "\n")
@@ -112,7 +144,7 @@ class TestIngestion:
     def test_rejects_truncated_xml_record(self, workload, tmp_path):
         _, descriptors = workload
         desc = next(d for d in descriptors if d.format == "xml")
-        text = open(desc.location).read()
+        text = pathlib.Path(desc.location).read_text()
         cut = text.rindex("</record>")
         bad = tmp_path / "bad.xml"
         bad.write_text(text[:cut])  # last record never closes
@@ -159,6 +191,19 @@ class TestUnifiedFiles:
         path = tmp_path / "u.tsv"
         write_unified(path, records)
         assert read_unified(path) == records
+        cells = path.read_text().splitlines()[1].split("\t")
+        assert cells == record_cells(records[0]) + ["1250"]
+        assert cells[UNIFIED_HEADER.index("quality_score")] == NULL_TOKEN
+
+    def test_attribute_lookup(self):
+        values = {name: float(i) for i, name in enumerate(UNIFIED_ATTRIBUTES)}
+        values["quality_score"] = None
+        record = make_record("m01", "p1", 12.5, values, 1250)
+        assert [record.attribute(name) for name in UNIFIED_ATTRIBUTES] == [
+            values[name] for name in UNIFIED_ATTRIBUTES]
+        with pytest.raises(KeyError) as raised:
+            record.attribute("machine_id")
+        assert raised.value.args == ("machine_id",)
 
     def test_key_fields(self):
         assert KEY_FIELDS == ("machine_id", "program_id", "timestamp")
