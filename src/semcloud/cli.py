@@ -8,10 +8,8 @@ status line on stderr.
 
 import math
 import os
-import sys
 
 import click
-import numpy as np
 
 from .config import ConfigError, derive_seed, load_config
 from .configure import (
@@ -40,7 +38,6 @@ from .learning.workflow import EXTERNAL_TARGETS
 from .optimizer import sweet_spot_curve, write_curve
 from .optimizer.search import OptimizerError
 from .sim import (
-    InsufficientResources,
     SimError,
     SimWorkload,
     collect_pilot_stats,
@@ -182,23 +179,11 @@ def learn(ctx, methods):
     _run_command(ctx, "learn", body)
 
 
-def _load_models(cfg):
-    models = {}
-    for name, _ in ALL_EXTERNALS:
-        if name not in EXTERNAL_TARGETS:
-            continue
-        path = os.path.join(cfg.models_dir, name + ".json")
-        if not os.path.exists(path):
-            raise MissingExternal(
-                "model file %s is missing; run `semcloud learn` first" % path
-            )
-        models[name] = load_model(path)
-    time_path = os.path.join(cfg.models_dir, "time_model.json")
-    if not os.path.exists(time_path):
-        raise MissingExternal(
-            "model file %s is missing; run `semcloud learn` first" % time_path
-        )
-    return models, load_model(time_path)
+def _load_model(cfg, name):
+    path = os.path.join(cfg.models_dir, name + ".json")
+    if not os.path.exists(path):
+        raise MissingExternal("model file %s is missing; run `semcloud learn` first" % path)
+    return load_model(path)
 
 
 @main.command()
@@ -237,7 +222,9 @@ def configure(ctx, pipeline_path):
                 memory_reservation=pilot_record.prepare_memory,
                 storage_mode="fast",
             )
-        models, time_model = _load_models(cfg)
+        models = {name: _load_model(cfg, name)
+                  for name, _ in ALL_EXTERNALS if name in EXTERNAL_TARGETS}
+        time_model = _load_model(cfg, "time_model")
         registry = build_registry(models, time_model, cfg.search_space)
         config, configured, idb = configure_pipeline(graph, cloud, registry, pilot_record)
         os.makedirs(cfg.workdir, exist_ok=True)
@@ -323,7 +310,7 @@ def report(ctx):
             return {"rows": 0}
         os.makedirs(cfg.reports_dir, exist_ok=True)
         records = read_pilot_csv(cfg.pilot_csv)
-        _, time_model = _load_models(cfg)
+        time_model = _load_model(cfg, "time_model")
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
         pilot_record = target_pilot_record(records, target)

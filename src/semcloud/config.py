@@ -22,6 +22,31 @@ class ConfigError(Exception):
 _CLOUD_NUMBERS = ("memory_buffer_coefficient", "storage_buffer_coefficient",
                   "max_memory_coefficient", "node_memory", "node_storage")
 
+# Every CostModel field, and whether it is an integer.
+_COST_NUMBERS = {f.name: f.type is int for f in dataclasses.fields(CostModel)}
+
+
+def _number(name, value, integer=False, allow_zero=False):
+    """A numeric setting as a finite float, or an int when ``integer``.
+
+    Takes an int or float (not a bool) or a string that ``float()`` parses,
+    since YAML 1.1 reads ``1e3`` as a string.  The value must be positive,
+    or non-negative with ``allow_zero``; anything else is a ConfigError.
+    """
+    number = None
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (OverflowError, ValueError):
+            pass
+    if (number is None or not math.isfinite(number)
+            or not (number >= 0.0 if allow_zero else number > 0.0)
+            or (integer and not number.is_integer())):
+        raise ConfigError("%s must be a finite %s%s, got %r" % (
+            name, "non-negative" if allow_zero else "positive",
+            " integer" if integer else " number", value))
+    return int(number) if integer else number
+
 
 def _plan(name, defaults, section):
     """The defaults updated by a config section that may only set their keys."""
@@ -109,23 +134,24 @@ class ProjectConfig:
 
     def cluster_spec(self):
         fields = dict(self.cluster)
-        queue_latency = fields.pop("queue_latency", None)
-        try:
-            cluster = default_cluster(
-                node_count=int(fields.pop("nodes", 7)),
-                node_memory=float(fields.pop("node_memory", 128.0)),
-                node_storage=float(fields.pop("node_storage", 4096.0)),
-            )
-            if queue_latency is not None:
-                cluster = dataclasses.replace(cluster, queue_latency=float(queue_latency))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad cluster settings: %s" % exc)
+        cluster = default_cluster(
+            node_count=_number("cluster.nodes", fields.pop("nodes", 7), integer=True),
+            node_memory=_number("cluster.node_memory", fields.pop("node_memory", 128.0)),
+            node_storage=_number("cluster.node_storage", fields.pop("node_storage", 4096.0)),
+        )
+        if "queue_latency" in fields:
+            cluster = dataclasses.replace(cluster, queue_latency=_number(
+                "cluster.queue_latency", fields.pop("queue_latency"), allow_zero=True))
         if fields:
             raise ConfigError("unknown cluster keys: %s" % sorted(fields))
         return cluster
 
     def cost_model(self, **overrides):
         fields = dict(self.cost)
+        # CostModel checks the throughputs and the noise amplitude itself.
+        for name, integer in _COST_NUMBERS.items():
+            if name in fields:
+                fields[name] = _number("cost." + name, fields[name], integer, allow_zero=True)
         fields.update(overrides)
         try:
             return CostModel(**fields)
@@ -133,20 +159,17 @@ class ProjectConfig:
             raise ConfigError("bad cost model settings: %s" % exc)
 
     def cloud_attributes(self):
-        fields = dict(self.cloud)
-        fields.setdefault("id", "c1")
-        try:
-            fields.setdefault("node_memory", float(self.cluster.get("node_memory", 128.0)))
-            fields.setdefault("node_storage", float(self.cluster.get("node_storage", 4096.0)))
-            cloud = CloudAttributes(**fields)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad cloud settings: %s" % exc)
+        # The cloud's nodes are the cluster's unless the section says otherwise.
+        node = self.cluster_spec().nodes[0]
+        fields = {"id": "c1", "node_memory": node.node_memory, "node_storage": node.node_storage}
+        fields.update(self.cloud)
         for name in _CLOUD_NUMBERS:
-            value = getattr(cloud, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ConfigError("cloud.%s must be a finite number, got %r" % (name, value))
-        return cloud
+            if name in fields:
+                fields[name] = _number("cloud." + name, fields[name])
+        try:
+            return CloudAttributes(**fields)
+        except TypeError as exc:
+            raise ConfigError("bad cloud settings: %s" % exc)
 
     def search_space(self, n):
         try:
@@ -170,11 +193,14 @@ class ProjectConfig:
         target = SimWorkload.from_spec(spec)
         try:
             noise_amplitude = float(plan["noise_amplitude"])
+            durations = [_number("pilot.durations", d) for d in plan["durations"]]
+            record_bytes = [_number("pilot.record_bytes", rb, integer=True)
+                            for rb in plan["record_bytes"]]
             estimation_workloads = tuple(
                 SimWorkload(n_records=spec.machines * int(spec.rate * d),
                             record_bytes=rb, machines=spec.machines)
-                for d in plan["durations"]
-                for rb in plan["record_bytes"]
+                for d in durations
+                for rb in record_bytes
             )
             estimation_seeds = tuple(
                 (base + i) % 2**31 for i in range(int(plan["estimation_seeds"])))
@@ -182,6 +208,9 @@ class ProjectConfig:
                 (base + 101 + i) % 2**31 for i in range(int(plan["configuration_seeds"])))
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad pilot settings: %s" % exc)
+        if any(w.n_records < 1 for w in estimation_workloads):
+            raise ConfigError("pilot.durations must each give at least one record per "
+                              "machine at rate %r, got %r" % (spec.rate, plan["durations"]))
         return PilotRuns(
             cluster=self.cluster_spec(),
             cost=self.cost_model(noise_amplitude=noise_amplitude),

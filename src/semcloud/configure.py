@@ -135,12 +135,9 @@ def target_pilot_record(records, workload):
     )
 
 
-def mean_estimation_pilot(records, pipeline_id=None):
+def mean_estimation_pilot(records):
     """Average the estimation-kind pilot rows into one seed record."""
-    rows = [
-        r for r in records
-        if r.kind == "estimation" and (pipeline_id is None or r.pipeline == pipeline_id)
-    ]
+    rows = [r for r in records if r.kind == "estimation"]
     if not rows:
         raise ConfigureError("no estimation-kind pilot rows to seed hasEst* facts")
     import dataclasses

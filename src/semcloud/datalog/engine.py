@@ -65,12 +65,6 @@ class ExternalRegistry:
             )
         return func
 
-    def names(self):
-        return sorted(self._functions)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._functions
-
 
 @dataclass
 class Diagnostic:

@@ -7,7 +7,7 @@ class UnreadableSource(EtlError):
 
 
 class MappingGap(EtlError):
-    """A source field has no unified mapping and strict mode is on."""
+    """A source field has no unified mapping."""
 
 
 class MissingReference(EtlError):

@@ -7,7 +7,7 @@ import re
 import xml.etree.ElementTree as ET
 
 from .errors import MappingGap, UnreadableSource
-from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, make_record
+from .records import KEY_FIELDS, make_record
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,12 +112,11 @@ def _ingest_xml(descriptor, text):
     return records, rejects
 
 
-def map_to_unified(raw_records, descriptor, strict=True):
+def map_to_unified(raw_records, descriptor):
     """Rename and coerce raw records into UnifiedRecords.
 
     Unified attributes the source does not carry come out as explicit
-    None.  In strict mode a source field without a mapping raises
-    MappingGap; otherwise it is silently dropped.
+    None.  A source field without a mapping raises MappingGap.
     """
     mapping = descriptor.mapping_dict()
     unified = []
@@ -127,12 +126,9 @@ def map_to_unified(raw_records, descriptor, strict=True):
         for field, value in raw.items():
             prop = mapping.get(field)
             if prop is None:
-                if strict:
-                    raise MappingGap(
-                        "%s: field %r has no unified mapping"
-                        % (descriptor.location, field)
-                    )
-                continue
+                raise MappingGap(
+                    "%s: field %r has no unified mapping" % (descriptor.location, field)
+                )
             if prop in KEY_FIELDS:
                 keys[prop] = value
             elif value is not None:
@@ -147,21 +143,3 @@ def map_to_unified(raw_records, descriptor, strict=True):
             )
         )
     return unified
-
-
-def check_descriptor(descriptor):
-    """Mapping is injective and covers every non-absent unified attribute."""
-    mapping = descriptor.mapping_dict()
-    targets = list(mapping.values())
-    if len(set(targets)) != len(targets):
-        raise MappingGap("%s: mapping is not injective" % descriptor.location)
-    covered = set(targets)
-    for prop in KEY_FIELDS:
-        if prop not in covered:
-            raise MappingGap("%s: key field %s unmapped" % (descriptor.location, prop))
-    for prop in UNIFIED_ATTRIBUTES:
-        if prop not in covered and prop not in descriptor.absent:
-            raise MappingGap(
-                "%s: attribute %s neither mapped nor declared absent"
-                % (descriptor.location, prop)
-            )

@@ -3,7 +3,7 @@
 import dataclasses
 
 from .errors import CapacityExceeded, MissingReference
-from .records import UNIFIED_HEADER, read_unified, write_unified
+from .records import write_unified
 
 REFERENCE_CURVE_LEN = 8
 
@@ -203,11 +203,3 @@ def store_prepared(prepared, store):
     receipt = StoreReceipt(store.mode, location, needed, len(prepared.records))
     store.receipts.append(receipt)
     return receipt
-
-
-def read_stored(location):
-    """Read back the unified records of a stored slice."""
-    return read_unified(location)
-
-
-CANONICAL_HEADER = UNIFIED_HEADER

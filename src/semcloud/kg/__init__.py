@@ -8,7 +8,7 @@ from .errors import (
     SchemaError,
     StructureError,
 )
-from .facts import apply_configuration, from_facts, to_facts
+from .facts import apply_configuration, to_facts
 from .model import (
     CloudAttributes,
     DataEntity,
@@ -40,7 +40,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "apply_configuration",
-    "from_facts",
     "frequent_pipeline",
     "infrequent_pipeline",
     "parse_pipeline",

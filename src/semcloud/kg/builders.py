@@ -7,7 +7,6 @@ from .model import DataEntity, IOHandler, Layer, PipelineGraph, TaskNode
 
 def frequent_pipeline(pipeline_id: str = "p1", *, no_records: float = 10000.0,
                       volume_mb: float = 100.0, prepare_tasks: int = 2,
-                      depends_on: str | None = None,
                       chunk_size: float | None = None,
                       slice_size: float | None = None,
                       slice_time: float | None = None,
@@ -74,7 +73,6 @@ def frequent_pipeline(pipeline_id: str = "p1", *, no_records: float = 10000.0,
     return PipelineGraph(
         id=p,
         frequency_class="frequent",
-        depends_on=depends_on,
         layers=layers,
         tasks=tasks,
         data_entities=(d1, *prep_entities, *prep_outs, stored),

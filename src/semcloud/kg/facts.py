@@ -1,4 +1,4 @@
-"""Conversion between pipeline graphs and ground Datalog facts.
+"""Conversion of pipeline graphs to ground Datalog facts.
 
 ``to_facts`` emits the EDB the extraction rules match on: one atom per field
 with a value, task-chain atoms, cloud attributes, and -- when a pilot record
@@ -13,16 +13,7 @@ from dataclasses import replace
 from ..datalog.corpus import RANGE_SIZE
 from ..datalog.factset import FactSet
 from .errors import InvalidGraph, MissingTask
-from .model import (
-    CloudAttributes,
-    DataEntity,
-    IOHandler,
-    Layer,
-    PipelineGraph,
-    RequirementSet,
-    ResourceConfiguration,
-    TaskNode,
-)
+from .model import CloudAttributes, PipelineGraph, ResourceConfiguration
 from .validate import validate
 
 _TASK_FIELD_ATOMS = (
@@ -50,7 +41,7 @@ _EST_ATOMS = (
 
 
 def to_facts(graph: PipelineGraph, cloud: CloudAttributes | None = None,
-             pilot=None, range_size: int = RANGE_SIZE) -> FactSet:
+             pilot=None) -> FactSet:
     """Ground the graph into an EDB.  Raises InvalidGraph on a bad graph.
 
     ``pilot`` is any object with slice_memory / prepare_memory /
@@ -114,97 +105,10 @@ def to_facts(graph: PipelineGraph, cloud: CloudAttributes | None = None,
     if pilot is not None:
         for attr, pred in _EST_ATOMS:
             facts.add(pred, (pid, float(getattr(pilot, attr))))
-        for i in range(1, range_size + 1):
+        for i in range(1, RANGE_SIZE + 1):
             facts.add("range", (float(i),))
 
     return facts
-
-
-def from_facts(facts: FactSet, pipeline_id: str | None = None) -> PipelineGraph:
-    """Rebuild a PipelineGraph from its EDB atoms (inverse of ``to_facts``)."""
-    pipelines = sorted(t[0] for t in facts.lookup("ETLPipeline", 1))
-    if pipeline_id is None:
-        if len(pipelines) != 1:
-            raise InvalidGraph(f"fact set holds pipelines {pipelines}; pick one")
-        pipeline_id = pipelines[0]
-    elif pipeline_id not in pipelines:
-        raise InvalidGraph(f"no ETLPipeline({pipeline_id}) atom")
-
-    def pairs(pred):
-        return sorted(facts.lookup(pred, 2))
-
-    def prop(pred, subject, default=None):
-        for s, o in facts.lookup(pred, 2):
-            if s == subject:
-                return o
-        return default
-
-    freq = prop("frequencyClass", pipeline_id, "frequent")
-    depends = prop("dependsOn", pipeline_id)
-
-    tasks = []
-    for kind in ("Retrieve", "Slice", "Prepare", "Store"):
-        for (tid,) in sorted(facts.lookup(kind, 1)):
-            req = None
-            if any(s == tid for s, _ in facts.lookup("hasComputingRequirement", 2)):
-                req = RequirementSet(
-                    computing=prop("hasComputingRequirement", tid, 0.0),
-                    memory=prop("hasMemoryRequirement", tid, 0.0),
-                    storage=prop("hasStorageRequirement", tid, 0.0),
-                    network=prop("hasNetworkRequirement", tid, 0.0),
-                )
-            tasks.append(
-                TaskNode(
-                    id=tid,
-                    kind=kind,
-                    io=prop("hasIO", tid),
-                    requirement=req,
-                    chunk_size=prop("hasChunkSize", tid),
-                    slice_size=prop("hasSliceSize", tid),
-                    memory_reservation=prop("hasMemoryReservation", tid),
-                    storage_mode=prop("hasStorageMode", tid),
-                    required_time=prop("hasRequiredTime", tid),
-                )
-            )
-    tasks.sort(key=lambda t: t.id)
-
-    entities = [
-        DataEntity(
-            id=did,
-            volume=prop("hasVolume", did, 0.0),
-            no_records=prop("hasNoRecords", did, 0.0),
-            location=prop("storedAt", did),
-        )
-        for (did,) in sorted(facts.lookup("DataEntity", 1))
-    ]
-
-    handlers = [
-        IOHandler(
-            id=ioid,
-            inputs=tuple(o for s, o in pairs("hasInput") if s == ioid),
-            outputs=tuple(o for s, o in pairs("hasOutput") if s == ioid),
-        )
-        for (ioid,) in sorted(facts.lookup("IOHandler", 1))
-    ]
-
-    layers = []
-    for kind in ("RetrieveLayer", "SliceLayer", "PrepareLayer", "StoreLayer", "Layer"):
-        for (lid,) in sorted(facts.lookup(kind, 1)):
-            layers.append(Layer(id=lid, kind=kind))
-
-    edge_rels = ("hasStartTask", "hasNextTask", "hasLayer", "hasTask")
-    edges = [(rel, s, o) for rel in edge_rels for s, o in pairs(rel)]
-
-    return PipelineGraph(
-        id=pipeline_id,
-        frequency_class=freq,
-        depends_on=depends,
-        layers=tuple(layers),
-        tasks=tuple(tasks),
-        data_entities=tuple(entities),
-        io_handlers=tuple(handlers),
-        edges=tuple(edges),
-    )
 
 
 def apply_configuration(graph: PipelineGraph, config: ResourceConfiguration,

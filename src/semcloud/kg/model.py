@@ -7,7 +7,7 @@ immutable after construction; every mutation produces a new graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 TASK_KINDS = ("Retrieve", "Slice", "Prepare", "Store")
@@ -108,12 +108,6 @@ class PipelineGraph:
         for t in self.tasks:
             if t.id == task_id:
                 return t
-        return None
-
-    def entity(self, entity_id: str) -> Optional[DataEntity]:
-        for d in self.data_entities:
-            if d.id == entity_id:
-                return d
         return None
 
     def io_handler(self, io_id: str) -> Optional[IOHandler]:

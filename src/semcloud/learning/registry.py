@@ -50,7 +50,7 @@ TIME_FEATURES = ("volume", "no_records", "chunk_size", "slice_size",
 TIME_TARGET = "total_time"
 
 
-def training_frame(records, external: str, range_size: int = RANGE_SIZE):
+def training_frame(records, external: str):
     """(X, y) arrays for one external, drawn from the matching run kind."""
     if external in ESTIMATION_TARGETS:
         features, target = ESTIMATION_TARGETS[external]
@@ -66,7 +66,7 @@ def training_frame(records, external: str, range_size: int = RANGE_SIZE):
     X, y = [], []
     for r in rows:
         if "i" in features:
-            for i in range(1, range_size + 1):
+            for i in range(1, RANGE_SIZE + 1):
                 X.append([getattr(r, f) if f != "i" else float(i) for f in features])
                 y.append(getattr(r, target))
         else:

@@ -6,8 +6,7 @@ All splits are seeded uniform shuffles with an 80/20 train/test ratio.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +37,14 @@ class FitReport:
     nmae: float
     learning_time_ms: float = 0.0
     inference_time_ms: float = 0.0
-    min_train_fraction: Optional[float] = None
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "hyperparameters": self.hyperparameters,
-            "nmae": self.nmae,
-            "learning_time_ms": self.learning_time_ms,
-            "inference_time_ms": self.inference_time_ms,
-            "min_train_fraction": self.min_train_fraction,
-            "notes": self.notes,
-        }
 
 
-def train_test_split(X, y, seed: int, train_fraction: float = TRAIN_FRACTION):
+def train_test_split(X, y, seed: int):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
     order = np.random.default_rng(seed).permutation(n)
-    cut = max(1, min(n - 1, int(round(n * train_fraction))))
+    cut = max(1, min(n - 1, int(round(n * TRAIN_FRACTION))))
     tr, te = order[:cut], order[cut:]
     return X[tr], y[tr], X[te], y[te]
 
@@ -132,8 +118,6 @@ def grid_search(method: str, grid, data, split_seed: int = 0):
         learning_time_ms=learn_ms,
         inference_time_ms=infer_ms,
     )
-    if getattr(model, "rank_deficient", False):
-        report.notes.append("rank-deficient design; minimum-norm solution")
     return params, model, report
 
 

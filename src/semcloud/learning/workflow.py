@@ -6,7 +6,6 @@ from .errors import LearningError
 from .registry import (
     CONFIGURATION_TARGETS,
     ESTIMATION_TARGETS,
-    TIME_FEATURES,
     time_model_frame,
     training_frame,
 )
@@ -24,14 +23,12 @@ DEFAULT_GRIDS = {
 EXTERNAL_TARGETS = tuple(ESTIMATION_TARGETS) + tuple(CONFIGURATION_TARGETS)
 
 
-def fit_external(records, external, methods=("polyr", "knn"), grids=None,
-                 split_seed=0):
+def fit_external(records, external, methods=("polyr", "knn"), split_seed=0):
     """Best (model, FitReport) for one external across the given methods."""
-    grids = grids or DEFAULT_GRIDS
     data = training_frame(records, external)
     best = None
     for method in methods:
-        _, model, report = grid_search(method, grids[method], data, split_seed)
+        _, model, report = grid_search(method, DEFAULT_GRIDS[method], data, split_seed)
         if best is None or report.nmae < best[1].nmae:
             best = (model, report)
     if best is None:
@@ -39,30 +36,28 @@ def fit_external(records, external, methods=("polyr", "knn"), grids=None,
     return best
 
 
-def learn_externals(records, methods=("polyr", "knn"), grids=None, split_seed=0):
+def learn_externals(records, methods=("polyr", "knn"), split_seed=0):
     """Fit every rule external; returns ({name: model}, {name: FitReport})."""
     models, reports = {}, {}
     for external in EXTERNAL_TARGETS:
-        model, report = fit_external(records, external, methods, grids, split_seed)
+        model, report = fit_external(records, external, methods, split_seed)
         models[external] = model
         reports[external] = report
     return models, reports
 
 
-def learn_time_model(records, method="knn", grids=None, split_seed=0):
+def learn_time_model(records, method="knn", split_seed=0):
     """Fit total_time over TIME_FEATURES from configuration-kind rows."""
-    grids = grids or DEFAULT_GRIDS
     data = time_model_frame(records)
     if len(data[1]) < 4:
         raise LearningError("too few configuration rows for a time model")
-    _, model, report = grid_search(method, grids[method], data, split_seed)
+    _, model, report = grid_search(method, DEFAULT_GRIDS[method], data, split_seed)
     return model, report
 
 
 __all__ = [
     "DEFAULT_GRIDS",
     "EXTERNAL_TARGETS",
-    "TIME_FEATURES",
     "fit_external",
     "learn_externals",
     "learn_time_model",

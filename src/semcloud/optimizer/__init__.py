@@ -3,7 +3,6 @@ from .search import (
     NonFiniteModel,
     OptResult,
     SearchSpace,
-    coordinate_refine,
     optimize_slicing,
     sweet_spot_curve,
     write_curve,
@@ -14,7 +13,6 @@ __all__ = [
     "NonFiniteModel",
     "OptResult",
     "SearchSpace",
-    "coordinate_refine",
     "optimize_slicing",
     "sweet_spot_curve",
     "write_curve",

@@ -121,43 +121,6 @@ def sweet_spot_curve(objective, space, nc=None):
     return curve
 
 
-def coordinate_refine(objective, start, space, rounds=3):
-    """Local refinement alternating 1-D sweeps in nc and ns.
-
-    Each sweep scans a geometric neighbourhood (factor 2 around the
-    current value, 9 points) of one coordinate with the other fixed.
-    Stops early when a round improves nothing.  Returns an OptResult.
-    """
-    nc, ns = int(start[0]), int(start[1])
-    if not (1 <= ns <= nc <= space.n):
-        raise EmptySpace("infeasible start (%d, %d) for n=%d" % (nc, ns, space.n))
-
-    def evaluate(c, s):
-        v = float(objective(c, s))
-        return v if math.isfinite(v) else math.inf
-
-    value = evaluate(nc, ns)
-    evaluated = 1
-    for _ in range(rounds):
-        improved = False
-        for c in geometric_grid(nc / 2, min(space.n, nc * 2), 9):
-            if c >= ns:
-                evaluated += 1
-                v = evaluate(c, ns)
-                if (v, -ns, -c) < (value, -ns, -nc):
-                    nc, value, improved = c, v, True
-        for s in geometric_grid(ns / 2, min(nc, ns * 2), 9):
-            evaluated += 1
-            v = evaluate(nc, s)
-            if (v, -s, -nc) < (value, -ns, -nc):
-                ns, value, improved = s, v, True
-        if not improved:
-            break
-    if not math.isfinite(value):
-        raise NonFiniteModel("objective non-finite around start (%d, %d)" % start)
-    return OptResult(nc=nc, ns=ns, value=value, evaluated=evaluated, dropped=0)
-
-
 def write_curve(path, curve, header=("ns", "value")):
     """Write a (x, y) curve as a tab-delimited text file."""
     lines = ["\t".join(header)]

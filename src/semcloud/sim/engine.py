@@ -6,14 +6,11 @@ import math
 import numpy as np
 
 from ..learning.pilots import PilotRunRecord
-from .errors import InsufficientResources, SimulatedOutOfMemory
-from .model import (
-    QueueChannel,
-    SimWorkload,
-    StepInstance,
-    build_trace,
-    legacy_node,
-)
+from .errors import InsufficientResources, SimError, SimulatedOutOfMemory
+from .model import ClusterSpec, QueueChannel, StepInstance, build_trace, legacy_node
+
+# Steps of the staircase that approximates the legacy run's memory growth.
+_LEGACY_SEGMENTS = 24
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,15 +45,14 @@ def _pipeline_config(pipeline, workload):
         for task in pipeline.tasks_of_kind("Store"):
             if task.storage_mode is not None:
                 mode = task.storage_mode
-    n = workload.n_records if workload is not None else None
     if nc is None:
-        nc = n
+        nc = workload.n_records
     if ns is None:
         ns = nc
     return nc, ns, mrs, mrp, ts, tp, mode
 
 
-def deploy(pipeline, cluster, cost, workload=None, prepare_instances=None, nc=None, ns=None):
+def deploy(pipeline, cluster, cost, workload, prepare_instances=None, nc=None, ns=None):
     """Place step instances on cluster nodes; deterministic greedy bin-pack.
 
     The prepare-instance count defaults to the slice/prepare duration
@@ -68,10 +64,8 @@ def deploy(pipeline, cluster, cost, workload=None, prepare_instances=None, nc=No
     ns = int(ns if ns is not None else p_ns)
     if not 1 <= ns <= nc:
         raise ValueError("need 1 <= ns <= nc, got nc=%s ns=%s" % (nc, ns))
-    rb = workload.record_bytes if workload is not None else 0
-
-    slice_working = cost.slice_working_mb(nc, rb)
-    prepare_working = cost.prepare_working_mb(ns, rb)
+    slice_working = cost.slice_working_mb(nc, workload.record_bytes)
+    prepare_working = cost.prepare_working_mb(ns, workload.record_bytes)
     if mrs is None:
         mrs = slice_working * cost.safety_margin
     if mrp is None:
@@ -102,11 +96,8 @@ def deploy(pipeline, cluster, cost, workload=None, prepare_instances=None, nc=No
         free[node] -= reservation
         placed.append(StepInstance(step, index, node, reservation, working))
     placed.sort(key=lambda inst: (inst.step, inst.index))
-    pipeline_id = pipeline.id if pipeline is not None else (
-        workload.pipeline if workload is not None else "p1"
-    )
     return ExecutionPlan(
-        pipeline=pipeline_id,
+        pipeline=pipeline.id if pipeline is not None else workload.pipeline,
         nc=nc,
         ns=ns,
         storage_mode=mode,
@@ -271,12 +262,12 @@ def _window_len(window):
     return window[1] - window[0]
 
 
-def run_legacy(workload, node=None, cost=None, segments=24):
+def run_legacy(workload, node=None, cost=None):
     """Monolithic single-node baseline.
 
     Retrieve, prepare, and store run sequentially with an integration
     overhead factor; retained memory grows linearly with the processed
-    volume (staircase approximation with the given segment count).
+    volume (staircase approximation with _LEGACY_SEGMENTS steps).
     """
     node = node or legacy_node()
     n = workload.n_records
@@ -295,9 +286,9 @@ def run_legacy(workload, node=None, cost=None, segments=24):
     windows = {}
     if duration > 0.0:
         intervals.append((0.0, duration, node.name, base, cost.cpu_per_instance))
-        step = cost.legacy_kappa * volume / segments
-        for j in range(segments):
-            start = duration * j / segments
+        step = cost.legacy_kappa * volume / _LEGACY_SEGMENTS
+        for j in range(_LEGACY_SEGMENTS):
+            start = duration * j / _LEGACY_SEGMENTS
             intervals.append((start, duration, node.name, step, 0.0))
         windows = {"legacy": (0.0, duration)}
     return build_trace(intervals, windows)
@@ -387,18 +378,17 @@ def write_comparison(path, report):
         fh.write("\n".join(lines) + "\n")
 
 
-def collect_pilot_stats(pipeline, cluster, cost, workloads, grid, seeds, big_node=None):
+def collect_pilot_stats(pipeline, cluster, cost, workloads, grid, seeds):
     """Gather PilotRunRecords over a configuration grid.
 
-    grid entries are either None (canonical estimation run: single big
+    grid entries are either None (canonical estimation run: single legacy
     node, unsliced, one prepare instance) or (nc, ns) pairs clamped to
     the workload size.  One record per (entry, seed, workload); rows
-    whose run fails are skipped and reported in the error list.
+    whose run raises a SimError (a grid entry that does not fit the
+    cluster) are skipped and reported in the error list.  Any other
+    exception is a bug and propagates.
     """
-    from .model import ClusterSpec
-
-    big = big_node or legacy_node()
-    estimation_cluster = ClusterSpec(nodes=(big,), queue_latency=cluster.queue_latency)
+    estimation_cluster = ClusterSpec(nodes=(legacy_node(),), queue_latency=cluster.queue_latency)
     records, errors = [], []
     for entry in grid:
         for workload in workloads:
@@ -422,6 +412,6 @@ def collect_pilot_stats(pipeline, cluster, cost, workloads, grid, seeds, big_nod
                         plan = deploy(pipeline, cluster, cost, workload, nc=nc, ns=ns)
                         _, record = run(plan, workload, cost, seed=seed, kind="configuration")
                     records.append(record)
-                except Exception as exc:  # keep going row by row
+                except SimError as exc:  # keep going row by row
                     errors.append((entry, workload.n_records, seed, repr(exc)))
     return records, errors

@@ -19,8 +19,6 @@ class NodeSpec:
 class ClusterSpec:
     nodes: tuple
     queue_latency: float = 0.02  # s per message hop
-    fast_storage_mb: float = 4096.0
-    cloud_storage_mb: float = 1048576.0
 
     def __post_init__(self):
         if not self.nodes:
@@ -35,8 +33,8 @@ def default_cluster(node_count=7, node_memory=128.0, node_storage=4096.0):
     return ClusterSpec(nodes=nodes)
 
 
-def legacy_node(node_memory=8192.0, node_storage=65536.0):
-    return NodeSpec("legacy", node_memory, node_storage)
+def legacy_node():
+    return NodeSpec("legacy", 8192.0, 65536.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,12 +95,11 @@ class SimWorkload:
         return self.n_records * self.record_bytes / MB
 
     @classmethod
-    def from_spec(cls, spec, pipeline="p1"):
+    def from_spec(cls, spec):
         return cls(
             n_records=spec.total_records(),
             record_bytes=spec.record_bytes,
             machines=spec.machines,
-            pipeline=pipeline,
         )
 
 

@@ -9,6 +9,7 @@ import yaml
 from click.testing import CliRunner
 
 from semcloud.cli import main
+from semcloud.config import ProjectConfig
 
 SMALL_PROJECT = {
     "seed": 0,
@@ -211,6 +212,14 @@ class TestContract:
         self.assert_failure(result, "configure", 1, "LearningError")
         assert "time_model.json" in result.combined
 
+    def test_report_needs_only_the_time_model(self, tmp_path, completed_chain):
+        _, workdir, _ = completed_chain
+        shutil.copytree(workdir, tmp_path / "out")
+        (tmp_path / "out" / "models" / "func_ms.json").unlink()
+        result = invoke(write_project(tmp_path), "report")
+        assert result.exit_code == 0, result.combined
+        assert status_lines(result)[0].startswith("semcloud-status command=report ok=1 ")
+
     @pytest.mark.parametrize("command", [["gen"], ["pilot", "--dry-run"]])
     def test_negative_machine_count(self, tmp_path, command):
         workload = dict(SMALL_PROJECT["workload"], machines=-3)
@@ -243,10 +252,35 @@ class TestContract:
         ({"cloud": 5}, ["configure"]),
         ({"seed": "x"}, ["gen"]),
         ({"workdir": [1]}, ["gen"]),
+        ({"cluster": {"node_memory": -64}}, ["pilot"]),
+        ({"cluster": {"node_storage": float("inf")}}, ["simulate", "--legacy-only"]),
+        ({"cluster": {"node_memory": "x"}}, ["pilot", "--dry-run"]),
+        ({"cluster": {"nodes": 2.5}}, ["pilot", "--dry-run"]),
+        ({"cluster": {"nodes": True}}, ["pilot", "--dry-run"]),
+        ({"cluster": {"queue_latency": -0.1}}, ["pilot", "--dry-run"]),
+        ({"cloud": {"node_memory": 0}}, ["configure"]),
+        ({"cloud": {"node_memory": -64}}, ["configure"]),
+        ({"cloud": {"node_storage": float("nan")}}, ["configure"]),
+        ({"cloud": {"memory_buffer_coefficient": 0.0}}, ["configure"]),
+        ({"cluster": {"node_memory": -64}}, ["configure"]),
+        ({"cluster": {"node_memory": 10**400}}, ["pilot", "--dry-run"]),
+        ({"cost": {"alpha_slice": "x"}}, ["pilot"]),
+        ({"cost": {"max_prepare_instances": 2.5}}, ["pilot"]),
+        ({"pilot": {"durations": [0.01]}}, ["pilot"]),
+        ({"pilot": {"record_bytes": [-625]}}, ["pilot"]),
     ])
     def test_config_errors_in_a_stage_print_one_status_line(self, tmp_path, overrides, command):
         result = invoke(write_project(tmp_path, **overrides), *command)
         self.assert_failure(result, command[0], 2, "ConfigError")
+
+    def test_numeric_strings_read_as_numbers(self):
+        # YAML 1.1 reads 1e3 (no dot) as a string; every section takes it.
+        as_string = ProjectConfig(cluster={"node_memory": "1e3", "nodes": "3"},
+                                  cloud={"node_memory": "1e3"})
+        as_number = ProjectConfig(cluster={"node_memory": 1000.0, "nodes": 3},
+                                  cloud={"node_memory": 1000.0})
+        assert as_string.cloud_attributes() == as_number.cloud_attributes()
+        assert as_string.cluster_spec() == as_number.cluster_spec()
 
     def test_unreadable_config_prints_one_status_line(self, tmp_path):
         result = invoke(str(tmp_path / "nope.yaml"), "report")

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 import yaml
 
-from semcloud.datalog import FactSet, query
+from semcloud.datalog import query
 from semcloud.kg import (
     FORMAT,
     CloudAttributes,
@@ -19,7 +19,6 @@ from semcloud.kg import (
     TaskNode,
     apply_configuration,
     frequent_pipeline,
-    from_facts,
     infrequent_pipeline,
     parse_pipeline,
     serialize_pipeline,
@@ -190,24 +189,6 @@ class TestFacts:
         with pytest.raises(InvalidGraph):
             to_facts(dataclasses.replace(g, tasks=g.tasks + (extra,)))
 
-    def test_from_facts_inverts_to_facts(self):
-        g = frequent_pipeline("p1", chunk_size=100.0, slice_size=10.0,
-                              slice_time=0.5, prepare_time=1.5,
-                              memory_reservation=64.0, storage_mode="fast")
-        h = from_facts(to_facts(g), "p1")
-        # ordering of the collections is not significant
-        assert set(h.tasks) == set(g.tasks)
-        assert set(h.data_entities) == set(g.data_entities)
-        assert set(h.io_handlers) == set(g.io_handlers)
-        assert set(h.edges) == set(g.edges)
-        assert (h.id, h.frequency_class, h.depends_on) == (
-            g.id, g.frequency_class, g.depends_on)
-        # and the fact translation of both graphs is identical
-        assert to_facts(h) == to_facts(g)
-
-    def test_from_facts_needs_a_pipeline(self):
-        with pytest.raises(InvalidGraph):
-            from_facts(FactSet([("hasVolume", ("d1", 1.0))]))
 
 
 class TestApplyConfiguration:

@@ -1,15 +1,13 @@
-"""Slicing search: grids, exhaustive optimization, curve, local refinement."""
+"""Slicing search: grids, exhaustive optimization, curve."""
 
 import math
 
 import pytest
 
 from semcloud.optimizer import (
-    EmptySpace,
     NonFiniteModel,
     OptResult,
     SearchSpace,
-    coordinate_refine,
     optimize_slicing,
     sweet_spot_curve,
     write_curve,
@@ -118,39 +116,3 @@ class TestCurve:
         assert lines[0] == "ns\tvalue"
         assert lines[1] == "1\t2.0"
 
-
-class TestRefine:
-    def test_never_worse_than_start(self):
-        space = SearchSpace(n=3870)
-        objective = bowl(419, 238)
-        start = (1000, 100)
-        result = coordinate_refine(objective, start, space)
-        assert result.value <= objective(*start) + 1e-12
-        assert 1 <= result.ns <= result.nc <= space.n
-
-    def test_zero_rounds_keeps_start(self):
-        space = SearchSpace(n=1000)
-        result = coordinate_refine(bowl(), (300, 60), space, rounds=0)
-        assert (result.nc, result.ns) == (300, 60)
-
-    def test_at_optimum_stays(self):
-        space = SearchSpace(n=3870)
-        objective = bowl(400, 80)
-        result = coordinate_refine(objective, (400, 80), space)
-        assert (result.nc, result.ns) == (400, 80)
-
-    def test_refine_improves_on_coarse_grid(self):
-        space = SearchSpace(n=3870, nc_steps=6, ns_steps=6)
-        objective = bowl(419, 238)
-        coarse = optimize_slicing(objective, space)
-        refined = coordinate_refine(objective, (coarse.nc, coarse.ns), space)
-        assert refined.value <= coarse.value
-
-    def test_infeasible_start_rejected(self):
-        with pytest.raises(EmptySpace):
-            coordinate_refine(bowl(), (10, 50), SearchSpace(n=1000))
-
-    def test_non_finite_everywhere_raises(self):
-        with pytest.raises(NonFiniteModel):
-            coordinate_refine(lambda nc, ns: math.nan, (100, 10),
-                              SearchSpace(n=1000))

@@ -301,3 +301,23 @@ class TestCompareAndPilots:
         assert all(r.violations() == [] for r in records)
         est = [r for r in records if r.kind == "estimation"][0]
         assert est.chunk_size == 400.0 and est.slice_size == 400.0
+
+    def test_collect_pilot_stats_skips_a_grid_entry_that_does_not_fit(self):
+        tiny = ClusterSpec(nodes=(NodeSpec("n1", 100.0, 4096.0, 2000.0),))
+        records, errors = collect_pilot_stats(
+            None, tiny, quiet_cost(), [small_workload(n=400)],
+            [None, (400, 400)], seeds=[1])
+        assert [r.kind for r in records] == ["estimation"]
+        assert len(errors) == 1
+        entry, n, seed, message = errors[0]
+        assert (entry, n, seed) == ((400, 400), 400, 1)
+        assert "InsufficientResources" in message
+
+    def test_collect_pilot_stats_lets_a_bug_through(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("not a simulation error")
+
+        monkeypatch.setattr("semcloud.sim.engine.run", broken)
+        with pytest.raises(KeyError):
+            collect_pilot_stats(None, default_cluster(), quiet_cost(),
+                                [small_workload(n=400)], [(100, 10)], seeds=[1])
