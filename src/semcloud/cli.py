@@ -24,6 +24,7 @@ from .datalog.corpus import ALL_EXTERNALS
 from .etl import EtlError, generate_workload
 from .kg import PipelineGraphError, frequent_pipeline, parse_pipeline, serialize_pipeline
 from .learning import (
+    DEFAULT_GRIDS,
     LearningError,
     learn_externals,
     learn_time_model,
@@ -101,9 +102,7 @@ def gen(ctx, machines):
         overrides = {"seed": derive_seed(cfg.seed, "gen")}
         if machines is not None:
             overrides["machines"] = machines
-            overrides["production_lines"] = min(
-                int(cfg.workload.get("production_lines", 3)), machines
-            )
+            overrides["production_lines"] = min(cfg.workload_spec().production_lines, machines)
         spec = cfg.workload_spec(**overrides)
         descriptors = generate_workload(spec, cfg.workload_dir)
         for desc in descriptors:
@@ -142,7 +141,7 @@ def pilot(ctx, dry_run):
 
 @main.command()
 @click.option("--methods", multiple=True,
-              type=click.Choice(["polyr", "mlp", "knn"]),
+              type=click.Choice(list(DEFAULT_GRIDS)),
               help="Restrict the candidate methods.")
 @click.pass_context
 def learn(ctx, methods):
@@ -196,9 +195,6 @@ def configure(ctx, pipeline_path):
     def body(cfg):
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
-        # Only the slicing branches build a search space: check the settings
-        # here so that a bad search section fails on every branch.
-        cfg.search_space(target.n_records)
         cloud = cfg.cloud_attributes()
         graph = None
         if pipeline_path is not None:
@@ -331,7 +327,7 @@ def report(ctx):
                   "mlp": {"hidden_widths": (10, 9), "epochs": 300}}
         for method in plan["methods"]:
             sweep, min_fraction = min_train_fraction_sweep(
-                method, params[method], data, float(plan["target_nmae"]), fractions
+                method, params[method], data, plan["target_nmae"], fractions
             )
             for fraction, score in sweep:
                 lines.append("\t".join([

@@ -18,42 +18,103 @@ class ConfigError(Exception):
     pass
 
 
-# Cloud attributes the rules do arithmetic on.
-_CLOUD_NUMBERS = ("memory_buffer_coefficient", "storage_buffer_coefficient",
-                  "max_memory_coefficient", "node_memory", "node_storage")
-
-# Every CostModel field, and whether it is an integer.
-_COST_NUMBERS = {f.name: f.type is int for f in dataclasses.fields(CostModel)}
-
-
-def _number(name, value, integer=False, allow_zero=False):
-    """A numeric setting as a finite float, or an int when ``integer``.
+def _number(integer=False, allow_zero=False):
+    """The rule for a finite number: positive, or non-negative with ``allow_zero``.
 
     Takes an int or float (not a bool) or a string that ``float()`` parses,
-    since YAML 1.1 reads ``1e3`` as a string.  The value must be positive,
-    or non-negative with ``allow_zero``; anything else is a ConfigError.
+    since YAML 1.1 reads ``1e3`` as a string, and gives a float, or an int
+    when ``integer`` (then the value must be whole).
     """
-    number = None
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            return None
         try:
             number = float(value)
         except (OverflowError, ValueError):
-            pass
-    if (number is None or not math.isfinite(number)
-            or not (number >= 0.0 if allow_zero else number > 0.0)
-            or (integer and not number.is_integer())):
-        raise ConfigError("%s must be a finite %s%s, got %r" % (
-            name, "non-negative" if allow_zero else "positive",
-            " integer" if integer else " number", value))
-    return int(number) if integer else number
+            return None
+        if (not math.isfinite(number) or not (number >= 0.0 if allow_zero else number > 0.0)
+                or (integer and not number.is_integer())):
+            return None
+        return int(number) if integer else number
+
+    return "a %s %s" % ("non-negative" if allow_zero else "positive",
+                        "integer" if integer else "finite number"), check
 
 
-def _plan(name, defaults, section):
-    """The defaults updated by a config section that may only set their keys."""
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ConfigError("unknown %s keys: %s" % (name, sorted(unknown)))
-    return dict(defaults, **section)
+def _list(rule):
+    """The rule for a non-empty list whose every item passes ``rule``."""
+    what, check = rule
+
+    def check_all(value):
+        items = [check(item) for item in value] if isinstance(value, list) else []
+        return tuple(items) if items and None not in items else None
+
+    return "a non-empty list, each %s" % what, check_all
+
+
+_POSITIVE = _number()
+_NON_NEGATIVE = _number(allow_zero=True)
+_COUNT = _number(integer=True)
+_METHOD = ("one of %s" % sorted(DEFAULT_GRIDS),
+           lambda value: value if isinstance(value, str) and value in DEFAULT_GRIDS else None)
+_SYMBOL = ("a non-empty string", lambda value: value if isinstance(value, str) and value else None)
+
+# Every key each section may set, and the rule its value must pass.  The
+# defaults live in the type each section builds (WorkloadSpec,
+# default_cluster, CostModel, CloudAttributes, SearchSpace), or in
+# _DEFAULTS for the plans no type owns.
+_RULES = {
+    "workload": {"production_lines": _COUNT, "machines": _COUNT, "duration": _POSITIVE,
+                 "rate": _POSITIVE, "record_bytes": _COUNT},
+    "cluster": {"nodes": _COUNT, "node_memory": _POSITIVE, "node_storage": _POSITIVE,
+                "queue_latency": _NON_NEGATIVE},
+    # The noise is not a project setting: each caller passes its amplitude,
+    # and each noisy run gets its own seed.
+    "cost": {f.name: (_COUNT if f.type is int
+                      else _POSITIVE if f.name.startswith("thr_") else _NON_NEGATIVE)
+             for f in dataclasses.fields(CostModel)
+             if f.name not in ("noise_amplitude", "noise_seed")},
+    "cloud": {"id": _SYMBOL, "memory_buffer_coefficient": _POSITIVE,
+              "storage_buffer_coefficient": _POSITIVE, "max_memory_coefficient": _POSITIVE,
+              "node_memory": _POSITIVE, "node_storage": _POSITIVE,
+              "fast_storage": _SYMBOL, "cloud_storage": _SYMBOL},
+    "search": {"nc_steps": _COUNT, "ns_steps": _COUNT, "span": _COUNT},
+    "pilot": {"durations": _list(_POSITIVE), "record_bytes": _list(_COUNT),
+              "estimation_seeds": _COUNT, "configuration_seeds": _COUNT,
+              "noise_amplitude": _NON_NEGATIVE},
+    "learn": {"methods": _list(_METHOD), "time_method": _METHOD, "target_nmae": _POSITIVE},
+    "simulate": {"durations": _list(_POSITIVE)},
+}
+
+_DEFAULTS = {
+    "pilot": {"durations": (21.6, 43.2, 64.8, 86.4), "record_bytes": (625, 1250, 2500),
+              "estimation_seeds": 5, "configuration_seeds": 3, "noise_amplitude": 0.05},
+    "learn": {"methods": ("polyr", "knn"), "time_method": "knn", "target_nmae": 0.10},
+    "simulate": {"durations": (21.6, 43.2, 64.8, 86.4)},
+}
+
+
+def _checked(config):
+    """Check every setting of ``config`` against _RULES; the sections with parsed values."""
+    if (isinstance(config.seed, bool) or not isinstance(config.seed, int)
+            or not isinstance(config.workdir, str)):
+        raise ConfigError("seed must be an integer and workdir a path, got %r and %r"
+                          % (config.seed, config.workdir))
+    sections = {}
+    for section, rules in _RULES.items():
+        values = getattr(config, section)
+        if not isinstance(values, dict):
+            raise ConfigError("config section %s must be a mapping, got %r" % (section, values))
+        unknown = sorted("%s.%s" % (section, key) for key in set(values) - set(rules))
+        if unknown:
+            raise ConfigError("unknown settings: %s" % ", ".join(unknown))
+        sections[section] = checked = {}
+        for key, value in values.items():
+            what, check = rules[key]
+            checked[key] = check(value)
+            if checked[key] is None:
+                raise ConfigError("%s.%s must be %s, got %r" % (section, key, what, value))
+    return sections
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,6 +145,8 @@ class PilotRuns:
 
 @dataclasses.dataclass(frozen=True)
 class ProjectConfig:
+    """The project file's settings, each checked against _RULES when it is built."""
+
     workdir: str = "out"
     seed: int = 0
     workload: dict = dataclasses.field(default_factory=dict)
@@ -94,6 +157,10 @@ class ProjectConfig:
     pilot: dict = dataclasses.field(default_factory=dict)
     learn: dict = dataclasses.field(default_factory=dict)
     simulate: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        for section, values in _checked(self).items():
+            object.__setattr__(self, section, values)
 
     # paths
     def path(self, *parts):
@@ -125,131 +192,67 @@ class ProjectConfig:
 
     # domain objects
     def workload_spec(self, **overrides):
-        fields = dict(self.workload)
-        fields.update(overrides)
         try:
-            return WorkloadSpec(**fields)
-        except (TypeError, ValueError) as exc:
+            return WorkloadSpec(**dict(self.workload, **overrides))
+        except ValueError as exc:
             raise ConfigError("bad workload settings: %s" % exc)
 
     def cluster_spec(self):
-        fields = dict(self.cluster)
-        cluster = default_cluster(
-            node_count=_number("cluster.nodes", fields.pop("nodes", 7), integer=True),
-            node_memory=_number("cluster.node_memory", fields.pop("node_memory", 128.0)),
-            node_storage=_number("cluster.node_storage", fields.pop("node_storage", 4096.0)),
-        )
-        if "queue_latency" in fields:
-            cluster = dataclasses.replace(cluster, queue_latency=_number(
-                "cluster.queue_latency", fields.pop("queue_latency"), allow_zero=True))
-        if fields:
-            raise ConfigError("unknown cluster keys: %s" % sorted(fields))
-        return cluster
+        # default_cluster sizes the nodes; ClusterSpec holds the queue latency.
+        nodes = {"node_count" if key == "nodes" else key: value
+                 for key, value in self.cluster.items() if key != "queue_latency"}
+        latency = {key: value for key, value in self.cluster.items() if key == "queue_latency"}
+        return dataclasses.replace(default_cluster(**nodes), **latency)
 
     def cost_model(self, **overrides):
-        fields = dict(self.cost)
-        # CostModel checks the throughputs and the noise amplitude itself.
-        for name, integer in _COST_NUMBERS.items():
-            if name in fields:
-                fields[name] = _number("cost." + name, fields[name], integer, allow_zero=True)
-        fields.update(overrides)
         try:
-            return CostModel(**fields)
-        except (TypeError, ValueError) as exc:
+            return CostModel(**dict(self.cost, **overrides))
+        except ValueError as exc:
             raise ConfigError("bad cost model settings: %s" % exc)
 
     def cloud_attributes(self):
         # The cloud's nodes are the cluster's unless the section says otherwise.
         node = self.cluster_spec().nodes[0]
-        fields = {"id": "c1", "node_memory": node.node_memory, "node_storage": node.node_storage}
-        fields.update(self.cloud)
-        for name in _CLOUD_NUMBERS:
-            if name in fields:
-                fields[name] = _number("cloud." + name, fields[name])
-        try:
-            return CloudAttributes(**fields)
-        except TypeError as exc:
-            raise ConfigError("bad cloud settings: %s" % exc)
+        return CloudAttributes(**dict(
+            {"node_memory": node.node_memory, "node_storage": node.node_storage}, **self.cloud))
 
     def search_space(self, n):
-        try:
-            return SearchSpace(n=n, **self.search)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad search settings: %s" % exc)
+        return SearchSpace(n=n, **self.search)
 
     def pilot_plan(self):
-        return _plan("pilot", {
-            "durations": [21.6, 43.2, 64.8, 86.4],
-            "record_bytes": [625, 1250, 2500],
-            "estimation_seeds": 5,
-            "configuration_seeds": 3,
-            "noise_amplitude": 0.05,
-        }, self.pilot)
+        return dict(_DEFAULTS["pilot"], **self.pilot)
 
     def pilot_runs(self):
         plan = self.pilot_plan()
         spec = self.workload_spec()
         base = derive_seed(self.seed, "pilot")
         target = SimWorkload.from_spec(spec)
-        try:
-            noise_amplitude = float(plan["noise_amplitude"])
-            durations = [_number("pilot.durations", d) for d in plan["durations"]]
-            record_bytes = [_number("pilot.record_bytes", rb, integer=True)
-                            for rb in plan["record_bytes"]]
-            estimation_workloads = tuple(
-                SimWorkload(n_records=spec.machines * int(spec.rate * d),
-                            record_bytes=rb, machines=spec.machines)
-                for d in durations
-                for rb in record_bytes
-            )
-            estimation_seeds = tuple(
-                (base + i) % 2**31 for i in range(int(plan["estimation_seeds"])))
-            configuration_seeds = tuple(
-                (base + 101 + i) % 2**31 for i in range(int(plan["configuration_seeds"])))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad pilot settings: %s" % exc)
+        estimation_workloads = tuple(
+            SimWorkload(n_records=spec.machines * int(spec.rate * d),
+                        record_bytes=rb, machines=spec.machines)
+            for d in plan["durations"]
+            for rb in plan["record_bytes"]
+        )
         if any(w.n_records < 1 for w in estimation_workloads):
             raise ConfigError("pilot.durations must each give at least one record per "
                               "machine at rate %r, got %r" % (spec.rate, plan["durations"]))
         return PilotRuns(
             cluster=self.cluster_spec(),
-            cost=self.cost_model(noise_amplitude=noise_amplitude),
+            cost=self.cost_model(noise_amplitude=plan["noise_amplitude"]),
             estimation_workloads=estimation_workloads,
-            estimation_seeds=estimation_seeds,
+            estimation_seeds=tuple(
+                (base + i) % 2**31 for i in range(plan["estimation_seeds"])),
             target=target,
             grid=tuple(self.search_space(target.n_records).candidates()),
-            configuration_seeds=configuration_seeds,
+            configuration_seeds=tuple(
+                (base + 101 + i) % 2**31 for i in range(plan["configuration_seeds"])),
         )
 
     def learn_plan(self):
-        plan = _plan("learn", {"methods": ["polyr", "knn"], "time_method": "knn",
-                               "target_nmae": 0.10}, self.learn)
-        methods = plan["methods"]
-        if (not isinstance(methods, list) or not methods
-                or not all(isinstance(m, str) and m in DEFAULT_GRIDS for m in methods)):
-            raise ConfigError("learn.methods must be a non-empty list of %s, got %r"
-                              % (sorted(DEFAULT_GRIDS), methods))
-        if not isinstance(plan["time_method"], str) or plan["time_method"] not in DEFAULT_GRIDS:
-            raise ConfigError("learn.time_method must be one of %s, got %r"
-                              % (sorted(DEFAULT_GRIDS), plan["time_method"]))
-        try:
-            plan["target_nmae"] = float(plan["target_nmae"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad learn settings: %s" % exc)
-        return plan
+        return dict(_DEFAULTS["learn"], **self.learn)
 
     def simulate_plan(self):
-        plan = _plan("simulate", {"durations": [21.6, 43.2, 64.8, 86.4]}, self.simulate)
-        durations = plan["durations"]
-        if (not isinstance(durations, list) or not durations
-                or not all(isinstance(d, (int, float)) and 0 < d < math.inf for d in durations)):
-            raise ConfigError("simulate.durations must be a non-empty list of positive "
-                              "seconds, got %r" % (durations,))
-        return plan
-
-
-_SECTION_KEYS = {f.name for f in dataclasses.fields(ProjectConfig)}
-_MAPPING_SECTIONS = {f.name for f in dataclasses.fields(ProjectConfig) if f.type is dict}
+        return dict(_DEFAULTS["simulate"], **self.simulate)
 
 
 def load_config(path):
@@ -260,16 +263,9 @@ def load_config(path):
         raise ConfigError("cannot read config: %s" % exc)
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
-    unknown = set(tree) - _SECTION_KEYS
+    unknown = set(tree) - {f.name for f in dataclasses.fields(ProjectConfig)}
     if unknown:
-        raise ConfigError("unknown config sections: %s" % sorted(unknown))
-    scalar = sorted(k for k in _MAPPING_SECTIONS & set(tree) if not isinstance(tree[k], dict))
-    if scalar:
-        raise ConfigError("config sections must be mappings: %s" % scalar)
-    seed, workdir = tree.get("seed", 0), tree.get("workdir", "out")
-    if isinstance(seed, bool) or not isinstance(seed, int) or not isinstance(workdir, str):
-        raise ConfigError("seed must be an integer and workdir a path, got %r and %r"
-                          % (seed, workdir))
+        raise ConfigError("unknown config sections: %s" % sorted(unknown, key=str))
     return ProjectConfig(**tree)
 
 

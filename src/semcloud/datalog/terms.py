@@ -16,8 +16,6 @@ from .errors import ProgramRecursionError
 
 AGGREGATE_KINDS = ("max", "min", "avg")
 
-COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
-
 _BARE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 

@@ -8,6 +8,8 @@ alternative spelling of the same graph; ``a`` triples assign classes.
 
 from __future__ import annotations
 
+import math
+
 import yaml
 
 from .errors import CycleError, SchemaError, StructureError
@@ -84,10 +86,32 @@ def parse_pipeline(document: str) -> PipelineGraph:
 
 
 def _num(value, context):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{context}: expected a number, got {value!r}") from None
+    number = None
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    if number is None or not math.isfinite(number):
+        raise SchemaError(f"{context}: expected a finite number, got {value!r}")
+    return number
+
+
+def _list(value, context):
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise SchemaError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
+def _items(data, key):
+    """The entries of a section, each a mapping with an id."""
+    items = _list(data.get(key), key)
+    for item in items:
+        if not isinstance(item, dict) or "id" not in item:
+            raise SchemaError(f"{key}: expected a mapping with an id, got {item!r}")
+    return items
 
 
 def _from_tree(data: dict) -> PipelineGraph:
@@ -97,7 +121,7 @@ def _from_tree(data: dict) -> PipelineGraph:
     pid = str(head["id"])
 
     tasks = []
-    for item in data.get("tasks", []) or []:
+    for item in _items(data, "tasks"):
         kind = item.get("type")
         if kind not in TASK_KINDS:
             raise SchemaError(f"task {item.get('id')}: unknown task class {kind!r}")
@@ -106,6 +130,8 @@ def _from_tree(data: dict) -> PipelineGraph:
             if key in ("id", "type"):
                 continue
             if key == "hasRequirementSet":
+                if not isinstance(value, dict):
+                    raise SchemaError(f"task {item['id']}: hasRequirementSet must be a mapping")
                 unknown = set(value) - set(_REQ_PROPS)
                 if unknown:
                     raise SchemaError(f"task {item['id']}: unknown requirement fields {sorted(unknown)}")
@@ -123,7 +149,7 @@ def _from_tree(data: dict) -> PipelineGraph:
         tasks.append(TaskNode(**fields))
 
     entities = []
-    for item in data.get("data_entities", []) or []:
+    for item in _items(data, "data_entities"):
         fields = {"id": str(item["id"])}
         for key, value in item.items():
             if key == "id":
@@ -135,24 +161,24 @@ def _from_tree(data: dict) -> PipelineGraph:
         entities.append(DataEntity(**fields))
 
     layers = []
-    for item in data.get("layers", []) or []:
+    for item in _items(data, "layers"):
         kind = item.get("type", "Layer")
         if kind not in _LAYER_KINDS:
             raise SchemaError(f"layer {item.get('id')}: unknown layer class {kind!r}")
         layers.append(Layer(id=str(item["id"]), kind=kind))
 
     handlers = []
-    for item in data.get("io_handlers", []) or []:
+    for item in _items(data, "io_handlers"):
         handlers.append(
             IOHandler(
                 id=str(item["id"]),
-                inputs=tuple(str(x) for x in item.get("hasInput", []) or []),
-                outputs=tuple(str(x) for x in item.get("hasOutput", []) or []),
+                inputs=tuple(str(x) for x in _list(item.get("hasInput"), "hasInput")),
+                outputs=tuple(str(x) for x in _list(item.get("hasOutput"), "hasOutput")),
             )
         )
 
     edges = []
-    for triple in data.get("edges", []) or []:
+    for triple in _list(data.get("edges"), "edges"):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise SchemaError(f"edge {triple!r} is not a [subject, property, object] triple")
         s, rel, o = (str(x) for x in triple)
@@ -176,7 +202,7 @@ def _from_triples(triples) -> PipelineGraph:
     classes: dict = {}
     props: dict = {}
     edges = []
-    for triple in triples or []:
+    for triple in _list(triples, "triples"):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise SchemaError(f"triple {triple!r} must have three components")
         s, p, o = triple

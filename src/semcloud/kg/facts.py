@@ -13,7 +13,7 @@ from dataclasses import replace
 from ..datalog.corpus import RANGE_SIZE
 from ..datalog.factset import FactSet
 from .errors import InvalidGraph, MissingTask
-from .model import CloudAttributes, PipelineGraph, ResourceConfiguration
+from .model import STORAGE_MODES, CloudAttributes, PipelineGraph, ResourceConfiguration
 from .validate import validate
 
 _TASK_FIELD_ATOMS = (
@@ -127,7 +127,7 @@ def apply_configuration(graph: PipelineGraph, config: ResourceConfiguration,
         mode = "fast"
     elif cloud is not None and config.storage == cloud.cloud_storage:
         mode = "cloud"
-    elif config.storage in ("fast", "cloud"):
+    elif config.storage in STORAGE_MODES:
         mode = config.storage
     else:
         raise InvalidGraph(f"unknown storage id {config.storage!r}")

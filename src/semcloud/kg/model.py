@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..datalog.corpus import DEFAULT_C1, DEFAULT_C2, DEFAULT_C3
+
 TASK_KINDS = ("Retrieve", "Slice", "Prepare", "Store")
 FREQUENCY_CLASSES = ("frequent", "infrequent")
 STORAGE_MODES = ("fast", "cloud")
@@ -71,10 +73,10 @@ class TaskNode:
 
 @dataclass(frozen=True)
 class CloudAttributes:
-    id: str
-    memory_buffer_coefficient: float = 0.667  # c1
-    storage_buffer_coefficient: float = 0.667  # c2
-    max_memory_coefficient: float = 1.5  # c3
+    id: str = "c1"
+    memory_buffer_coefficient: float = DEFAULT_C1
+    storage_buffer_coefficient: float = DEFAULT_C2
+    max_memory_coefficient: float = DEFAULT_C3
     node_memory: float = 0.0  # MB
     node_storage: float = 0.0  # MB (the ontology's second "ns", renamed nst)
     fast_storage: str = "fast_storage"

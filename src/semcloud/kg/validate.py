@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import FREQUENCY_CLASSES, PipelineGraph, TASK_KINDS
+from .model import FREQUENCY_CLASSES, STORAGE_MODES, PipelineGraph, TASK_KINDS
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,8 @@ def validate(graph: PipelineGraph) -> ValidationReport:
                 report.add(t.id, f"chunk/slice size on a {t.kind} task")
         if t.storage_mode is not None and t.kind != "Store":
             report.add(t.id, f"storage mode on a {t.kind} task")
+        if t.storage_mode is not None and t.storage_mode not in STORAGE_MODES:
+            report.add(t.id, f"unknown storage mode {t.storage_mode!r}")
         if t.memory_reservation is not None:
             if t.kind not in ("Slice", "Prepare"):
                 report.add(t.id, f"memory reservation on a {t.kind} task")

@@ -25,8 +25,6 @@ from .models import (
     predict_polyr,
 )
 
-METHODS = ("polyr", "mlp", "knn")
-
 TRAIN_FRACTION = 0.8
 
 

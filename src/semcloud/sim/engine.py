@@ -262,7 +262,7 @@ def _window_len(window):
     return window[1] - window[0]
 
 
-def run_legacy(workload, node=None, cost=None):
+def run_legacy(workload, cost, node=None):
     """Monolithic single-node baseline.
 
     Retrieve, prepare, and store run sequentially with an integration

@@ -2,14 +2,16 @@
 
 import os
 import pathlib
+import re
 import shutil
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from semcloud import config
 from semcloud.cli import main
-from semcloud.config import ProjectConfig
+from semcloud.config import ConfigError, ProjectConfig, load_config
 
 SMALL_PROJECT = {
     "seed": 0,
@@ -268,19 +270,75 @@ class TestContract:
         ({"cost": {"max_prepare_instances": 2.5}}, ["pilot"]),
         ({"pilot": {"durations": [0.01]}}, ["pilot"]),
         ({"pilot": {"record_bytes": [-625]}}, ["pilot"]),
+        ({"workload": {"machines": 6.5}}, ["gen"]),
+        ({"workload": {"production_lines": "x"}}, ["gen", "--machines", "3"]),
+        ({"workload": {"machines": True}}, ["gen"]),
+        ({"workload": {"seed": 3}}, ["gen"]),
+        ({"workload": dict(SMALL_PROJECT["workload"], record_bytes=1250.5)}, ["pilot", "--dry-run"]),
+        ({"search": {"span": True}}, ["pilot", "--dry-run"]),
+        ({"pilot": {"estimation_seeds": -1}}, ["pilot", "--dry-run"]),
+        ({"pilot": {"estimation_seeds": 2.5}}, ["pilot", "--dry-run"]),
+        ({"pilot": {"configuration_seeds": 0}}, ["pilot", "--dry-run"]),
+        ({"cost": {"noise_amplitude": 0.3}}, ["pilot", "--dry-run"]),
+        ({"learn": {"target_nmae": -1}}, ["pilot", "--dry-run"]),
+        ({"simulate": {"durations": [True]}}, ["simulate", "--legacy-only"]),
+        ({"cloud": {"fast_storage": 5}}, ["configure"]),
     ])
     def test_config_errors_in_a_stage_print_one_status_line(self, tmp_path, overrides, command):
         result = invoke(write_project(tmp_path, **overrides), *command)
         self.assert_failure(result, command[0], 2, "ConfigError")
+        # The message names the setting, or the section for a check across its keys.
+        for section, values in overrides.items():
+            if isinstance(values, dict) and len(values) == 1:
+                section = "%s.%s" % (section, *values)
+            assert section in result.combined
 
     def test_numeric_strings_read_as_numbers(self):
         # YAML 1.1 reads 1e3 (no dot) as a string; every section takes it.
-        as_string = ProjectConfig(cluster={"node_memory": "1e3", "nodes": "3"},
-                                  cloud={"node_memory": "1e3"})
-        as_number = ProjectConfig(cluster={"node_memory": 1000.0, "nodes": 3},
-                                  cloud={"node_memory": 1000.0})
+        as_string = ProjectConfig(
+            workload={"machines": "12", "duration": "86.4"},
+            cluster={"node_memory": "1e3", "nodes": "3"},
+            cost={"alpha_slice": "3e0"},
+            cloud={"node_memory": "1e3"},
+            search={"span": "16"},
+            pilot={"durations": ["4.32e1"], "estimation_seeds": "2"},
+            learn={"target_nmae": "1e-1"},
+            simulate={"durations": ["1e3"]})
+        as_number = ProjectConfig(
+            workload={"machines": 12, "duration": 86.4},
+            cluster={"node_memory": 1000.0, "nodes": 3},
+            cost={"alpha_slice": 3.0},
+            cloud={"node_memory": 1000.0},
+            search={"span": 16},
+            pilot={"durations": [43.2], "estimation_seeds": 2},
+            learn={"target_nmae": 0.1},
+            simulate={"durations": [1000.0]})
+        assert as_string.workload_spec() == as_number.workload_spec()
         assert as_string.cloud_attributes() == as_number.cloud_attributes()
         assert as_string.cluster_spec() == as_number.cluster_spec()
+        assert as_string.cost_model() == as_number.cost_model()
+        assert as_string.pilot_runs() == as_number.pilot_runs()
+        assert as_string.learn_plan() == as_number.learn_plan()
+        assert as_string.simulate_plan() == as_number.simulate_plan()
+
+    def test_a_bad_value_fails_when_the_config_is_built(self):
+        with pytest.raises(ConfigError, match="pilot.estimation_seeds"):
+            ProjectConfig(pilot={"estimation_seeds": -1})
+
+    @pytest.mark.parametrize("document", [
+        "tasks: [5]\n",
+        "tasks: [{type: Retrieve}]\n",
+        "edges: 5\n",
+        "triples: [[p1, a, ETLPipeline], [t1, a, Retrieve], [t1, hasRequirementSet, 5]]\n",
+    ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list",
+            "requirements-triple-not-a-mapping"])
+    def test_malformed_pipeline_document_is_a_domain_error(self, tmp_path, document):
+        if "triples" not in document:
+            document = "ETLPipeline: {id: p1}\n" + document
+        path = tmp_path / "pipeline.yaml"
+        path.write_text("format: semcloud-pipeline/1\n" + document)
+        result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
+        self.assert_failure(result, "configure", 1, "SchemaError")
 
     def test_unreadable_config_prints_one_status_line(self, tmp_path):
         result = invoke(str(tmp_path / "nope.yaml"), "report")
@@ -292,3 +350,32 @@ class TestContract:
         path.write_bytes(content)
         result = invoke(str(path), "gen")
         self.assert_failure(result, "gen", 2, "ConfigError")
+
+
+class TestProjectFileDocs:
+    """The README's project-file docs stay in step with config._RULES."""
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def section(self, heading):
+        return self.readme.split("\n## %s\n" % heading, 1)[1].split("\n## ", 1)[0]
+
+    def test_quick_start_project_loads(self, tmp_path):
+        path = tmp_path / "project.yaml"
+        path.write_text(self.section("Quick start").split("```yaml\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(str(path))
+        assert cfg.pilot_runs().estimation_count > 0
+        assert cfg.cloud_attributes().node_memory == cfg.cluster_spec().nodes[0].node_memory
+        assert cfg.learn_plan() and cfg.simulate_plan()
+
+    def test_table_names_every_setting(self):
+        documented = {}
+        for line in self.section("Project file").splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            name = re.fullmatch(r"`(\w+)`", cells[0]) if line.startswith("|") else None
+            if name:
+                # "`a`, `b`: rule; `c`: rule": the keys are the names before each colon.
+                documented[name.group(1)] = {
+                    key for clause in cells[1].split(";")
+                    for key in re.findall(r"`(\w+)`", clause.split(":")[0])}
+        assert documented == {section: set(rules) for section, rules in config._RULES.items()}

@@ -129,6 +129,13 @@ class TestBuildersAndValidate:
         report = validate(g)
         assert any("positive" in str(v) for v in report.violations)
 
+    def test_unknown_storage_mode_is_a_violation(self):
+        g = frequent_pipeline(storage_mode="ssd")
+        report = validate(g)
+        assert any("unknown storage mode 'ssd'" in str(v) for v in report.violations)
+        with pytest.raises(StructureError):
+            parse_pipeline(serialize_pipeline(g))
+
 
 class TestDocument:
     def test_serialize_parse_identity(self):
@@ -158,6 +165,28 @@ class TestDocument:
     def test_parse_not_yaml(self):
         with pytest.raises(SchemaError):
             parse_pipeline(":\n  - ][")
+
+    @pytest.mark.parametrize("edit", [
+        lambda tree: tree.update(tasks=[5]),
+        lambda tree: tree["tasks"][0].pop("id"),
+        lambda tree: tree.update(edges=5),
+        lambda tree: tree.update(layers="p1_l1"),
+        lambda tree: tree["io_handlers"][0].update(hasOutput=5),
+        lambda tree: tree["tasks"][0].update(hasRequirementSet=5),
+        lambda tree: tree["tasks"][1].update(hasChunkSize=True),
+        lambda tree: tree["data_entities"][0].update(hasVolume=float("nan")),
+        lambda tree: tree["data_entities"][0].update(hasVolume=float("inf")),
+        lambda tree: tree.update(triples=tree_to_triples(tree) + [["p1_t1", "hasRequirementSet", 5]]),
+        lambda tree: tree.update(triples=5),
+    ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list", "layers-not-a-list",
+            "outputs-not-a-list", "requirements-not-a-mapping", "bool-size", "nan-volume",
+            "inf-volume", "requirements-triple-not-a-mapping", "triples-not-a-list"])
+    def test_malformed_document_is_a_schema_error(self, edit):
+        tree = yaml.safe_load(serialize_pipeline(frequent_pipeline("p1", chunk_size=100.0,
+                                                                   slice_size=10.0)))
+        edit(tree)
+        with pytest.raises(SchemaError):
+            parse_pipeline(yaml.safe_dump(tree))
 
     @pytest.mark.parametrize("build", [frequent_pipeline, infrequent_pipeline])
     def test_triples_spelling_parses_to_the_tree_graph(self, build):

@@ -256,6 +256,11 @@ class TestLegacy:
         assert slope1 == pytest.approx(slope2)
         assert slope1 == pytest.approx(cost.legacy_kappa)
 
+    def test_cost_is_required(self):
+        with pytest.raises(TypeError):
+            run_legacy(small_workload(n=1000))
+        assert run_legacy(small_workload(n=1000), quiet_cost()).consumed_time > 0.0
+
     def test_out_of_memory_raises(self):
         cost = quiet_cost()
         node = NodeSpec("old", 64.0, 65536.0, 2000.0)
