@@ -253,8 +253,7 @@ def simulate(ctx, legacy_only):
     """Simulate the configured pipeline against the legacy baseline."""
 
     def body(cfg):
-        plan = cfg.simulate_plan()
-        spec = cfg.workload_spec()
+        workloads = cfg.timed_workloads("simulate")
         cluster = cfg.cluster_spec()
         cost = cfg.cost_model(noise_amplitude=0.0)
         os.makedirs(cfg.reports_dir, exist_ok=True)
@@ -268,10 +267,7 @@ def simulate(ctx, legacy_only):
             with open(cfg.configured_pipeline_path) as fh:
                 configured = parse_pipeline(fh.read())
         volumes, dist_traces, legacy_traces = [], [], []
-        for i, duration in enumerate(plan["durations"]):
-            n = spec.machines * int(spec.rate * duration)
-            workload = SimWorkload(n_records=n, record_bytes=spec.record_bytes,
-                                   machines=spec.machines)
+        for i, workload in enumerate(workloads):
             volumes.append(workload.volume_mb)
             legacy_trace = run_legacy(workload, cost=cost)
             legacy_traces.append(legacy_trace)
@@ -283,9 +279,9 @@ def simulate(ctx, legacy_only):
                 dist_traces.append(trace)
                 write_trace(cfg.path("reports", "trace_distributed_%d.tsv" % i), trace)
         if configured is not None:
-            report = compare(legacy_traces, dist_traces, volumes)
-            write_comparison(cfg.path("reports", "comparison.tsv"), report)
-            last = report.rows[-1]
+            rows = compare(legacy_traces, dist_traces, volumes)
+            write_comparison(cfg.path("reports", "comparison.tsv"), rows)
+            last = rows[-1]
             click.echo("largest volume: time ratio %.3f, memory ratio %.3f"
                        % (last.time_ratio, last.memory_ratio))
         return {"volumes": len(volumes), "legacy_only": int(legacy_only)}

@@ -11,15 +11,16 @@ from .etl import WorkloadSpec
 from .kg import CloudAttributes
 from .learning import DEFAULT_GRIDS
 from .optimizer import SearchSpace
-from .sim import ClusterSpec, CostModel, SimWorkload, default_cluster
+from .sim import MAX_NOISE_AMPLITUDE, ClusterSpec, CostModel, SimWorkload, default_cluster
 
 
 class ConfigError(Exception):
     pass
 
 
-def _number(integer=False, allow_zero=False):
-    """The rule for a finite number: positive, or non-negative with ``allow_zero``.
+def _number(integer=False, allow_zero=False, at_most=math.inf):
+    """The rule for a finite number: positive, or non-negative with ``allow_zero``,
+    and at most ``at_most``.
 
     Takes an int or float (not a bool) or a string that ``float()`` parses,
     since YAML 1.1 reads ``1e3`` as a string, and gives a float, or an int
@@ -33,12 +34,13 @@ def _number(integer=False, allow_zero=False):
         except (OverflowError, ValueError):
             return None
         if (not math.isfinite(number) or not (number >= 0.0 if allow_zero else number > 0.0)
-                or (integer and not number.is_integer())):
+                or number > at_most or (integer and not number.is_integer())):
             return None
         return int(number) if integer else number
 
-    return "a %s %s" % ("non-negative" if allow_zero else "positive",
-                        "integer" if integer else "finite number"), check
+    return "a %s %s%s" % ("non-negative" if allow_zero else "positive",
+                          "integer" if integer else "finite number",
+                          " at most %r" % at_most if at_most < math.inf else ""), check
 
 
 def _list(rule):
@@ -81,7 +83,7 @@ _RULES = {
     "search": {"nc_steps": _COUNT, "ns_steps": _COUNT, "span": _COUNT},
     "pilot": {"durations": _list(_POSITIVE), "record_bytes": _list(_COUNT),
               "estimation_seeds": _COUNT, "configuration_seeds": _COUNT,
-              "noise_amplitude": _NON_NEGATIVE},
+              "noise_amplitude": _number(allow_zero=True, at_most=MAX_NOISE_AMPLITUDE)},
     "learn": {"methods": _list(_METHOD), "time_method": _METHOD, "target_nmae": _POSITIVE},
     "simulate": {"durations": _list(_POSITIVE)},
 }
@@ -205,10 +207,7 @@ class ProjectConfig:
         return dataclasses.replace(default_cluster(**nodes), **latency)
 
     def cost_model(self, **overrides):
-        try:
-            return CostModel(**dict(self.cost, **overrides))
-        except ValueError as exc:
-            raise ConfigError("bad cost model settings: %s" % exc)
+        return CostModel(**dict(self.cost, **overrides))
 
     def cloud_attributes(self):
         # The cloud's nodes are the cluster's unless the section says otherwise.
@@ -222,24 +221,34 @@ class ProjectConfig:
     def pilot_plan(self):
         return dict(_DEFAULTS["pilot"], **self.pilot)
 
-    def pilot_runs(self):
-        plan = self.pilot_plan()
+    def timed_workloads(self, section, record_sizes=None):
+        """One SimWorkload per ``<section>.durations`` entry and record size.
+
+        Each machine emits ``int(rate * duration)`` records; the record
+        sizes default to the workload's.  A duration that gives a machine
+        no record is a ConfigError naming ``<section>.durations``.
+        """
         spec = self.workload_spec()
-        base = derive_seed(self.seed, "pilot")
-        target = SimWorkload.from_spec(spec)
-        estimation_workloads = tuple(
+        durations = dict(_DEFAULTS[section], **getattr(self, section))["durations"]
+        workloads = tuple(
             SimWorkload(n_records=spec.machines * int(spec.rate * d),
                         record_bytes=rb, machines=spec.machines)
-            for d in plan["durations"]
-            for rb in plan["record_bytes"]
+            for d in durations
+            for rb in record_sizes or (spec.record_bytes,)
         )
-        if any(w.n_records < 1 for w in estimation_workloads):
-            raise ConfigError("pilot.durations must each give at least one record per "
-                              "machine at rate %r, got %r" % (spec.rate, plan["durations"]))
+        if any(w.n_records < 1 for w in workloads):
+            raise ConfigError("%s.durations must each give at least one record per "
+                              "machine at rate %r, got %r" % (section, spec.rate, durations))
+        return workloads
+
+    def pilot_runs(self):
+        plan = self.pilot_plan()
+        base = derive_seed(self.seed, "pilot")
+        target = SimWorkload.from_spec(self.workload_spec())
         return PilotRuns(
             cluster=self.cluster_spec(),
             cost=self.cost_model(noise_amplitude=plan["noise_amplitude"]),
-            estimation_workloads=estimation_workloads,
+            estimation_workloads=self.timed_workloads("pilot", plan["record_bytes"]),
             estimation_seeds=tuple(
                 (base + i) % 2**31 for i in range(plan["estimation_seeds"])),
             target=target,

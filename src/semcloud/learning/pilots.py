@@ -11,6 +11,7 @@ import csv
 import io
 from dataclasses import asdict, dataclass, fields
 
+from ..kg.model import STORAGE_MODES
 from .errors import LearningError
 
 RUN_KINDS = ("estimation", "configuration")
@@ -44,7 +45,7 @@ class PilotRunRecord:
                 problems.append(f"{f.name} is negative")
         if self.kind not in RUN_KINDS:
             problems.append(f"unknown run kind {self.kind!r}")
-        if self.storage_mode not in ("fast", "cloud"):
+        if self.storage_mode not in STORAGE_MODES:
             problems.append(f"unknown storage mode {self.storage_mode!r}")
         if self.kind == "configuration":
             if not self.slice_size <= self.chunk_size <= self.no_records:

@@ -108,24 +108,24 @@ def deploy(pipeline, cluster, cost, workload, prepare_instances=None, nc=None, n
 
 
 class _Instance:
-    def __init__(self, spec, penalty_fraction):
+    def __init__(self, spec, cost):
         self.spec = spec
         self.available_at = 0.0
         self.oomed = spec.working_mb > spec.reservation_mb
-        self.penalty_fraction = penalty_fraction if self.oomed else 0.0
-        self.penalized = False
+        self.penalty_fraction = cost.restart_penalty
+        self.cpu = cost.cpu_per_instance
+        self.restarted = False
 
-    def process(self, ready_at, service, intervals, restarts, cpu):
+    def process(self, ready_at, service, intervals):
         start = max(ready_at, self.available_at)
-        if self.oomed and not self.penalized:
+        if self.oomed and not self.restarted:
             # working set over reservation: the step restarts once and
             # the elapsed phase time is paid again
             service *= 1.0 + self.penalty_fraction
-            self.penalized = True
-            restarts[0] += 1
+            self.restarted = True
         end = start + service
         self.available_at = end
-        intervals.append((start, end, self.spec.node, self.spec.working_mb, cpu))
+        intervals.append((start, end, self.spec.node, self.spec.working_mb, self.cpu))
         return end
 
 
@@ -144,7 +144,11 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
     """Execute the plan over the workload; returns (RunTrace, PilotRunRecord).
 
     Messages flow chunk -> slices -> prepared slices over FIFO channels
-    with a fixed latency per hop.  Deterministic for a given seed.
+    with a fixed latency per hop.  Each step serves its messages in
+    arrival order, on the earliest-available of its instances, for
+    ``(size / throughput + overhead) * noise`` seconds.  Deterministic
+    for a given seed: one noise draw per message, step by step, then
+    five for the record.
     """
     rng = np.random.RandomState(cost.noise_seed if seed is None else seed)
     amp = cost.noise_amplitude
@@ -156,79 +160,42 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
 
     lam = plan.cluster.queue_latency
     n = workload.n_records
-    by_step = {"retrieve": [], "slice": [], "prepare": [], "store": []}
-    restarts = [0]
-    cpu = cost.cpu_per_instance
-    channels = [
-        QueueChannel("chunks"),
-        QueueChannel("slices"),
-        QueueChannel("prepared"),
-    ]
-    chunks_q, slices_q, prepared_q = channels
+    # (step, records/s, s per message, output channel); slice's output
+    # messages are runs of ns records, the others pass their size on.
+    steps = (
+        ("retrieve", cost.thr_retrieve, 0.0, "chunks"),
+        ("slice", cost.thr_slice, 0.0, "slices"),
+        ("prepare", cost.thr_prepare, cost.join_overhead, "prepared"),
+        ("store", cost.thr_store, 0.0, None),
+    )
+    messages = [(size, 0.0) for size in _chunk_sizes(n, plan.nc)]
+    intervals, windows, channels, restarts = [], {}, [], 0
+    for step, thr, overhead, channel in steps:
+        instances = [_Instance(spec, cost) for spec in plan.step_instances(step)]
+        only = instances[0] if len(instances) == 1 else None
+        split = step == "slice"
+        first = len(intervals)
+        out = []
+        for size, ready in messages:
+            inst = only or _pick(instances)
+            end = inst.process(ready, (size / thr + overhead) * noise(), intervals) + lam
+            if split:
+                for piece in _chunk_sizes(size, plan.ns):
+                    out.append((piece, end))
+            else:
+                out.append((size, end))
+        if len(intervals) > first:
+            spans = intervals[first:]
+            windows[step] = (min(s for s, *_ in spans), max(e for _, e, *_ in spans))
+        restarts += sum(inst.restarted for inst in instances)
+        if channel is not None:
+            channels.append(QueueChannel(channel, len(out), len(out), len(out)))
+        messages = out
 
-    retrieve = _Instance(plan.step_instances("retrieve")[0], cost.restart_penalty)
-    slicer = _Instance(plan.step_instances("slice")[0], cost.restart_penalty)
-    preparers = [
-        _Instance(spec, cost.restart_penalty)
-        for spec in plan.step_instances("prepare")
-    ]
-    storer = _Instance(plan.step_instances("store")[0], cost.restart_penalty)
-
-    # retrieve: one message per chunk
-    chunk_ready = []
-    for size in _chunk_sizes(n, plan.nc):
-        end = retrieve.process(
-            0.0, size / cost.thr_retrieve * noise(), by_step["retrieve"], restarts, cpu
-        )
-        chunk_ready.append((size, end + lam))
-        chunks_q.published += 1
-
-    # slice: consumes chunks in order, emits per-slice messages
-    slice_ready = []
-    for size, ready in chunk_ready:
-        chunks_q.delivered += 1
-        end = slicer.process(
-            ready, size / cost.thr_slice * noise(), by_step["slice"], restarts, cpu
-        )
-        chunks_q.acknowledged += 1
-        for piece in _chunk_sizes(size, plan.ns):
-            slice_ready.append((piece, end + lam))
-            slices_q.published += 1
-
-    # prepare: k instances, earliest-available wins, FIFO per channel
-    prepared_ready = []
-    for size, ready in slice_ready:
-        slices_q.delivered += 1
-        inst = _pick(preparers)
-        service = (size / cost.thr_prepare + cost.join_overhead) * noise()
-        end = inst.process(ready, service, by_step["prepare"], restarts, cpu)
-        slices_q.acknowledged += 1
-        prepared_ready.append((size, end + lam))
-        prepared_q.published += 1
-
-    # store
-    for size, ready in prepared_ready:
-        prepared_q.delivered += 1
-        storer.process(
-            ready, size / cost.thr_store * noise(), by_step["store"], restarts, cpu
-        )
-        prepared_q.acknowledged += 1
+    trace = build_trace(intervals, windows, channels)
+    trace.restarts = restarts
 
     volume = workload.volume_mb
-    storage = {
-        "slice": cost.expansion_slice * volume,
-        "prepare": cost.expansion_prepare * volume,
-        "store": cost.expansion_store * volume,
-    }
-    windows = {
-        step: (min(s for s, *_ in spans), max(e for _, e, *_ in spans))
-        for step, spans in by_step.items()
-        if spans
-    }
-    intervals = [iv for step in ("retrieve", "slice", "prepare", "store") for iv in by_step[step]]
-    trace = build_trace(intervals, windows, channels)
-    trace.restarts = restarts[0]
-
     ts = _window_len(windows.get("slice"))
     tp = _window_len(windows.get("prepare"))
     rec_nc = min(plan.nc, n) if n else 0
@@ -243,9 +210,9 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
         prepare_time=tp,
         slice_memory=cost.slice_working_mb(plan.nc, workload.record_bytes) * noise(),
         prepare_memory=cost.prepare_working_mb(plan.ns, workload.record_bytes) * noise(),
-        slice_storage=storage["slice"] * noise(),
-        prepare_storage=storage["prepare"] * noise(),
-        store_storage=storage["store"] * noise(),
+        slice_storage=cost.expansion_slice * volume * noise(),
+        prepare_storage=cost.expansion_prepare * volume * noise(),
+        store_storage=cost.expansion_store * volume * noise(),
         slice_memory_reservation=plan.step_instances("slice")[0].reservation_mb,
         prepare_memory_reservation=plan.step_instances("prepare")[0].reservation_mb,
         storage_mode=plan.storage_mode,
@@ -296,84 +263,51 @@ def run_legacy(workload, cost, node=None):
 
 @dataclasses.dataclass(frozen=True)
 class ComparisonRow:
+    """One volume of the legacy-vs-distributed comparison; the fields name
+    the ``comparison.tsv`` columns, and each ratio is distributed / legacy."""
+
     volume: float
-    time_a: float
-    time_b: float
+    time_legacy: float
+    time_distributed: float
     time_ratio: float
-    peak_memory_a: float
-    peak_memory_b: float
+    mem_legacy: float
+    mem_distributed: float
     memory_ratio: float
-    cpu_a: float
-    cpu_b: float
+    cpu_legacy: float
+    cpu_distributed: float
     cpu_ratio: float
-
-
-@dataclasses.dataclass(frozen=True)
-class ComparisonReport:
-    label_a: str
-    label_b: str
-    rows: tuple
 
 
 def _ratio(b, a):
     return b / a if a else math.inf
 
 
-def compare(traces_a, traces_b, volumes, label_a="legacy", label_b="distributed"):
-    """Per-volume time/memory/cpu pairs and b/a ratios, plot-ready."""
+def compare(legacy_traces, distributed_traces, volumes):
+    """One ComparisonRow per volume: time, peak memory and cpu of each run."""
     rows = []
-    for trace_a, trace_b, volume in zip(traces_a, traces_b, volumes):
-        mem_a = max(trace_a.peak_memory.values(), default=0.0)
-        mem_b = max(trace_b.peak_memory.values(), default=0.0)
+    for legacy, distributed, volume in zip(legacy_traces, distributed_traces, volumes):
+        mem_legacy = max(legacy.peak_memory.values(), default=0.0)
+        mem_distributed = max(distributed.peak_memory.values(), default=0.0)
         rows.append(
             ComparisonRow(
                 volume=volume,
-                time_a=trace_a.consumed_time,
-                time_b=trace_b.consumed_time,
-                time_ratio=_ratio(trace_b.consumed_time, trace_a.consumed_time),
-                peak_memory_a=mem_a,
-                peak_memory_b=mem_b,
-                memory_ratio=_ratio(mem_b, mem_a),
-                cpu_a=trace_a.cpu_integral,
-                cpu_b=trace_b.cpu_integral,
-                cpu_ratio=_ratio(trace_b.cpu_integral, trace_a.cpu_integral),
+                time_legacy=legacy.consumed_time,
+                time_distributed=distributed.consumed_time,
+                time_ratio=_ratio(distributed.consumed_time, legacy.consumed_time),
+                mem_legacy=mem_legacy,
+                mem_distributed=mem_distributed,
+                memory_ratio=_ratio(mem_distributed, mem_legacy),
+                cpu_legacy=legacy.cpu_integral,
+                cpu_distributed=distributed.cpu_integral,
+                cpu_ratio=_ratio(distributed.cpu_integral, legacy.cpu_integral),
             )
         )
-    return ComparisonReport(label_a, label_b, tuple(rows))
+    return tuple(rows)
 
 
-def write_comparison(path, report):
-    header = [
-        "volume",
-        "time_%s" % report.label_a,
-        "time_%s" % report.label_b,
-        "time_ratio",
-        "mem_%s" % report.label_a,
-        "mem_%s" % report.label_b,
-        "memory_ratio",
-        "cpu_%s" % report.label_a,
-        "cpu_%s" % report.label_b,
-        "cpu_ratio",
-    ]
-    lines = ["\t".join(header)]
-    for row in report.rows:
-        lines.append(
-            "\t".join(
-                repr(v)
-                for v in (
-                    row.volume,
-                    row.time_a,
-                    row.time_b,
-                    row.time_ratio,
-                    row.peak_memory_a,
-                    row.peak_memory_b,
-                    row.memory_ratio,
-                    row.cpu_a,
-                    row.cpu_b,
-                    row.cpu_ratio,
-                )
-            )
-        )
+def write_comparison(path, rows):
+    lines = ["\t".join(f.name for f in dataclasses.fields(ComparisonRow))]
+    lines += ["\t".join(map(repr, dataclasses.astuple(row))) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -393,25 +327,18 @@ def collect_pilot_stats(pipeline, cluster, cost, workloads, grid, seeds):
     for entry in grid:
         for workload in workloads:
             n = workload.n_records
+            if entry is None:
+                on_cluster, prepare_instances, kind = estimation_cluster, 1, "estimation"
+                nc = ns = n
+            else:
+                nc = max(1, min(int(entry[0]), n))
+                ns = max(1, min(int(entry[1]), nc))
+                on_cluster, prepare_instances, kind = cluster, None, "configuration"
             for seed in seeds:
                 try:
-                    if entry is None:
-                        plan = deploy(
-                            pipeline,
-                            estimation_cluster,
-                            cost,
-                            workload,
-                            prepare_instances=1,
-                            nc=n,
-                            ns=n,
-                        )
-                        _, record = run(plan, workload, cost, seed=seed, kind="estimation")
-                    else:
-                        nc = max(1, min(int(entry[0]), n))
-                        ns = max(1, min(int(entry[1]), nc))
-                        plan = deploy(pipeline, cluster, cost, workload, nc=nc, ns=ns)
-                        _, record = run(plan, workload, cost, seed=seed, kind="configuration")
-                    records.append(record)
+                    plan = deploy(pipeline, on_cluster, cost, workload,
+                                  prepare_instances=prepare_instances, nc=nc, ns=ns)
+                    records.append(run(plan, workload, cost, seed=seed, kind=kind)[1])
                 except SimError as exc:  # keep going row by row
-                    errors.append((entry, workload.n_records, seed, repr(exc)))
+                    errors.append((entry, n, seed, repr(exc)))
     return records, errors

@@ -5,6 +5,7 @@ import itertools
 import math
 
 MB = 2**20
+MAX_NOISE_AMPLITUDE = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,8 +74,8 @@ class CostModel:
         for name in ("thr_retrieve", "thr_slice", "thr_prepare", "thr_store"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive" % name)
-        if not 0.0 <= self.noise_amplitude <= 0.5:
-            raise ValueError("noise amplitude must be in [0, 0.5]")
+        if not 0.0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE:
+            raise ValueError("noise amplitude must be in [0, %r]" % MAX_NOISE_AMPLITUDE)
 
     def slice_working_mb(self, nc, record_bytes):
         return self.alpha_slice * nc * record_bytes / MB + self.beta_slice

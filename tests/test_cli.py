@@ -283,6 +283,10 @@ class TestContract:
         ({"learn": {"target_nmae": -1}}, ["pilot", "--dry-run"]),
         ({"simulate": {"durations": [True]}}, ["simulate", "--legacy-only"]),
         ({"cloud": {"fast_storage": 5}}, ["configure"]),
+        ({"simulate": {"durations": [0.5]}}, ["simulate", "--legacy-only"]),
+        ({"simulate": {"durations": [0.5]}}, ["simulate"]),
+        ({"pilot": {"noise_amplitude": 0.7}}, ["simulate", "--legacy-only"]),
+        ({"pilot": {"noise_amplitude": 0.7}}, ["report"]),
     ])
     def test_config_errors_in_a_stage_print_one_status_line(self, tmp_path, overrides, command):
         result = invoke(write_project(tmp_path, **overrides), *command)

@@ -449,6 +449,8 @@ class TestPilotRecords:
         bad = make_pilot_record(kind="configuration", slice_size=2000.0)
         assert any("ns <= nc" in v for v in bad.violations())
         assert make_pilot_record(total_time=0.1).violations()
+        assert make_pilot_record(storage_mode="ssd").violations() == [
+            "unknown storage mode 'ssd'"]
 
     def test_target_name_sets(self):
         assert set(ESTIMATION_TARGETS) == {

@@ -1,10 +1,12 @@
 """Simulator: placement, execution traces, legacy baseline, comparisons."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
 
+from semcloud.learning import PilotRunRecord
 from semcloud.sim import (
     ClusterSpec,
     CostModel,
@@ -149,6 +151,44 @@ class TestRun:
         assert trace.consumed_time == 0.0
         assert record.chunk_size == 0.0 and record.slice_size == 0.0
 
+    def test_noisy_run_with_a_restart_is_golden(self):
+        # Pins the exact output of one noisy run across refactors of the
+        # engine: the RNG draw order, the instance choice and the restart.
+        cost = CostModel(noise_amplitude=0.05)
+        workload = small_workload(n=530)
+        plan = deploy(None, default_cluster(), cost, workload, prepare_instances=3,
+                      nc=100, ns=7)
+        instances = tuple(
+            dataclasses.replace(inst, reservation_mb=inst.reservation_mb / 2)
+            if inst.step == "slice" else inst
+            for inst in plan.instances
+        )
+        trace, record = run(dataclasses.replace(plan, instances=instances), workload,
+                            cost, seed=20261018)
+        assert len(trace.intervals) == 172
+        assert hashlib.sha256(repr(trace.intervals).encode()).hexdigest() == (
+            "a45f53b859d148aa47069e6307489c04684dd8419180f679069b7f10d1bc93e5")
+        assert trace.step_windows == {
+            "retrieve": (0.0, 0.026533484270502235),
+            "slice": (0.025146504014014262, 0.08792575797442073),
+            "prepare": (0.06522355792456298, 1.513623747383113),
+            "store": (0.14032959023975095, 1.5340675659382952),
+        }
+        assert [(c.name, c.published, c.delivered, c.acknowledged)
+                for c in trace.channels] == [
+            ("chunks", 6, 6, 6), ("slices", 80, 80, 80), ("prepared", 80, 80, 80)]
+        assert trace.restarts == 1
+        assert record == PilotRunRecord(
+            pipeline="p1", no_records=530.0, volume=0.6318092346191406,
+            chunk_size=100.0, slice_size=7.0, slice_time=0.06277925396040647,
+            prepare_time=1.4484001894585499, slice_memory=66.08124496604978,
+            prepare_memory=99.63000749903607, slice_storage=0.6140610986771233,
+            prepare_storage=0.794059303941559, store_storage=0.6686098842496914,
+            slice_memory_reservation=33.78775463104248,
+            prepare_memory_reservation=100.84380941390992, storage_mode="fast",
+            total_time=1.5340675659382952, cpu_integral=4403.587921528562,
+            kind="configuration")
+
     def test_pilot_record_is_valid(self):
         cost = CostModel(noise_amplitude=0.05)
         workload = small_workload()
@@ -274,8 +314,7 @@ class TestCompareAndPilots:
         workload = small_workload()
         plan = deploy(None, default_cluster(), cost, workload, nc=100, ns=10)
         trace, _ = run(plan, workload, cost)
-        report = compare([trace], [trace], [workload.volume_mb])
-        row = report.rows[0]
+        row, = compare([trace], [trace], [workload.volume_mb])
         assert row.time_ratio == pytest.approx(1.0)
         assert row.memory_ratio == pytest.approx(1.0)
         assert row.cpu_ratio == pytest.approx(1.0)
@@ -289,9 +328,7 @@ class TestCompareAndPilots:
             plan = deploy(None, default_cluster(), cost, workload, nc=100, ns=10)
             traces.append(run(plan, workload, cost)[0])
             volumes.append(workload.volume_mb)
-        report = compare(traces, traces, volumes, "a", "b")
-        assert len(report.rows) == 2
-        assert report.label_b == "b"
+        assert len(compare(traces, traces, volumes)) == 2
 
     def test_collect_pilot_stats_kinds_and_errors(self):
         cost = CostModel(noise_amplitude=0.05)
