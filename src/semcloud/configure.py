@@ -29,10 +29,12 @@ def slicing_objective(time_model, n, v, ts, tp, space):
     objective answers the searches' scalar calls from that table.
     """
     grid = list(space.candidates())
-    rows = [{"volume": v, "no_records": n, "chunk_size": nc, "slice_size": ns,
-             "slice_time": ts, "prepare_time": tp} for nc, ns in grid]
-    X = np.array([[row[f] for f in TIME_FEATURES] for row in rows], dtype=float)
-    X = X.reshape(len(grid), len(TIME_FEATURES))
+    nc, ns = np.array(grid, dtype=float).reshape(-1, 2).T
+    columns = {"volume": v, "no_records": n, "chunk_size": nc, "slice_size": ns,
+               "slice_time": ts, "prepare_time": tp}
+    X = np.empty((len(grid), len(TIME_FEATURES)))
+    for j, feature in enumerate(TIME_FEATURES):
+        X[:, j] = columns[feature]
     table = dict(zip(grid, predict_method(time_model, X).tolist()))
 
     def objective(nc, ns):

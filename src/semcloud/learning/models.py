@@ -287,10 +287,42 @@ def fit_knn(X, y, k: int) -> KNNModel:
     return KNNModel(k=k, samples=standardizer.apply(X), targets=y, standardizer=standardizer)
 
 
-# Rows scored per broadcast block in predict_knn: the block's
-# (rows, samples, features) difference array holds about this many floats
-# (512 KB).  Larger blocks were no faster and raise peak memory.
-_KNN_BLOCK_ELEMENTS = 1 << 16
+# Rows scored per block in predict_knn: the block's (rows, samples) distance
+# matrix holds at most this many floats (128 KB); the sum over features keeps
+# one more matrix that size per term in flight (eight lanes from 8 features
+# on).  A 241-row, 562-sample call took the same time from 2**13 to 2**16,
+# while its peak memory grew from 350 to 1700 KB.
+_KNN_BLOCK_ELEMENTS = 1 << 14
+
+
+def _ordered_sum(term, start, stop):
+    """``term(start) + ... + term(stop - 1)``, added in the order np.sum adds
+    a contiguous axis of ``stop - start`` values, so the totals are the same
+    bit for bit.
+
+    numpy sums such an axis pairwise: one term after another below 8 terms;
+    from 8 to 128 in eight interleaved lanes, combined as
+    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the remainder one by one;
+    above 128 as two halves split at a multiple of 8.  Each ``term(j)`` must
+    return a fresh array, because the sum accumulates into it.
+    """
+    n = stop - start
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _ordered_sum(term, start, start + half) + _ordered_sum(term, start + half, stop)
+    if n < 8:
+        total, rest = term(start), start + 1
+    else:
+        lanes = [term(start + j) for j in range(8)]
+        rest = stop - n % 8
+        for base in range(start + 8, rest, 8):
+            for j, lane in enumerate(lanes):
+                lane += term(base + j)
+        l0, l1, l2, l3, l4, l5, l6, l7 = lanes
+        total = ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+    for j in range(rest, stop):
+        total += term(j)
+    return total
 
 
 def _nearest(dist: np.ndarray, k: int):
@@ -324,11 +356,19 @@ def predict_knn(model: KNNModel, X) -> np.ndarray:
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
     Xs = model.standardizer.apply(X)
+    columns = np.ascontiguousarray(model.samples.T)
     out = np.empty(Xs.shape[0])
-    rows = max(1, _KNN_BLOCK_ELEMENTS // model.samples.size)
+    rows = max(1, _KNN_BLOCK_ELEMENTS // columns.shape[1])
     for start in range(0, Xs.shape[0], rows):
         block = Xs[start:start + rows]
-        dist = np.sqrt(np.sum((model.samples[None, :, :] - block[:, None, :]) ** 2, axis=2))
+
+        def squared(j):
+            d = columns[j] - block[:, j:j + 1]
+            d *= d
+            return d
+
+        # the per-row algorithm's np.sum over the feature axis, bit for bit
+        dist = np.sqrt(_ordered_sum(squared, 0, columns.shape[0]))
         nearest, d = _nearest(dist, model.k)
         targets = model.targets[nearest]
         exact = d[:, 0] == 0.0  # exact stored point: its target, no weighting

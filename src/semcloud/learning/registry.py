@@ -157,37 +157,86 @@ def model_to_dict(model) -> dict:
     raise LearningError(f"cannot serialize {type(model).__name__}")
 
 
+def _whole(value, name, low, high=None):
+    """``value`` if it is an int in ``[low, high]`` (no upper bound when None)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value > high)):
+        raise LearningError(f"model {name} must be an integer in [{low}, "
+                            f"{'inf' if high is None else high}], got {value!r}")
+    return value
+
+
+def _finite_array(value, name, shape, positive=False):
+    """``value`` as a finite float array of ``shape``; a None length is any
+    length from 1 up.  With ``positive`` every entry must be above zero."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if (array is None or array.ndim != len(shape)
+            or any(have != want if want is not None else have < 1
+                   for have, want in zip(array.shape, shape))
+            or not np.all(np.isfinite(array)) or (positive and np.any(array <= 0.0))):
+        expected = ", ".join("n" if want is None else str(want) for want in shape)
+        raise LearningError(f"model {name} must be a finite{' positive' if positive else ''} "
+                            f"array of shape ({expected}), got {value!r:.80}")
+    return array
+
+
+def _standardizer(payload, n_features):
+    return Standardizer(mean=_finite_array(payload["mean"], "mean", (n_features,)),
+                        scale=_finite_array(payload["scale"], "scale", (n_features,),
+                                            positive=True))
+
+
 def model_from_dict(data: dict):
+    """The model ``data`` describes.  LearningError when a value is malformed
+    or the shapes disagree, so a bad model file fails where it is loaded."""
     if data.get("format") != MODEL_FORMAT:
         raise LearningError(f"unsupported model format {data.get('format')!r}")
     method = data["method"]
+    hyper = data["hyperparameters"]
     payload = data["payload"]
     if method == "polyr":
+        degree = _whole(hyper["degree"], "degree", 1)
+        n_features = _whole(payload["n_features"], "n_features", 1)
+        cross_terms = bool(hyper.get("cross_terms", False))
+        n_weights = degree * n_features + 1
+        if cross_terms:
+            n_weights += n_features * (n_features - 1) // 2
         return PolyRModel(
-            degree=int(data["hyperparameters"]["degree"]),
-            weights=np.asarray(payload["weights"]),
-            n_features=int(payload["n_features"]),
-            feature_scale=np.asarray(payload["feature_scale"]),
-            cross_terms=bool(data["hyperparameters"].get("cross_terms", False)),
+            degree=degree,
+            weights=_finite_array(payload["weights"], "weights", (n_weights,)),
+            n_features=n_features,
+            feature_scale=_finite_array(payload["feature_scale"], "feature_scale",
+                                        (n_features,), positive=True),
+            cross_terms=cross_terms,
             rank_deficient=bool(payload.get("rank_deficient", False)),
         )
     if method == "mlp":
+        weights, n_in = [], None
+        for layer, w in enumerate(payload["weights"]):
+            weights.append(_finite_array(w, f"weights[{layer}]", (None, n_in)))
+            n_in = weights[-1].shape[0]
+        if n_in != 1:
+            raise LearningError("model weights must chain down to one output")
+        if len(payload["biases"]) != len(weights):
+            raise LearningError(f"model has {len(weights)} weight layers "
+                                f"but {len(payload['biases'])} biases")
         return MLPModel(
-            weights=[np.asarray(w) for w in payload["weights"]],
-            biases=[np.asarray(b) for b in payload["biases"]],
-            standardizer=Standardizer(
-                mean=np.asarray(payload["mean"]), scale=np.asarray(payload["scale"])
-            ),
-            target_scale=float(payload["target_scale"]),
+            weights=weights,
+            biases=[_finite_array(b, f"biases[{layer}]", (w.shape[0],))
+                    for layer, (b, w) in enumerate(zip(payload["biases"], weights))],
+            standardizer=_standardizer(payload, weights[0].shape[1]),
+            target_scale=float(_finite_array(payload["target_scale"], "target_scale", ())),
         )
     if method == "knn":
+        samples = _finite_array(payload["samples"], "samples", (None, None))
         return KNNModel(
-            k=int(data["hyperparameters"]["k"]),
-            samples=np.asarray(payload["samples"]),
-            targets=np.asarray(payload["targets"]),
-            standardizer=Standardizer(
-                mean=np.asarray(payload["mean"]), scale=np.asarray(payload["scale"])
-            ),
+            k=_whole(hyper["k"], "k", 1, samples.shape[0]),
+            samples=samples,
+            targets=_finite_array(payload["targets"], "targets", (samples.shape[0],)),
+            standardizer=_standardizer(payload, samples.shape[1]),
         )
     raise LearningError(f"unknown method {method!r}")
 
@@ -203,5 +252,5 @@ def load_model(path):
     try:
         with open(path) as fh:
             return model_from_dict(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, LearningError) as exc:
         raise LearningError(f"cannot load model file {path}: {type(exc).__name__}: {exc}") from None

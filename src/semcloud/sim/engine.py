@@ -189,7 +189,7 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
             windows[step] = (min(s for s, *_ in spans), max(e for _, e, *_ in spans))
         restarts += sum(inst.restarted for inst in instances)
         if channel is not None:
-            channels.append(QueueChannel(channel, len(out), len(out), len(out)))
+            channels.append(QueueChannel(channel, len(out)))
         messages = out
 
     trace = build_trace(intervals, windows, channels)

@@ -116,12 +116,7 @@ class StepInstance:
 @dataclasses.dataclass
 class QueueChannel:
     name: str
-    published: int = 0
-    delivered: int = 0
-    acknowledged: int = 0
-
-    def conserved(self):
-        return self.published == self.delivered == self.acknowledged
+    published: int
 
 
 @dataclasses.dataclass

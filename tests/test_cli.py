@@ -1,5 +1,6 @@
 """Command-line interface: the full loop on a small project config."""
 
+import json
 import os
 import pathlib
 import re
@@ -212,6 +213,22 @@ class TestContract:
         path.write_text(path.read_text()[:100])
         result = invoke(write_project(tmp_path), "configure")
         self.assert_failure(result, "configure", 1, "LearningError")
+        assert "time_model.json" in result.combined
+
+    @pytest.mark.parametrize("command", ["configure", "report"])
+    @pytest.mark.parametrize("key, value", [("k", 0), ("k", 2.5), ("targets", [1.0])])
+    def test_malformed_time_model(self, tmp_path, completed_chain, command, key, value):
+        _, workdir, _ = completed_chain
+        copy = tmp_path / "out"
+        shutil.copytree(workdir, copy)
+        path = copy / "models" / "time_model.json"
+        data = json.loads(path.read_text())
+        assert data["method"] == "knn"
+        section = "hyperparameters" if key == "k" else "payload"
+        data[section][key] = value
+        path.write_text(json.dumps(data))
+        result = invoke(write_project(tmp_path), command)
+        self.assert_failure(result, command, 1, "LearningError")
         assert "time_model.json" in result.combined
 
     def test_report_needs_only_the_time_model(self, tmp_path, completed_chain):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semcloud.datalog import MissingExternal
-from semcloud.learning.models import _KNN_BLOCK_ELEMENTS
+from semcloud.learning.models import _KNN_BLOCK_ELEMENTS, _ordered_sum
 from semcloud.learning import (
     CONFIGURATION_TARGETS,
     ESTIMATION_TARGETS,
@@ -179,7 +179,7 @@ class TestKNNBlocks:
     def assert_bitwise(model, X):
         assert predict_knn(model, X).tobytes() == per_row_knn(model, X).tobytes()
 
-    @pytest.mark.parametrize("features", [1, 2, 4, 6, 9])
+    @pytest.mark.parametrize("features", [1, 2, 4, 6, 7, 8, 9, 130])
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_random_data(self, features, k):
         rng = np.random.RandomState(features * 10 + k)
@@ -213,10 +213,18 @@ class TestKNNBlocks:
         rng = np.random.RandomState(4)
         X = rng.randn(300, 4)
         model = fit_knn(X, rng.randn(300), k=3)
-        rows = _KNN_BLOCK_ELEMENTS // model.samples.size
+        rows = _KNN_BLOCK_ELEMENTS // model.samples.shape[0]
         queries = rng.randn(2 * rows + 7, 4)
         self.assert_bitwise(model, queries)
         self.assert_bitwise(model, queries[: rows + 1])
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 128, 129, 300])
+def test_ordered_sum_adds_in_numpys_order(width):
+    rng = np.random.RandomState(width)
+    terms = rng.randn(40, width) * 10.0 ** rng.randint(-8, 9, size=(40, width))
+    total = _ordered_sum(lambda j: terms[:, j].copy(), 0, width)
+    assert total.tobytes() == np.sum(terms, axis=-1).tobytes()
 
 
 ROW_MODELS = [
@@ -431,6 +439,38 @@ class TestRegistryAndPersistence:
         model = fit_knn(np.ones((3, 1)), np.arange(3.0), k=1)
         clone = model_from_dict(model_to_dict(model))
         assert np.array_equal(clone.samples, model.samples)
+
+    @pytest.mark.parametrize("method, section, key, value", [
+        ("knn", "hyperparameters", "k", 0),
+        ("knn", "hyperparameters", "k", 2.5),
+        ("knn", "hyperparameters", "k", True),
+        ("knn", "hyperparameters", "k", 16),
+        ("knn", "payload", "samples", [1.0, 2.0]),
+        ("knn", "payload", "samples", [[0.0, float("nan")]] * 15),
+        ("knn", "payload", "targets", [1.0, 2.0]),
+        ("knn", "payload", "mean", [0.0]),
+        ("knn", "payload", "scale", [1.0, 0.0]),
+        ("polyr", "payload", "weights", [1.0, 2.0]),
+        ("polyr", "hyperparameters", "cross_terms", False),
+        ("polyr", "payload", "feature_scale", [1.0]),
+        ("polyr", "payload", "n_features", 3),
+        ("mlp", "payload", "biases", [[0.1, 0.1], [0.1]]),
+        ("mlp", "payload", "biases", [[0.1, 0.1, 0.1]]),
+        ("mlp", "payload", "weights", [[[1.0, 1.0]] * 3]),
+        ("mlp", "payload", "weights", [[[1.0, 1.0]] * 3, [[1.0, 1.0]]]),
+        ("mlp", "payload", "mean", [0.0, 0.0, 0.0]),
+        ("mlp", "payload", "target_scale", float("inf")),
+    ])
+    def test_malformed_model_dict_rejected(self, method, section, key, value):
+        X = np.column_stack([np.linspace(0, 2, 15), np.linspace(1, 5, 15) ** 2])
+        y = 1.0 + X[:, 0] + X[:, 1]
+        params = {"knn": {"k": 2}, "polyr": {"degree": 2, "cross_terms": True},
+                  "mlp": {"hidden_widths": (3,), "epochs": 2}}[method]
+        data = model_to_dict(fit_method(method, X, y, params))
+        model_from_dict(data)
+        data[section][key] = value
+        with pytest.raises(LearningError):
+            model_from_dict(data)
 
 
 class TestPilotRecords:
