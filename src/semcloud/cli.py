@@ -50,6 +50,13 @@ from .sim import (
     write_trace,
 )
 
+# Fixed hyper-parameters of report's minimal-training-fraction sweep.
+SWEEP_HYPERPARAMETERS = {
+    "polyr": {"degree": 2},
+    "knn": {"k": 2},
+    "mlp": {"hidden_widths": (10, 9), "epochs": 300},
+}
+
 _DOMAIN_ERRORS = (
     ConfigureError,
     DatalogError,
@@ -65,6 +72,11 @@ def _status(command, ok, **fields):
     parts = ["semcloud-status", "command=%s" % command, "ok=%d" % (1 if ok else 0)]
     parts += ["%s=%s" % (k, v) for k, v in sorted(fields.items())]
     click.echo(" ".join(parts), err=True)
+
+
+def _format_hyperparameters(params):
+    """``k=v,...`` in key order, the ``hyperparameters`` cell of a report."""
+    return ",".join("%s=%s" % kv for kv in sorted(params.items()))
 
 
 def _run_command(ctx, command, body):
@@ -163,7 +175,7 @@ def learn(ctx, methods):
         data_lines = ["\t".join(["target", "method", "hyperparameters", "nmae"])]
         timing_lines = ["\t".join(["target", "learning_time_ms", "inference_time_ms"])]
         for name, report in rows:
-            params = ",".join("%s=%s" % kv for kv in sorted(report.hyperparameters.items()))
+            params = _format_hyperparameters(report.hyperparameters)
             data_lines.append("\t".join([name, report.method, params, repr(report.nmae)]))
             timing_lines.append("\t".join([
                 name, "%.3f" % report.learning_time_ms, "%.6f" % report.inference_time_ms,
@@ -289,6 +301,25 @@ def simulate(ctx, legacy_only):
     _run_command(ctx, "simulate", body)
 
 
+def _last_time_ratio(path):
+    """The ``time_ratio`` cell of comparison.tsv's last row, as written."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as exc:
+        raise SimError("cannot read %s (%s)" % (path, exc)) from None
+    header = lines[0].split("\t") if lines else []
+    last = lines[-1].split("\t") if len(lines) > 1 else []
+    if "time_ratio" not in header or len(last) != len(header):
+        raise SimError("%s has no time_ratio row; run `semcloud simulate` again" % path)
+    cell = last[header.index("time_ratio")]
+    try:
+        float(cell)
+    except ValueError:
+        raise SimError("%s: time_ratio %r is not a number" % (path, cell)) from None
+    return cell
+
+
 @main.command()
 @click.pass_context
 def report(ctx):
@@ -300,6 +331,10 @@ def report(ctx):
         if not (have_pilot and have_models):
             click.echo("nothing to report: run pilot and learn first")
             return {"rows": 0}
+        comparison_path = cfg.path("reports", "comparison.tsv")
+        # read before any report is rewritten, so a bad file changes nothing
+        time_ratio = (_last_time_ratio(comparison_path)
+                      if os.path.exists(comparison_path) else None)
         os.makedirs(cfg.reports_dir, exist_ok=True)
         records = read_pilot_csv(cfg.pilot_csv)
         time_model = _load_model(cfg, "time_model")
@@ -317,18 +352,18 @@ def report(ctx):
 
         plan = cfg.learn_plan()
         fractions = (0.05, 0.074, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0)
-        lines = ["\t".join(["method", "fraction", "nmae", "min_fraction"])]
+        lines = ["\t".join(["method", "fraction", "nmae", "min_fraction", "hyperparameters"])]
         data = training_frame(records, "func_ms")
-        params = {"polyr": {"degree": 2}, "knn": {"k": 2},
-                  "mlp": {"hidden_widths": (10, 9), "epochs": 300}}
         for method in plan["methods"]:
+            params = SWEEP_HYPERPARAMETERS[method]
             sweep, min_fraction = min_train_fraction_sweep(
-                method, params[method], data, plan["target_nmae"], fractions
+                method, params, data, plan["target_nmae"], fractions
             )
             for fraction, score in sweep:
                 lines.append("\t".join([
                     method, repr(fraction), repr(score),
                     "" if min_fraction is None else repr(min_fraction),
+                    _format_hyperparameters(params),
                 ]))
             click.echo("%s: minimal training fraction %s"
                        % (method, min_fraction if min_fraction is not None else "not reached"))
@@ -337,11 +372,8 @@ def report(ctx):
 
         summary = ["sweet spot: slice_size=%d predicted_time=%s"
                    % min(curve, key=lambda p: (p[1] if math.isfinite(p[1]) else math.inf, -p[0]))]
-        comparison_path = cfg.path("reports", "comparison.tsv")
-        if os.path.exists(comparison_path):
-            with open(comparison_path) as fh:
-                last = fh.read().splitlines()[-1].split("\t")
-            summary.append("largest volume time ratio: %s" % last[3])
+        if time_ratio is not None:
+            summary.append("largest volume time ratio: %s" % time_ratio)
         with open(cfg.path("reports", "summary.txt"), "w") as fh:
             fh.write("\n".join(summary) + "\n")
         for line in summary:

@@ -1,6 +1,7 @@
 """Deterministic event simulation of distributed and legacy executions."""
 
 import dataclasses
+import heapq
 import math
 
 import numpy as np
@@ -117,7 +118,7 @@ class _Instance:
         self.restarted = False
 
     def process(self, ready_at, service, intervals):
-        start = max(ready_at, self.available_at)
+        start = self.available_at if self.available_at > ready_at else ready_at
         if self.oomed and not self.restarted:
             # working set over reservation: the step restarts once and
             # the elapsed phase time is paid again
@@ -127,10 +128,6 @@ class _Instance:
         self.available_at = end
         intervals.append((start, end, self.spec.node, self.spec.working_mb, self.cpu))
         return end
-
-
-def _pick(instances):
-    return min(instances, key=lambda inst: (inst.available_at, inst.spec.index))
 
 
 def _chunk_sizes(n, nc):
@@ -148,15 +145,16 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
     arrival order, on the earliest-available of its instances, for
     ``(size / throughput + overhead) * noise`` seconds.  Deterministic
     for a given seed: one noise draw per message, step by step, then
-    five for the record.
+    five for the record; each step draws its messages' noise at once.
     """
     rng = np.random.RandomState(cost.noise_seed if seed is None else seed)
     amp = cost.noise_amplitude
 
-    def noise():
+    def noise(k):
+        """k multiplicative factors; draws nothing when amp is 0."""
         if amp == 0.0:
-            return 1.0
-        return 1.0 + amp * (2.0 * rng.rand() - 1.0)
+            return [1.0] * k
+        return (1.0 + amp * (2.0 * rng.rand(k) - 1.0)).tolist()
 
     lam = plan.cluster.queue_latency
     n = workload.n_records
@@ -172,13 +170,16 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
     intervals, windows, channels, restarts = [], {}, [], 0
     for step, thr, overhead, channel in steps:
         instances = [_Instance(spec, cost) for spec in plan.step_instances(step)]
-        only = instances[0] if len(instances) == 1 else None
+        # the earliest-available instance, lowest index first, is on top
+        free = [(0.0, inst.spec.index, inst) for inst in instances]
+        heapq.heapify(free)
         split = step == "slice"
         first = len(intervals)
         out = []
-        for size, ready in messages:
-            inst = only or _pick(instances)
-            end = inst.process(ready, (size / thr + overhead) * noise(), intervals) + lam
+        for (size, ready), factor in zip(messages, noise(len(messages))):
+            _, index, inst = free[0]
+            end = inst.process(ready, (size / thr + overhead) * factor, intervals) + lam
+            heapq.heapreplace(free, (inst.available_at, index, inst))
             if split:
                 for piece in _chunk_sizes(size, plan.ns):
                     out.append((piece, end))
@@ -200,6 +201,7 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
     tp = _window_len(windows.get("prepare"))
     rec_nc = min(plan.nc, n) if n else 0
     rec_ns = min(plan.ns, rec_nc) if n else 0
+    f_ms, f_mp, f_ssl, f_spr, f_sst = noise(5)
     record = PilotRunRecord(
         pipeline=plan.pipeline,
         no_records=float(n),
@@ -208,11 +210,11 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
         slice_size=float(rec_ns),
         slice_time=ts,
         prepare_time=tp,
-        slice_memory=cost.slice_working_mb(plan.nc, workload.record_bytes) * noise(),
-        prepare_memory=cost.prepare_working_mb(plan.ns, workload.record_bytes) * noise(),
-        slice_storage=cost.expansion_slice * volume * noise(),
-        prepare_storage=cost.expansion_prepare * volume * noise(),
-        store_storage=cost.expansion_store * volume * noise(),
+        slice_memory=cost.slice_working_mb(plan.nc, workload.record_bytes) * f_ms,
+        prepare_memory=cost.prepare_working_mb(plan.ns, workload.record_bytes) * f_mp,
+        slice_storage=cost.expansion_slice * volume * f_ssl,
+        prepare_storage=cost.expansion_prepare * volume * f_spr,
+        store_storage=cost.expansion_store * volume * f_sst,
         slice_memory_reservation=plan.step_instances("slice")[0].reservation_mb,
         prepare_memory_reservation=plan.step_instances("prepare")[0].reservation_mb,
         storage_mode=plan.storage_mode,
@@ -317,10 +319,11 @@ def collect_pilot_stats(pipeline, cluster, cost, workloads, grid, seeds):
 
     grid entries are either None (canonical estimation run: single legacy
     node, unsliced, one prepare instance) or (nc, ns) pairs clamped to
-    the workload size.  One record per (entry, seed, workload); rows
-    whose run raises a SimError (a grid entry that does not fit the
-    cluster) are skipped and reported in the error list.  Any other
-    exception is a bug and propagates.
+    the workload size.  One record per (entry, seed, workload).  The
+    plan does not depend on the seed, so each (entry, workload) is
+    deployed once; when that raises a SimError (a grid entry that does
+    not fit the cluster), its rows are skipped and reported in the error
+    list, one per seed.  Any other exception is a bug and propagates.
     """
     estimation_cluster = ClusterSpec(nodes=(legacy_node(),), queue_latency=cluster.queue_latency)
     records, errors = [], []
@@ -334,11 +337,12 @@ def collect_pilot_stats(pipeline, cluster, cost, workloads, grid, seeds):
                 nc = max(1, min(int(entry[0]), n))
                 ns = max(1, min(int(entry[1]), nc))
                 on_cluster, prepare_instances, kind = cluster, None, "configuration"
+            try:
+                plan = deploy(pipeline, on_cluster, cost, workload,
+                              prepare_instances=prepare_instances, nc=nc, ns=ns)
+            except SimError as exc:  # keep going entry by entry
+                errors += [(entry, n, seed, repr(exc)) for seed in seeds]
+                continue
             for seed in seeds:
-                try:
-                    plan = deploy(pipeline, on_cluster, cost, workload,
-                                  prepare_instances=prepare_instances, nc=nc, ns=ns)
-                    records.append(run(plan, workload, cost, seed=seed, kind=kind)[1])
-                except SimError as exc:  # keep going row by row
-                    errors.append((entry, n, seed, repr(exc)))
+                records.append(run(plan, workload, cost, seed=seed, kind=kind)[1])
     return records, errors

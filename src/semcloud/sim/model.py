@@ -1,6 +1,7 @@
 """Cluster, cost model, and trace data types."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -124,21 +125,40 @@ class RunTrace:
     """One run as its busy intervals, plus the totals callers read.
 
     ``intervals`` are (start, end, node, mem_mb, cpu) tuples and are the
-    only stored form of the run; ``times`` are their distinct boundaries
-    in ascending order.  The totals come straight from the intervals:
-    ``consumed_time`` is the last end, ``cpu_integral`` the sum of
-    (end - start) * cpu, and ``peak_memory`` the highest per-node level.
-    ``write_trace`` expands the intervals into per-node step series.
+    only stored form of the run.  The totals are set when the trace is
+    built: ``consumed_time`` is the last end and ``cpu_integral`` the sum
+    of (end - start) * cpu.  ``times`` (the distinct boundaries, in
+    ascending order) and ``peak_memory`` (the highest per-node level)
+    come from one sweep of the intervals, made when either is first read
+    and then kept.  ``write_trace`` expands the intervals into per-node
+    step series.
     """
 
     intervals: list
-    times: list
     step_windows: dict  # step -> (start, end)
     consumed_time: float
     cpu_integral: float  # millicore*s
-    peak_memory: dict  # node -> MB
     channels: list = dataclasses.field(default_factory=list)
     restarts: int = 0
+
+    @functools.cached_property
+    def _levels(self):
+        times = []
+        peak = dict.fromkeys(sorted({node for _, _, node, _, _ in self.intervals}), 0.0)
+        for t, changed, mem, _ in _sweep(self.intervals):
+            times.append(t)
+            for node in changed:
+                if mem[node] > peak[node]:
+                    peak[node] = mem[node]
+        return times, peak
+
+    @property
+    def times(self):
+        return self._levels[0]
+
+    @property
+    def peak_memory(self):  # node -> MB
+        return self._levels[1]
 
 
 def _sweep(intervals):
@@ -169,20 +189,11 @@ def _sweep(intervals):
 def build_trace(intervals, step_windows, channels=None):
     """Assemble a RunTrace from (start, end, node, mem_mb, cpu) intervals."""
     intervals = list(intervals)
-    times = []
-    peak = dict.fromkeys(sorted({node for _, _, node, _, _ in intervals}), 0.0)
-    for t, changed, mem, _ in _sweep(intervals):
-        times.append(t)
-        for node in changed:
-            if mem[node] > peak[node]:
-                peak[node] = mem[node]
     return RunTrace(
         intervals=intervals,
-        times=times,
         step_windows=dict(step_windows),
         consumed_time=max((end for _, end, *_ in intervals), default=0.0),
         cpu_integral=math.fsum((end - start) * cpu for start, end, _, _, cpu in intervals),
-        peak_memory=peak,
         channels=list(channels or []),
     )
 
@@ -194,15 +205,25 @@ def write_trace(path, trace):
     nodes in name order.  Each boundary gives two rows, the levels just
     before and just after its changes, so the trapezoidal integral of a
     column over ``time`` is the exact integral of the step function.
+    The "before" row is the previous "after" row, and only the cells of
+    the nodes that changed at a boundary are formatted again.
     """
-    nodes = sorted(trace.peak_memory)
+    nodes = sorted({node for _, _, node, _, _ in trace.intervals})
+    column = {node: j for j, node in enumerate(nodes)}
+    width = len(nodes)
     header = ["time"]
     header += ["mem_%s" % n for n in nodes]
     header += ["cpu_%s" % n for n in nodes]
-    levels = "\t".join(["0.0"] * 2 * len(nodes))
+    cells = ["0.0"] * 2 * width
+    before = "\t".join(cells)
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
-        for t, _, mem, cpu in _sweep(trace.intervals):
-            fh.write("%r\t%s\n" % (t, levels))
-            levels = "\t".join([repr(mem[n]) for n in nodes] + [repr(cpu[n]) for n in nodes])
-            fh.write("%r\t%s\n" % (t, levels))
+        for t, changed, mem, cpu in _sweep(trace.intervals):
+            for node in set(changed):
+                j = column[node]
+                cells[j] = repr(mem[node])
+                cells[width + j] = repr(cpu[node])
+            after = "\t".join(cells)
+            stamp = repr(t)
+            fh.write("%s\t%s\n%s\t%s\n" % (stamp, before, stamp, after))
+            before = after

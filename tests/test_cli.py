@@ -92,6 +92,14 @@ class TestChain:
         _, _, results = completed_chain
         assert "configured_resource(" in results["configure"].combined
 
+    def test_sweep_rows_name_their_hyperparameters(self, completed_chain):
+        _, workdir, _ = completed_chain
+        text = pathlib.Path(workdir, "reports", "min_train_fraction.tsv").read_text()
+        header, *rows = [line.split("\t") for line in text.splitlines()]
+        assert header == ["method", "fraction", "nmae", "min_fraction", "hyperparameters"]
+        labels = {row[0]: row[-1] for row in rows}
+        assert labels == {"polyr": "degree=2", "knn": "k=2"}
+
     def test_configured_facts_hold_one_configuration(self, completed_chain):
         _, workdir, _ = completed_chain
         text = pathlib.Path(workdir, "configured_facts.dl").read_text()
@@ -238,6 +246,23 @@ class TestContract:
         result = invoke(write_project(tmp_path), "report")
         assert result.exit_code == 0, result.combined
         assert status_lines(result)[0].startswith("semcloud-status command=report ok=1 ")
+
+    @pytest.mark.parametrize("cut", [
+        lambda lines: [],
+        lambda lines: lines[:1],
+        lambda lines: lines[:-1] + [lines[-1][:10]],
+    ], ids=["empty", "header-only", "short-last-row"])
+    def test_malformed_comparison_file(self, tmp_path, completed_chain, cut):
+        _, workdir, _ = completed_chain
+        shutil.copytree(workdir, tmp_path / "out")
+        path = tmp_path / "out" / "reports" / "comparison.tsv"
+        path.write_text("".join(cut(path.read_text().splitlines(keepends=True))))
+        earlier = tmp_path / "out" / "reports" / "sweet_spot.tsv"
+        earlier.write_text("stale\n")
+        result = invoke(write_project(tmp_path), "report")
+        self.assert_failure(result, "report", 1, "SimError")
+        assert "comparison.tsv" in result.combined
+        assert earlier.read_text() == "stale\n"
 
     @pytest.mark.parametrize("command", [["gen"], ["pilot", "--dry-run"]])
     def test_negative_machine_count(self, tmp_path, command):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import io
 import math
 
 import pytest
 
-from semcloud.learning import PilotRunRecord
+from semcloud.kg import frequent_pipeline
+from semcloud.learning import PilotRunRecord, write_pilot_csv
 from semcloud.sim import (
     ClusterSpec,
     CostModel,
@@ -247,6 +249,28 @@ class TestTrace:
         assert trace.times == [0.0, 0.5, 1.0, 2.0]
         assert trace.peak_memory == {"a": 10.0, "b": 4.0}
 
+    def test_totals_are_set_before_the_series_is_swept(self):
+        intervals = [(0.0, 1.0, "a", 10.0, 100.0), (0.5, 2.0, "b", 4.0, 50.0)]
+        trace = build_trace(intervals, {})
+        stored = vars(trace)
+        assert stored["consumed_time"] == 2.0
+        assert stored["cpu_integral"] == 175.0
+        assert not {"times", "peak_memory"} & set(stored)
+        assert all(not name.startswith("_") for name in stored)
+
+    def test_series_read_before_writing_equal_those_read_after(self, tmp_path):
+        cost = CostModel(noise_amplitude=0.05)
+        workload = small_workload(n=530)
+        plan = deploy(None, default_cluster(), cost, workload, nc=100, ns=7)
+        read_first, _ = run(plan, workload, cost, seed=3)
+        written_first, _ = run(plan, workload, cost, seed=3)
+        times, peaks = list(read_first.times), dict(read_first.peak_memory)
+        write_trace(str(tmp_path / "a.tsv"), read_first)
+        write_trace(str(tmp_path / "b.tsv"), written_first)
+        assert read_first.times == times == written_first.times
+        assert read_first.peak_memory == peaks == written_first.peak_memory
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
     def test_written_series_agree_with_totals(self, tmp_path):
         cost = CostModel(noise_amplitude=0.05)
         workload = small_workload(n=530)
@@ -342,6 +366,30 @@ class TestCompareAndPilots:
         est = [r for r in records if r.kind == "estimation"][0]
         assert est.chunk_size == 400.0 and est.slice_size == 400.0
 
+    def test_collect_pilot_stats_is_golden(self):
+        # Pins every pilot row of a small noisy grid across refactors of
+        # the engine: the noise draws, the choice among five preparers and
+        # the slice restart (its reservation is below its working set).
+        cost = CostModel(noise_amplitude=0.05)
+        graph = frequent_pipeline()
+        graph = graph.with_tasks(
+            dataclasses.replace(task, memory_reservation=30.0) if task.kind == "Slice"
+            else task
+            for task in graph.tasks)
+        workloads = [small_workload(n=530), small_workload(n=250, rb=625)]
+        grid = [None, (100, 7), (530, 53)]
+        plan = deploy(graph, default_cluster(), cost, workloads[0], nc=100, ns=7)
+        assert plan.prepare_instances == 5
+        assert run(plan, workloads[0], cost, seed=1)[0].restarts == 1
+        records, errors = collect_pilot_stats(
+            graph, default_cluster(), cost, workloads, grid, seeds=[1, 2])
+        assert errors == []
+        assert len(records) == 12
+        stream = io.StringIO()
+        write_pilot_csv(records, stream)
+        assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == (
+            "cffae2644f7c2ef424da67eb6fe3cb90492922ea170c3564fc722f08248dceb5")
+
     def test_collect_pilot_stats_skips_a_grid_entry_that_does_not_fit(self):
         tiny = ClusterSpec(nodes=(NodeSpec("n1", 100.0, 4096.0, 2000.0),))
         records, errors = collect_pilot_stats(
@@ -352,6 +400,25 @@ class TestCompareAndPilots:
         entry, n, seed, message = errors[0]
         assert (entry, n, seed) == ((400, 400), 400, 1)
         assert "InsufficientResources" in message
+
+    def test_collect_pilot_stats_deploys_once_per_entry_and_workload(self, monkeypatch):
+        from semcloud.sim import engine
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["nc"])
+            return deploy(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "deploy", counting)
+        tiny = ClusterSpec(nodes=(NodeSpec("n1", 100.0, 4096.0, 2000.0),))
+        records, errors = collect_pilot_stats(
+            None, tiny, quiet_cost(), [small_workload(n=400)],
+            [None, (400, 400)], seeds=[1, 2, 3])
+        assert calls == [400, 400]
+        assert len(records) == 3
+        assert [(entry, seed) for entry, _, seed, _ in errors] == [
+            ((400, 400), 1), ((400, 400), 2), ((400, 400), 3)]
 
     def test_collect_pilot_stats_lets_a_bug_through(self, monkeypatch):
         def broken(*args, **kwargs):
