@@ -11,44 +11,7 @@ import os
 
 import click
 
-from .config import ConfigError, derive_seed, load_config
-from .configure import (
-    ConfigureError,
-    build_registry,
-    configure_pipeline,
-    slicing_objective,
-    target_pilot_record,
-)
-from .datalog import DatalogError, MissingExternal, dump_facts
-from .datalog.corpus import ALL_EXTERNALS
-from .etl import EtlError, generate_workload
-from .kg import PipelineGraphError, frequent_pipeline, parse_pipeline, serialize_pipeline
-from .learning import (
-    DEFAULT_GRIDS,
-    LearningError,
-    learn_externals,
-    learn_time_model,
-    load_model,
-    min_train_fraction_sweep,
-    read_pilot_csv,
-    save_model,
-    training_frame,
-    write_pilot_csv,
-)
-from .learning.workflow import EXTERNAL_TARGETS
-from .optimizer import sweet_spot_curve, write_curve
-from .optimizer.search import OptimizerError
-from .sim import (
-    SimError,
-    SimWorkload,
-    collect_pilot_stats,
-    compare,
-    deploy,
-    run,
-    run_legacy,
-    write_comparison,
-    write_trace,
-)
+from .config import ConfigError, checked_setting, derive_seed, load_config
 
 # Fixed hyper-parameters of report's minimal-training-fraction sweep.
 SWEEP_HYPERPARAMETERS = {
@@ -57,15 +20,72 @@ SWEEP_HYPERPARAMETERS = {
     "mlp": {"hidden_widths": (10, 9), "epochs": 300},
 }
 
-_DOMAIN_ERRORS = (
-    ConfigureError,
-    DatalogError,
-    EtlError,
-    LearningError,
-    OptimizerError,
-    PipelineGraphError,
-    SimError,
-)
+
+# The layer functions the stages call through this module's namespace.  Each
+# imports its layer when it is first called, so a process loads only the
+# layers its command runs, and a wrapper set on ``semcloud.cli.<name>`` (as
+# bench/tracer.py sets one) still sees every call the CLI makes.  Each takes
+# its function from a module where that tracer sets no wrapper of its own, so
+# a traced call still makes one span; configure_pipeline has no such module.
+
+def generate_workload(*args, **kwargs):
+    from .etl.workload import generate_workload
+    return generate_workload(*args, **kwargs)
+
+
+def collect_pilot_stats(*args, **kwargs):
+    from .sim import collect_pilot_stats
+    return collect_pilot_stats(*args, **kwargs)
+
+
+def learn_externals(*args, **kwargs):
+    from .learning import learn_externals
+    return learn_externals(*args, **kwargs)
+
+
+def learn_time_model(*args, **kwargs):
+    from .learning import learn_time_model
+    return learn_time_model(*args, **kwargs)
+
+
+def min_train_fraction_sweep(*args, **kwargs):
+    from .learning import min_train_fraction_sweep
+    return min_train_fraction_sweep(*args, **kwargs)
+
+
+def parse_pipeline(*args, **kwargs):
+    from .kg.document import parse_pipeline
+    return parse_pipeline(*args, **kwargs)
+
+
+def serialize_pipeline(*args, **kwargs):
+    from .kg.document import serialize_pipeline
+    return serialize_pipeline(*args, **kwargs)
+
+
+def configure_pipeline(*args, **kwargs):
+    from .configure import configure_pipeline
+    return configure_pipeline(*args, **kwargs)
+
+
+def deploy(*args, **kwargs):
+    from .sim import deploy
+    return deploy(*args, **kwargs)
+
+
+def run(*args, **kwargs):
+    from .sim import run
+    return run(*args, **kwargs)
+
+
+def run_legacy(*args, **kwargs):
+    from .sim import run_legacy
+    return run_legacy(*args, **kwargs)
+
+
+def write_trace(*args, **kwargs):
+    from .sim import write_trace
+    return write_trace(*args, **kwargs)
 
 
 def _status(command, ok, **fields):
@@ -80,10 +100,16 @@ def _format_hyperparameters(params):
 
 
 def _run_command(ctx, command, body):
-    """Load the project config, run ``body(cfg)``, print one status line."""
+    """Load the project config, run ``body(cfg)``, print one status line.
+
+    A domain error, or an OSError such as a workdir that names a file,
+    exits 1; a bad project file or option exits 2.
+    """
+    from .errors import DomainError
+
     try:
         fields = body(load_config(ctx.obj["config_path"])) or {}
-    except _DOMAIN_ERRORS as exc:
+    except (DomainError, OSError) as exc:
         click.echo("error: %s" % exc, err=True)
         _status(command, False, error=type(exc).__name__)
         ctx.exit(1)
@@ -131,6 +157,8 @@ def pilot(ctx, dry_run):
     """Collect pilot running statistics from instrumented simulations."""
 
     def body(cfg):
+        from .learning import write_pilot_csv
+
         runs = cfg.pilot_runs()
         if dry_run:
             click.echo("would run %d estimation + %d configuration simulations"
@@ -153,15 +181,17 @@ def pilot(ctx, dry_run):
 
 @main.command()
 @click.option("--methods", multiple=True,
-              type=click.Choice(list(DEFAULT_GRIDS)),
-              help="Restrict the candidate methods.")
+              help="Restrict the candidate methods (the rule of learn.methods).")
 @click.pass_context
 def learn(ctx, methods):
     """Fit the rule externals and the time model from pilot statistics."""
 
     def body(cfg):
+        from .learning import read_pilot_csv, save_model
+
         plan = cfg.learn_plan()
-        chosen = tuple(methods) or tuple(plan["methods"])
+        chosen = (checked_setting("learn", "methods", list(methods), "--methods")
+                  if methods else tuple(plan["methods"]))
         records = read_pilot_csv(cfg.pilot_csv)
         models, reports = learn_externals(records, methods=chosen)
         time_model, time_report = learn_time_model(records, method=plan["time_method"])
@@ -191,6 +221,9 @@ def learn(ctx, methods):
 
 
 def _load_model(cfg, name):
+    from .datalog import MissingExternal
+    from .learning import load_model
+
     path = os.path.join(cfg.models_dir, name + ".json")
     if not os.path.exists(path):
         raise MissingExternal("model file %s is missing; run `semcloud learn` first" % path)
@@ -205,6 +238,13 @@ def configure(ctx, pipeline_path):
     """Derive the resource configuration via the rule corpus."""
 
     def body(cfg):
+        from .configure import build_registry, target_pilot_record
+        from .datalog import dump_facts
+        from .datalog.corpus import ALL_EXTERNALS
+        from .kg import frequent_pipeline
+        from .learning import EXTERNAL_TARGETS, read_pilot_csv
+        from .sim import SimWorkload
+
         spec = cfg.workload_spec()
         target = SimWorkload.from_spec(spec)
         cloud = cfg.cloud_attributes()
@@ -213,7 +253,7 @@ def configure(ctx, pipeline_path):
             try:
                 with open(pipeline_path) as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError("cannot read pipeline document: %s" % exc)
             graph = parse_pipeline(text)
         records = read_pilot_csv(cfg.pilot_csv)
@@ -265,6 +305,9 @@ def simulate(ctx, legacy_only):
     """Simulate the configured pipeline against the legacy baseline."""
 
     def body(cfg):
+        from .configure import ConfigureError
+        from .sim import compare, write_comparison
+
         workloads = cfg.timed_workloads("simulate")
         cluster = cfg.cluster_spec()
         cost = cfg.cost_model(noise_amplitude=0.0)
@@ -303,6 +346,8 @@ def simulate(ctx, legacy_only):
 
 def _last_time_ratio(path):
     """The ``time_ratio`` cell of comparison.tsv's last row, as written."""
+    from .sim import SimError
+
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -326,6 +371,11 @@ def report(ctx):
     """Consolidate sweet-spot and minimal-training-data series."""
 
     def body(cfg):
+        from .configure import slicing_objective, target_pilot_record
+        from .learning import read_pilot_csv, training_frame
+        from .optimizer import sweet_spot_curve, write_curve
+        from .sim import SimWorkload
+
         have_pilot = os.path.exists(cfg.pilot_csv)
         have_models = os.path.exists(os.path.join(cfg.models_dir, "time_model.json"))
         if not (have_pilot and have_models):

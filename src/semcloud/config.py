@@ -1,17 +1,16 @@
-"""Project configuration: one YAML file drives the whole loop."""
+"""Project configuration: one YAML file drives the whole loop.
+
+Each layer is imported by the accessor that builds its objects, so a stage
+loads only the layers it asks the config for.
+"""
+
+from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
-
-import yaml
-
-from .etl import WorkloadSpec
-from .kg import CloudAttributes
-from .learning import DEFAULT_GRIDS
-from .optimizer import SearchSpace
-from .sim import MAX_NOISE_AMPLITUDE, ClusterSpec, CostModel, SimWorkload, default_cluster
 
 
 class ConfigError(Exception):
@@ -57,36 +56,56 @@ def _list(rule):
 _POSITIVE = _number()
 _NON_NEGATIVE = _number(allow_zero=True)
 _COUNT = _number(integer=True)
-_METHOD = ("one of %s" % sorted(DEFAULT_GRIDS),
-           lambda value: value if isinstance(value, str) and value in DEFAULT_GRIDS else None)
 _SYMBOL = ("a non-empty string", lambda value: value if isinstance(value, str) and value else None)
 
-# Every key each section may set, and the rule its value must pass.  The
-# defaults live in the type each section builds (WorkloadSpec,
-# default_cluster, CostModel, CloudAttributes, SearchSpace), or in
-# _DEFAULTS for the plans no type owns.
-_RULES = {
-    "workload": {"production_lines": _COUNT, "machines": _COUNT, "duration": _POSITIVE,
-                 "rate": _POSITIVE, "record_bytes": _COUNT},
-    "cluster": {"nodes": _COUNT, "node_memory": _POSITIVE, "node_storage": _POSITIVE,
-                "queue_latency": _NON_NEGATIVE},
-    # The noise is not a project setting: each caller passes its amplitude,
-    # and each noisy run gets its own seed.
-    "cost": {f.name: (_COUNT if f.type is int
-                      else _POSITIVE if f.name.startswith("thr_") else _NON_NEGATIVE)
-             for f in dataclasses.fields(CostModel)
-             if f.name not in ("noise_amplitude", "noise_seed")},
-    "cloud": {"id": _SYMBOL, "memory_buffer_coefficient": _POSITIVE,
-              "storage_buffer_coefficient": _POSITIVE, "max_memory_coefficient": _POSITIVE,
-              "node_memory": _POSITIVE, "node_storage": _POSITIVE,
-              "fast_storage": _SYMBOL, "cloud_storage": _SYMBOL},
-    "search": {"nc_steps": _COUNT, "ns_steps": _COUNT, "span": _COUNT},
-    "pilot": {"durations": _list(_POSITIVE), "record_bytes": _list(_COUNT),
-              "estimation_seeds": _COUNT, "configuration_seeds": _COUNT,
-              "noise_amplitude": _number(allow_zero=True, at_most=MAX_NOISE_AMPLITUDE)},
-    "learn": {"methods": _list(_METHOD), "time_method": _METHOD, "target_nmae": _POSITIVE},
-    "simulate": {"durations": _list(_POSITIVE)},
-}
+
+@functools.cache
+def _rules():
+    """Every key each section may set, and the rule its value must pass.
+
+    The defaults live in the type each section builds (WorkloadSpec,
+    default_cluster, CostModel, CloudAttributes, SearchSpace), or in
+    _DEFAULTS for the plans no type owns.  Built on the first check, since
+    it reads CostModel's fields, the noise bound and the learning methods.
+    """
+    from .learning import DEFAULT_GRIDS
+    from .sim import MAX_NOISE_AMPLITUDE, CostModel
+
+    method = ("one of %s" % sorted(DEFAULT_GRIDS),
+              lambda value: value if isinstance(value, str) and value in DEFAULT_GRIDS else None)
+    return {
+        "workload": {"production_lines": _COUNT, "machines": _COUNT, "duration": _POSITIVE,
+                     "rate": _POSITIVE, "record_bytes": _COUNT},
+        "cluster": {"nodes": _COUNT, "node_memory": _POSITIVE, "node_storage": _POSITIVE,
+                    "queue_latency": _NON_NEGATIVE},
+        # The noise is not a project setting: each caller passes its amplitude,
+        # and each noisy run gets its own seed.
+        "cost": {f.name: (_COUNT if f.type is int
+                          else _POSITIVE if f.name.startswith("thr_") else _NON_NEGATIVE)
+                 for f in dataclasses.fields(CostModel)
+                 if f.name not in ("noise_amplitude", "noise_seed")},
+        "cloud": {"id": _SYMBOL, "memory_buffer_coefficient": _POSITIVE,
+                  "storage_buffer_coefficient": _POSITIVE, "max_memory_coefficient": _POSITIVE,
+                  "node_memory": _POSITIVE, "node_storage": _POSITIVE,
+                  "fast_storage": _SYMBOL, "cloud_storage": _SYMBOL},
+        "search": {"nc_steps": _COUNT, "ns_steps": _COUNT, "span": _COUNT},
+        "pilot": {"durations": _list(_POSITIVE), "record_bytes": _list(_COUNT),
+                  "estimation_seeds": _COUNT, "configuration_seeds": _COUNT,
+                  "noise_amplitude": _number(allow_zero=True, at_most=MAX_NOISE_AMPLITUDE)},
+        "learn": {"methods": _list(method), "time_method": method, "target_nmae": _POSITIVE},
+        "simulate": {"durations": _list(_POSITIVE)},
+    }
+
+
+def checked_setting(section, key, value, name=None):
+    """``value`` parsed by the rule of ``<section>.<key>``; a ConfigError
+    naming ``name`` (the setting by default) if it fails the rule."""
+    what, check = _rules()[section][key]
+    checked = check(value)
+    if checked is None:
+        raise ConfigError("%s must be %s, got %r" % (name or "%s.%s" % (section, key), what, value))
+    return checked
+
 
 _DEFAULTS = {
     "pilot": {"durations": (21.6, 43.2, 64.8, 86.4), "record_bytes": (625, 1250, 2500),
@@ -97,25 +116,21 @@ _DEFAULTS = {
 
 
 def _checked(config):
-    """Check every setting of ``config`` against _RULES; the sections with parsed values."""
+    """Check every setting of ``config`` against _rules(); the sections with parsed values."""
     if (isinstance(config.seed, bool) or not isinstance(config.seed, int)
             or not isinstance(config.workdir, str)):
         raise ConfigError("seed must be an integer and workdir a path, got %r and %r"
                           % (config.seed, config.workdir))
     sections = {}
-    for section, rules in _RULES.items():
+    for section, rules in _rules().items():
         values = getattr(config, section)
         if not isinstance(values, dict):
             raise ConfigError("config section %s must be a mapping, got %r" % (section, values))
         unknown = sorted("%s.%s" % (section, key) for key in set(values) - set(rules))
         if unknown:
             raise ConfigError("unknown settings: %s" % ", ".join(unknown))
-        sections[section] = checked = {}
-        for key, value in values.items():
-            what, check = rules[key]
-            checked[key] = check(value)
-            if checked[key] is None:
-                raise ConfigError("%s.%s must be %s, got %r" % (section, key, what, value))
+        sections[section] = {key: checked_setting(section, key, value)
+                             for key, value in values.items()}
     return sections
 
 
@@ -147,7 +162,7 @@ class PilotRuns:
 
 @dataclasses.dataclass(frozen=True)
 class ProjectConfig:
-    """The project file's settings, each checked against _RULES when it is built."""
+    """The project file's settings, each checked against _rules() when it is built."""
 
     workdir: str = "out"
     seed: int = 0
@@ -194,12 +209,16 @@ class ProjectConfig:
 
     # domain objects
     def workload_spec(self, **overrides):
+        from .etl import WorkloadSpec
+
         try:
             return WorkloadSpec(**dict(self.workload, **overrides))
         except ValueError as exc:
             raise ConfigError("bad workload settings: %s" % exc)
 
     def cluster_spec(self):
+        from .sim import default_cluster
+
         # default_cluster sizes the nodes; ClusterSpec holds the queue latency.
         nodes = {"node_count" if key == "nodes" else key: value
                  for key, value in self.cluster.items() if key != "queue_latency"}
@@ -207,15 +226,21 @@ class ProjectConfig:
         return dataclasses.replace(default_cluster(**nodes), **latency)
 
     def cost_model(self, **overrides):
+        from .sim import CostModel
+
         return CostModel(**dict(self.cost, **overrides))
 
     def cloud_attributes(self):
+        from .kg import CloudAttributes
+
         # The cloud's nodes are the cluster's unless the section says otherwise.
         node = self.cluster_spec().nodes[0]
         return CloudAttributes(**dict(
             {"node_memory": node.node_memory, "node_storage": node.node_storage}, **self.cloud))
 
     def search_space(self, n):
+        from .optimizer import SearchSpace
+
         return SearchSpace(n=n, **self.search)
 
     def pilot_plan(self):
@@ -228,6 +253,8 @@ class ProjectConfig:
         sizes default to the workload's.  A duration that gives a machine
         no record is a ConfigError naming ``<section>.durations``.
         """
+        from .sim import SimWorkload
+
         spec = self.workload_spec()
         durations = dict(_DEFAULTS[section], **getattr(self, section))["durations"]
         workloads = tuple(
@@ -242,6 +269,8 @@ class ProjectConfig:
         return workloads
 
     def pilot_runs(self):
+        from .sim import SimWorkload
+
         plan = self.pilot_plan()
         base = derive_seed(self.seed, "pilot")
         target = SimWorkload.from_spec(self.workload_spec())
@@ -265,6 +294,8 @@ class ProjectConfig:
 
 
 def load_config(path):
+    import yaml
+
     try:
         with open(path) as fh:
             tree = yaml.safe_load(fh) or {}

@@ -13,12 +13,13 @@ import numpy as np
 
 from .datalog import ExternalRegistry, evaluate, query
 from .datalog.corpus import configuration_program
+from .errors import DomainError
 from .kg import ResourceConfiguration, apply_configuration, to_facts
 from .learning import TIME_FEATURES, predict_method, register_externals
 from .optimizer import SearchSpace, optimize_slicing
 
 
-class ConfigureError(Exception):
+class ConfigureError(DomainError):
     pass
 
 

@@ -1,4 +1,7 @@
-class DatalogError(Exception):
+from ..errors import DomainError
+
+
+class DatalogError(DomainError):
     """Base class for every engine error."""
 
 

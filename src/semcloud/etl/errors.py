@@ -1,4 +1,7 @@
-class EtlError(Exception):
+from ..errors import DomainError
+
+
+class EtlError(DomainError):
     pass
 
 

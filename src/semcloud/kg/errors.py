@@ -1,4 +1,7 @@
-class PipelineGraphError(Exception):
+from ..errors import DomainError
+
+
+class PipelineGraphError(DomainError):
     """Base class for pipeline-graph errors."""
 
 

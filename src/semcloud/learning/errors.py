@@ -1,4 +1,7 @@
-class LearningError(Exception):
+from ..errors import DomainError
+
+
+class LearningError(DomainError):
     """Base class for model-fitting errors."""
 
 

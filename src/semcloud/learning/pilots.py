@@ -11,7 +11,6 @@ import csv
 import io
 from dataclasses import asdict, dataclass, fields
 
-from ..kg.model import STORAGE_MODES
 from .errors import LearningError
 
 RUN_KINDS = ("estimation", "configuration")
@@ -39,6 +38,8 @@ class PilotRunRecord:
     kind: str  # estimation | configuration
 
     def violations(self) -> list:
+        from ..kg.model import STORAGE_MODES
+
         problems = []
         for f in fields(self):
             if f.type == "float" and getattr(self, f.name) < 0:
@@ -110,6 +111,6 @@ def read_pilot_csv(stream_or_path) -> list:
     try:
         with open(stream_or_path, newline="") as stream:
             return _read(stream)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LearningError(
             f"cannot read pilot stats ({exc}); run `semcloud pilot` first") from None

@@ -12,8 +12,6 @@ import json
 
 import numpy as np
 
-from ..datalog.corpus import ALL_EXTERNALS, RANGE_SIZE
-from ..datalog.engine import ExternalRegistry
 from .errors import LearningError, SignatureMismatch
 from .models import (
     KNNModel,
@@ -22,8 +20,6 @@ from .models import (
     Standardizer,
 )
 from .tuning import predict_method
-
-EXTERNAL_ARITY = dict(ALL_EXTERNALS)
 
 MODEL_FORMAT = "semcloud-model/1"
 
@@ -52,6 +48,8 @@ TIME_TARGET = "total_time"
 
 def training_frame(records, external: str):
     """(X, y) arrays for one external, drawn from the matching run kind."""
+    from ..datalog.corpus import RANGE_SIZE
+
     if external in ESTIMATION_TARGETS:
         features, target = ESTIMATION_TARGETS[external]
         rows = [r for r in records if r.kind == "estimation"]
@@ -91,11 +89,15 @@ def register_externals(models: dict, registry: ExternalRegistry | None = None) -
     SignatureMismatch when a model's feature count differs from the call
     signature's arity.
     """
+    from ..datalog.corpus import ALL_EXTERNALS
+    from ..datalog.engine import ExternalRegistry
+
+    arities = dict(ALL_EXTERNALS)
     registry = registry or ExternalRegistry()
     for name, model in models.items():
-        if name not in EXTERNAL_ARITY:
+        if name not in arities:
             raise SignatureMismatch(f"@{name} is not a known external")
-        arity = EXTERNAL_ARITY[name]
+        arity = arities[name]
         n_features = getattr(model, "n_features", None)
         if n_features != arity:
             raise SignatureMismatch(

@@ -9,8 +9,10 @@ and slice counts.  Candidate pairs always satisfy ``1 <= ns <= nc <= n``.
 import dataclasses
 import math
 
+from ..errors import DomainError
 
-class OptimizerError(Exception):
+
+class OptimizerError(DomainError):
     pass
 
 

@@ -186,8 +186,11 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
             else:
                 out.append((size, end))
         if len(intervals) > first:
-            spans = intervals[first:]
-            windows[step] = (min(s for s, *_ in spans), max(e for _, e, *_ in spans))
+            # No interval starts before the step's first: retrieve's messages
+            # are all ready at 0, slice and prepare receive theirs in arrival
+            # order, prepare's earliest-free time only rises, and each
+            # single-instance step serves first in, first out.
+            windows[step] = (intervals[first][0], max(inst.available_at for inst in instances))
         restarts += sum(inst.restarted for inst in instances)
         if channel is not None:
             channels.append(QueueChannel(channel, len(out)))

@@ -1,4 +1,7 @@
-class SimError(Exception):
+from ..errors import DomainError
+
+
+class SimError(DomainError):
     pass
 
 

@@ -264,6 +264,41 @@ class TestContract:
         assert "comparison.tsv" in result.combined
         assert earlier.read_text() == "stale\n"
 
+    @pytest.mark.parametrize("command", ["learn", "configure", "report"])
+    def test_pilot_stats_that_are_not_utf8(self, tmp_path, completed_chain, command):
+        _, workdir, _ = completed_chain
+        shutil.copytree(workdir, tmp_path / "out")
+        (tmp_path / "out" / "pilot.csv").write_bytes(b"\xff\xfe pipeline,no_records\n")
+        result = invoke(write_project(tmp_path), command)
+        self.assert_failure(result, command, 1, "LearningError")
+        assert "cannot read pilot stats" in result.combined
+
+    def test_pipeline_document_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "pipeline.yaml"
+        path.write_bytes(b"\xff\xfe format: semcloud-pipeline/1\n")
+        result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
+        self.assert_failure(result, "configure", 2, "ConfigError")
+        assert "cannot read pipeline document" in result.combined
+
+    @pytest.mark.parametrize("command", ["gen", "pilot", "simulate"])
+    def test_workdir_that_names_a_file(self, tmp_path, command):
+        workdir = tmp_path / "out"
+        workdir.write_text("not a directory\n")
+        result = invoke(write_project(tmp_path), command)
+        assert result.exit_code == 1
+        [line] = status_lines(result)
+        assert re.fullmatch("semcloud-status command=%s ok=0 error=(FileExistsError|"
+                            "NotADirectoryError)" % command, line), line
+        assert "error: " in result.combined and str(workdir) in result.combined
+        assert "Traceback" not in result.combined
+        assert workdir.read_text() == "not a directory\n"
+
+    def test_learn_methods_option_passes_the_learn_methods_rule(self, tmp_path):
+        result = invoke(write_project(tmp_path), "learn", "--methods", "knn",
+                        "--methods", "bogus")
+        self.assert_failure(result, "learn", 2, "ConfigError")
+        assert "--methods must be a non-empty list, each one of" in result.combined
+
     @pytest.mark.parametrize("command", [["gen"], ["pilot", "--dry-run"]])
     def test_negative_machine_count(self, tmp_path, command):
         workload = dict(SMALL_PROJECT["workload"], machines=-3)
@@ -399,7 +434,7 @@ class TestContract:
 
 
 class TestProjectFileDocs:
-    """The README's project-file docs stay in step with config._RULES."""
+    """The README's project-file docs stay in step with config._rules()."""
 
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -424,4 +459,4 @@ class TestProjectFileDocs:
                 documented[name.group(1)] = {
                     key for clause in cells[1].split(";")
                     for key in re.findall(r"`(\w+)`", clause.split(":")[0])}
-        assert documented == {section: set(rules) for section, rules in config._RULES.items()}
+        assert documented == {section: set(rules) for section, rules in config._rules().items()}
