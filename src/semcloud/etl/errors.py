@@ -10,7 +10,20 @@ class UnreadableSource(EtlError):
 
 
 class MappingGap(EtlError):
-    """A source field has no unified mapping."""
+    """A source field has no unified mapping, or a record lacks a key field."""
+
+
+class BadCell(EtlError):
+    """A raw record's cell cannot become the value of its unified field."""
+
+    def __init__(self, source, index, field, value, expected="a number"):
+        self.source = source
+        self.index = index
+        self.field = field
+        self.value = value
+        super().__init__(
+            "%s: record %d: field %r holds %r, not %s" % (source, index, field, value, expected)
+        )
 
 
 class MissingReference(EtlError):

@@ -41,30 +41,34 @@ NULL_TOKEN = ""
 _POSITION = {name: i for i, name in enumerate(UNIFIED_ATTRIBUTES)}
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class UnifiedRecord:
     machine_id: str
     program_id: str
     timestamp: float
-    attributes: tuple  # ((name, value-or-None), ...) in UNIFIED_ATTRIBUTES order
+    values: tuple  # one value-or-None per name, in UNIFIED_ATTRIBUTES order
     record_bytes: int
 
+    @property
+    def attributes(self):
+        """((name, value-or-None), ...) in UNIFIED_ATTRIBUTES order."""
+        return tuple(zip(UNIFIED_ATTRIBUTES, self.values))
+
     def attribute(self, name):
-        return self.attributes[_POSITION[name]][1]
+        return self.values[_POSITION[name]]
 
     def identity(self):
         """Hashable identity for multiset comparisons."""
-        return (self.machine_id, self.program_id, self.timestamp, self.attributes)
+        return (self.machine_id, self.program_id, self.timestamp, self.values)
 
 
 def make_record(machine_id, program_id, timestamp, values, record_bytes):
     """Build a UnifiedRecord from a name->value dict; missing names are null."""
-    attrs = tuple(zip(UNIFIED_ATTRIBUTES, map(values.get, UNIFIED_ATTRIBUTES)))
     return UnifiedRecord(
         machine_id=str(machine_id),
         program_id=str(program_id),
         timestamp=float(timestamp),
-        attributes=attrs,
+        values=tuple(map(values.get, UNIFIED_ATTRIBUTES)),
         record_bytes=int(record_bytes),
     )
 
@@ -74,7 +78,7 @@ def record_cells(record):
     without record_bytes: the key fields, then each attribute's repr, or
     NULL_TOKEN for a null."""
     cells = [record.machine_id, record.program_id, repr(record.timestamp)]
-    cells += [NULL_TOKEN if value is None else repr(value) for _, value in record.attributes]
+    cells += [NULL_TOKEN if value is None else repr(value) for value in record.values]
     return cells
 
 
@@ -95,10 +99,8 @@ def read_unified(path):
     records = []
     for line in lines[1:]:
         cells = line.split("\t")
-        values = {}
-        for name, cell in zip(UNIFIED_ATTRIBUTES, cells[3:-1]):
-            values[name] = None if cell == NULL_TOKEN else float(cell)
+        values = tuple(None if cell == NULL_TOKEN else float(cell) for cell in cells[3:-1])
         records.append(
-            make_record(cells[0], cells[1], float(cells[2]), values, int(cells[-1]))
+            UnifiedRecord(cells[0], cells[1], float(cells[2]), values, int(cells[-1]))
         )
     return records

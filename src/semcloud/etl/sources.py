@@ -6,8 +6,8 @@ import json
 import re
 import xml.etree.ElementTree as ET
 
-from .errors import MappingGap, UnreadableSource
-from .records import KEY_FIELDS, make_record
+from .errors import BadCell, MappingGap, UnreadableSource
+from .records import KEY_FIELDS, NULL_TOKEN, UNIFIED_ATTRIBUTES, UnifiedRecord
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,34 +112,68 @@ def _ingest_xml(descriptor, text):
     return records, rejects
 
 
+_NULLS = (None, NULL_TOKEN)
+
+
 def map_to_unified(raw_records, descriptor):
     """Rename and coerce raw records into UnifiedRecords.
 
     Unified attributes the source does not carry come out as explicit
-    None.  A source field without a mapping raises MappingGap.
+    None, and so does a null cell: JSON null, an empty XML element or an
+    empty CSV cell.  A source field without a mapping raises MappingGap;
+    a null key, or a cell that is not a number, raises BadCell.  Records
+    with the key set of the record before them reuse its field plan.
     """
-    mapping = descriptor.mapping_dict()
     unified = []
-    for raw in raw_records:
-        values = {}
-        keys = {}
-        for field, value in raw.items():
-            prop = mapping.get(field)
-            if prop is None:
-                raise MappingGap(
-                    "%s: field %r has no unified mapping" % (descriptor.location, field)
-                )
-            if prop in KEY_FIELDS:
-                keys[prop] = value
-            elif value is not None:
-                values[prop] = float(value)
-        unified.append(
-            make_record(
-                keys["machine_id"],
-                keys["program_id"],
-                float(keys["timestamp"]),
-                values,
-                descriptor.record_bytes,
-            )
-        )
+    keys = None
+    for index, raw in enumerate(raw_records):
+        if raw.keys() != keys:
+            keys = raw.keys()
+            machine, program, stamp, fields = plan = _field_plan(keys, descriptor, index)
+        try:
+            machine_id, program_id = raw[machine], raw[program]
+            if machine_id in _NULLS or program_id in _NULLS:
+                raise ValueError
+            values = tuple([None if cell is None or cell == NULL_TOKEN else float(cell)
+                            for cell in map(raw.get, fields)])
+            unified.append(UnifiedRecord(str(machine_id), str(program_id), float(raw[stamp]),
+                                         values, descriptor.record_bytes))
+        except (TypeError, ValueError):
+            raise _bad_cell(raw, plan, descriptor.location, index) from None
     return unified
+
+
+def _field_plan(keys, descriptor, index):
+    """(machine, program, timestamp, fields): the source field of each key,
+    then of each unified attribute, or None where the record has none."""
+    mapping = descriptor.mapping_dict()
+    for field in keys:
+        if field not in mapping:
+            raise MappingGap(
+                "%s: field %r has no unified mapping" % (descriptor.location, field)
+            )
+    source_of = {prop: field for field, prop in mapping.items() if field in keys}
+    for prop in KEY_FIELDS:
+        if prop not in source_of:
+            raise MappingGap(
+                "%s: record %d has no field for %r" % (descriptor.location, index, prop)
+            )
+    return tuple(source_of[prop] for prop in KEY_FIELDS) + (
+        tuple(map(source_of.get, UNIFIED_ATTRIBUTES)),)
+
+
+def _bad_cell(raw, plan, source, index):
+    """The BadCell for the first cell of raw that its plan cannot read."""
+    machine, program, stamp, fields = plan
+    for field in (machine, program):
+        if raw[field] in _NULLS:
+            return BadCell(source, index, field, raw[field], "a key")
+    for field in (stamp,) + fields:
+        cell = raw.get(field)
+        if field != stamp and cell in _NULLS:
+            continue
+        try:
+            float(cell)
+        except (TypeError, ValueError):
+            return BadCell(source, index, field, cell)
+    raise AssertionError("%s: record %d has no bad cell" % (source, index))

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from .. import storage
 from ..datalog.corpus import DEFAULT_C1, DEFAULT_C2, DEFAULT_C3
 
 TASK_KINDS = ("Retrieve", "Slice", "Prepare", "Store")
 FREQUENCY_CLASSES = ("frequent", "infrequent")
-STORAGE_MODES = ("fast", "cloud")
+STORAGE_MODES = storage.STORAGE_MODES
 
 # typed relations a pipeline document may carry
 EDGE_RELATIONS = (

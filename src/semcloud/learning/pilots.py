@@ -11,6 +11,7 @@ import csv
 import io
 from dataclasses import asdict, dataclass, fields
 
+from ..storage import STORAGE_MODES
 from .errors import LearningError
 
 RUN_KINDS = ("estimation", "configuration")
@@ -38,8 +39,6 @@ class PilotRunRecord:
     kind: str  # estimation | configuration
 
     def violations(self) -> list:
-        from ..kg.model import STORAGE_MODES
-
         problems = []
         for f in fields(self):
             if f.type == "float" and getattr(self, f.name) < 0:

@@ -7,6 +7,7 @@ and slice counts.  Candidate pairs always satisfy ``1 <= ns <= nc <= n``.
 """
 
 import dataclasses
+import functools
 import math
 
 from ..errors import DomainError
@@ -62,10 +63,13 @@ class SearchSpace:
         return geometric_grid(nc / self.span, nc, self.ns_steps)
 
     def candidates(self):
-        for nc in self.nc_values():
-            for ns in self.ns_values(nc):
-                if 1 <= ns <= nc <= self.n:
-                    yield nc, ns
+        """Every feasible (nc, ns) pair, by nc and then ns, built once per space."""
+        return self._candidates
+
+    @functools.cached_property
+    def _candidates(self):
+        return tuple((nc, ns) for nc in self.nc_values() for ns in self.ns_values(nc)
+                     if 1 <= ns <= nc <= self.n)
 
 
 @dataclasses.dataclass(frozen=True)

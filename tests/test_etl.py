@@ -11,7 +11,9 @@ import pytest
 from semcloud.etl import (
     KEY_FIELDS,
     UNIFIED_ATTRIBUTES,
+    BadCell,
     CapacityExceeded,
+    EtlError,
     MappingGap,
     MissingReference,
     PreparedStore,
@@ -20,6 +22,7 @@ from semcloud.etl import (
     SourceDescriptor,
     UnreadableSource,
     WorkloadSpec,
+    base_records,
     generate_workload,
     ingest,
     machine_ids,
@@ -40,6 +43,15 @@ GOLDEN_DIGESTS = {
     "source_csv.csv": "bc36a744a80efb9b6844a9923693c20a29ea92b9d784bff1af667f36e0822906",
     "source_json.json": "07c8e541315debc37ae4cec15017566a67c862c65425e8d317a374dd7d62a85a",
     "source_xml.xml": "358c8c06b42f708cde472badc37f35adaa1a2029b5722487b959fbfffc6f48aa",
+}
+
+# sha256 over each source's stored slice files (.tsv and .ref, by name) after
+# GOLDEN_SPEC goes through ingest -> map -> slice -> prepare -> store.
+GOLDEN_STORE = (5, 3)  # (nc, ns)
+GOLDEN_STORED_DIGESTS = {
+    "csv": "d5e9b1b3d9b74d0b45976fd06154e37fe8b02c388bda0255daaa710e29c7c895",
+    "json": "53339a9fc55de875479bcf9331326a5ede8f2fc054b455e82720bccdcbaf4a66",
+    "xml": "12476d506989815947192f830a9b1379b3d2ee970b656b42ac87bd13e599b3d3",
 }
 
 
@@ -80,6 +92,32 @@ class TestWorkloadGeneration:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in GOLDEN_DIGESTS}
         assert digests == GOLDEN_DIGESTS
+
+    def test_golden_stored_bytes(self, tmp_path):
+        descriptors = generate_workload(GOLDEN_SPEC, str(tmp_path / "sources"))
+        programs = sorted({r.program_id for r in base_records(GOLDEN_SPEC)})
+        references = ReferenceStore(reference_entries(
+            machine_ids(GOLDEN_SPEC), programs, seed=GOLDEN_SPEC.seed))
+        digests = {}
+        for desc in descriptors:
+            raws, rejects = ingest(desc)
+            assert rejects == []
+            store = PreparedStore("fast", str(tmp_path / desc.format))
+            for slice_ in slice_records(map_to_unified(raws, desc), *GOLDEN_STORE):
+                store_prepared(prepare_slice(slice_, references), store)
+            digest = hashlib.sha256()
+            for path in sorted((tmp_path / desc.format).iterdir()):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            digests[desc.format] = digest.hexdigest()
+        assert digests == GOLDEN_STORED_DIGESTS
+
+    def test_mapped_record_layout(self, workload):
+        _, descriptors = workload
+        record = unified_all(descriptors)["xml"][0]
+        assert not hasattr(record, "__dict__")
+        assert len(record.values) == len(UNIFIED_ATTRIBUTES)
+        assert record.attributes == tuple(zip(UNIFIED_ATTRIBUTES, record.values))
+        assert dict(record.attributes)["expulsion_flag"] is None
 
     def test_json_source_is_what_json_dumps_writes(self, workload):
         _, descriptors = workload
@@ -164,6 +202,82 @@ class TestIngestion:
         with pytest.raises(MappingGap):
             map_to_unified(raws, desc)
 
+    def test_each_key_set_gets_its_own_field_plan(self, workload):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "json")
+        raws, _ = ingest(desc)
+        expected = map_to_unified(raws, desc)
+        del raws[1]["forcePeak"]
+        raws[2] = dict(reversed(raws[2].items()))
+        records = map_to_unified(raws, desc)
+        peak = UNIFIED_ATTRIBUTES.index("force_peak")
+        assert records[1].values == (
+            expected[1].values[:peak] + (None,) + expected[1].values[peak + 1:])
+        assert records[0] == expected[0] and records[2:] == expected[2:]
+
+    def test_record_without_a_key_field_is_a_mapping_gap(self, workload):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "json")
+        raws, _ = ingest(desc)
+        del raws[2]["timestamp"]
+        with pytest.raises(MappingGap, match="record 2 has no field for 'timestamp'"):
+            map_to_unified(raws, desc)
+        assert len(map_to_unified(raws[:2], desc)) == 2
+
+    @staticmethod
+    def edited(desc, tmp_path, old, new):
+        """desc over a copy of its source with the first `old` replaced by `new`."""
+        text = pathlib.Path(desc.location).read_text()
+        assert old in text
+        path = tmp_path / pathlib.Path(desc.location).name
+        path.write_text(text.replace(old, new, 1))
+        return dataclasses.replace(desc, location=str(path))
+
+    def test_empty_csv_cell_maps_to_none(self, workload, tmp_path):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "csv")
+        header, first = pathlib.Path(desc.location).read_text().splitlines()[:2]
+        column = header.split(",").index("FORCE_PEAK")
+        cells = first.split(",")
+        blanked = ",".join(cells[:column] + [NULL_TOKEN] + cells[column + 1:])
+        raws, rejects = ingest(self.edited(desc, tmp_path, first, blanked))
+        assert rejects == []
+        records = map_to_unified(raws, desc)
+        assert records[0].attribute("force_peak") is None
+        assert records[0].attribute("force_mean") == float(cells[column - 1])
+
+    def test_xml_text_is_a_bad_cell(self, workload, tmp_path):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "xml")
+        text = pathlib.Path(desc.location).read_text()
+        cell = text[text.index("<force-peak>"):text.index("</force-peak>")]
+        desc = self.edited(desc, tmp_path, cell, "<force-peak>abc")
+        raws, rejects = ingest(desc)
+        assert rejects == []
+        with pytest.raises(BadCell) as raised:
+            map_to_unified(raws, desc)
+        assert isinstance(raised.value, EtlError)
+        assert (raised.value.source, raised.value.index, raised.value.field) == (
+            desc.location, 0, "force-peak")
+        assert str(raised.value) == (
+            "%s: record 0: field 'force-peak' holds 'abc', not a number" % desc.location)
+
+    @pytest.mark.parametrize("fmt, field, cell", [
+        ("json", "forcePeak", "abc"),
+        ("json", "forcePeak", [1.0]),
+        ("json", "machineId", None),
+        ("csv", "TS", NULL_TOKEN),
+        ("csv", "PROG_NO", NULL_TOKEN),
+    ])
+    def test_bad_cell_names_source_record_and_field(self, workload, fmt, field, cell):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == fmt)
+        raws, _ = ingest(desc)
+        raws[3] = dict(raws[3], **{field: cell})
+        with pytest.raises(BadCell) as raised:
+            map_to_unified(raws, desc)
+        assert (raised.value.source, raised.value.index, raised.value.field,
+                raised.value.value) == (desc.location, 3, field, cell)
 
 
 class TestUnifiedFiles:

@@ -41,6 +41,13 @@ class TestGrids:
     def test_tiny_n(self):
         assert list(SearchSpace(n=1).candidates()) == [(1, 1)]
 
+    def test_candidates_are_built_once_in_grid_order(self):
+        space = SearchSpace(n=3870)
+        grid = [(nc, ns) for nc in space.nc_values() for ns in space.ns_values(nc)]
+        assert space.candidates() is space.candidates()
+        assert list(space.candidates()) == grid
+        assert space == SearchSpace(n=3870) and hash(space) == hash(SearchSpace(n=3870))
+
 
 class TestOptimize:
     def test_matches_exhaustive_enumeration(self):
