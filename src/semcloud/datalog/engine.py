@@ -1,7 +1,8 @@
 """Bottom-up evaluation of non-recursive programs.
 
 Rules are evaluated once each, grouped by head predicate in a topological
-order of the predicate dependency graph (``terms.rule_order``), so every rule
+order of the predicate dependency graph (``Program.order``, which
+``parse_program`` takes from ``terms.rule_order``), so every rule
 runs after each predicate it reads, comprehension conditions included, and
 the result is independent of the textual rule order.  Body elements are
 processed left to right; a binding ``x = expr`` assigns (and, if x was bound
@@ -17,7 +18,6 @@ channel; it never aborts the evaluation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,8 +41,6 @@ from .terms import (
     Rule,
     Var,
     format_body_element,
-    rule_nodes,
-    rule_order,
 )
 
 
@@ -85,11 +83,10 @@ class _InstanceFailure(Exception):
 def evaluate(program: Program, edb: FactSet, registry: ExternalRegistry,
              diagnostics: list | None = None) -> FactSet:
     """Return EDB plus all derived facts; a pure function of its arguments."""
-    order, calls = _schedule(program.rules)
-    for name, arity in calls:
+    for name, arity in program.calls:
         registry.resolve(name, arity)
     facts = edb.copy()
-    for rule in order:
+    for rule in program.order:
         for env in _match_body(rule, rule.body, {}, facts, registry, diagnostics):
             try:
                 args = tuple(_eval_term(a, env, facts, registry) for a in rule.head.args)
@@ -98,21 +95,6 @@ def evaluate(program: Program, edb: FactSet, registry: ExternalRegistry,
                 continue
             facts.add(rule.head.predicate, args)
     return facts
-
-
-@functools.lru_cache(maxsize=32)
-def _schedule(rules: tuple):
-    """The rule order and each external's ``(name, arity)``, in first-call order.
-
-    Both depend on the rules alone, and walking every node of the corpus for
-    them costs more than evaluating one pipeline, so they are kept per rule
-    tuple.
-    """
-    calls = dict.fromkeys(
-        (node.name, len(node.args)) for rule in rules for node in rule_nodes(rule)
-        if isinstance(node, ExternalCall)
-    )
-    return rule_order(rules), tuple(calls)
 
 
 def _match_body(rule, elements, env, facts, registry, diagnostics):

@@ -293,14 +293,15 @@ def _check_safety(rule: Rule) -> None:
 
 def parse_program(text: str) -> Program:
     """Parse rule text into a validated (safe, non-recursive) Program."""
-    rules = _Parser(text).parse_program()
-    rule_order(rules)
+    rules = tuple(_Parser(text).parse_program())
+    order = rule_order(rules)
     for rule in rules:
         _check_safety(rule)
-    externals = {
-        node.name for rule in rules for node in rule_nodes(rule) if isinstance(node, ExternalCall)
-    }
-    return Program(rules=tuple(rules), externals=tuple(sorted(externals)))
+    calls = dict.fromkeys(
+        (node.name, len(node.args)) for rule in rules for node in rule_nodes(rule)
+        if isinstance(node, ExternalCall)
+    )
+    return Program(rules=rules, order=order, calls=tuple(calls))
 
 
 def parse_ground_atom(text: str):

@@ -9,7 +9,7 @@ atoms, arithmetic over 64-bit floats, comparisons, variable bindings
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import ProgramRecursionError
@@ -99,8 +99,13 @@ class Rule:
 
 @dataclass(frozen=True)
 class Program:
+    """Rules plus the schedule ``evaluate`` follows: the rules in
+    ``rule_order`` and each external call's ``(name, arity)`` in first-call
+    order.  ``parse_program`` sets both once."""
+
     rules: tuple
-    externals: tuple = field(default=())  # declared external names, no '@'
+    order: tuple
+    calls: tuple
 
 
 def walk(node):

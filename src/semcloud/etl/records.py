@@ -2,6 +2,8 @@
 
 import dataclasses
 
+from .errors import UnreadableSource
+
 # Payload attribute names of the unified welding-record schema.  With
 # machine_id, program_id, and timestamp this makes 26 attributes total;
 # values are per-operation aggregates of the raw sensor channels.
@@ -92,15 +94,23 @@ def write_unified(path, records):
 
 
 def read_unified(path):
+    """The records of a file ``write_unified`` wrote.  A bad header or row
+    raises UnreadableSource naming the path and the line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or tuple(lines[0].split("\t")) != UNIFIED_HEADER:
-        raise ValueError("%s: not a unified record file" % path)
+        raise UnreadableSource("%s: line 1: not a unified record header" % path)
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        values = tuple(None if cell == NULL_TOKEN else float(cell) for cell in cells[3:-1])
-        records.append(
-            UnifiedRecord(cells[0], cells[1], float(cells[2]), values, int(cells[-1]))
-        )
+        if len(cells) != len(UNIFIED_HEADER):
+            raise UnreadableSource("%s: line %d: expected %d cells, got %d"
+                                   % (path, lineno, len(UNIFIED_HEADER), len(cells)))
+        try:
+            values = tuple(None if cell == NULL_TOKEN else float(cell) for cell in cells[3:-1])
+            records.append(
+                UnifiedRecord(cells[0], cells[1], float(cells[2]), values, int(cells[-1]))
+            )
+        except ValueError as exc:
+            raise UnreadableSource("%s: line %d: %s" % (path, lineno, exc)) from exc
     return records

@@ -50,16 +50,11 @@ class ReferenceStore:
     """Keyed snapshot of the infrequent pipeline's intermediate results.
 
     Rows are keyed by (machine_id, program_id) and hold per-machine
-    metadata plus one reference-curve vector.  refresh() swaps the whole
-    snapshot atomically; readers see the old or the new state, never a
-    mix.
+    metadata plus one reference-curve vector.
     """
 
     def __init__(self, entries=None):
         self._snapshot = dict(entries or {})
-
-    def refresh(self, entries):
-        self._snapshot = dict(entries)
 
     def lookup(self, machine_id, program_id):
         snapshot = self._snapshot
@@ -69,29 +64,6 @@ class ReferenceStore:
                 raise MissingReference(machine_id)
             raise MissingReference(machine_id, program_id)
         return snapshot[key]
-
-    def machines(self):
-        return sorted({m for m, _ in self._snapshot})
-
-    def dump(self, path):
-        lines = []
-        for (machine, program), row in sorted(self._snapshot.items()):
-            curve = ",".join(repr(v) for v in row["curve"])
-            lines.append("\t".join([machine, program, row["metadata"], curve]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        entries = {}
-        with open(path) as fh:
-            for line in fh.read().splitlines():
-                machine, program, metadata, curve = line.split("\t")
-                entries[(machine, program)] = {
-                    "metadata": metadata,
-                    "curve": tuple(float(v) for v in curve.split(",")),
-                }
-        return cls(entries)
 
 
 def reference_entries(machines, programs, seed=0):
@@ -169,7 +141,6 @@ class PreparedStore:
         self.directory = directory
         self.capacity_bytes = capacity_bytes
         self.used_bytes = 0
-        self.receipts = []
         os.makedirs(directory, exist_ok=True)
 
     def free_bytes(self):
@@ -200,6 +171,4 @@ def store_prepared(prepared, store):
     with open(location + ".ref", "w") as fh:
         fh.write("\n".join(extra) + ("\n" if extra else ""))
     store.used_bytes += needed
-    receipt = StoreReceipt(store.mode, location, needed, len(prepared.records))
-    store.receipts.append(receipt)
-    return receipt
+    return StoreReceipt(store.mode, location, needed, len(prepared.records))

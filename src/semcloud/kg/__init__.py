@@ -19,7 +19,7 @@ from .model import (
     ResourceConfiguration,
     TaskNode,
 )
-from .validate import ValidationReport, Violation, validate
+from .validate import validate
 
 __all__ = [
     "FORMAT",
@@ -37,8 +37,6 @@ __all__ = [
     "SchemaError",
     "StructureError",
     "TaskNode",
-    "ValidationReport",
-    "Violation",
     "apply_configuration",
     "frequent_pipeline",
     "infrequent_pipeline",

@@ -1,20 +1,23 @@
 """Pipeline document parsing and serialization.
 
-The primary format is a key-value tree (YAML) using the ontology vocabulary
-verbatim, versioned as ``format: semcloud-pipeline/1``.  A flat triple list
-(``triples: [[subject, property, object], ...]``) is accepted as an
-alternative spelling of the same graph; ``a`` triples assign classes.
+A document is a key-value tree (YAML) using the ontology vocabulary
+verbatim, versioned as ``format: semcloud-pipeline/1``.  Each fact of a graph
+has one spelling: a node's fields are keys of its own entry, named by
+``model.PROPERTIES``, and ``edges`` holds only ``model.EDGE_RELATIONS``.  A
+key that its section does not define is a SchemaError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import yaml
 
-from .errors import CycleError, SchemaError, StructureError
+from .errors import SchemaError
 from .model import (
     EDGE_RELATIONS,
+    PROPERTIES,
     DataEntity,
     IOHandler,
     Layer,
@@ -32,36 +35,22 @@ FORMAT = "semcloud-pipeline/1"
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_TASK_PROPS = {
-    "hasChunkSize": "chunk_size",
-    "hasSliceSize": "slice_size",
-    "hasMemoryReservation": "memory_reservation",
-    "hasStorageMode": "storage_mode",
-    "hasRequiredTime": "required_time",
-    "hasIO": "io",
-}
-
-_REQ_PROPS = {
-    "computing": "computing",
-    "memory": "memory",
-    "storage": "storage",
-    "network": "network",
-}
-
-_ENTITY_PROPS = {
-    "hasVolume": "volume",
-    "hasNoRecords": "no_records",
-    "storedAt": "location",
-}
-
+_SECTIONS = ("format", "ETLPipeline", "layers", "tasks", "data_entities", "io_handlers", "edges")
+_HEAD_KEYS = ("id", "frequency", "dependsOn")
 _LAYER_KINDS = ("RetrieveLayer", "SliceLayer", "PrepareLayer", "StoreLayer", "Layer")
+_REQUIREMENTS = tuple(f.name for f in dataclasses.fields(RequirementSet))
+_BY_PROPERTY = {
+    cls: {prop: (attr, kind) for attr, prop, kind in table}
+    for cls, table in PROPERTIES.items()
+}
 
 
 def parse_pipeline(document: str) -> PipelineGraph:
     """Parse a pipeline document, validate it, and return the graph.
 
-    Raises SchemaError on unknown classes/properties, CycleError when
-    hasNextTask is cyclic, StructureError on any other invariant violation.
+    Raises SchemaError on a malformed document or an unknown key, class or
+    relation, CycleError when hasNextTask is cyclic, StructureError on any
+    other invariant violation.
     """
     try:
         data = yaml.load(document, Loader=_Loader)
@@ -71,18 +60,15 @@ def parse_pipeline(document: str) -> PipelineGraph:
         raise SchemaError("document root must be a mapping")
     if data.get("format") != FORMAT:
         raise SchemaError(f"unsupported format {data.get('format')!r}, expected {FORMAT}")
-
-    if "triples" in data:
-        graph = _from_triples(data["triples"])
-    else:
-        graph = _from_tree(data)
-
-    report = validate(graph)
-    if not report.ok:
-        if any("cyclic" in v.message for v in report.violations):
-            raise CycleError(str(report))
-        raise StructureError(str(report))
+    graph = _from_tree(data)
+    validate(graph)
     return graph
+
+
+def _known(mapping, keys, context):
+    for key in mapping:
+        if key not in keys:
+            raise SchemaError(f"{context}: unknown key {key!r}")
 
 
 def _num(value, context):
@@ -114,68 +100,60 @@ def _items(data, key):
     return items
 
 
+def _value(kind, value, context):
+    """A property value read as its ``PROPERTIES`` type."""
+    if kind is float:
+        return _num(value, context)
+    if kind is tuple:
+        return tuple(str(x) for x in _list(value, context))
+    if kind is RequirementSet:
+        if not isinstance(value, dict):
+            raise SchemaError(f"{context}: expected a mapping, got {value!r}")
+        _known(value, _REQUIREMENTS, context)
+        return RequirementSet(**{k: _num(v, f"{context} {k}") for k, v in value.items()})
+    return str(value)
+
+
+def _node(cls, item, read, context, **fields):
+    """The ``cls`` node an entry describes.  ``fields`` holds what the caller
+    took from the ``read`` keys; every other key must be a property of cls."""
+    properties = _BY_PROPERTY[cls]
+    for key, value in item.items():
+        if key in read:
+            continue
+        if key not in properties:
+            raise SchemaError(f"{context}: unknown property {key!r}")
+        attr, kind = properties[key]
+        fields[attr] = _value(kind, value, f"{context} {key}")
+    return cls(id=str(item["id"]), **fields)
+
+
 def _from_tree(data: dict) -> PipelineGraph:
+    _known(data, _SECTIONS, "document")
     head = data.get("ETLPipeline")
     if not isinstance(head, dict) or "id" not in head:
         raise SchemaError("missing ETLPipeline section with an id")
-    pid = str(head["id"])
+    _known(head, _HEAD_KEYS, "ETLPipeline")
 
     tasks = []
     for item in _items(data, "tasks"):
         kind = item.get("type")
         if kind not in TASK_KINDS:
             raise SchemaError(f"task {item.get('id')}: unknown task class {kind!r}")
-        fields = {"id": str(item["id"]), "kind": kind}
-        for key, value in item.items():
-            if key in ("id", "type"):
-                continue
-            if key == "hasRequirementSet":
-                if not isinstance(value, dict):
-                    raise SchemaError(f"task {item['id']}: hasRequirementSet must be a mapping")
-                unknown = set(value) - set(_REQ_PROPS)
-                if unknown:
-                    raise SchemaError(f"task {item['id']}: unknown requirement fields {sorted(unknown)}")
-                fields["requirement"] = RequirementSet(
-                    **{_REQ_PROPS[k]: _num(v, f"requirement {k}") for k, v in value.items()}
-                )
-            elif key in _TASK_PROPS:
-                attr = _TASK_PROPS[key]
-                if attr in ("io", "storage_mode"):
-                    fields[attr] = str(value)
-                else:
-                    fields[attr] = _num(value, f"task {item['id']} {key}")
-            else:
-                raise SchemaError(f"task {item['id']}: unknown property {key!r}")
-        tasks.append(TaskNode(**fields))
-
-    entities = []
-    for item in _items(data, "data_entities"):
-        fields = {"id": str(item["id"])}
-        for key, value in item.items():
-            if key == "id":
-                continue
-            if key not in _ENTITY_PROPS:
-                raise SchemaError(f"data entity {item['id']}: unknown property {key!r}")
-            attr = _ENTITY_PROPS[key]
-            fields[attr] = str(value) if attr == "location" else _num(value, key)
-        entities.append(DataEntity(**fields))
+        tasks.append(_node(TaskNode, item, ("id", "type"), f"task {item['id']}", kind=kind))
+    entities = [_node(DataEntity, item, ("id",), f"data entity {item['id']}")
+                for item in _items(data, "data_entities")]
 
     layers = []
     for item in _items(data, "layers"):
+        _known(item, ("id", "type"), f"layer {item['id']}")
         kind = item.get("type", "Layer")
         if kind not in _LAYER_KINDS:
-            raise SchemaError(f"layer {item.get('id')}: unknown layer class {kind!r}")
+            raise SchemaError(f"layer {item['id']}: unknown layer class {kind!r}")
         layers.append(Layer(id=str(item["id"]), kind=kind))
 
-    handlers = []
-    for item in _items(data, "io_handlers"):
-        handlers.append(
-            IOHandler(
-                id=str(item["id"]),
-                inputs=tuple(str(x) for x in _list(item.get("hasInput"), "hasInput")),
-                outputs=tuple(str(x) for x in _list(item.get("hasOutput"), "hasOutput")),
-            )
-        )
+    handlers = [_node(IOHandler, item, ("id",), f"IO handler {item['id']}")
+                for item in _items(data, "io_handlers")]
 
     edges = []
     for triple in _list(data.get("edges"), "edges"):
@@ -187,7 +165,7 @@ def _from_tree(data: dict) -> PipelineGraph:
         edges.append((rel, s, o))
 
     return PipelineGraph(
-        id=pid,
+        id=str(head["id"]),
         frequency_class=str(head.get("frequency", "frequent")),
         depends_on=str(head["dependsOn"]) if head.get("dependsOn") else None,
         layers=tuple(layers),
@@ -198,65 +176,19 @@ def _from_tree(data: dict) -> PipelineGraph:
     )
 
 
-def _from_triples(triples) -> PipelineGraph:
-    classes: dict = {}
-    props: dict = {}
-    edges = []
-    for triple in _list(triples, "triples"):
-        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-            raise SchemaError(f"triple {triple!r} must have three components")
-        s, p, o = triple
-        s, p = str(s), str(p)
-        if p == "a":
-            classes.setdefault(str(o), []).append(s)
-        elif p in EDGE_RELATIONS and p != "hasIO":  # hasIO is a task property
-            edges.append((p, s, str(o)))
-        else:
-            props.setdefault(s, {})[p] = o
-
-    pipelines = classes.get("ETLPipeline", [])
-    if len(pipelines) != 1:
-        raise SchemaError(f"expected exactly one ETLPipeline individual, got {pipelines}")
-    pid = pipelines[0]
-    ppr = props.get(pid, {})
-
-    tree = {
-        "format": FORMAT,
-        "ETLPipeline": {
-            "id": pid,
-            "frequency": ppr.get("frequency", "frequent"),
-            **({"dependsOn": ppr["dependsOn"]} if "dependsOn" in ppr else {}),
-        },
-        "tasks": [
-            {"id": tid, "type": kind, **props.get(tid, {})}
-            for kind in TASK_KINDS
-            for tid in classes.get(kind, [])
-        ],
-        "data_entities": [
-            {"id": did, **props.get(did, {})} for did in classes.get("DataEntity", [])
-        ],
-        "layers": [
-            {"id": lid, "type": kind}
-            for kind in _LAYER_KINDS
-            for lid in classes.get(kind, [])
-        ],
-        "io_handlers": [
-            {"id": ioid, **props.get(ioid, {})} for ioid in classes.get("IOHandler", [])
-        ],
-        "edges": [[s, rel, o] for rel, s, o in edges],
-    }
-    # hasInput / hasOutput may come as triples; fold them into the handlers
-    for item in tree["io_handlers"]:
-        for k in ("hasInput", "hasOutput"):
-            if k in item and not isinstance(item[k], list):
-                item[k] = [item[k]]
-    for rel, s, o in list(edges):
-        if rel in ("hasInput", "hasOutput"):
-            for item in tree["io_handlers"]:
-                if item["id"] == s:
-                    item.setdefault(rel, []).append(o)
-            tree["edges"].remove([s, rel, o])
-    return _from_tree(tree)
+def _item(node, **keys):
+    """A node's document entry: its id, ``keys``, then each property set."""
+    item = {"id": node.id, **keys}
+    for attr, prop, kind in PROPERTIES[type(node)]:
+        value = getattr(node, attr)
+        if value is None:
+            continue
+        if kind is tuple:
+            value = list(value)
+        elif kind is RequirementSet:
+            value = dataclasses.asdict(value)
+        item[prop] = value
+    return item
 
 
 def serialize_pipeline(graph: PipelineGraph) -> str:
@@ -264,35 +196,13 @@ def serialize_pipeline(graph: PipelineGraph) -> str:
     head = {"id": graph.id, "frequency": graph.frequency_class}
     if graph.depends_on:
         head["dependsOn"] = graph.depends_on
-
-    def task_item(t: TaskNode):
-        item = {"id": t.id, "type": t.kind}
-        for prop, attr in _TASK_PROPS.items():
-            value = getattr(t, attr)
-            if value is not None:
-                item[prop] = value
-        if t.requirement is not None:
-            item["hasRequirementSet"] = {
-                k: getattr(t.requirement, attr) for k, attr in _REQ_PROPS.items()
-            }
-        return item
-
-    def entity_item(d: DataEntity):
-        item = {"id": d.id, "hasVolume": d.volume, "hasNoRecords": d.no_records}
-        if d.location is not None:
-            item["storedAt"] = d.location
-        return item
-
     doc = {
         "format": FORMAT,
         "ETLPipeline": head,
         "layers": [{"id": l.id, "type": l.kind} for l in graph.layers],
-        "tasks": [task_item(t) for t in graph.tasks],
-        "data_entities": [entity_item(d) for d in graph.data_entities],
-        "io_handlers": [
-            {"id": io.id, "hasInput": list(io.inputs), "hasOutput": list(io.outputs)}
-            for io in graph.io_handlers
-        ],
+        "tasks": [_item(t, type=t.kind) for t in graph.tasks],
+        "data_entities": [_item(d) for d in graph.data_entities],
+        "io_handlers": [_item(io) for io in graph.io_handlers],
         "edges": [[s, rel, o] for rel, s, o in graph.edges],
     }
     return yaml.dump(doc, Dumper=_Dumper, sort_keys=False)

@@ -18,7 +18,8 @@ class CycleError(StructureError):
 
 
 class InvalidGraph(PipelineGraphError):
-    """Operation applied to a graph that fails validation."""
+    """A configuration does not fit its graph: the pipeline id or the storage
+    id does not match."""
 
 
 class MissingTask(PipelineGraphError):

@@ -13,16 +13,15 @@ from dataclasses import replace
 from ..datalog.corpus import RANGE_SIZE
 from ..datalog.factset import FactSet
 from .errors import InvalidGraph, MissingTask
-from .model import STORAGE_MODES, CloudAttributes, PipelineGraph, ResourceConfiguration
-from .validate import validate
-
-_TASK_FIELD_ATOMS = (
-    ("chunk_size", "hasChunkSize"),
-    ("slice_size", "hasSliceSize"),
-    ("memory_reservation", "hasMemoryReservation"),
-    ("storage_mode", "hasStorageMode"),
-    ("required_time", "hasRequiredTime"),
+from .model import (
+    PROPERTIES,
+    STORAGE_MODES,
+    CloudAttributes,
+    PipelineGraph,
+    RequirementSet,
+    ResourceConfiguration,
 )
+from .validate import validate
 
 _REQ_FIELD_ATOMS = (
     ("computing", "hasComputingRequirement"),
@@ -42,15 +41,14 @@ _EST_ATOMS = (
 
 def to_facts(graph: PipelineGraph, cloud: CloudAttributes | None = None,
              pilot=None) -> FactSet:
-    """Ground the graph into an EDB.  Raises InvalidGraph on a bad graph.
+    """Ground the graph into an EDB.  Raises what ``validate`` raises on a
+    bad graph: CycleError or StructureError.
 
     ``pilot`` is any object with slice_memory / prepare_memory /
     slice_storage / prepare_storage / store_storage attributes (MB); it
     supplies the hasEst* atoms the estimation rule starts from.
     """
-    report = validate(graph)
-    if not report.ok:
-        raise InvalidGraph(str(report))
+    validate(graph)
 
     facts = FactSet()
     pid = graph.id
@@ -67,30 +65,11 @@ def to_facts(graph: PipelineGraph, cloud: CloudAttributes | None = None,
         facts.add("hasInputData", (pid, d))
 
     for t in graph.tasks:
-        facts.add(t.kind, (t.id,))
-        if t.io:
-            facts.add("hasIO", (t.id, t.io))
-        for attr, pred in _TASK_FIELD_ATOMS:
-            value = getattr(t, attr)
-            if value is not None:
-                facts.add(pred, (t.id, value))
-        if t.requirement is not None:
-            for attr, pred in _REQ_FIELD_ATOMS:
-                facts.add(pred, (t.id, getattr(t.requirement, attr)))
-
+        _add_node(facts, t.kind, t)
     for io in graph.io_handlers:
-        facts.add("IOHandler", (io.id,))
-        for d in io.inputs:
-            facts.add("hasInput", (io.id, d))
-        for d in io.outputs:
-            facts.add("hasOutput", (io.id, d))
-
+        _add_node(facts, "IOHandler", io)
     for d in graph.data_entities:
-        facts.add("DataEntity", (d.id,))
-        facts.add("hasVolume", (d.id, d.volume))
-        facts.add("hasNoRecords", (d.id, d.no_records))
-        if d.location is not None:
-            facts.add("storedAt", (d.id, d.location))
+        _add_node(facts, "DataEntity", d)
 
     if cloud is not None:
         facts.add("Cloud", (cloud.id,))
@@ -109,6 +88,23 @@ def to_facts(graph: PipelineGraph, cloud: CloudAttributes | None = None,
             facts.add("range", (float(i),))
 
     return facts
+
+
+def _add_node(facts: FactSet, cls: str, node) -> None:
+    """The node's class atom, then an atom for each value of each property set."""
+    facts.add(cls, (node.id,))
+    for attr, prop, kind in PROPERTIES[type(node)]:
+        value = getattr(node, attr)
+        if value is None:
+            continue
+        if kind is tuple:
+            for item in value:
+                facts.add(prop, (node.id, item))
+        elif kind is RequirementSet:
+            for field, pred in _REQ_FIELD_ATOMS:
+                facts.add(pred, (node.id, getattr(value, field)))
+        else:
+            facts.add(prop, (node.id, value))
 
 
 def apply_configuration(graph: PipelineGraph, config: ResourceConfiguration,

@@ -17,15 +17,12 @@ TASK_KINDS = ("Retrieve", "Slice", "Prepare", "Store")
 FREQUENCY_CLASSES = ("frequent", "infrequent")
 STORAGE_MODES = storage.STORAGE_MODES
 
-# typed relations a pipeline document may carry
+# the relations a document's edges may carry; a node's own fields are PROPERTIES
 EDGE_RELATIONS = (
     "hasStartTask",
     "hasNextTask",
     "hasLayer",
     "hasTask",
-    "hasIO",
-    "hasInput",
-    "hasOutput",
     "hasInputData",
 )
 
@@ -70,6 +67,32 @@ class TaskNode:
     memory_reservation: Optional[float] = None  # Slice / Prepare
     storage_mode: Optional[str] = None  # Store only
     required_time: Optional[float] = None  # measured seconds
+
+
+# The ontology property of each node field, in the order a document item
+# lists it, with the type of its value.  ``parse_pipeline``,
+# ``serialize_pipeline`` and ``to_facts`` all spell a field by this table; a
+# requirement set is one nested document key but one fact per requirement.
+PROPERTIES = {
+    TaskNode: (
+        ("chunk_size", "hasChunkSize", float),
+        ("slice_size", "hasSliceSize", float),
+        ("memory_reservation", "hasMemoryReservation", float),
+        ("storage_mode", "hasStorageMode", str),
+        ("required_time", "hasRequiredTime", float),
+        ("io", "hasIO", str),
+        ("requirement", "hasRequirementSet", RequirementSet),
+    ),
+    DataEntity: (
+        ("volume", "hasVolume", float),
+        ("no_records", "hasNoRecords", float),
+        ("location", "storedAt", str),
+    ),
+    IOHandler: (
+        ("inputs", "hasInput", tuple),
+        ("outputs", "hasOutput", tuple),
+    ),
+}
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,9 @@
-"""Invariant checks over pipeline graphs.
-
-``validate`` never raises: violations are data.  ``parse_pipeline`` turns a
-non-empty report into StructureError / CycleError.
-"""
+"""Invariant checks over pipeline graphs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .errors import CycleError, StructureError
 from .model import FREQUENCY_CLASSES, STORAGE_MODES, PipelineGraph, TASK_KINDS
-
-
-@dataclass(frozen=True)
-class Violation:
-    node: str
-    message: str
-
-    def __str__(self):
-        return f"{self.node}: {self.message}"
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self):
-        return self.ok
-
-    def add(self, node: str, message: str) -> None:
-        self.violations.append(Violation(node=node, message=message))
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "\n".join(str(v) for v in self.violations)
 
 
 def _has_cycle(graph: PipelineGraph):
@@ -62,40 +28,46 @@ def _has_cycle(graph: PipelineGraph):
     return any(color[n] == WHITE and visit(n) for n in list(color))
 
 
-def validate(graph: PipelineGraph) -> ValidationReport:
-    report = ValidationReport()
+def validate(graph: PipelineGraph) -> None:
+    """Return on a valid graph; otherwise raise CycleError when hasNextTask is
+    cyclic and StructureError when it is not, with one ``node: message`` line
+    per violation."""
+    violations = []
+
+    def report(node, message):
+        violations.append(f"{node}: {message}")
 
     if graph.frequency_class not in FREQUENCY_CLASSES:
-        report.add(graph.id, f"unknown frequency class {graph.frequency_class!r}")
+        report(graph.id, f"unknown frequency class {graph.frequency_class!r}")
 
     task_ids = {t.id for t in graph.tasks}
     for t in graph.tasks:
         if t.kind not in TASK_KINDS:
-            report.add(t.id, f"unknown task kind {t.kind!r}")
+            report(t.id, f"unknown task kind {t.kind!r}")
 
     # -- task chain shape ----------------------------------------------------
     cyclic = _has_cycle(graph)
     if cyclic:
-        report.add(graph.id, "hasNextTask relation is cyclic")
+        report(graph.id, "hasNextTask relation is cyclic")
 
     next_pairs = graph.relation("hasNextTask")
     roots = [t.id for t in graph.tasks if not graph.predecessors(t.id)]
     sinks = [t.id for t in graph.tasks if not graph.successors(t.id)]
     if graph.tasks:
         if len(roots) != 1 or (roots and graph.task(roots[0]).kind != "Retrieve"):
-            report.add(graph.id, f"expected a single Retrieve root, found roots {roots}")
+            report(graph.id, f"expected a single Retrieve root, found roots {roots}")
         if len(sinks) != 1 or (sinks and graph.task(sinks[0]).kind != "Store"):
-            report.add(graph.id, f"expected a single Store sink, found sinks {sinks}")
+            report(graph.id, f"expected a single Store sink, found sinks {sinks}")
     for s, o in next_pairs:
         for end in (s, o):
             if end not in task_ids:
-                report.add(end, "hasNextTask endpoint is not a task")
+                report(end, "hasNextTask endpoint is not a task")
 
     start = graph.start_task_id()
     if graph.tasks and start is None:
-        report.add(graph.id, "missing hasStartTask edge")
+        report(graph.id, "missing hasStartTask edge")
     elif start is not None and start not in task_ids:
-        report.add(start, "hasStartTask target is not a task")
+        report(start, "hasStartTask target is not a task")
 
     if not cyclic and graph.tasks and start in task_ids:
         levels = [sorted(k) for k in graph.kind_levels()]
@@ -113,7 +85,7 @@ def validate(graph: PipelineGraph) -> ValidationReport:
         else:
             good = flat_ok and kinds == ["Retrieve", "Prepare", "Store"]
         if not good:
-            report.add(
+            report(
                 graph.id,
                 f"task kind sequence {levels} is not legal for a "
                 f"{graph.frequency_class} pipeline",
@@ -125,28 +97,28 @@ def validate(graph: PipelineGraph) -> ValidationReport:
             if t.chunk_size is None or t.slice_size is None:
                 pass  # sizes are set by configuration, absence is legal
             elif not (t.chunk_size >= t.slice_size >= 1):
-                report.add(t.id, f"requires nc >= ns >= 1, got nc={t.chunk_size} ns={t.slice_size}")
+                report(t.id, f"requires nc >= ns >= 1, got nc={t.chunk_size} ns={t.slice_size}")
         else:
             if t.chunk_size is not None or t.slice_size is not None:
-                report.add(t.id, f"chunk/slice size on a {t.kind} task")
+                report(t.id, f"chunk/slice size on a {t.kind} task")
         if t.storage_mode is not None and t.kind != "Store":
-            report.add(t.id, f"storage mode on a {t.kind} task")
+            report(t.id, f"storage mode on a {t.kind} task")
         if t.storage_mode is not None and t.storage_mode not in STORAGE_MODES:
-            report.add(t.id, f"unknown storage mode {t.storage_mode!r}")
+            report(t.id, f"unknown storage mode {t.storage_mode!r}")
         if t.memory_reservation is not None:
             if t.kind not in ("Slice", "Prepare"):
-                report.add(t.id, f"memory reservation on a {t.kind} task")
+                report(t.id, f"memory reservation on a {t.kind} task")
             elif t.memory_reservation <= 0:
-                report.add(t.id, "memory reservation must be positive")
+                report(t.id, "memory reservation must be positive")
         if t.io is not None and graph.io_handler(t.io) is None:
-            report.add(t.id, f"unknown IO handler {t.io}")
+            report(t.id, f"unknown IO handler {t.io}")
 
     # -- data entities ---------------------------------------------------------
     for d in graph.data_entities:
         if d.volume < 0 or d.no_records < 0:
-            report.add(d.id, "volume and record count must be nonnegative")
+            report(d.id, "volume and record count must be nonnegative")
         if d.no_records > 0 and d.volume == 0:
-            report.add(d.id, "records without volume (n > 0 requires v > 0)")
+            report(d.id, "records without volume (n > 0 requires v > 0)")
 
     producers: dict = {}
     consumer_kinds: dict = {}
@@ -160,8 +132,9 @@ def validate(graph: PipelineGraph) -> ValidationReport:
     for d in graph.data_entities:
         made_by = producers.get(d.id, [])
         if len(made_by) != 1:
-            report.add(d.id, f"must be output of exactly one IO handler, got {made_by}")
+            report(d.id, f"must be output of exactly one IO handler, got {made_by}")
         if len(consumer_kinds.get(d.id, set())) > 1:
-            report.add(d.id, "consumed by more than one downstream task set")
+            report(d.id, "consumed by more than one downstream task set")
 
-    return report
+    if violations:
+        raise (CycleError if cyclic else StructureError)("\n".join(violations))

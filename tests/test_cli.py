@@ -410,12 +410,13 @@ class TestContract:
         "tasks: [5]\n",
         "tasks: [{type: Retrieve}]\n",
         "edges: 5\n",
-        "triples: [[p1, a, ETLPipeline], [t1, a, Retrieve], [t1, hasRequirementSet, 5]]\n",
+        "tasks: [{id: t1, type: Retrieve, hasRequirementSet: 5}]\n",
+        "layer: []\n",
+        "edges: [[p1_t1, hasIO, p1_io9]]\n",
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list",
-            "requirements-triple-not-a-mapping"])
+            "requirements-triple-not-a-mapping", "misspelt-section", "io-edge"])
     def test_malformed_pipeline_document_is_a_domain_error(self, tmp_path, document):
-        if "triples" not in document:
-            document = "ETLPipeline: {id: p1}\n" + document
+        document = "ETLPipeline: {id: p1}\n" + document
         path = tmp_path / "pipeline.yaml"
         path.write_text("format: semcloud-pipeline/1\n" + document)
         result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))

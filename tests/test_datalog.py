@@ -41,7 +41,7 @@ class TestParser:
         program = parse_program("a(x) <- b(x).")
         assert len(program.rules) == 1
         assert program.rules[0].head.predicate == "a"
-        assert program.externals == ()
+        assert program.calls == ()
 
     def test_round_trip_modulo_whitespace(self):
         program = configuration_program()
@@ -276,7 +276,7 @@ DEPENDENCY_CASES = [
 @pytest.mark.parametrize("text,edb,funcs", DEPENDENCY_CASES)
 def test_engine_reads_every_dependency_like_the_oracle(text, edb, funcs):
     program = parse_program(text)
-    assert program.externals == tuple(sorted(funcs))
+    assert program.calls == tuple((name, 1) for name in funcs)
     registry = ExternalRegistry()
     for name, func in funcs.items():
         registry.register(name, func, 1)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -292,6 +293,16 @@ class TestUnifiedFiles:
         assert cells == record_cells(records[0]) + ["1250"]
         assert cells[UNIFIED_HEADER.index("quality_score")] == NULL_TOKEN
 
+    @pytest.mark.parametrize("text,where", [
+        ("\t".join(UNIFIED_HEADER) + "\nm01\tp1\t0.0\t1.5\t2.5\t100\n", "line 2: expected 27 cells"),
+        ("machine_id\tprogram_id\ttimestamp\n", "line 1"),
+    ], ids=["short-row", "bad-header"])
+    def test_malformed_file_is_unreadable(self, tmp_path, text, where):
+        path = tmp_path / "u.tsv"
+        path.write_text(text)
+        with pytest.raises(UnreadableSource, match=re.escape(f"{path}: {where}")):
+            read_unified(path)
+
     def test_attribute_lookup(self):
         values = {name: float(i) for i, name in enumerate(UNIFIED_ATTRIBUTES)}
         values["quality_score"] = None
@@ -364,18 +375,6 @@ class TestPrepare:
         with pytest.raises(MissingReference) as exc:
             prepare_slice(next(slice_records(records, 2, 2)), store)
         assert exc.value.machine_id == "m01"
-
-    def test_refresh_replaces_entries(self):
-        store = ReferenceStore(reference_entries(("m01",), ("p1",)))
-        store.refresh(reference_entries(("m02",), ("p1",)))
-        assert store.machines() == ["m02"]
-
-    def test_dump_load_round_trip(self, tmp_path):
-        store = ReferenceStore(reference_entries(("m01", "m02"), ("p1", "p2")))
-        path = tmp_path / "refs.json"
-        store.dump(path)
-        clone = ReferenceStore.load(path)
-        assert clone.lookup("m02", "p1") == store.lookup("m02", "p1")
 
 
 class TestStore:

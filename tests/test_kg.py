@@ -6,8 +6,8 @@ import pytest
 import yaml
 
 from semcloud.datalog import query
+from semcloud.kg import document
 from semcloud.kg import (
-    FORMAT,
     CloudAttributes,
     CycleError,
     DataEntity,
@@ -25,25 +25,6 @@ from semcloud.kg import (
     to_facts,
     validate,
 )
-
-
-def tree_to_triples(tree):
-    """The ``triples:`` spelling of a tree-form pipeline document."""
-    head = tree["ETLPipeline"]
-    triples = [[head["id"], "a", "ETLPipeline"]]
-    triples += [[head["id"], key, value] for key, value in head.items() if key != "id"]
-    for section, default_class in (("layers", None), ("tasks", None),
-                                   ("data_entities", "DataEntity"),
-                                   ("io_handlers", "IOHandler")):
-        for item in tree.get(section, []):
-            triples.append([item["id"], "a", item.get("type", default_class)])
-            for key, value in item.items():
-                if key in ("id", "type"):
-                    continue
-                values = value if key in ("hasInput", "hasOutput") else [value]
-                triples += [[item["id"], key, v] for v in values]
-    triples += tree.get("edges", [])
-    return triples
 
 
 def default_cloud():
@@ -73,12 +54,12 @@ class TestBuildersAndValidate:
         assert len(g.tasks) == 5
         kinds = [t.kind for t in g.tasks]
         assert kinds.count("Prepare") == 2
-        assert validate(g).ok
+        assert validate(g) is None
 
     def test_infrequent_pipeline_shape(self):
         g = infrequent_pipeline()
         assert [t.kind for t in g.tasks] == ["Retrieve", "Prepare", "Store"]
-        assert validate(g).ok
+        assert validate(g) is None
 
     def test_store_before_prepare_is_a_violation(self):
         g = frequent_pipeline("p1", prepare_tasks=1)
@@ -93,17 +74,16 @@ class TestBuildersAndValidate:
             else:
                 swapped.append(t)
         bad = g.with_tasks(swapped)
-        report = validate(bad)
-        assert not report.ok
+        with pytest.raises(StructureError, match="not legal"):
+            validate(bad)
         assert tasks  # keep the original around for clarity
 
     def test_two_retrieve_roots_is_a_violation(self):
         g = infrequent_pipeline()
         extra = TaskNode(id="p0_tx", kind="Retrieve", io=None)
         bad = dataclasses.replace(g, tasks=g.tasks + (extra,))
-        report = validate(bad)
-        assert not report.ok
-        assert any("root" in str(v) for v in report.violations)
+        with pytest.raises(StructureError, match=r"(?m)^p0: expected a single Retrieve root"):
+            validate(bad)
 
     def test_records_without_volume_is_a_violation(self):
         g = infrequent_pipeline()
@@ -112,8 +92,8 @@ class TestBuildersAndValidate:
             if d.location == "source" else d
             for d in g.data_entities
         )
-        report = validate(dataclasses.replace(g, data_entities=entities))
-        assert any("requires v > 0" in str(v) for v in report.violations)
+        with pytest.raises(StructureError, match="requires v > 0"):
+            validate(dataclasses.replace(g, data_entities=entities))
 
     def test_cycle_is_a_violation(self):
         g = infrequent_pipeline()
@@ -121,18 +101,19 @@ class TestBuildersAndValidate:
         first = g.tasks[0].id
         bad = dataclasses.replace(
             g, edges=g.edges + (("hasNextTask", last, first),))
-        report = validate(bad)
-        assert any("cyclic" in str(v) for v in report.violations)
+        with pytest.raises(CycleError, match="cyclic"):
+            validate(bad)
 
     def test_negative_reservation_is_a_violation(self):
         g = frequent_pipeline(memory_reservation=-1.0)
-        report = validate(g)
-        assert any("positive" in str(v) for v in report.violations)
+        with pytest.raises(StructureError, match="positive") as raised:
+            validate(g)
+        assert type(raised.value) is StructureError
 
     def test_unknown_storage_mode_is_a_violation(self):
         g = frequent_pipeline(storage_mode="ssd")
-        report = validate(g)
-        assert any("unknown storage mode 'ssd'" in str(v) for v in report.violations)
+        with pytest.raises(StructureError, match="unknown storage mode 'ssd'"):
+            validate(g)
         with pytest.raises(StructureError):
             parse_pipeline(serialize_pipeline(g))
 
@@ -176,11 +157,20 @@ class TestDocument:
         lambda tree: tree["tasks"][1].update(hasChunkSize=True),
         lambda tree: tree["data_entities"][0].update(hasVolume=float("nan")),
         lambda tree: tree["data_entities"][0].update(hasVolume=float("inf")),
-        lambda tree: tree.update(triples=tree_to_triples(tree) + [["p1_t1", "hasRequirementSet", 5]]),
+        lambda tree: tree.update(triples=[["p1_t1", "hasRequirementSet", 5]]),
         lambda tree: tree.update(triples=5),
+        lambda tree: tree.update(layer=tree.pop("layers")),
+        lambda tree: tree["ETLPipeline"].update(frequncy="infrequent"),
+        lambda tree: tree["layers"][0].update(hasTask="p1_t1"),
+        lambda tree: tree["io_handlers"][0].update(hasIO="p1_io1"),
+        lambda tree: tree["tasks"][0].update(hasRequirementSet={"cpu": 1.0}),
+        lambda tree: tree["edges"].append(["p1_t1", "hasIO", "p1_io9"]),
+        lambda tree: tree["edges"].append(["p1_io1", "hasOutput", "p1_d9"]),
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list", "layers-not-a-list",
             "outputs-not-a-list", "requirements-not-a-mapping", "bool-size", "nan-volume",
-            "inf-volume", "requirements-triple-not-a-mapping", "triples-not-a-list"])
+            "inf-volume", "requirements-triple-not-a-mapping", "triples-not-a-list",
+            "misspelt-section", "unknown-head-key", "unknown-layer-key",
+            "unknown-io-handler-key", "unknown-requirement", "io-edge", "output-edge"])
     def test_malformed_document_is_a_schema_error(self, edit):
         tree = yaml.safe_load(serialize_pipeline(frequent_pipeline("p1", chunk_size=100.0,
                                                                    slice_size=10.0)))
@@ -188,12 +178,19 @@ class TestDocument:
         with pytest.raises(SchemaError):
             parse_pipeline(yaml.safe_dump(tree))
 
-    @pytest.mark.parametrize("build", [frequent_pipeline, infrequent_pipeline])
-    def test_triples_spelling_parses_to_the_tree_graph(self, build):
+    @pytest.mark.parametrize("build", [
+        lambda: frequent_pipeline("p1", chunk_size=100.0, slice_size=10.0, slice_time=0.5,
+                                  prepare_time=1.5, memory_reservation=64.0,
+                                  storage_mode="fast"),
+        infrequent_pipeline,
+    ], ids=["preconfigured-frequent", "infrequent"])
+    def test_pure_python_yaml_reads_and_writes_the_same_documents(self, monkeypatch, build):
         g = build()
-        document = yaml.safe_dump({"format": FORMAT, "triples": tree_to_triples(
-            yaml.safe_load(serialize_pipeline(g)))})
-        assert parse_pipeline(document) == g
+        text = serialize_pipeline(g)
+        monkeypatch.setattr(document, "_Loader", yaml.SafeLoader)
+        monkeypatch.setattr(document, "_Dumper", yaml.SafeDumper)
+        assert serialize_pipeline(g) == text
+        assert parse_pipeline(text) == g
 
 
 class TestFacts:
@@ -215,7 +212,7 @@ class TestFacts:
     def test_invalid_graph_is_rejected(self):
         g = infrequent_pipeline()
         extra = TaskNode(id="p0_tx", kind="Retrieve", io=None)
-        with pytest.raises(InvalidGraph):
+        with pytest.raises(StructureError, match="root"):
             to_facts(dataclasses.replace(g, tasks=g.tasks + (extra,)))
 
 
