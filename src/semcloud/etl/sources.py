@@ -57,7 +57,13 @@ def ingest(descriptor):
 
 
 def _ingest_csv(descriptor, text):
-    rows = list(csv.reader(text.splitlines()))
+    # Rows end at line feeds only (the file was read with universal
+    # newlines); str.splitlines would also break a cell at a vertical tab,
+    # form feed, \x1c-\x1e, \x85 or a Unicode line or paragraph separator.
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    rows = list(csv.reader(lines))
     if not rows:
         return [], []
     header = rows[0]
@@ -86,7 +92,19 @@ def _ingest_json(descriptor, text):
     return records, rejects
 
 
-_XML_RECORD = re.compile(r"<record>.*?</record>", re.S)
+# A plain field: an ASCII name (\w would take non-XML names such as "a²")
+# around text that ElementTree would hand back unchanged, so no markup,
+# entity, "]]>", carriage return or character that XML 1.0 forbids.
+_XML_NAME = r"[A-Za-z_][A-Za-z0-9_.-]*"
+_XML_TEXT = r"[^<&\]\r\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]*"
+_XML_FIELD = re.compile(rf"<({_XML_NAME})>({_XML_TEXT})</\1>")
+# Either a record of plain fields only (group 1), or any other <record>
+# block up to the first </record>.  No plain field is named "record", so
+# the first branch ends where the second would: the blocks are those of
+# the second branch alone, and only the other blocks need a parser.
+_XML_RECORD = re.compile(
+    rf"(<record>(?:<(?!record>)({_XML_NAME})>{_XML_TEXT}</\2>)*</record>)|<record>.*?</record>",
+    re.S)
 
 
 def _ingest_xml(descriptor, text):
@@ -95,8 +113,17 @@ def _ingest_xml(descriptor, text):
     if "<records" not in text:
         raise UnreadableSource("%s: missing <records> wrapper" % descriptor.location)
     records, rejects = [], []
+    fields = _XML_FIELD.findall
     matched_opens = 0
-    for i, block in enumerate(_XML_RECORD.findall(text)):
+    for i, match in enumerate(_XML_RECORD.finditer(text)):
+        if match.lastindex:  # group 1, a record of plain fields
+            # Read between <record> and </record>, so an empty record has no
+            # fields; an empty element is None, as ElementTree gives it.
+            start, end = match.span()
+            matched_opens += 1
+            records.append({tag: value or None for tag, value in fields(text, start + 8, end - 9)})
+            continue
+        block = match.group()
         matched_opens += block.count("<record>")
         try:
             element = ET.fromstring(block)

@@ -10,10 +10,11 @@ import json
 import math
 import operator
 import os
+import re
 
 import numpy as np
 
-from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER, make_record, record_cells
+from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER, UnifiedRecord
 from .sources import SourceDescriptor
 
 # Per-source field name schemes: the same unified property goes by a
@@ -94,25 +95,46 @@ def machine_ids(spec):
     return ["m%02d" % (i + 1) for i in range(spec.machines)]
 
 
-def base_records(spec):
-    """The underlying record stream all sources describe."""
+# A record's attribute cells come from one "%.6f " format call.  Dropping
+# each cell's trailing zeros, and giving a whole number back its ".0",
+# leaves repr(round(v, 6)) for 1e-4 <= |v| < 1e9; every generated value
+# lies in [10, 1e9) (see _draws).
+_ATTRIBUTE_CELLS = "%.6f " * len(UNIFIED_ATTRIBUTES)
+_TRAILING_ZEROS = re.compile(r"0+ ")
+
+
+def _draws(spec):
+    """(machine, program, timestamp cell, row) of each record, drawn in the
+    RandomState's order; row holds the unrounded attribute values, each at
+    least 10 and under 1.1 * (230 + spec.machines / 2).  The timestamp cell
+    is repr(round(t, 6)) itself, since at a high rate t can be under 1e-4."""
     rng = np.random.RandomState(spec.seed)
-    records = []
     per_machine = spec.records_per_machine()
     scale = 10.0 * np.arange(1, len(UNIFIED_ATTRIBUTES) + 1)
     for m_index, machine in enumerate(machine_ids(spec)):
         base = scale + 0.5 * m_index
         for k in range(per_machine):
             program = "p%d" % (rng.randint(PROGRAM_COUNT) + 1)
-            timestamp = round(k / spec.rate, 6)
-            # rand(n) draws what n rand() calls draw; Python's round, unlike
-            # np.round, rounds each value to the bits the scalar formula gives.
+            # rand(n) draws what n rand() calls draw
             row = (base * (1.0 + 0.1 * rng.rand(len(scale)))).tolist()
-            values = dict(zip(UNIFIED_ATTRIBUTES, [round(v, 6) for v in row]))
-            records.append(
-                make_record(machine, program, timestamp, values, spec.record_bytes)
-            )
-    return records
+            yield machine, program, repr(round(k / spec.rate, 6)), row
+
+
+def _cell_rows(spec):
+    """The record_cells row of each base record, without building the records."""
+    strip, cells = _TRAILING_ZEROS.sub, _ATTRIBUTE_CELLS
+    return [[machine, program, stamp]
+            + strip(" ", cells % tuple(row)).replace(". ", ".0 ").split()
+            for machine, program, stamp, row in _draws(spec)]
+
+
+def base_records(spec):
+    """The underlying record stream all sources describe: each value is
+    the float of the cell the sources carry, so round(v, 6) of its draw."""
+    record_bytes = int(spec.record_bytes)
+    return [UnifiedRecord(machine, program, float(stamp), tuple(map(float, values)),
+                          record_bytes)
+            for machine, program, stamp, *values in _cell_rows(spec)]
 
 
 def _source_fields(field_of, absent):
@@ -167,7 +189,7 @@ _WRITERS = {"csv": _write_csv, "json": _write_json, "xml": _write_xml}
 def generate_workload(spec, out_dir):
     """Write the three heterogeneous source files; returns descriptors."""
     os.makedirs(out_dir, exist_ok=True)
-    rows = [record_cells(rec) for rec in base_records(spec)]
+    rows = _cell_rows(spec)
     descriptors = []
     for fmt, field_of, absent in _SCHEMES:
         fields = _source_fields(field_of, absent)

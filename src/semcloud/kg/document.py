@@ -91,12 +91,18 @@ def _list(value, context):
     return value
 
 
-def _items(data, key):
-    """The entries of a section, each a mapping with an id."""
+def _items(data, key, seen):
+    """The entries of a section, each a mapping with an id.  ``seen`` holds
+    the ids read so far, from this section and the ones before it; an id
+    already in it is a SchemaError, since to_facts would merge the nodes."""
     items = _list(data.get(key), key)
     for item in items:
         if not isinstance(item, dict) or "id" not in item:
             raise SchemaError(f"{key}: expected a mapping with an id, got {item!r}")
+        node_id = str(item["id"])
+        if node_id in seen:
+            raise SchemaError(f"{key}: id {node_id!r} is used twice")
+        seen.add(node_id)
     return items
 
 
@@ -135,17 +141,18 @@ def _from_tree(data: dict) -> PipelineGraph:
         raise SchemaError("missing ETLPipeline section with an id")
     _known(head, _HEAD_KEYS, "ETLPipeline")
 
+    seen = set()  # node ids: one node per id across every section
     tasks = []
-    for item in _items(data, "tasks"):
+    for item in _items(data, "tasks", seen):
         kind = item.get("type")
         if kind not in TASK_KINDS:
             raise SchemaError(f"task {item.get('id')}: unknown task class {kind!r}")
         tasks.append(_node(TaskNode, item, ("id", "type"), f"task {item['id']}", kind=kind))
     entities = [_node(DataEntity, item, ("id",), f"data entity {item['id']}")
-                for item in _items(data, "data_entities")]
+                for item in _items(data, "data_entities", seen)]
 
     layers = []
-    for item in _items(data, "layers"):
+    for item in _items(data, "layers", seen):
         _known(item, ("id", "type"), f"layer {item['id']}")
         kind = item.get("type", "Layer")
         if kind not in _LAYER_KINDS:
@@ -153,7 +160,7 @@ def _from_tree(data: dict) -> PipelineGraph:
         layers.append(Layer(id=str(item["id"]), kind=kind))
 
     handlers = [_node(IOHandler, item, ("id",), f"IO handler {item['id']}")
-                for item in _items(data, "io_handlers")]
+                for item in _items(data, "io_handlers", seen)]
 
     edges = []
     for triple in _list(data.get("edges"), "edges"):

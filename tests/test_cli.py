@@ -413,8 +413,10 @@ class TestContract:
         "tasks: [{id: t1, type: Retrieve, hasRequirementSet: 5}]\n",
         "layer: []\n",
         "edges: [[p1_t1, hasIO, p1_io9]]\n",
+        "tasks: [{id: t1, type: Retrieve}, {id: t1, type: Store}]\n",
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list",
-            "requirements-triple-not-a-mapping", "misspelt-section", "io-edge"])
+            "requirements-triple-not-a-mapping", "misspelt-section", "io-edge",
+            "repeated-task-id"])
     def test_malformed_pipeline_document_is_a_domain_error(self, tmp_path, document):
         document = "ETLPipeline: {id: p1}\n" + document
         path = tmp_path / "pipeline.yaml"

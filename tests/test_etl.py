@@ -5,8 +5,12 @@ import hashlib
 import json
 import math
 import pathlib
+import random
 import re
+import time
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from semcloud.etl import (
@@ -19,6 +23,7 @@ from semcloud.etl import (
     MissingReference,
     PreparedStore,
     ReferenceStore,
+    Reject,
     Slice,
     SourceDescriptor,
     UnreadableSource,
@@ -36,7 +41,9 @@ from semcloud.etl import (
     store_prepared,
     write_unified,
 )
+from semcloud.etl import sources
 from semcloud.etl.records import NULL_TOKEN, UNIFIED_HEADER, record_cells
+from semcloud.etl.workload import PROGRAM_COUNT
 
 # sha256 of each source GOLDEN_SPEC generates: every generated byte is pinned.
 GOLDEN_SPEC = WorkloadSpec(machines=3, production_lines=1, duration=4.0, seed=11)
@@ -112,6 +119,36 @@ class TestWorkloadGeneration:
             digests[desc.format] = digest.hexdigest()
         assert digests == GOLDEN_STORED_DIGESTS
 
+    @staticmethod
+    def drawn_records(spec):
+        """The base records drawn one value at a time and rounded with round(v, 6)."""
+        rng = np.random.RandomState(spec.seed)
+        records = []
+        for m_index, machine in enumerate(machine_ids(spec)):
+            for k in range(spec.records_per_machine()):
+                program = "p%d" % (rng.randint(PROGRAM_COUNT) + 1)
+                values = {name: round(float((10.0 * (j + 1) + 0.5 * m_index)
+                                            * (1.0 + 0.1 * rng.rand())), 6)
+                          for j, name in enumerate(UNIFIED_ATTRIBUTES)}
+                records.append(make_record(machine, program, round(k / spec.rate, 6), values,
+                                           spec.record_bytes))
+        return records
+
+    @pytest.mark.parametrize("spec", [
+        GOLDEN_SPEC,
+        WorkloadSpec(machines=47, production_lines=3, duration=3.0, seed=5),
+        WorkloadSpec(machines=4, production_lines=2, duration=10.0, rate=0.7, seed=2),
+    ], ids=["golden", "47-machines", "rate-0.7"])
+    def test_written_cells_are_the_record_cells(self, spec, tmp_path):
+        records = base_records(spec)
+        assert records == self.drawn_records(spec)
+        desc = next(d for d in generate_workload(spec, str(tmp_path)) if d.format == "csv")
+        columns = [UNIFIED_HEADER.index(prop) for _, prop in desc.field_mapping]
+        lines = pathlib.Path(desc.location).read_text().splitlines()
+        assert lines[0].split(",") == [field for field, _ in desc.field_mapping]
+        assert [line.split(",") for line in lines[1:]] == [
+            [cells[j] for j in columns] for cells in map(record_cells, records)]
+
     def test_mapped_record_layout(self, workload):
         _, descriptors = workload
         record = unified_all(descriptors)["xml"][0]
@@ -177,6 +214,21 @@ class TestIngestion:
         raws, rejects = ingest(dataclasses.replace(desc, location=str(bad)))
         assert len(rejects) == 1
         assert len(raws) == 60
+
+    @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_csv_rows_end_at_line_feeds_only(self, workload, tmp_path, mark):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "csv")
+        lines = pathlib.Path(desc.location).read_text().splitlines()
+        lines[2] = lines[2].replace(",p", ",p" + mark, 1)
+        lines.insert(5, "broken,row")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        raws, rejects = ingest(dataclasses.replace(desc, location=str(bad)))
+        assert rejects == [Reject(str(bad), 4, "cell count mismatch")]
+        assert len(raws) == 60
+        assert raws[1]["PROG_NO"].startswith("p" + mark)
 
     def test_rejects_truncated_xml_record(self, workload, tmp_path):
         _, descriptors = workload
@@ -279,6 +331,85 @@ class TestIngestion:
             map_to_unified(raws, desc)
         assert (raised.value.source, raised.value.index, raised.value.field,
                 raised.value.value) == (desc.location, 3, field, cell)
+
+
+def block_by_block(location, text):
+    """The XML reader as it was before the plain-record scan: ElementTree
+    parses every <record> block on its own."""
+    if "<records" not in text:
+        raise UnreadableSource(location)
+    records, rejects, matched = [], [], 0
+    for i, block in enumerate(re.findall(r"<record>.*?</record>", text, re.S)):
+        matched += block.count("<record>")
+        try:
+            element = ET.fromstring(block)
+        except ET.ParseError as exc:
+            rejects.append(Reject(location, i, "bad record: %s" % exc))
+            continue
+        records.append({child.tag: child.text for child in element})
+    for j in range(text.count("<record>") - matched):
+        rejects.append(Reject(location, matched + j, "truncated record"))
+    return records, rejects
+
+
+class TestXmlDifferential:
+    """ingest reads any document as the block-by-block reader does."""
+
+    NAMES = ["a", "force-peak", "x.y_1", "_z", "A9", "xml", "xmlns", "records", "re",
+             "record", "a\u00b2", "\u00e9", "a:b", "1a"]
+    TEXTS = ["", "1.5", "12.0", "abc", "x&amp;y", "x&y", "a]]>b", "]", "a>b", "1\r\n2",
+             "1\r2", "\n", " ", "\t", "\u00e9", "\x85", "\u2028", "\U0001f600", "\x01",
+             "\x0c", "\ufffe", "&#65;", "&lt;"]
+
+    def field(self, rnd):
+        name = rnd.choice(self.NAMES)
+        if rnd.random() < 0.75:
+            return "<%s>%s</%s>" % (name, rnd.choice(self.TEXTS), name)
+        return rnd.choice([
+            "<%s/>", "<%s><![CDATA[x<y]]></%s>", "<!--c-->", "<%s><!--c-->1</%s>", "<?pi x?>",
+            '<%s k="1">2</%s>', "<%s>1</b>", " ", "\n  ", "<%s>1", "</%s>", "<record>",
+            "</record>", "<%s><c>1</c></%s>",
+        ]).replace("%s", name)
+
+    def record(self, rnd):
+        body = "".join(self.field(rnd) for _ in range(rnd.randint(0, 4)))
+        shape = rnd.random()
+        if shape < 0.8:
+            return "<record>%s</record>" % body
+        if shape < 0.9:
+            return "<record>%s" % body  # unclosed
+        return "<record>%s%s</record>" % (body, self.record(rnd))  # nested
+
+    def document(self, rnd):
+        records = [self.record(rnd) for _ in range(rnd.randint(0, 5))]
+        gap = rnd.choice(["", "\n", "\n  ", " x "])
+        head = "<records>" if rnd.random() < 0.97 else "<recs>"
+        return head + gap + gap.join(records) + gap + "</records>\n"
+
+    @staticmethod
+    def read(reader, *args):
+        try:
+            return reader(*args)
+        except UnreadableSource:
+            return "unreadable"
+
+    def test_ingest_matches_the_block_by_block_reader(self, tmp_path):
+        rnd = random.Random(15)
+        path = tmp_path / "doc.xml"
+        desc = SourceDescriptor("xml", str(path), (), (), 1)
+        started = time.monotonic()
+        plain = 0
+        for case in range(1000):
+            text = self.document(rnd)
+            path.write_text(text)
+            read = path.read_text()  # ingest reads with universal newlines
+            assert self.read(ingest, desc) == self.read(block_by_block, str(path), read), case
+            # the raw text too, carriage returns and all
+            assert (self.read(sources._ingest_xml, desc, text)
+                    == self.read(block_by_block, str(path), text)), case
+            plain += sum(1 for m in sources._XML_RECORD.finditer(text) if m.lastindex)
+        assert plain > 300  # the plain-record branch did its share
+        assert time.monotonic() - started < 10.0
 
 
 class TestUnifiedFiles:

@@ -166,16 +166,26 @@ class TestDocument:
         lambda tree: tree["tasks"][0].update(hasRequirementSet={"cpu": 1.0}),
         lambda tree: tree["edges"].append(["p1_t1", "hasIO", "p1_io9"]),
         lambda tree: tree["edges"].append(["p1_io1", "hasOutput", "p1_d9"]),
+        lambda tree: tree["tasks"].append(dict(tree["tasks"][2], hasMemoryReservation=5)),
+        lambda tree: tree["data_entities"].append(dict(tree["data_entities"][0], id="p1_t3")),
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list", "layers-not-a-list",
             "outputs-not-a-list", "requirements-not-a-mapping", "bool-size", "nan-volume",
             "inf-volume", "requirements-triple-not-a-mapping", "triples-not-a-list",
             "misspelt-section", "unknown-head-key", "unknown-layer-key",
-            "unknown-io-handler-key", "unknown-requirement", "io-edge", "output-edge"])
+            "unknown-io-handler-key", "unknown-requirement", "io-edge", "output-edge",
+            "repeated-task-id", "task-id-on-a-data-entity"])
     def test_malformed_document_is_a_schema_error(self, edit):
         tree = yaml.safe_load(serialize_pipeline(frequent_pipeline("p1", chunk_size=100.0,
                                                                    slice_size=10.0)))
         edit(tree)
         with pytest.raises(SchemaError):
+            parse_pipeline(yaml.safe_dump(tree))
+
+    def test_repeated_id_is_named(self):
+        tree = yaml.safe_load(serialize_pipeline(frequent_pipeline("p1")))
+        assert tree["tasks"][2]["id"] == "p1_t3"
+        tree["tasks"].append(dict(tree["tasks"][2], hasMemoryReservation=5))
+        with pytest.raises(SchemaError, match="tasks: id 'p1_t3' is used twice"):
             parse_pipeline(yaml.safe_dump(tree))
 
     @pytest.mark.parametrize("build", [
