@@ -11,12 +11,12 @@ import functools
 
 import numpy as np
 
-from .datalog import ExternalRegistry, evaluate, query
+from .datalog import evaluate, query
 from .datalog.corpus import configuration_program
 from .errors import DomainError
 from .kg import ResourceConfiguration, apply_configuration, to_facts
 from .learning import TIME_FEATURES, predict_method, register_externals
-from .optimizer import SearchSpace, optimize_slicing
+from .optimizer import optimize_slicing
 
 
 class ConfigureError(DomainError):
@@ -49,13 +49,17 @@ def slicing_objective(time_model, n, v, ts, tp, space):
     return objective
 
 
-def register_slicing_externals(time_model, registry, space_factory=SearchSpace):
-    """Register @func_fs_1/2 and @func_cs_1/2 backed by the time model.
+def build_registry(models, time_model, space_factory):
+    """Full external registry for the rule corpus.
 
-    The fast- and cloud-storage variants run the same search; the
-    storage decision is made by the rule guards, not by the search.  The
-    optimum is cached per (n, v, ts, tp) so the pair of calls in one
-    rule body agrees on a single (nc, ns).
+    ``models`` maps external names (func_ms, ..., func_ss, func_pn) to
+    fitted estimation/configuration models.  The time model, which
+    predicts total_time over TIME_FEATURES, backs @func_fs_1/2 and
+    @func_cs_1/2: each searches ``space_factory(n=...)``.  The fast- and
+    cloud-storage variants run the same search; the storage decision is
+    made by the rule guards, not by the search.  The optimum is cached
+    per (n, v, ts, tp) so the pair of calls in one rule body agrees on a
+    single (nc, ns).
     """
 
     @functools.lru_cache(maxsize=None)
@@ -64,6 +68,7 @@ def register_slicing_externals(time_model, registry, space_factory=SearchSpace):
         result = optimize_slicing(slicing_objective(time_model, n, v, ts, tp, space), space)
         return float(result.nc), float(result.ns)
 
+    registry = register_externals(models)
     for name, index in (("func_fs_1", 0), ("func_fs_2", 1),
                         ("func_cs_1", 0), ("func_cs_2", 1)):
         registry.register(name, _picker(best, index), arity=4)
@@ -75,17 +80,6 @@ def _picker(best, index):
         return best(n, v, ts, tp)[index]
 
     return call
-
-
-def build_registry(models, time_model, space_factory=SearchSpace):
-    """Full external registry for the rule corpus.
-
-    models maps external names (func_ms, ..., func_ss, func_pn) to
-    fitted estimation/configuration models; time_model predicts
-    total_time over TIME_FEATURES.
-    """
-    registry = register_externals(models, ExternalRegistry())
-    return register_slicing_externals(time_model, registry, space_factory)
 
 
 def configure_pipeline(graph, cloud, registry, pilot, diagnostics=None):

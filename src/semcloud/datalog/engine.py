@@ -143,21 +143,17 @@ def _candidates(atom, env, facts):
 
 
 def _unify(args, tup, env):
+    """``env`` extended by the atom's free variables, or None.
+
+    ``tup`` came from _candidates, so its constants and the variables bound
+    before the atom already match; only a variable repeated inside the atom
+    can still disagree.
+    """
     extended = dict(env)
     for arg, value in zip(args, tup):
-        if isinstance(arg, Const):
-            if arg.value != value:
+        if isinstance(arg, Var) and not arg.is_anonymous:
+            if extended.setdefault(arg.name, value) != value:
                 return None
-        elif isinstance(arg, Var):
-            if arg.is_anonymous:
-                continue
-            if arg.name in extended:
-                if extended[arg.name] != value:
-                    return None
-            else:
-                extended[arg.name] = value
-        else:
-            return None
     return extended
 
 

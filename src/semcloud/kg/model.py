@@ -23,7 +23,6 @@ EDGE_RELATIONS = (
     "hasNextTask",
     "hasLayer",
     "hasTask",
-    "hasInputData",
 )
 
 
@@ -159,11 +158,8 @@ class PipelineGraph:
         return sorted(s for s, o in self.relation("hasNextTask") if o == task_id)
 
     def input_data_ids(self) -> list:
-        """Entities fed into the pipeline: explicit hasInputData edges, or the
-        outputs of the Retrieve task's IO handler."""
-        explicit = [o for s, o in self.relation("hasInputData") if s == self.id]
-        if explicit:
-            return sorted(set(explicit))
+        """Entities fed into the pipeline: the outputs of the Retrieve task's
+        IO handler."""
         out = set()
         for t in self.tasks_of_kind("Retrieve"):
             io = self.io_handler(t.io) if t.io else None

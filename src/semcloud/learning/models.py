@@ -1,7 +1,7 @@
 """The three regression methods that back the adaptive rule functions.
 
 All three predict a single nonnegative scalar from a small numeric feature
-vector and are deterministic given (data, hyper-parameters, seed).
+vector and are deterministic given (data, hyper-parameters).
 
 Polynomial regression expands each feature into its powers [x, x^2, ..., x^m]
 with one shared intercept, so a model of degree m over f features carries
@@ -75,31 +75,29 @@ def _row_dot(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 class PolyRModel:
     degree: int
     weights: np.ndarray  # length degree * n_features + 1, intercept first
-    n_features: int
     feature_scale: np.ndarray  # per-feature max-abs guard, applied before expansion
-    cross_terms: bool = False
     rank_deficient: bool = False
 
     @property
-    def n_weights(self) -> int:
-        return self.weights.shape[0]
+    def n_features(self) -> int:
+        return self.feature_scale.shape[0]
+
+    @property
+    def size(self) -> int:
+        """What the grid search's tie-break minimises."""
+        return self.degree
 
 
-def _poly_design(X: np.ndarray, degree: int, scale: np.ndarray,
-                 cross_terms: bool) -> np.ndarray:
+def _poly_design(X: np.ndarray, degree: int, scale: np.ndarray) -> np.ndarray:
     Xs = X / scale
     columns = [np.ones(X.shape[0])]
     for j in range(X.shape[1]):
         for p in range(1, degree + 1):
             columns.append(Xs[:, j] ** p)
-    if cross_terms:
-        for j in range(X.shape[1]):
-            for k in range(j + 1, X.shape[1]):
-                columns.append(Xs[:, j] * Xs[:, k])
     return np.column_stack(columns)
 
 
-def fit_polyr(X, y, degree: int, cross_terms: bool = False) -> PolyRModel:
+def fit_polyr(X, y, degree: int) -> PolyRModel:
     """Least squares on the per-feature power expansion.
 
     Solved with a QR/SVD factorization (numpy lstsq); a rank-deficient design
@@ -111,14 +109,12 @@ def fit_polyr(X, y, degree: int, cross_terms: bool = False) -> PolyRModel:
     y = _as_vector(y, X.shape[0])
     scale = np.max(np.abs(X), axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    design = _poly_design(X, degree, scale, cross_terms)
+    design = _poly_design(X, degree, scale)
     weights, _residual, rank, _sv = np.linalg.lstsq(design, y, rcond=None)
     return PolyRModel(
         degree=degree,
         weights=weights,
-        n_features=X.shape[1],
         feature_scale=scale,
-        cross_terms=cross_terms,
         rank_deficient=rank < design.shape[1],
     )
 
@@ -129,7 +125,7 @@ def predict_polyr(model: PolyRModel, X) -> np.ndarray:
         raise DimensionMismatch(
             f"model expects {model.n_features} features, got {X.shape[1]}"
         )
-    design = _poly_design(X, model.degree, model.feature_scale, model.cross_terms)
+    design = _poly_design(X, model.degree, model.feature_scale)
     return _row_dot(design, model.weights)
 
 
@@ -138,12 +134,9 @@ def predict_polyr(model: PolyRModel, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 400
-    step_size: float = 0.01
-    batch_size: int = 32
-    seed: int = 0
+# fit_mlp's mini-batch size and the seed of its initial weights and shuffles
+_BATCH_SIZE = 32
+_INIT_SEED = 0
 
 
 @dataclass
@@ -163,7 +156,8 @@ class MLPModel:
         return [w.shape[0] for w in self.weights]
 
     @property
-    def n_parameters(self) -> int:
+    def size(self) -> int:
+        """What the grid search's tie-break minimises: the parameter count."""
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
@@ -204,11 +198,10 @@ def mlp_loss_and_gradients(weights, biases, X, y):
     return loss, grad_w, grad_b
 
 
-def fit_mlp(X, y, hidden_widths, config: TrainConfig | None = None) -> MLPModel:
+def fit_mlp(X, y, hidden_widths, epochs: int = 300, step_size: float = 0.01) -> MLPModel:
     """Seeded mini-batch gradient descent; loss per epoch is recorded."""
     if not hidden_widths:
         raise LearningError("hidden_widths must be nonempty")
-    config = config or TrainConfig()
     X = _as_matrix(X)
     y = _as_vector(y, X.shape[0])
 
@@ -217,21 +210,21 @@ def fit_mlp(X, y, hidden_widths, config: TrainConfig | None = None) -> MLPModel:
     target_scale = float(np.std(y)) or 1.0
     ys = y / target_scale
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_INIT_SEED)
     widths = [X.shape[1], *hidden_widths, 1]
     weights, biases = _init_layers(widths, rng)
 
     history = []
     n = X.shape[0]
-    batch = max(1, min(config.batch_size, n))
-    for _epoch in range(config.epochs):
+    batch = max(1, min(_BATCH_SIZE, n))
+    for _epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
             _, gw, gb = mlp_loss_and_gradients(weights, biases, Xs[idx], ys[idx])
             for l in range(len(weights)):
-                weights[l] -= config.step_size * gw[l]
-                biases[l] -= config.step_size * gb[l]
+                weights[l] -= step_size * gw[l]
+                biases[l] -= step_size * gb[l]
         loss, _, _ = mlp_loss_and_gradients(weights, biases, Xs, ys)
         if not np.isfinite(loss):
             raise Divergence(f"loss became non-finite at epoch {_epoch}")
@@ -274,6 +267,11 @@ class KNNModel:
     @property
     def n_features(self) -> int:
         return self.samples.shape[1]
+
+    @property
+    def size(self) -> int:
+        """What the grid search's tie-break minimises."""
+        return self.k
 
 
 def fit_knn(X, y, k: int) -> KNNModel:

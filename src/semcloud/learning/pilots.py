@@ -8,7 +8,6 @@ single-node unsliced runs; configuration-kind records vary (nc, ns).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import asdict, dataclass, fields
 
 from ..storage import STORAGE_MODES
@@ -63,13 +62,12 @@ FIELD_NAMES = [f.name for f in fields(PilotRunRecord)]
 _STR_FIELDS = ("pipeline", "storage_mode", "kind")
 
 
-def write_pilot_csv(records, stream_or_path) -> None:
+def write_pilot_csv(records, path) -> None:
     """Delimited rows with a named header; records are validated on write."""
     bad = [(i, p) for i, r in enumerate(records) for p in r.violations()]
     if bad:
         raise ValueError(f"invalid pilot records: {bad[:5]}")
-
-    def _write(stream):
+    with open(path, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(FIELD_NAMES)
         for r in records:
@@ -79,37 +77,27 @@ def write_pilot_csv(records, stream_or_path) -> None:
                  for name in FIELD_NAMES]
             )
 
-    if isinstance(stream_or_path, io.TextIOBase):
-        _write(stream_or_path)
-    else:
-        with open(stream_or_path, "w", newline="") as stream:
-            _write(stream)
 
-
-def read_pilot_csv(stream_or_path) -> list:
-    """Pilot records from a CSV stream or path; LearningError if unreadable."""
-    def _read(stream):
-        reader = csv.DictReader(stream)
-        missing = set(FIELD_NAMES) - set(reader.fieldnames or ())
-        if missing:
-            raise LearningError(f"pilot stats file missing columns {sorted(missing)}")
-        out = []
-        for row in reader:
-            try:
-                values = {
-                    name: row[name] if name in _STR_FIELDS else float(row[name])
-                    for name in FIELD_NAMES
-                }
-            except (TypeError, ValueError) as exc:
-                raise LearningError(f"pilot stats line {reader.line_num}: {exc}") from None
-            out.append(PilotRunRecord(**values))
-        return out
-
-    if isinstance(stream_or_path, io.TextIOBase):
-        return _read(stream_or_path)
+def read_pilot_csv(path) -> list:
+    """Pilot records from a CSV file; LearningError if unreadable."""
     try:
-        with open(stream_or_path, newline="") as stream:
-            return _read(stream)
+        with open(path, newline="") as stream:
+            reader = csv.DictReader(stream)
+            missing = set(FIELD_NAMES) - set(reader.fieldnames or ())
+            if missing:
+                raise LearningError(f"pilot stats file missing columns {sorted(missing)}")
+            out = []
+            for row in reader:
+                try:
+                    values = {
+                        name: row[name] if name in _STR_FIELDS else float(row[name])
+                        for name in FIELD_NAMES
+                    }
+                except (TypeError, ValueError) as exc:
+                    raise LearningError(
+                        f"pilot stats line {reader.line_num}: {exc}") from None
+                out.append(PilotRunRecord(**values))
+            return out
     except (OSError, UnicodeDecodeError) as exc:
         raise LearningError(
             f"cannot read pilot stats ({exc}); run `semcloud pilot` first") from None

@@ -82,8 +82,8 @@ def time_model_frame(records):
     return X, y
 
 
-def register_externals(models: dict, registry: ExternalRegistry | None = None) -> ExternalRegistry:
-    """Wrap fitted models as pure functions and register them by name.
+def register_externals(models: dict) -> ExternalRegistry:
+    """A new ExternalRegistry holding each fitted model as a pure function.
 
     ``models`` maps external names (without '@') to fitted models.  Raises
     SignatureMismatch when a model's feature count differs from the call
@@ -93,7 +93,7 @@ def register_externals(models: dict, registry: ExternalRegistry | None = None) -
     from ..datalog.engine import ExternalRegistry
 
     arities = dict(ALL_EXTERNALS)
-    registry = registry or ExternalRegistry()
+    registry = ExternalRegistry()
     for name, model in models.items():
         if name not in arities:
             raise SignatureMismatch(f"@{name} is not a known external")
@@ -123,10 +123,9 @@ def model_to_dict(model) -> dict:
         return {
             "format": MODEL_FORMAT,
             "method": "polyr",
-            "hyperparameters": {"degree": model.degree, "cross_terms": model.cross_terms},
+            "hyperparameters": {"degree": model.degree},
             "payload": {
                 "weights": model.weights.tolist(),
-                "n_features": model.n_features,
                 "feature_scale": model.feature_scale.tolist(),
                 "rank_deficient": bool(model.rank_deficient),
             },
@@ -201,18 +200,13 @@ def model_from_dict(data: dict):
     payload = data["payload"]
     if method == "polyr":
         degree = _whole(hyper["degree"], "degree", 1)
-        n_features = _whole(payload["n_features"], "n_features", 1)
-        cross_terms = bool(hyper.get("cross_terms", False))
-        n_weights = degree * n_features + 1
-        if cross_terms:
-            n_weights += n_features * (n_features - 1) // 2
+        feature_scale = _finite_array(payload["feature_scale"], "feature_scale", (None,),
+                                      positive=True)
         return PolyRModel(
             degree=degree,
-            weights=_finite_array(payload["weights"], "weights", (n_weights,)),
-            n_features=n_features,
-            feature_scale=_finite_array(payload["feature_scale"], "feature_scale",
-                                        (n_features,), positive=True),
-            cross_terms=cross_terms,
+            weights=_finite_array(payload["weights"], "weights",
+                                  (degree * feature_scale.shape[0] + 1,)),
+            feature_scale=feature_scale,
             rank_deficient=bool(payload.get("rank_deficient", False)),
         )
     if method == "mlp":

@@ -16,7 +16,6 @@ from .models import (
     KNNModel,
     MLPModel,
     PolyRModel,
-    TrainConfig,
     fit_knn,
     fit_mlp,
     fit_polyr,
@@ -47,46 +46,32 @@ def train_test_split(X, y, seed: int):
     return X[tr], y[tr], X[te], y[te]
 
 
+_FIT = {"polyr": fit_polyr, "mlp": fit_mlp, "knn": fit_knn}
+_PREDICT = {PolyRModel: predict_polyr, MLPModel: predict_mlp, KNNModel: predict_knn}
+
+
 def fit_method(method: str, X, y, params: dict):
-    if method == "polyr":
-        return fit_polyr(X, y, degree=int(params["degree"]),
-                         cross_terms=bool(params.get("cross_terms", False)))
-    if method == "mlp":
-        config = TrainConfig(
-            epochs=int(params.get("epochs", 400)),
-            step_size=float(params.get("step_size", 0.01)),
-            batch_size=int(params.get("batch_size", 32)),
-            seed=int(params.get("seed", 0)),
-        )
-        return fit_mlp(X, y, list(params["hidden_widths"]), config)
-    if method == "knn":
-        return fit_knn(X, y, k=int(params["k"]))
-    raise LearningError(f"unknown method {method!r}")
+    """The ``method`` model fitted with the hyper-parameters ``params``."""
+    try:
+        fit = _FIT[method]
+    except KeyError:
+        raise LearningError(f"unknown method {method!r}") from None
+    return fit(X, y, **params)
 
 
 def predict_method(model, X) -> np.ndarray:
-    if isinstance(model, PolyRModel):
-        return predict_polyr(model, X)
-    if isinstance(model, MLPModel):
-        return predict_mlp(model, X)
-    if isinstance(model, KNNModel):
-        return predict_knn(model, X)
-    raise LearningError(f"unknown model type {type(model).__name__}")
-
-
-def _model_size(method: str, params: dict, model) -> tuple:
-    if method == "polyr":
-        return (model.degree, model.n_weights)
-    if method == "mlp":
-        return (model.n_parameters,)
-    return (model.k,)
+    try:
+        predict = _PREDICT[type(model)]
+    except KeyError:
+        raise LearningError(f"unknown model type {type(model).__name__}") from None
+    return predict(model, X)
 
 
 def grid_search(method: str, grid, data, split_seed: int = 0):
     """Pick the hyper-parameters minimising held-out nmae.
 
     ``grid`` is a sequence of parameter dicts; ties break toward the smaller
-    model (lower degree / fewer weights / smaller k).  Returns
+    model (lower degree / fewer parameters / smaller k).  Returns
     (best_params, best_model, FitReport).
     """
     grid = list(grid)
@@ -104,7 +89,7 @@ def grid_search(method: str, grid, data, split_seed: int = 0):
         pred = predict_method(model, X_te)
         infer_ms = (time.perf_counter() - t0) * 1e3 / max(len(y_te), 1)
         score = nmae(pred, y_te)
-        key = (score, _model_size(method, params, model))
+        key = (score, model.size)
         if best is None or key < best[0]:
             best = (key, params, model, learn_ms, infer_ms)
 

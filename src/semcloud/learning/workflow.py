@@ -23,30 +23,22 @@ DEFAULT_GRIDS = {
 EXTERNAL_TARGETS = tuple(ESTIMATION_TARGETS) + tuple(CONFIGURATION_TARGETS)
 
 
-def fit_external(records, external, methods=("polyr", "knn"), split_seed=0):
-    """Best (model, FitReport) for one external across the given methods."""
-    data = training_frame(records, external)
-    best = None
-    for method in methods:
-        _, model, report = grid_search(method, DEFAULT_GRIDS[method], data, split_seed)
-        if best is None or report.nmae < best[1].nmae:
-            best = (model, report)
-    if best is None:
-        raise LearningError("no method produced a model for @%s" % external)
-    return best
-
-
-def learn_externals(records, methods=("polyr", "knn"), split_seed=0):
-    """Fit every rule external; returns ({name: model}, {name: FitReport})."""
+def learn_externals(records, methods, split_seed=0):
+    """Fit every rule external with the best of ``methods``; returns
+    ({name: model}, {name: FitReport})."""
+    if not methods:
+        raise LearningError("no learning methods given")
     models, reports = {}, {}
     for external in EXTERNAL_TARGETS:
-        model, report = fit_external(records, external, methods, split_seed)
-        models[external] = model
-        reports[external] = report
+        data = training_frame(records, external)
+        for method in methods:
+            _, model, report = grid_search(method, DEFAULT_GRIDS[method], data, split_seed)
+            if external not in reports or report.nmae < reports[external].nmae:
+                models[external], reports[external] = model, report
     return models, reports
 
 
-def learn_time_model(records, method="knn", split_seed=0):
+def learn_time_model(records, method, split_seed=0):
     """Fit total_time over TIME_FEATURES from configuration-kind rows."""
     data = time_model_frame(records)
     if len(data[1]) < 4:
@@ -58,7 +50,6 @@ def learn_time_model(records, method="knn", split_seed=0):
 __all__ = [
     "DEFAULT_GRIDS",
     "EXTERNAL_TARGETS",
-    "fit_external",
     "learn_externals",
     "learn_time_model",
 ]

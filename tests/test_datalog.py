@@ -270,6 +270,10 @@ DEPENDENCY_CASES = [
     pytest.param("a(m) <- u(z), m = #max{@f(y) : z_r(y)}.  z_r(x) <- s(x).",
                  [("u", (1.0,)), ("s", (3.0,))], {"f": _double_plus_one},
                  id="external-in-comprehension"),
+    pytest.param('a(x) <- p(x, x).  b(y) <- p(2, y), q(y, y, "k").',
+                 [("p", (1.0, 1.0)), ("p", (1.0, 2.0)), ("p", (2.0, 2.0)), ("p", (2.0, 3.0)),
+                  ("q", (2.0, 2.0, "k")), ("q", (3.0, 3.0, "j")), ("q", (3.0, 2.0, "k"))],
+                 {}, id="constants-and-repeated-variables"),
 ]
 
 

@@ -166,6 +166,7 @@ class TestDocument:
         lambda tree: tree["tasks"][0].update(hasRequirementSet={"cpu": 1.0}),
         lambda tree: tree["edges"].append(["p1_t1", "hasIO", "p1_io9"]),
         lambda tree: tree["edges"].append(["p1_io1", "hasOutput", "p1_d9"]),
+        lambda tree: tree["edges"].append(["p1", "hasInputData", "p1_d1"]),
         lambda tree: tree["tasks"].append(dict(tree["tasks"][2], hasMemoryReservation=5)),
         lambda tree: tree["data_entities"].append(dict(tree["data_entities"][0], id="p1_t3")),
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list", "layers-not-a-list",
@@ -173,7 +174,7 @@ class TestDocument:
             "inf-volume", "requirements-triple-not-a-mapping", "triples-not-a-list",
             "misspelt-section", "unknown-head-key", "unknown-layer-key",
             "unknown-io-handler-key", "unknown-requirement", "io-edge", "output-edge",
-            "repeated-task-id", "task-id-on-a-data-entity"])
+            "input-data-edge", "repeated-task-id", "task-id-on-a-data-entity"])
     def test_malformed_document_is_a_schema_error(self, edit):
         tree = yaml.safe_load(serialize_pipeline(frequent_pipeline("p1", chunk_size=100.0,
                                                                    slice_size=10.0)))

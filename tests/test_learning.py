@@ -1,7 +1,5 @@
 """Learning stack: models, metrics, tuning, registry, pilot records."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from semcloud.learning import (
     MLPModel,
     PilotRunRecord,
     PolyRModel,
-    TrainConfig,
     fit_knn,
     fit_method,
     fit_mlp,
@@ -228,9 +225,8 @@ def test_ordered_sum_adds_in_numpys_order(width):
 
 
 ROW_MODELS = [
-    pytest.param("polyr", {"degree": degree, "cross_terms": cross},
-                 id="polyr-%d%s" % (degree, "-cross" if cross else ""))
-    for degree in range(1, 7) for cross in (False, True)
+    pytest.param("polyr", {"degree": degree}, id="polyr-%d" % degree)
+    for degree in range(1, 7)
 ] + [
     pytest.param("mlp", {"hidden_widths": (10, 9), "epochs": 20}, id="mlp"),
     pytest.param("knn", {"k": 3}, id="knn"),
@@ -288,16 +284,14 @@ class TestMLP:
         rng = np.random.RandomState(1)
         X = rng.uniform(0, 1, size=(60, 2))
         y = 3.0 + X[:, 0] + 2.0 * X[:, 1]
-        model = fit_mlp(X, y, (8,), TrainConfig(epochs=200, step_size=0.05,
-                                                batch_size=16, seed=0))
+        model = fit_mlp(X, y, (8,), epochs=200, step_size=0.05)
         assert model.loss_history[-1] < model.loss_history[0] * 0.2
 
     def test_seeded_and_deterministic(self):
         X = np.linspace(0, 1, 30).reshape(-1, 1)
         y = 1.0 + X[:, 0]
-        cfg = TrainConfig(epochs=20, step_size=0.05, batch_size=8, seed=42)
-        a = fit_mlp(X, y, (6,), cfg)
-        b = fit_mlp(X, y, (6,), cfg)
+        a = fit_mlp(X, y, (6,), epochs=20, step_size=0.05)
+        b = fit_mlp(X, y, (6,), epochs=20, step_size=0.05)
         assert all(np.array_equal(w1, w2)
                    for w1, w2 in zip(a.weights, b.weights))
         assert predict_mlp(a, X) == pytest.approx(predict_mlp(b, X))
@@ -317,8 +311,7 @@ class TestMLP:
         X = np.linspace(0, 1, 20).reshape(-1, 1)
         y = 1.0 + X[:, 0]
         with pytest.raises(Divergence):
-            fit_mlp(X, y, (8,), TrainConfig(epochs=5, step_size=0.05,
-                                            batch_size=20, seed=0))
+            fit_mlp(X, y, (8,), epochs=5, step_size=0.05)
 
     def test_empty_hidden_widths_rejected(self):
         with pytest.raises(LearningError):
@@ -357,6 +350,31 @@ class TestTuning:
         assert params["degree"] == best[1]
         assert report.nmae == pytest.approx(best[0])
         assert isinstance(model, PolyRModel)
+
+    def test_unknown_method_is_a_learning_error(self):
+        with pytest.raises(LearningError, match="unknown method 'svm'"):
+            fit_method("svm", *self.quartic_data(), {})
+
+    def test_unknown_model_type_is_a_learning_error(self):
+        with pytest.raises(LearningError, match="unknown model type"):
+            predict_method(object(), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("method, params, size", [
+        ("polyr", {"degree": 3}, 3),
+        # 1 feature -> 4 hidden -> 1 output: 4 + 4 weights, 4 + 1 biases
+        ("mlp", {"hidden_widths": (4,), "epochs": 2}, 13),
+        ("knn", {"k": 3}, 3),
+    ], ids=["polyr", "mlp", "knn"])
+    def test_model_size(self, method, params, size):
+        assert fit_method(method, *self.quartic_data(), params).size == size
+
+    def test_tie_breaks_toward_the_smaller_model(self):
+        # A constant target: every k predicts it exactly, so all tie at 0.
+        X, _ = self.quartic_data()
+        y = np.full(len(X), 2.0)
+        params, model, report = grid_search("knn", [{"k": 4}, {"k": 2}, {"k": 3}], (X, y))
+        assert report.nmae == 0.0
+        assert params == {"k": 2} and model.k == 2
 
     def test_single_point_grid(self):
         data = self.quartic_data()
@@ -426,8 +444,7 @@ class TestRegistryAndPersistence:
         y = 1.0 + 2.0 * X[:, 0]
         probe = np.array([[0.35], [1.7]])
         for model in (fit_polyr(X, y, degree=2), fit_knn(X, y, k=2),
-                      fit_mlp(X, y, (4,), TrainConfig(epochs=10, step_size=0.05,
-                                                      batch_size=8, seed=1))):
+                      fit_mlp(X, y, (4,), epochs=10, step_size=0.05)):
             path = tmp_path / "m.json"
             save_model(model, path)
             loaded = load_model(path)
@@ -440,6 +457,46 @@ class TestRegistryAndPersistence:
         clone = model_from_dict(model_to_dict(model))
         assert np.array_equal(clone.samples, model.samples)
 
+    # Model files in the format written before polyr dropped its
+    # cross_terms flag and stored feature count, with the predictions that
+    # format's loader gave for PARENT_PROBE.
+    PARENT_FILES = {
+        "polyr": ({"format": "semcloud-model/1", "method": "polyr",
+                   "hyperparameters": {"cross_terms": False, "degree": 2},
+                   "payload": {"feature_scale": [4.0, 2.5], "n_features": 2,
+                               "rank_deficient": False,
+                               "weights": [1.5, 2.25, -0.75, 0.5, 3.125]}},
+                  [4.16953125, 2.53828125, 11.565625, 2.240625]),
+        "mlp": ({"format": "semcloud-model/1", "method": "mlp",
+                 "hyperparameters": {"hidden_widths": [3]},
+                 "payload": {"weights": [[[0.5, -0.25], [1.0, 0.75], [-0.5, 0.125]],
+                                         [[0.75, 1.25, -0.5]]],
+                             "biases": [[0.1, -0.2, 0.3], [0.05]],
+                             "mean": [1.0, 0.5], "scale": [2.0, 1.5], "target_scale": 3.0}},
+                [0.4499999999999999, 1.1437499999999998, 9.6125, 0.0]),
+        "knn": ({"format": "semcloud-model/1", "method": "knn",
+                 "hyperparameters": {"k": 2},
+                 "payload": {"samples": [[0.0, 0.0], [1.0, -1.0], [-0.5, 2.0], [2.0, 1.0]],
+                             "targets": [1.0, 4.0, 2.5, 7.0],
+                             "mean": [1.0, 0.5], "scale": [2.0, 1.5]}},
+                [1.7500000000000002, 2.7365061711801313, 4.658633371878662, 1.0]),
+    }
+    PARENT_PROBE = [[0.5, 2.0], [1.5, -1.0], [3.0, 4.0], [1.0, 0.5]]
+
+    @pytest.mark.parametrize("method", ["polyr", "mlp", "knn"])
+    def test_model_file_of_the_previous_format_predicts_the_same(self, method):
+        data, expected = self.PARENT_FILES[method]
+        model = model_from_dict(data)
+        assert predict_method(model, np.array(self.PARENT_PROBE)).tolist() == expected
+
+    def test_polyr_file_with_cross_terms_is_rejected(self):
+        data, _ = self.PARENT_FILES["polyr"]
+        data = {**data, "hyperparameters": {"cross_terms": True, "degree": 2},
+                "payload": {**data["payload"],
+                            "weights": [1.5, 2.25, -0.75, 0.5, 3.125, 1.0]}}
+        with pytest.raises(LearningError, match="weights"):
+            model_from_dict(data)
+
     @pytest.mark.parametrize("method, section, key, value", [
         ("knn", "hyperparameters", "k", 0),
         ("knn", "hyperparameters", "k", 2.5),
@@ -451,9 +508,7 @@ class TestRegistryAndPersistence:
         ("knn", "payload", "mean", [0.0]),
         ("knn", "payload", "scale", [1.0, 0.0]),
         ("polyr", "payload", "weights", [1.0, 2.0]),
-        ("polyr", "hyperparameters", "cross_terms", False),
         ("polyr", "payload", "feature_scale", [1.0]),
-        ("polyr", "payload", "n_features", 3),
         ("mlp", "payload", "biases", [[0.1, 0.1], [0.1]]),
         ("mlp", "payload", "biases", [[0.1, 0.1, 0.1]]),
         ("mlp", "payload", "weights", [[[1.0, 1.0]] * 3]),
@@ -464,7 +519,7 @@ class TestRegistryAndPersistence:
     def test_malformed_model_dict_rejected(self, method, section, key, value):
         X = np.column_stack([np.linspace(0, 2, 15), np.linspace(1, 5, 15) ** 2])
         y = 1.0 + X[:, 0] + X[:, 1]
-        params = {"knn": {"k": 2}, "polyr": {"degree": 2, "cross_terms": True},
+        params = {"knn": {"k": 2}, "polyr": {"degree": 2},
                   "mlp": {"hidden_widths": (3,), "epochs": 2}}[method]
         data = model_to_dict(fit_method(method, X, y, params))
         model_from_dict(data)
@@ -474,14 +529,12 @@ class TestRegistryAndPersistence:
 
 
 class TestPilotRecords:
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         records = [make_pilot_record(),
                    make_pilot_record(kind="configuration", chunk_size=200.0,
                                      slice_size=100.0)]
-        buf = io.StringIO()
-        write_pilot_csv(records, buf)
-        buf.seek(0)
-        assert read_pilot_csv(buf) == records
+        write_pilot_csv(records, tmp_path / "pilot.csv")
+        assert read_pilot_csv(tmp_path / "pilot.csv") == records
 
     def test_violations_flag_bad_rows(self):
         good = make_pilot_record()

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import io
 import math
 
 import pytest
@@ -366,7 +365,7 @@ class TestCompareAndPilots:
         est = [r for r in records if r.kind == "estimation"][0]
         assert est.chunk_size == 400.0 and est.slice_size == 400.0
 
-    def test_collect_pilot_stats_is_golden(self):
+    def test_collect_pilot_stats_is_golden(self, tmp_path):
         # Pins every pilot row of a small noisy grid across refactors of
         # the engine: the noise draws, the choice among five preparers and
         # the slice restart (its reservation is below its working set).
@@ -385,9 +384,8 @@ class TestCompareAndPilots:
             graph, default_cluster(), cost, workloads, grid, seeds=[1, 2])
         assert errors == []
         assert len(records) == 12
-        stream = io.StringIO()
-        write_pilot_csv(records, stream)
-        assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == (
+        write_pilot_csv(records, tmp_path / "pilot.csv")
+        assert hashlib.sha256((tmp_path / "pilot.csv").read_bytes()).hexdigest() == (
             "cffae2644f7c2ef424da67eb6fe3cb90492922ea170c3564fc722f08248dceb5")
 
     def test_collect_pilot_stats_skips_a_grid_entry_that_does_not_fit(self):
