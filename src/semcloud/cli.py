@@ -240,7 +240,6 @@ def configure(ctx, pipeline_path):
     def body(cfg):
         from .configure import build_registry, target_pilot_record
         from .datalog import dump_facts
-        from .datalog.corpus import ALL_EXTERNALS
         from .kg import frequent_pipeline
         from .learning import EXTERNAL_TARGETS, read_pilot_csv
         from .sim import SimWorkload
@@ -270,8 +269,7 @@ def configure(ctx, pipeline_path):
                 memory_reservation=pilot_record.prepare_memory,
                 storage_mode="fast",
             )
-        models = {name: _load_model(cfg, name)
-                  for name, _ in ALL_EXTERNALS if name in EXTERNAL_TARGETS}
+        models = {name: _load_model(cfg, name) for name in EXTERNAL_TARGETS}
         time_model = _load_model(cfg, "time_model")
         registry = build_registry(models, time_model, cfg.search_space)
         config, configured, idb = configure_pipeline(graph, cloud, registry, pilot_record)

@@ -83,7 +83,7 @@ def _rules():
         "cost": {f.name: (_COUNT if f.type is int
                           else _POSITIVE if f.name.startswith("thr_") else _NON_NEGATIVE)
                  for f in dataclasses.fields(CostModel)
-                 if f.name not in ("noise_amplitude", "noise_seed")},
+                 if f.name != "noise_amplitude"},
         "cloud": {"id": _SYMBOL, "memory_buffer_coefficient": _POSITIVE,
                   "storage_buffer_coefficient": _POSITIVE, "max_memory_coefficient": _POSITIVE,
                   "node_memory": _POSITIVE, "node_storage": _POSITIVE,

@@ -69,6 +69,7 @@ def build_registry(models, time_model, space_factory):
         return float(result.nc), float(result.ns)
 
     registry = register_externals(models)
+    # (n, v, ts, tp) -> chunk size (index 0) or slice size (index 1)
     for name, index in (("func_fs_1", 0), ("func_fs_2", 1),
                         ("func_cs_1", 0), ("func_cs_2", 1)):
         registry.register(name, _picker(best, index), arity=4)

@@ -19,28 +19,6 @@ import functools
 
 from .parser import parse_program
 
-# (name, arity) of every external the corpus calls.  The estimation functions
-# depend only on data size; the configuration functions also see the measured
-# pilot step times or the chosen chunk/slice sizes.
-ESTIMATION_EXTERNALS = (
-    ("func_ms", 2),   # (n, v)            -> slice memory, MB
-    ("func_mp", 4),   # (n, v, ms, i)     -> prepare memory at slice index i, MB
-    ("func_ssl", 2),  # (n, v)            -> slice storage, MB
-    ("func_spr", 4),  # (n, v, ssl, i)    -> prepare storage at slice index i, MB
-    ("func_sst", 4),  # (n, v, ssl, spr)  -> store storage, MB
-)
-
-CONFIGURATION_EXTERNALS = (
-    ("func_fs_1", 4),  # (n, v, ts, tp) -> chunk size, fast-storage branch
-    ("func_fs_2", 4),  # (n, v, ts, tp) -> slice size, fast-storage branch
-    ("func_cs_1", 4),  # (n, v, ts, tp) -> chunk size, cloud-storage branch
-    ("func_cs_2", 4),  # (n, v, ts, tp) -> slice size, cloud-storage branch
-    ("func_ss", 4),    # (n, v, nc, ns) -> slice memory under the configuration
-    ("func_pn", 4),    # (n, v, nc, ns) -> prepare memory under the configuration
-)
-
-ALL_EXTERNALS = ESTIMATION_EXTERNALS + CONFIGURATION_EXTERNALS
-
 RULES_TEXT = """
 % ---- graph extraction ------------------------------------------------------
 

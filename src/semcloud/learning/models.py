@@ -324,27 +324,23 @@ def _ordered_sum(term, start, stop):
 
 
 def _nearest(dist: np.ndarray, k: int):
-    """Per row, the first k indices of a stable argsort of ``dist``, and
-    their distances.
+    """Per row, the k nearest indices in (distance, index) order, and their
+    distances; overwrites ``dist``.
 
-    A partition finds each row's k-th smallest distance; the samples up to
-    it are the k nearest (of those tied with it, the lowest-indexed), and
-    one stable argsort puts them in (distance, index) order.
+    Each of k passes takes every row's smallest remaining distance, at its
+    lowest index, and masks it with inf: on finite distances that is a
+    stable argsort's first k, at O(k * samples) per row.  Once a row's
+    remaining distances are all inf a pass may take an index again, which
+    predict_knn weighs 1/inf = 0, as it would a new one.
     """
-    rows = np.arange(dist.shape[0])[:, None]
-    if k < dist.shape[1]:
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-        take = dist <= kth
-        if np.count_nonzero(take) > k * dist.shape[0]:  # ties at the k-th distance
-            below = dist < kth
-            tied = dist == kth
-            room = k - below.sum(axis=1, keepdims=True)
-            take = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        index = np.nonzero(take)[1].reshape(-1, k)
-    else:
-        index = np.broadcast_to(np.arange(k), dist.shape)
-    nearest = index[rows, np.argsort(dist[rows, index], axis=1, kind="stable")]
-    return nearest, dist[rows, nearest]
+    rows = np.arange(dist.shape[0])
+    nearest = np.empty((dist.shape[0], k), dtype=np.intp)
+    d = np.empty((dist.shape[0], k))
+    for j in range(k):
+        nearest[:, j] = pick = dist.argmin(axis=1)
+        d[:, j] = dist[rows, pick]
+        dist[rows, pick] = np.inf
+    return nearest, d
 
 
 def predict_knn(model: KNNModel, X) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Binding fitted models to the rule externals, plus the model file format.
 
-Each estimation external has a fixed call signature; a model is accepted only
-if its feature count matches.  The training frame for every external is
-extracted from pilot statistics here, so learning and rule evaluation agree
-on feature order.
+Each learned external's call signature is the feature columns of its target
+table entry; a model is accepted only if its feature count matches.  The
+training frame for every external is extracted from pilot statistics here,
+so learning and rule evaluation agree on feature order.
 """
 
 from __future__ import annotations
@@ -23,20 +23,30 @@ from .tuning import predict_method
 
 MODEL_FORMAT = "semcloud-model/1"
 
-# Estimation targets learned from single-node pilot rows.  Each entry maps an
-# external to (feature columns, target column); "i" is the slice index input,
-# replicated over range(1..R) at frame-building time.
+# Estimation targets learned from single-node pilot rows; they depend only on
+# data size.  Each entry maps an external to (feature columns, target column):
+# the feature columns are its call arguments, in order, so their count is its
+# arity.  "i" is the slice index input, replicated over range(1..R) at
+# frame-building time.
 ESTIMATION_TARGETS = {
+    # (n, v) -> slice memory, MB
     "func_ms": (("no_records", "volume"), "slice_memory"),
+    # (n, v, ms, i) -> prepare memory at slice index i, MB
     "func_mp": (("no_records", "volume", "slice_memory", "i"), "prepare_memory"),
+    # (n, v) -> slice storage, MB
     "func_ssl": (("no_records", "volume"), "slice_storage"),
+    # (n, v, ssl, i) -> prepare storage at slice index i, MB
     "func_spr": (("no_records", "volume", "slice_storage", "i"), "prepare_storage"),
+    # (n, v, ssl, spr) -> store storage, MB
     "func_sst": (("no_records", "volume", "slice_storage", "prepare_storage"), "store_storage"),
 }
 
-# Configuration targets learned from varied-(nc, ns) pilot rows.
+# Configuration targets learned from varied-(nc, ns) pilot rows; they also see
+# the chosen chunk and slice sizes.
 CONFIGURATION_TARGETS = {
+    # (n, v, nc, ns) -> slice memory under the configuration, MB
     "func_ss": (("no_records", "volume", "chunk_size", "slice_size"), "slice_memory"),
+    # (n, v, nc, ns) -> prepare memory under the configuration, MB
     "func_pn": (("no_records", "volume", "chunk_size", "slice_size"), "prepare_memory"),
 }
 
@@ -86,27 +96,25 @@ def register_externals(models: dict) -> ExternalRegistry:
     """A new ExternalRegistry holding each fitted model as a pure function.
 
     ``models`` maps external names (without '@') to fitted models.  Raises
-    SignatureMismatch when a model's feature count differs from the call
-    signature's arity.
+    SignatureMismatch when a name is not in ESTIMATION_TARGETS or
+    CONFIGURATION_TARGETS, or a model's feature count differs from the
+    number of feature columns its entry lists (the external's arity).
     """
-    from ..datalog.corpus import ALL_EXTERNALS
     from ..datalog.engine import ExternalRegistry
 
-    arities = dict(ALL_EXTERNALS)
+    targets = {**ESTIMATION_TARGETS, **CONFIGURATION_TARGETS}
     registry = ExternalRegistry()
     for name, model in models.items():
-        if name not in arities:
-            raise SignatureMismatch(f"@{name} is not a known external")
-        arity = arities[name]
+        if name not in targets:
+            raise SignatureMismatch(f"@{name} is not a learned external")
+        arity = len(targets[name][0])
         n_features = getattr(model, "n_features", None)
         if n_features != arity:
             raise SignatureMismatch(
                 f"@{name} takes {arity} arguments but the model has {n_features} features"
             )
 
-        def call(*args, _model=model, _name=name, _arity=arity):
-            if len(args) != _arity:
-                raise SignatureMismatch(f"@{_name} called with {len(args)} arguments")
+        def call(*args, _model=model):
             return float(predict_method(_model, np.asarray([args], dtype=float))[0])
 
         registry.register(name, call, arity)

@@ -23,7 +23,7 @@ DEFAULT_GRIDS = {
 EXTERNAL_TARGETS = tuple(ESTIMATION_TARGETS) + tuple(CONFIGURATION_TARGETS)
 
 
-def learn_externals(records, methods, split_seed=0):
+def learn_externals(records, methods):
     """Fit every rule external with the best of ``methods``; returns
     ({name: model}, {name: FitReport})."""
     if not methods:
@@ -32,18 +32,18 @@ def learn_externals(records, methods, split_seed=0):
     for external in EXTERNAL_TARGETS:
         data = training_frame(records, external)
         for method in methods:
-            _, model, report = grid_search(method, DEFAULT_GRIDS[method], data, split_seed)
+            _, model, report = grid_search(method, DEFAULT_GRIDS[method], data)
             if external not in reports or report.nmae < reports[external].nmae:
                 models[external], reports[external] = model, report
     return models, reports
 
 
-def learn_time_model(records, method, split_seed=0):
+def learn_time_model(records, method):
     """Fit total_time over TIME_FEATURES from configuration-kind rows."""
     data = time_model_frame(records)
     if len(data[1]) < 4:
         raise LearningError("too few configuration rows for a time model")
-    _, model, report = grid_search(method, DEFAULT_GRIDS[method], data, split_seed)
+    _, model, report = grid_search(method, DEFAULT_GRIDS[method], data)
     return model, report
 
 

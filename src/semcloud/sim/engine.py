@@ -137,7 +137,7 @@ def _chunk_sizes(n, nc):
     return sizes
 
 
-def run(plan, workload, cost, seed=None, kind="configuration"):
+def run(plan, workload, cost, seed=0, kind="configuration"):
     """Execute the plan over the workload; returns (RunTrace, PilotRunRecord).
 
     Messages flow chunk -> slices -> prepared slices over FIFO channels
@@ -147,7 +147,7 @@ def run(plan, workload, cost, seed=None, kind="configuration"):
     for a given seed: one noise draw per message, step by step, then
     five for the record; each step draws its messages' noise at once.
     """
-    rng = np.random.RandomState(cost.noise_seed if seed is None else seed)
+    rng = np.random.RandomState(seed)
     amp = cost.noise_amplitude
 
     def noise(k):

@@ -69,7 +69,6 @@ class CostModel:
     cpu_per_instance: float = 1000.0  # millicores while busy
     max_prepare_instances: int = 8
     noise_amplitude: float = 0.0
-    noise_seed: int = 0
 
     def __post_init__(self):
         for name in ("thr_retrieve", "thr_slice", "thr_prepare", "thr_store"):

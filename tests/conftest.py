@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from semcloud.config import ProjectConfig, derive_seed
+from semcloud.config import ProjectConfig
 from semcloud.learning import learn_externals, learn_time_model
 from semcloud.sim import collect_pilot_stats
 
@@ -35,9 +35,6 @@ def pilot_records(project_config):
 def learned(pilot_records, project_config):
     """(models, reports, time_model, time_report) fitted on pilot_records."""
     plan = project_config.learn_plan()
-    seed = derive_seed(project_config.seed, "learn")
-    models, reports = learn_externals(
-        pilot_records, methods=tuple(plan["methods"]), split_seed=seed)
-    time_model, time_report = learn_time_model(
-        pilot_records, method=plan["time_method"], split_seed=seed)
+    models, reports = learn_externals(pilot_records, methods=tuple(plan["methods"]))
+    time_model, time_report = learn_time_model(pilot_records, method=plan["time_method"])
     return models, reports, time_model, time_report

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from semcloud.datalog import ExternalRegistry
-from semcloud.datalog.corpus import ALL_EXTERNALS
+from semcloud.datalog.corpus import configuration_program
 
 
 def make_stub_funcs(rng=None):
@@ -41,7 +41,7 @@ def make_stub_funcs(rng=None):
 def make_registry(funcs=None):
     funcs = funcs or make_stub_funcs()
     registry = ExternalRegistry()
-    for name, arity in ALL_EXTERNALS:
+    for name, arity in configuration_program().calls:
         registry.register(name, funcs[name], arity)
     return registry
 

@@ -1,4 +1,4 @@
-"""Import hygiene: every module-level import in the package is used."""
+"""Import hygiene: every import in the package is used."""
 
 import ast
 import pathlib
@@ -7,24 +7,43 @@ import semcloud
 
 PACKAGE = pathlib.Path(semcloud.__file__).parent
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_imports(scope):
+    """The import statements of ``scope``'s own body, at any depth of its
+    blocks, but not those of the functions defined inside it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
 
 def unused_imports(source):
-    """Names bound by the module-level imports of ``source`` and never read.
+    """Names bound by the imports of ``source`` and never read in the scope
+    that binds them: the module, or a function (with the functions defined
+    inside it).
 
     ``from __future__`` imports are directives, not bindings, and are skipped.
     """
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in bound.items() if name not in read)
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)]
+    unused = []
+    for scope in scopes:
+        bound = {}
+        for node in _own_imports(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused += [(line, name) for name, line in bound.items() if name not in read]
+    return sorted(unused)
 
 
 def test_the_check_sees_an_unused_import():
@@ -32,7 +51,22 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
 
 
-def test_every_module_level_import_is_used():
+def test_the_check_sees_an_unused_import_in_a_function():
+    source = ("def f():\n"
+              "    import os\n"
+              "    if os.sep:\n"
+              "        from math import pi, tau\n"
+              "    def g():\n"
+              "        import sys\n"
+              "        return tau\n"
+              "    return g\n"
+              "\n"
+              "def h():\n"
+              "    return pi\n")
+    assert unused_imports(source) == [(4, "pi"), (6, "sys")]
+
+
+def test_every_import_is_used():
     # A package __init__ imports names to re-export them.
     modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
     assert modules

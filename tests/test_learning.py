@@ -16,6 +16,7 @@ from semcloud.learning import (
     MLPModel,
     PilotRunRecord,
     PolyRModel,
+    SignatureMismatch,
     fit_knn,
     fit_method,
     fit_mlp,
@@ -205,6 +206,18 @@ class TestKNNBlocks:
         rng = np.random.RandomState(3)
         X = rng.randn(25, 4)
         self.assert_bitwise(fit_knn(X, rng.randn(25), k=25), rng.randn(30, 4))
+
+    def test_overflowed_distances(self):
+        # every distance of a +-1e200 row overflows to inf, so its prediction
+        # weighs k targets by 1/inf = 0 and is NaN; the finite rows between
+        # them share the block and must not change
+        rng = np.random.RandomState(5)
+        X = rng.randn(30, 3)
+        model = fit_knn(X, rng.randn(30), k=5)
+        queries = np.vstack([np.full((4, 3), 1e200), rng.randn(6, 3), np.full((2, 3), -1e200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_bitwise(model, queries)
+            assert np.isnan(predict_knn(model, queries[:4])).all()
 
     def test_queries_cross_block_boundaries(self):
         rng = np.random.RandomState(4)
@@ -438,6 +451,16 @@ class TestRegistryAndPersistence:
         assert fn(10.0, 1.0) == pytest.approx(1.0)
         with pytest.raises(MissingExternal):
             registry.resolve("func_mp", 4)
+
+    def test_register_externals_checks_each_signature_against_its_target(self):
+        model = fit_knn(np.array([[10.0, 1.0], [20.0, 2.0]]), np.array([1.0, 2.0]), k=1)
+        # func_mp takes four arguments; func_fs_1 is a search, not a learned external
+        for name in ("func_mp", "func_fs_1", "func_nope"):
+            with pytest.raises(SignatureMismatch):
+                register_externals({name: model})
+        fn = register_externals({"func_ms": model}).resolve("func_ms", 2)
+        with pytest.raises(DimensionMismatch):
+            fn(10.0, 1.0, 3.0)
 
     def test_save_load_round_trip(self, tmp_path):
         X = np.linspace(0, 2, 15).reshape(-1, 1)
