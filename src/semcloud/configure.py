@@ -89,12 +89,27 @@ def configure_pipeline(graph, cloud, registry, pilot, diagnostics=None):
     ``pilot`` supplies the pre-configuration estimates (hasEst* facts)
     measured on the canonical pilot run.  The graph must carry the
     pre-configuration task fields (chunk/slice size, required times,
-    reservations, storage mode) the task-chain rule matches on.
+    reservations, storage mode) the task-chain rule matches on.  The
+    ground instances the engine drops go to ``diagnostics`` when given;
+    when no configuration is derived, the error names the first of them.
     """
+    if diagnostics is None:
+        diagnostics = []
+    earlier = len(diagnostics)
     edb = to_facts(graph, cloud=cloud, pilot=pilot)
-    idb = evaluate(configuration_program(), edb, registry, diagnostics=diagnostics)
+    # an overflowing model input gives a non-finite output, which the engine
+    # already drops as an instance; numpy need not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        idb = evaluate(configuration_program(), edb, registry, diagnostics=diagnostics)
     rows = query(idb, "configured_resource", 6)
     matching = [row for row in rows if row[0] == graph.id]
+    if not matching and len(diagnostics) > earlier:
+        dropped = diagnostics[earlier]
+        raise ConfigureError(
+            "no configured_resource derived for %r; the engine dropped an "
+            "instance of %s at `%s`: %s"
+            % (graph.id, dropped.rule, dropped.element, dropped.reason)
+        )
     if not matching:
         raise ConfigureError(
             "no configured_resource derived for %r; the pipeline is missing "

@@ -288,8 +288,9 @@ def fit_knn(X, y, k: int) -> KNNModel:
 # Rows scored per block in predict_knn: the block's (rows, samples) distance
 # matrix holds at most this many floats (128 KB); the sum over features keeps
 # one more matrix that size per term in flight (eight lanes from 8 features
-# on).  A 241-row, 562-sample call took the same time from 2**13 to 2**16,
-# while its peak memory grew from 350 to 1700 KB.
+# on), and the call keeps one per-sample vector per fixed feature.  A 241-row,
+# 562-sample slicing-grid call, four of its six features fixed, peaked at
+# 370 KB at 2**13, 570 KB at 2**14 and 1720 KB at 2**16.
 _KNN_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -302,7 +303,10 @@ def _ordered_sum(term, start, stop):
     from 8 to 128 in eight interleaved lanes, combined as
     ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the remainder one by one;
     above 128 as two halves split at a multiple of 8.  Each ``term(j)`` must
-    return a fresh array, because the sum accumulates into it.
+    return a fresh array, because the sum accumulates into it.  A term may
+    be a vector that stands for every row of the matrix terms: it is added
+    into the matrix side, in place, which gives the same bits because IEEE
+    addition commutes.  The total is a vector only if every term is one.
     """
     n = stop - start
     if n > 128:
@@ -314,12 +318,18 @@ def _ordered_sum(term, start, stop):
         lanes = [term(start + j) for j in range(8)]
         rest = stop - n % 8
         for base in range(start + 8, rest, 8):
-            for j, lane in enumerate(lanes):
-                lane += term(base + j)
+            for j in range(8):
+                t = term(base + j)
+                if t.ndim > lanes[j].ndim:
+                    lanes[j], t = t, lanes[j]
+                lanes[j] += t
         l0, l1, l2, l3, l4, l5, l6, l7 = lanes
         total = ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
     for j in range(rest, stop):
-        total += term(j)
+        t = term(j)
+        if t.ndim > total.ndim:
+            total, t = t, total
+        total += t
     return total
 
 
@@ -351,18 +361,30 @@ def predict_knn(model: KNNModel, X) -> np.ndarray:
         )
     Xs = model.standardizer.apply(X)
     columns = np.ascontiguousarray(model.samples.T)
+    # A feature equal in every row of a many-row call adds one per-sample
+    # vector of squared differences, computed once per call.
+    fixed = {}
+    if Xs.shape[0] > 1:
+        for j in np.flatnonzero((Xs == Xs[0]).all(axis=0)).tolist():
+            fixed[j] = d = columns[j] - Xs[0, j]
+            d *= d
     out = np.empty(Xs.shape[0])
     rows = max(1, _KNN_BLOCK_ELEMENTS // columns.shape[1])
     for start in range(0, Xs.shape[0], rows):
         block = Xs[start:start + rows]
 
         def squared(j):
+            if j in fixed:
+                return fixed[j].copy()
             d = columns[j] - block[:, j:j + 1]
             d *= d
             return d
 
         # the per-row algorithm's np.sum over the feature axis, bit for bit
-        dist = np.sqrt(_ordered_sum(squared, 0, columns.shape[0]))
+        dist = _ordered_sum(squared, 0, columns.shape[0])
+        if dist.ndim == 1:  # every feature fixed; _nearest overwrites dist
+            dist = np.broadcast_to(dist, (block.shape[0], dist.shape[0])).copy()
+        np.sqrt(dist, out=dist)
         nearest, d = _nearest(dist, model.k)
         targets = model.targets[nearest]
         exact = d[:, 0] == 0.0  # exact stored point: its target, no weighting

@@ -4,7 +4,8 @@ The grounder here evaluates programs by naive fixpoint iteration over all
 rules until no new fact appears, with its own unification and term
 evaluation.  It shares only the term dataclasses with the package; the
 evaluation mechanics are written from scratch so it can serve as a
-cross-check for the engine.
+cross-check for the engine.  ``per_row_knn`` is the KNN prediction the
+blocked ``predict_knn`` must equal bit for bit, written one row at a time.
 """
 
 from __future__ import annotations
@@ -171,3 +172,19 @@ def brute_force_ground(program, edb_facts, funcs):
                     grew = True
         if not grew:
             return {k: v for k, v in store.items() if v}
+
+
+def per_row_knn(model, X):
+    """predict_knn one row at a time: full stable argsort, weights per row."""
+    Xs = model.standardizer.apply(np.asarray(X, dtype=float))
+    out = np.empty(Xs.shape[0])
+    for row, x in enumerate(Xs):
+        dist = np.sqrt(np.sum((model.samples - x) ** 2, axis=1))
+        nearest = np.argsort(dist, kind="stable")[: model.k]
+        d = dist[nearest]
+        if d[0] == 0.0:
+            out[row] = model.targets[nearest[0]]
+            continue
+        w = 1.0 / d
+        out[row] = float(np.sum(w * model.targets[nearest]) / np.sum(w))
+    return out

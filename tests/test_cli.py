@@ -280,6 +280,22 @@ class TestContract:
         self.assert_failure(result, "configure", 2, "ConfigError")
         assert "cannot read pipeline document" in result.combined
 
+    def test_overflowing_record_count_names_the_dropped_instance(self, tmp_path, completed_chain):
+        # the models' outputs overflow; the engine drops the instance, and
+        # stderr holds only the error that names it and the status line
+        _, workdir, _ = completed_chain
+        shutil.copytree(workdir, tmp_path / "out")
+        document = (tmp_path / "out" / "configured_pipeline.yaml").read_text()
+        count = re.search(r"hasNoRecords: \S+\n", document).group()
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(document.replace(count, "hasNoRecords: 1.0e+300\n", 1))
+        result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
+        assert result.exit_code == 1
+        error, status = result.stderr.splitlines()
+        assert error.startswith("error: no configured_resource derived for ")
+        assert "@func_mp returned a non-finite value" in error
+        assert status == "semcloud-status command=configure ok=0 error=ConfigureError"
+
     @pytest.mark.parametrize("command", ["gen", "pilot", "simulate"])
     def test_workdir_that_names_a_file(self, tmp_path, command):
         workdir = tmp_path / "out"

@@ -1,8 +1,12 @@
 """Configuring pipelines: the table-backed slicing search and fleet EDBs."""
 
+import re
+
 import numpy as np
 import pytest
 
+import semcloud.configure as configure
+import semcloud.learning.registry as registry
 from semcloud.configure import (
     ConfigureError,
     build_registry,
@@ -12,10 +16,18 @@ from semcloud.configure import (
 )
 from semcloud.datalog import FactSet, evaluate, query
 from semcloud.datalog.corpus import configuration_program
-from semcloud.kg import frequent_pipeline, to_facts
-from semcloud.learning import TIME_FEATURES, fit_method, predict_method, time_model_frame
-from semcloud.optimizer import SearchSpace, optimize_slicing, sweet_spot_curve
+from semcloud.kg import frequent_pipeline, parse_pipeline, serialize_pipeline, to_facts
+from semcloud.learning import (
+    TIME_FEATURES,
+    KNNModel,
+    fit_method,
+    predict_method,
+    time_model_frame,
+)
+from semcloud.optimizer import EmptySpace, SearchSpace, optimize_slicing, sweet_spot_curve
 from semcloud.sim import MB
+
+from oracle import per_row_knn
 
 TIME_MODEL_PARAMS = {
     "polyr": {"degree": 3},
@@ -67,35 +79,106 @@ def test_table_objective_rejects_points_outside_the_space(learned):
         objective(101, 1)
 
 
-def test_fleet_edb_configures_each_pipeline_as_alone(learned, pilot_records, project_config):
-    """N pipelines in one EDB get the configured_resource each gets alone."""
-    cfg = project_config
-    models, _, time_model, _ = learned
-    pilot = mean_estimation_pilot(pilot_records)
-    cloud = cfg.cloud_attributes()
-    sizes = (120, 517, 900, 1032, 1500, 2600, 4000, 7000)
+FLEET_SIZES = (120, 517, 900, 1032, 1500, 2600, 4000, 7000)
+
+
+def fleet_edb(pilot, cloud):
+    """Frequent pipelines of FLEET_SIZES records in one EDB; (graphs, edb)."""
     graphs = [
         frequent_pipeline(
             "f%02d" % i, no_records=float(n), volume_mb=n * 1250 / MB,
             chunk_size=pilot.no_records, slice_size=pilot.no_records,
             slice_time=pilot.slice_time, prepare_time=pilot.prepare_time,
             memory_reservation=pilot.prepare_memory, storage_mode="fast")
-        for i, n in enumerate(sizes)
+        for i, n in enumerate(FLEET_SIZES)
     ]
     edb = FactSet()
     for graph in graphs:
         for pred, args in to_facts(graph, cloud=cloud, pilot=pilot):
             edb.add(pred, args)
+    return graphs, edb
+
+
+def test_fleet_edb_configures_each_pipeline_as_alone(learned, pilot_records, project_config):
+    """N pipelines in one EDB get the configured_resource each gets alone."""
+    cfg = project_config
+    models, _, time_model, _ = learned
+    pilot = mean_estimation_pilot(pilot_records)
+    cloud = cfg.cloud_attributes()
+    graphs, edb = fleet_edb(pilot, cloud)
     idb = evaluate(configuration_program(), edb,
                    build_registry(models, time_model, cfg.search_space))
     together = {}
     for pipeline, *values in query(idb, "configured_resource", 6):
         together.setdefault(pipeline, []).append(tuple(values))
     # both sides of the memory guard: some pipelines are sliced, some not
-    assert {together["f%02d" % i][0][1] < n for i, n in enumerate(sizes)} == {True, False}
+    assert {together["f%02d" % i][0][1] < n for i, n in enumerate(FLEET_SIZES)} == {True, False}
     for graph in graphs:
         config, _, _ = configure_pipeline(
             graph, cloud, build_registry(models, time_model, cfg.search_space), pilot)
         alone = (config.chunk_size, config.slice_size, config.storage,
                  config.slice_memory_reservation, config.prepare_memory_reservation)
         assert together[graph.id] == [alone], graph.id
+
+
+def test_error_names_what_kept_the_pipeline_unconfigured(learned, pilot_records, project_config):
+    cfg = project_config
+    models, _, time_model, _ = learned
+    pilot = mean_estimation_pilot(pilot_records)
+    cloud = cfg.cloud_attributes()
+    externals = build_registry(models, time_model, cfg.search_space)
+
+    def pipeline(n):
+        return frequent_pipeline(
+            "p", no_records=n, volume_mb=1.0, chunk_size=pilot.no_records,
+            slice_size=pilot.no_records, slice_time=pilot.slice_time,
+            prepare_time=pilot.prepare_time, memory_reservation=pilot.prepare_memory,
+            storage_mode="fast")
+
+    # the models overflow: the engine drops an instance, and the error names it
+    diagnostics = []
+    with pytest.raises(ConfigureError, match="dropped an instance of") as error:
+        configure_pipeline(pipeline(1e300), cloud, externals, pilot, diagnostics=diagnostics)
+    assert diagnostics and diagnostics[0].reason in str(error.value)
+    # no task-chain field: no rule fires and nothing is dropped
+    document = re.sub(r"  hasChunkSize: .*\n", "", serialize_pipeline(pipeline(1032.0)))
+    with pytest.raises(ConfigureError, match="missing pre-configuration fields"):
+        configure_pipeline(parse_pipeline(document), cloud, externals, pilot)
+
+
+def test_fleet_edb_configures_as_with_per_row_knn(learned, pilot_records, project_config,
+                                                   monkeypatch):
+    """The rule path gives the same configured_resource rows when every KNN
+    prediction, the slicing grids' included, is made one row at a time."""
+    cfg = project_config
+    models, _, time_model, _ = learned
+    assert isinstance(time_model, KNNModel)
+    pilot = mean_estimation_pilot(pilot_records)
+    _, edb = fleet_edb(pilot, cfg.cloud_attributes())
+
+    def configured():
+        idb = evaluate(configuration_program(), edb,
+                       build_registry(models, time_model, cfg.search_space))
+        return [repr(row) for row in query(idb, "configured_resource", 6)]
+
+    blocked = configured()
+    reference_rows = []
+
+    def reference(model, X):
+        if isinstance(model, KNNModel):
+            reference_rows.append(len(X))
+            return per_row_knn(model, X)
+        return predict_method(model, X)
+
+    monkeypatch.setattr(configure, "predict_method", reference)
+    monkeypatch.setattr(registry, "predict_method", reference)
+    assert configured() == blocked
+    assert len(blocked) == len(FLEET_SIZES) and max(reference_rows) > 1
+
+
+def test_empty_space_is_still_empty_through_the_table(time_model):
+    _, model = time_model
+    space = SearchSpace(n=0)
+    assert not list(space.candidates())
+    with pytest.raises(EmptySpace):
+        optimize_slicing(slicing_objective(model, 0.0, 0.0, 1.0, 1.0, space), space)

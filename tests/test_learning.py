@@ -41,6 +41,8 @@ from semcloud.learning import (
     write_pilot_csv,
 )
 
+from oracle import per_row_knn
+
 
 def make_pilot_record(**overrides):
     base = dict(
@@ -154,22 +156,6 @@ class TestKNN:
             fit_knn(np.ones((3, 1)), np.ones(3), k=4)
 
 
-def per_row_knn(model, X):
-    """predict_knn one row at a time: full stable argsort, weights per row."""
-    Xs = model.standardizer.apply(np.asarray(X, dtype=float))
-    out = np.empty(Xs.shape[0])
-    for row, x in enumerate(Xs):
-        dist = np.sqrt(np.sum((model.samples - x) ** 2, axis=1))
-        nearest = np.argsort(dist, kind="stable")[: model.k]
-        d = dist[nearest]
-        if d[0] == 0.0:
-            out[row] = model.targets[nearest[0]]
-            continue
-        w = 1.0 / d
-        out[row] = float(np.sum(w * model.targets[nearest]) / np.sum(w))
-    return out
-
-
 class TestKNNBlocks:
     """The blocked predict_knn equals the per-row algorithm bit for bit."""
 
@@ -228,6 +214,62 @@ class TestKNNBlocks:
         self.assert_bitwise(model, queries)
         self.assert_bitwise(model, queries[: rows + 1])
 
+    @staticmethod
+    def fixed_queries(rng, X, rows, fixed):
+        """Random queries whose ``fixed`` columns hold one value in every row."""
+        queries = rng.randn(rows, X.shape[1]) * X.std(axis=0) + X.mean(axis=0)
+        queries[:, fixed] = queries[0, fixed]
+        return queries
+
+    def test_fleet_shaped_grid(self):
+        # the slicing grid: volume, no_records, slice_time and prepare_time
+        # are the same in every row, chunk_size and slice_size vary
+        rng = np.random.RandomState(6)
+        X = rng.uniform(1.0, 4000.0, size=(562, 6))
+        model = fit_knn(X, rng.uniform(0.1, 5.0, 562), k=2)
+        rows = _KNN_BLOCK_ELEMENTS // model.samples.shape[0]
+        queries = self.fixed_queries(rng, X, 2 * rows + 13, [0, 1, 4, 5])
+        self.assert_bitwise(model, queries)
+
+    def test_one_fixed_column_in_the_middle(self):
+        rng = np.random.RandomState(7)
+        X = rng.randn(90, 5)
+        model = fit_knn(X, rng.randn(90), k=3)
+        self.assert_bitwise(model, self.fixed_queries(rng, X, 60, [2]))
+
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("features", [1, 6, 9])
+    def test_every_column_fixed(self, rows, features):
+        rng = np.random.RandomState(rows + features)
+        X = rng.randn(70, features)
+        model = fit_knn(X, rng.randn(70), k=4)
+        queries = self.fixed_queries(rng, X, rows, list(range(features)))
+        self.assert_bitwise(model, queries)
+        self.assert_bitwise(model, np.vstack([X[5]] * rows))
+
+    @pytest.mark.parametrize("features", [8, 9, 130])
+    def test_fixed_columns_in_the_lanes_and_halves(self, features):
+        # eight lanes from 8 features, split halves above 128: fixed
+        # vectors land in lanes, in the remainder and in either half
+        rng = np.random.RandomState(features)
+        X = rng.randn(60, features) * rng.uniform(0.1, 100.0, size=features)
+        model = fit_knn(X, rng.randn(60), k=3)
+        for fixed in ([0], [features - 1], list(range(0, features, 3)),
+                      list(range(features - 1))):
+            self.assert_bitwise(model, self.fixed_queries(rng, X, 50, fixed))
+
+    def test_overflowed_fixed_column(self):
+        # a fixed column at 1e200 overflows its per-sample vector to inf
+        rng = np.random.RandomState(8)
+        X = rng.randn(30, 4)
+        model = fit_knn(X, rng.randn(30), k=3)
+        queries = rng.randn(12, 4)
+        queries[:, 1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_bitwise(model, queries)
+            self.assert_bitwise(model, queries[:1])
+            assert np.isnan(predict_knn(model, queries)).all()
+
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 128, 129, 300])
 def test_ordered_sum_adds_in_numpys_order(width):
@@ -235,6 +277,16 @@ def test_ordered_sum_adds_in_numpys_order(width):
     terms = rng.randn(40, width) * 10.0 ** rng.randint(-8, 9, size=(40, width))
     total = _ordered_sum(lambda j: terms[:, j].copy(), 0, width)
     assert total.tobytes() == np.sum(terms, axis=-1).tobytes()
+    # vector terms, each standing for every row of the matrix terms, at
+    # mixed positions, at the front, and in every position
+    blocks = rng.randn(3, 40, width) * 10.0 ** rng.randint(-8, 9, size=(3, 40, width))
+    for vectors in (rng.rand(width) < 0.5, np.arange(width) % 3 == 0, np.ones(width, bool)):
+        blocks[:, :, vectors] = blocks[:1, :, vectors]
+        total = _ordered_sum(
+            lambda j: (blocks[0, :, j] if vectors[j] else blocks[:, :, j]).copy(), 0, width)
+        assert total.shape == ((40,) if vectors.all() else (3, 40))
+        expected = np.sum(blocks, axis=-1)
+        assert np.broadcast_to(total, expected.shape).tobytes() == expected.tobytes()
 
 
 ROW_MODELS = [
@@ -256,6 +308,18 @@ def test_prediction_of_a_row_does_not_depend_on_the_batch(method, params):
     batch = predict_method(model, queries)
     one_by_one = np.concatenate([predict_method(model, row[None, :]) for row in queries])
     assert batch.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("method, params", [
+    pytest.param("polyr", {"degree": 3}, id="polyr"),
+    pytest.param("mlp", {"hidden_widths": (10, 9), "epochs": 5}, id="mlp"),
+    pytest.param("knn", {"k": 3}, id="knn"),
+])
+def test_zero_rows_predict_an_empty_array(method, params):
+    rng = np.random.RandomState(13)
+    model = fit_method(method, rng.uniform(1.0, 10.0, size=(30, 6)), rng.rand(30), params)
+    prediction = predict_method(model, np.empty((0, 6)))
+    assert prediction.shape == (0,) and prediction.dtype == float
 
 
 class TestMLP:
