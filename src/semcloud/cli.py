@@ -260,7 +260,7 @@ def configure(ctx, pipeline_path):
         if graph is None:
             graph = frequent_pipeline(
                 target.pipeline,
-                no_records=target.n_records,
+                no_records=float(target.n_records),
                 volume_mb=target.volume_mb,
                 chunk_size=pilot_record.no_records,
                 slice_size=pilot_record.no_records,

@@ -301,6 +301,9 @@ def load_config(path):
             tree = yaml.safe_load(fh) or {}
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
+    except RecursionError:
+        # PyYAML's pure-Python composer recurses once per nesting level
+        raise ConfigError("cannot read config: nested too deeply")
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
     unknown = set(tree) - {f.name for f in dataclasses.fields(ProjectConfig)}

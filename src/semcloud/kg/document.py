@@ -56,6 +56,9 @@ def parse_pipeline(document: str) -> PipelineGraph:
         data = yaml.load(document, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise SchemaError(f"unreadable document: {exc}") from exc
+    except RecursionError:
+        # the pure-Python loader, used without libyaml, recurses per nesting level
+        raise SchemaError("unreadable document: nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError("document root must be a mapping")
     if data.get("format") != FORMAT:

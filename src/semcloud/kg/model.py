@@ -127,14 +127,6 @@ class PipelineGraph:
     io_handlers: tuple = ()
     edges: tuple = ()  # (relation, subject, object) triples
 
-    # -- read helpers --------------------------------------------------------
-
-    def task(self, task_id: str) -> Optional[TaskNode]:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        return None
-
     def io_handler(self, io_id: str) -> Optional[IOHandler]:
         for io in self.io_handlers:
             if io.id == io_id:
@@ -143,19 +135,6 @@ class PipelineGraph:
 
     def tasks_of_kind(self, kind: str) -> list:
         return [t for t in self.tasks if t.kind == kind]
-
-    def relation(self, name: str) -> list:
-        return [(s, o) for rel, s, o in self.edges if rel == name]
-
-    def start_task_id(self) -> Optional[str]:
-        starts = self.relation("hasStartTask")
-        return starts[0][1] if starts else None
-
-    def successors(self, task_id: str) -> list:
-        return sorted(o for s, o in self.relation("hasNextTask") if s == task_id)
-
-    def predecessors(self, task_id: str) -> list:
-        return sorted(s for s, o in self.relation("hasNextTask") if o == task_id)
 
     def input_data_ids(self) -> list:
         """Entities fed into the pipeline: the outputs of the Retrieve task's
@@ -166,27 +145,6 @@ class PipelineGraph:
             if io:
                 out.update(io.outputs)
         return sorted(out)
-
-    def kind_levels(self) -> list:
-        """Task kinds along the hasNextTask chain, parallel tasks grouped.
-
-        Returns a list of sets of kinds, one per topological level starting
-        from the start task.  Raises nothing; cycles simply truncate.
-        """
-        level_ids = [s] if (s := self.start_task_id()) else []
-        levels = []
-        seen = set()
-        frontier = list(level_ids)
-        while frontier:
-            levels.append({t.kind for tid in frontier if (t := self.task(tid))})
-            seen.update(frontier)
-            nxt = []
-            for tid in frontier:
-                for o in self.successors(tid):
-                    if o not in seen and o not in nxt:
-                        nxt.append(o)
-            frontier = nxt
-        return levels
 
     def with_tasks(self, tasks) -> "PipelineGraph":
         return replace(self, tasks=tuple(tasks))

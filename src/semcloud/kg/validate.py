@@ -6,28 +6,6 @@ from .errors import CycleError, StructureError
 from .model import FREQUENCY_CLASSES, STORAGE_MODES, PipelineGraph, TASK_KINDS
 
 
-def _has_cycle(graph: PipelineGraph):
-    succ = {}
-    for s, o in graph.relation("hasNextTask"):
-        succ.setdefault(s, []).append(o)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {t.id: WHITE for t in graph.tasks}
-    for s in succ:
-        color.setdefault(s, WHITE)
-
-    def visit(node):
-        color[node] = GREY
-        for o in succ.get(node, ()):
-            if color.get(o) == GREY:
-                return True
-            if color.get(o) == WHITE and visit(o):
-                return True
-        color[node] = BLACK
-        return False
-
-    return any(color[n] == WHITE and visit(n) for n in list(color))
-
-
 def validate(graph: PipelineGraph) -> None:
     """Return on a valid graph; otherwise raise CycleError when hasNextTask is
     cyclic and StructureError when it is not, with one ``node: message`` line
@@ -40,37 +18,63 @@ def validate(graph: PipelineGraph) -> None:
     if graph.frequency_class not in FREQUENCY_CLASSES:
         report(graph.id, f"unknown frequency class {graph.frequency_class!r}")
 
-    task_ids = {t.id for t in graph.tasks}
+    # every check reads these maps, built in one pass over each collection
+    tasks = {}  # task by id, first occurrence
+    owners = {}  # tasks by IO handler id
     for t in graph.tasks:
+        tasks.setdefault(t.id, t)
+        owners.setdefault(t.io, []).append(t)
         if t.kind not in TASK_KINDS:
             report(t.id, f"unknown task kind {t.kind!r}")
+    handlers = {io.id for io in graph.io_handlers}
+    succ, indegree = {}, {}  # over every hasNextTask endpoint, tasks or not
+    next_pairs = [(s, o) for rel, s, o in graph.edges if rel == "hasNextTask"]
+    for s, o in next_pairs:
+        succ.setdefault(s, []).append(o)
+        indegree.setdefault(s, 0)
+        indegree[o] = indegree.get(o, 0) + 1
+    start = next((o for rel, _, o in graph.edges if rel == "hasStartTask"), None)
 
     # -- task chain shape ----------------------------------------------------
-    cyclic = _has_cycle(graph)
+    # Kahn's algorithm: hasNextTask is cyclic iff some endpoint never
+    # reaches in-degree 0 (``ready`` grows while it is walked)
+    remaining = dict(indegree)
+    ready = [n for n, d in remaining.items() if d == 0]
+    for n in ready:
+        for o in succ.get(n, ()):
+            remaining[o] -= 1
+            if remaining[o] == 0:
+                ready.append(o)
+    cyclic = len(ready) < len(remaining)
     if cyclic:
         report(graph.id, "hasNextTask relation is cyclic")
 
-    next_pairs = graph.relation("hasNextTask")
-    roots = [t.id for t in graph.tasks if not graph.predecessors(t.id)]
-    sinks = [t.id for t in graph.tasks if not graph.successors(t.id)]
+    roots = [t.id for t in graph.tasks if not indegree.get(t.id)]
+    sinks = [t.id for t in graph.tasks if t.id not in succ]
     if graph.tasks:
-        if len(roots) != 1 or (roots and graph.task(roots[0]).kind != "Retrieve"):
+        if len(roots) != 1 or (roots and tasks[roots[0]].kind != "Retrieve"):
             report(graph.id, f"expected a single Retrieve root, found roots {roots}")
-        if len(sinks) != 1 or (sinks and graph.task(sinks[0]).kind != "Store"):
+        if len(sinks) != 1 or (sinks and tasks[sinks[0]].kind != "Store"):
             report(graph.id, f"expected a single Store sink, found sinks {sinks}")
     for s, o in next_pairs:
         for end in (s, o):
-            if end not in task_ids:
+            if end not in tasks:
                 report(end, "hasNextTask endpoint is not a task")
 
-    start = graph.start_task_id()
     if graph.tasks and start is None:
         report(graph.id, "missing hasStartTask edge")
-    elif start is not None and start not in task_ids:
+    elif start is not None and start not in tasks:
         report(start, "hasStartTask target is not a task")
 
-    if not cyclic and graph.tasks and start in task_ids:
-        levels = [sorted(k) for k in graph.kind_levels()]
+    if not cyclic and graph.tasks and start in tasks:
+        # the sorted task kinds of each level of successors from the start
+        # task (an empty start id walks nothing)
+        levels, seen, frontier = [], set(), [start] if start else []
+        while frontier:
+            levels.append(sorted({tasks[n].kind for n in frontier if n in tasks}))
+            seen.update(frontier)
+            frontier = list(dict.fromkeys(
+                o for n in frontier for o in sorted(succ.get(n, ())) if o not in seen))
         flat_ok = all(len(k) == 1 for k in levels)
         kinds = [k[0] for k in levels if len(k) == 1]
         if graph.frequency_class == "frequent":
@@ -110,7 +114,7 @@ def validate(graph: PipelineGraph) -> None:
                 report(t.id, f"memory reservation on a {t.kind} task")
             elif t.memory_reservation <= 0:
                 report(t.id, "memory reservation must be positive")
-        if t.io is not None and graph.io_handler(t.io) is None:
+        if t.io is not None and t.io not in handlers:
             report(t.id, f"unknown IO handler {t.io}")
 
     # -- data entities ---------------------------------------------------------
@@ -123,11 +127,10 @@ def validate(graph: PipelineGraph) -> None:
     producers: dict = {}
     consumer_kinds: dict = {}
     for io in graph.io_handlers:
-        owners = [t for t in graph.tasks if t.io == io.id]
         for out in io.outputs:
             producers.setdefault(out, []).append(io.id)
         for inp in io.inputs:
-            for t in owners:
+            for t in owners.get(io.id, ()):
                 consumer_kinds.setdefault(inp, set()).add(t.kind)
     for d in graph.data_entities:
         made_by = producers.get(d.id, [])

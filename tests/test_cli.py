@@ -107,6 +107,16 @@ class TestChain:
                 if l.startswith("configured_resource(")]
         assert len(hits) == 1
 
+    def test_configuring_the_configured_document_reproduces_it(self, tmp_path, completed_chain):
+        _, workdir, _ = completed_chain
+        shutil.copytree(workdir, tmp_path / "out")
+        path = tmp_path / "pipeline.yaml"
+        shutil.copy(tmp_path / "out" / "configured_pipeline.yaml", path)
+        result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
+        assert result.exit_code == 0, result.combined
+        for name in ("configured_pipeline.yaml", "resource_config.tsv"):
+            assert (tmp_path / "out" / name).read_bytes() == pathlib.Path(workdir, name).read_bytes()
+
 
 class TestIndividualCommands:
     def test_missing_config_is_usage_error(self, tmp_path):
@@ -450,6 +460,14 @@ class TestContract:
         path.write_bytes(content)
         result = invoke(str(path), "gen")
         self.assert_failure(result, "gen", 2, "ConfigError")
+
+    def test_deeply_nested_config_prints_one_status_line(self, tmp_path):
+        # PyYAML's pure-Python composer recurses once per level
+        path = tmp_path / "project.yaml"
+        path.write_text("seed: %s%s\n" % ("[" * 5000, "]" * 5000))
+        result = invoke(str(path), "gen")
+        self.assert_failure(result, "gen", 2, "ConfigError")
+        assert "nested too deeply" in result.combined
 
 
 class TestProjectFileDocs:

@@ -1,10 +1,13 @@
 """Pipeline knowledge graph: model, validation, documents, fact translation."""
 
 import dataclasses
+import sys
 
 import pytest
 import yaml
+from click.testing import CliRunner
 
+from semcloud.cli import main
 from semcloud.datalog import query
 from semcloud.kg import document
 from semcloud.kg import (
@@ -117,6 +120,59 @@ class TestBuildersAndValidate:
         with pytest.raises(StructureError):
             parse_pipeline(serialize_pipeline(g))
 
+    @pytest.mark.parametrize("tasks, edges", [
+        ((), [("p0_t2", "p0_t2")]),
+        ((TaskNode(id="p0_ta", kind="Prepare"), TaskNode(id="p0_tb", kind="Prepare")),
+         [("p0_ta", "p0_tb"), ("p0_tb", "p0_ta")]),
+        ((), [("p0_t3", "ghost"), ("ghost", "p0_t1")]),
+    ], ids=["self-loop", "off-the-start-task", "through-a-non-task"])
+    def test_every_hasnexttask_cycle_is_a_cycle(self, tasks, edges):
+        g = infrequent_pipeline()
+        bad = dataclasses.replace(g, tasks=g.tasks + tasks,
+                                  edges=g.edges + tuple(("hasNextTask", s, o) for s, o in edges))
+        with pytest.raises(CycleError, match=r"(?m)^p0: hasNextTask relation is cyclic$"):
+            validate(bad)
+
+
+def chain_pipeline(prepare_tasks):
+    """A frequent pipeline whose Prepare tasks follow one another in one chain."""
+    g = frequent_pipeline("p1", prepare_tasks=prepare_tasks)
+    order = [t.id for t in g.tasks]  # Retrieve, Slice, the Prepares, Store
+    edges = [e for e in g.edges if e[0] != "hasNextTask"]
+    edges += [("hasNextTask", s, o) for s, o in zip(order, order[1:])]
+    return dataclasses.replace(g, edges=tuple(edges))
+
+
+class TestLargeGraphs:
+    """Validation walks the graph without recursion, so no task count reaches
+    Python's recursion limit."""
+
+    TASKS = 3 * sys.getrecursionlimit()
+
+    @pytest.mark.parametrize("build", [
+        chain_pipeline,
+        lambda n: frequent_pipeline("p1", prepare_tasks=n),
+    ], ids=["chain", "fan-out"])
+    def test_parse_and_translate(self, build):
+        g = build(self.TASKS)
+        assert parse_pipeline(serialize_pipeline(g)) == g
+        assert len(query(to_facts(g), "Prepare", 1)) == self.TASKS
+
+    def test_configure_reads_the_chain_document(self, tmp_path):
+        # the document is valid; the project has no pilot stats, so configure
+        # fails after parsing it, with one status line
+        path = tmp_path / "chain.yaml"
+        path.write_text(serialize_pipeline(chain_pipeline(self.TASKS)))
+        project = tmp_path / "project.yaml"
+        project.write_text(f"seed: 0\nworkdir: {tmp_path / 'out'}\n")
+        result = CliRunner().invoke(main, ["-c", str(project), "configure", "--pipeline",
+                                           str(path)])
+        assert result.exit_code == 1
+        assert [line for line in result.stderr.splitlines()
+                if line.startswith("semcloud-status ")] == [
+            "semcloud-status command=configure ok=0 error=LearningError"]
+        assert "Traceback" not in result.output + result.stderr
+
 
 class TestDocument:
     def test_serialize_parse_identity(self):
@@ -202,6 +258,14 @@ class TestDocument:
         monkeypatch.setattr(document, "_Dumper", yaml.SafeDumper)
         assert serialize_pipeline(g) == text
         assert parse_pipeline(text) == g
+
+    def test_deeply_nested_document_is_a_schema_error(self, monkeypatch):
+        # the pure-Python loader recurses once per nesting level
+        monkeypatch.setattr(document, "_Loader", yaml.SafeLoader)
+        depth = 3 * sys.getrecursionlimit()
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            parse_pipeline("format: semcloud-pipeline/1\nETLPipeline: %s%s\n"
+                           % ("[" * depth, "]" * depth))
 
 
 class TestFacts:
