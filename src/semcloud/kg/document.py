@@ -1,18 +1,19 @@
 """Pipeline document parsing and serialization.
 
-A document is a key-value tree (YAML) using the ontology vocabulary
-verbatim, versioned as ``format: semcloud-pipeline/1``.  Each fact of a graph
-has one spelling: a node's fields are keys of its own entry, named by
+A document is a JSON object using the ontology vocabulary verbatim,
+versioned as ``"format": "semcloud-pipeline/1"``.  Each fact of a graph has
+one spelling: a node's fields are keys of its own entry, named by
 ``model.PROPERTIES``, and ``edges`` holds only ``model.EDGE_RELATIONS``.  A
-key that its section does not define is a SchemaError.
+key that its section does not define is a SchemaError.  JSON is read with one
+loader and nothing else: a document in another syntax, such as the block YAML
+that earlier releases wrote, is a SchemaError that says it is not JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
-
-import yaml
 
 from .errors import SchemaError
 from .model import (
@@ -30,11 +31,6 @@ from .validate import validate
 
 FORMAT = "semcloud-pipeline/1"
 
-# libyaml's C loader and dumper when PyYAML was built with them; they read
-# and write the same documents as the pure-Python ones.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
 _SECTIONS = ("format", "ETLPipeline", "layers", "tasks", "data_entities", "io_handlers", "edges")
 _HEAD_KEYS = ("id", "frequency", "dependsOn")
 _LAYER_KINDS = ("RetrieveLayer", "SliceLayer", "PrepareLayer", "StoreLayer", "Layer")
@@ -46,18 +42,18 @@ _BY_PROPERTY = {
 
 
 def parse_pipeline(document: str) -> PipelineGraph:
-    """Parse a pipeline document, validate it, and return the graph.
+    """Parse a JSON pipeline document, validate it, and return the graph.
 
     Raises SchemaError on a malformed document or an unknown key, class or
     relation, CycleError when hasNextTask is cyclic, StructureError on any
     other invariant violation.
     """
     try:
-        data = yaml.load(document, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"unreadable document: {exc}") from exc
+        data = json.loads(document)
+    except ValueError as exc:
+        raise SchemaError(f"unreadable document: not JSON: {exc}") from exc
     except RecursionError:
-        # the pure-Python loader, used without libyaml, recurses per nesting level
+        # the JSON scanner recurses once per nesting level
         raise SchemaError("unreadable document: nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError("document root must be a mapping")
@@ -202,7 +198,7 @@ def _item(node, **keys):
 
 
 def serialize_pipeline(graph: PipelineGraph) -> str:
-    """Canonical document text; ``parse_pipeline`` inverts it exactly."""
+    """Canonical JSON document text; ``parse_pipeline`` inverts it exactly."""
     head = {"id": graph.id, "frequency": graph.frequency_class}
     if graph.depends_on:
         head["dependsOn"] = graph.depends_on
@@ -215,4 +211,4 @@ def serialize_pipeline(graph: PipelineGraph) -> str:
         "io_handlers": [_item(io) for io in graph.io_handlers],
         "edges": [[s, rel, o] for rel, s, o in graph.edges],
     }
-    return yaml.dump(doc, Dumper=_Dumper, sort_keys=False)
+    return json.dumps(doc, indent=2) + "\n"

@@ -296,9 +296,9 @@ class TestContract:
         _, workdir, _ = completed_chain
         shutil.copytree(workdir, tmp_path / "out")
         document = (tmp_path / "out" / "configured_pipeline.yaml").read_text()
-        count = re.search(r"hasNoRecords: \S+\n", document).group()
+        count = re.search(r'"hasNoRecords": [^,\n]+', document).group()
         path = tmp_path / "pipeline.yaml"
-        path.write_text(document.replace(count, "hasNoRecords: 1.0e+300\n", 1))
+        path.write_text(document.replace(count, '"hasNoRecords": 1e+300', 1))
         result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
         assert result.exit_code == 1
         error, status = result.stderr.splitlines()
@@ -432,23 +432,37 @@ class TestContract:
         with pytest.raises(ConfigError, match="pilot.estimation_seeds"):
             ProjectConfig(pilot={"estimation_seeds": -1})
 
-    @pytest.mark.parametrize("document", [
-        "tasks: [5]\n",
-        "tasks: [{type: Retrieve}]\n",
-        "edges: 5\n",
-        "tasks: [{id: t1, type: Retrieve, hasRequirementSet: 5}]\n",
-        "layer: []\n",
-        "edges: [[p1_t1, hasIO, p1_io9]]\n",
-        "tasks: [{id: t1, type: Retrieve}, {id: t1, type: Store}]\n",
+    @pytest.mark.parametrize("members, reason", [
+        ('"tasks": [5]', "tasks: expected a mapping with an id, got 5"),
+        ('"tasks": [{"type": "Retrieve"}]',
+         "tasks: expected a mapping with an id, got {'type': 'Retrieve'}"),
+        ('"edges": 5', "edges: expected a list, got 5"),
+        ('"tasks": [{"id": "t1", "type": "Retrieve", "hasRequirementSet": 5}]',
+         "task t1 hasRequirementSet: expected a mapping, got 5"),
+        ('"layer": []', "document: unknown key 'layer'"),
+        ('"edges": [["p1_t1", "hasIO", "p1_io9"]]', "unknown relation 'hasIO'"),
+        ('"tasks": [{"id": "t1", "type": "Retrieve"}, {"id": "t1", "type": "Store"}]',
+         "tasks: id 't1' is used twice"),
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list",
             "requirements-triple-not-a-mapping", "misspelt-section", "io-edge",
             "repeated-task-id"])
-    def test_malformed_pipeline_document_is_a_domain_error(self, tmp_path, document):
-        document = "ETLPipeline: {id: p1}\n" + document
-        path = tmp_path / "pipeline.yaml"
-        path.write_text("format: semcloud-pipeline/1\n" + document)
+    def test_malformed_pipeline_document_is_a_domain_error(self, tmp_path, members, reason):
+        path = tmp_path / "pipeline.json"
+        path.write_text('{"format": "semcloud-pipeline/1", "ETLPipeline": {"id": "p1"}, %s}\n'
+                        % members)
         result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
         self.assert_failure(result, "configure", 1, "SchemaError")
+        assert result.stderr.splitlines()[0] == "error: " + reason
+
+    def test_block_yaml_pipeline_document_is_not_json(self, tmp_path):
+        # a document as earlier releases wrote it: block YAML, not JSON
+        path = tmp_path / "old.yaml"
+        path.write_text("format: semcloud-pipeline/1\nETLPipeline:\n  id: p1\n"
+                        "  frequency: frequent\nlayers:\n- id: p1_l1\n  type: RetrieveLayer\n")
+        result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
+        self.assert_failure(result, "configure", 1, "SchemaError")
+        error, _ = result.stderr.splitlines()
+        assert error.startswith("error: unreadable document: not JSON: ")
 
     def test_unreadable_config_prints_one_status_line(self, tmp_path):
         result = invoke(str(tmp_path / "nope.yaml"), "report")

@@ -1,15 +1,14 @@
 """Pipeline knowledge graph: model, validation, documents, fact translation."""
 
 import dataclasses
+import json
 import sys
 
 import pytest
-import yaml
 from click.testing import CliRunner
 
 from semcloud.cli import main
 from semcloud.datalog import query
-from semcloud.kg import document
 from semcloud.kg import (
     CloudAttributes,
     CycleError,
@@ -182,8 +181,8 @@ class TestDocument:
         assert parse_pipeline(serialize_pipeline(g)) == g
 
     def test_parse_rejects_unknown_format(self):
-        with pytest.raises(SchemaError):
-            parse_pipeline("format: something-else/9\n")
+        with pytest.raises(SchemaError, match="^unsupported format 'something-else/9'"):
+            parse_pipeline('{"format": "something-else/9"}')
 
     def test_parse_rejects_invalid_structure(self):
         g = infrequent_pipeline()
@@ -199,51 +198,91 @@ class TestDocument:
         with pytest.raises(CycleError):
             parse_pipeline(serialize_pipeline(bad))
 
-    def test_parse_not_yaml(self):
-        with pytest.raises(SchemaError):
-            parse_pipeline(":\n  - ][")
+    @pytest.mark.parametrize("text", [
+        ":\n  - ][",
+        "format: semcloud-pipeline/1\nETLPipeline:\n  id: p1\n",
+    ], ids=["garbage", "block-yaml"])
+    def test_parse_not_json(self, text):
+        # block YAML, as earlier releases wrote documents, is one line that says so
+        with pytest.raises(SchemaError, match="^unreadable document: not JSON: ") as raised:
+            parse_pipeline(text)
+        assert "\n" not in str(raised.value)
 
-    @pytest.mark.parametrize("edit", [
-        lambda tree: tree.update(tasks=[5]),
-        lambda tree: tree["tasks"][0].pop("id"),
-        lambda tree: tree.update(edges=5),
-        lambda tree: tree.update(layers="p1_l1"),
-        lambda tree: tree["io_handlers"][0].update(hasOutput=5),
-        lambda tree: tree["tasks"][0].update(hasRequirementSet=5),
-        lambda tree: tree["tasks"][1].update(hasChunkSize=True),
-        lambda tree: tree["data_entities"][0].update(hasVolume=float("nan")),
-        lambda tree: tree["data_entities"][0].update(hasVolume=float("inf")),
-        lambda tree: tree.update(triples=[["p1_t1", "hasRequirementSet", 5]]),
-        lambda tree: tree.update(triples=5),
-        lambda tree: tree.update(layer=tree.pop("layers")),
-        lambda tree: tree["ETLPipeline"].update(frequncy="infrequent"),
-        lambda tree: tree["layers"][0].update(hasTask="p1_t1"),
-        lambda tree: tree["io_handlers"][0].update(hasIO="p1_io1"),
-        lambda tree: tree["tasks"][0].update(hasRequirementSet={"cpu": 1.0}),
-        lambda tree: tree["edges"].append(["p1_t1", "hasIO", "p1_io9"]),
-        lambda tree: tree["edges"].append(["p1_io1", "hasOutput", "p1_d9"]),
-        lambda tree: tree["edges"].append(["p1", "hasInputData", "p1_d1"]),
-        lambda tree: tree["tasks"].append(dict(tree["tasks"][2], hasMemoryReservation=5)),
-        lambda tree: tree["data_entities"].append(dict(tree["data_entities"][0], id="p1_t3")),
+    @pytest.mark.parametrize("text", ["[]", "null"])
+    def test_parse_rejects_a_root_that_is_not_an_object(self, text):
+        with pytest.raises(SchemaError, match="^document root must be a mapping$"):
+            parse_pipeline(text)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda tree: tree.update(tasks=[5]),
+         "tasks: expected a mapping with an id, got 5"),
+        (lambda tree: tree["tasks"][0].pop("id"),
+         "tasks: expected a mapping with an id, got {'type': 'Retrieve', 'hasIO': 'p1_io1'}"),
+        (lambda tree: tree.update(edges=5), "edges: expected a list, got 5"),
+        (lambda tree: tree.update(layers="p1_l1"), "layers: expected a list, got 'p1_l1'"),
+        (lambda tree: tree["io_handlers"][0].update(hasOutput=5),
+         "IO handler p1_io1 hasOutput: expected a list, got 5"),
+        (lambda tree: tree["tasks"][0].update(hasRequirementSet=5),
+         "task p1_t1 hasRequirementSet: expected a mapping, got 5"),
+        (lambda tree: tree["tasks"][1].update(hasChunkSize=True),
+         "task p1_t2 hasChunkSize: expected a finite number, got True"),
+        (lambda tree: tree["data_entities"][0].update(hasVolume=float("nan")),
+         "data entity p1_d1 hasVolume: expected a finite number, got nan"),
+        (lambda tree: tree["data_entities"][0].update(hasVolume=float("inf")),
+         "data entity p1_d1 hasVolume: expected a finite number, got inf"),
+        (lambda tree: tree.update(triples=[["p1_t1", "hasRequirementSet", 5]]),
+         "document: unknown key 'triples'"),
+        (lambda tree: tree.update(triples=5), "document: unknown key 'triples'"),
+        (lambda tree: tree.update(layer=tree.pop("layers")), "document: unknown key 'layer'"),
+        (lambda tree: tree["ETLPipeline"].update(frequncy="infrequent"),
+         "ETLPipeline: unknown key 'frequncy'"),
+        (lambda tree: tree["layers"][0].update(hasTask="p1_t1"),
+         "layer p1_l1: unknown key 'hasTask'"),
+        (lambda tree: tree["io_handlers"][0].update(hasIO="p1_io1"),
+         "IO handler p1_io1: unknown property 'hasIO'"),
+        (lambda tree: tree["tasks"][0].update(hasRequirementSet={"cpu": 1.0}),
+         "task p1_t1 hasRequirementSet: unknown key 'cpu'"),
+        (lambda tree: tree["edges"].append(["p1_t1", "hasIO", "p1_io9"]),
+         "unknown relation 'hasIO'"),
+        (lambda tree: tree["edges"].append(["p1_io1", "hasOutput", "p1_d9"]),
+         "unknown relation 'hasOutput'"),
+        (lambda tree: tree["edges"].append(["p1", "hasInputData", "p1_d1"]),
+         "unknown relation 'hasInputData'"),
+        (lambda tree: tree["tasks"].append(dict(tree["tasks"][2], hasMemoryReservation=5)),
+         "tasks: id 'p1_t3' is used twice"),
+        (lambda tree: tree["data_entities"].append(dict(tree["data_entities"][0], id="p1_t3")),
+         "data_entities: id 'p1_t3' is used twice"),
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list", "layers-not-a-list",
             "outputs-not-a-list", "requirements-not-a-mapping", "bool-size", "nan-volume",
             "inf-volume", "requirements-triple-not-a-mapping", "triples-not-a-list",
             "misspelt-section", "unknown-head-key", "unknown-layer-key",
             "unknown-io-handler-key", "unknown-requirement", "io-edge", "output-edge",
             "input-data-edge", "repeated-task-id", "task-id-on-a-data-entity"])
-    def test_malformed_document_is_a_schema_error(self, edit):
-        tree = yaml.safe_load(serialize_pipeline(frequent_pipeline("p1", chunk_size=100.0,
-                                                                   slice_size=10.0)))
+    def test_malformed_document_is_a_schema_error(self, edit, reason):
+        tree = json.loads(serialize_pipeline(frequent_pipeline("p1", chunk_size=100.0,
+                                                               slice_size=10.0)))
         edit(tree)
-        with pytest.raises(SchemaError):
-            parse_pipeline(yaml.safe_dump(tree))
+        # json.dumps writes a non-finite float as the NaN or Infinity token
+        with pytest.raises(SchemaError) as raised:
+            parse_pipeline(json.dumps(tree))
+        assert str(raised.value) == reason
+
+    @pytest.mark.parametrize("token", ["-Infinity", "1e999"])
+    def test_non_finite_number_token_is_a_schema_error(self, token):
+        # json.loads reads these tokens as infinite floats; _num rejects them
+        text = serialize_pipeline(frequent_pipeline("p1"))
+        assert text.count('"hasVolume": 100.0,') == 2
+        text = text.replace('"hasVolume": 100.0,', '"hasVolume": %s,' % token, 1)
+        with pytest.raises(SchemaError,
+                           match="^data entity p1_d1 hasVolume: expected a finite number, got "):
+            parse_pipeline(text)
 
     def test_repeated_id_is_named(self):
-        tree = yaml.safe_load(serialize_pipeline(frequent_pipeline("p1")))
+        tree = json.loads(serialize_pipeline(frequent_pipeline("p1")))
         assert tree["tasks"][2]["id"] == "p1_t3"
         tree["tasks"].append(dict(tree["tasks"][2], hasMemoryReservation=5))
         with pytest.raises(SchemaError, match="tasks: id 'p1_t3' is used twice"):
-            parse_pipeline(yaml.safe_dump(tree))
+            parse_pipeline(json.dumps(tree))
 
     @pytest.mark.parametrize("build", [
         lambda: frequent_pipeline("p1", chunk_size=100.0, slice_size=10.0, slice_time=0.5,
@@ -251,20 +290,18 @@ class TestDocument:
                                   storage_mode="fast"),
         infrequent_pipeline,
     ], ids=["preconfigured-frequent", "infrequent"])
-    def test_pure_python_yaml_reads_and_writes_the_same_documents(self, monkeypatch, build):
+    def test_serialized_text_is_a_fixed_point(self, build):
         g = build()
         text = serialize_pipeline(g)
-        monkeypatch.setattr(document, "_Loader", yaml.SafeLoader)
-        monkeypatch.setattr(document, "_Dumper", yaml.SafeDumper)
-        assert serialize_pipeline(g) == text
+        assert text.endswith("}\n")
         assert parse_pipeline(text) == g
+        assert serialize_pipeline(parse_pipeline(text)) == text
 
-    def test_deeply_nested_document_is_a_schema_error(self, monkeypatch):
-        # the pure-Python loader recurses once per nesting level
-        monkeypatch.setattr(document, "_Loader", yaml.SafeLoader)
+    def test_deeply_nested_document_is_a_schema_error(self):
+        # the JSON scanner recurses once per nesting level
         depth = 3 * sys.getrecursionlimit()
         with pytest.raises(SchemaError, match="nested too deeply"):
-            parse_pipeline("format: semcloud-pipeline/1\nETLPipeline: %s%s\n"
+            parse_pipeline('{"format": "semcloud-pipeline/1", "ETLPipeline": %s%s}'
                            % ("[" * depth, "]" * depth))
 
 
