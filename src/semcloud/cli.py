@@ -187,14 +187,19 @@ def learn(ctx, methods):
     """Fit the rule externals and the time model from pilot statistics."""
 
     def body(cfg):
+        import numpy as np
+
         from .learning import read_pilot_csv, save_model
 
         plan = cfg.learn_plan()
         chosen = (checked_setting("learn", "methods", list(methods), "--methods")
                   if methods else tuple(plan["methods"]))
         records = read_pilot_csv(cfg.pilot_csv)
-        models, reports = learn_externals(records, methods=chosen)
-        time_model, time_report = learn_time_model(records, method=plan["time_method"])
+        # an overflowing pilot column gives a non-finite model, which
+        # save_model refuses; numpy need not warn about it as well
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            models, reports = learn_externals(records, methods=chosen)
+            time_model, time_report = learn_time_model(records, method=plan["time_method"])
         os.makedirs(cfg.models_dir, exist_ok=True)
         os.makedirs(cfg.reports_dir, exist_ok=True)
         for name, model in models.items():

@@ -84,7 +84,9 @@ def _picker(best, index):
 
 
 def configure_pipeline(graph, cloud, registry, pilot, diagnostics=None):
-    """Evaluate the rule corpus for one pipeline; returns (config, idb).
+    """Evaluate the rule corpus for one pipeline; returns
+    ``(config, configured, idb)``, where ``configured`` is the graph with
+    ``config`` written onto its tasks.
 
     ``pilot`` supplies the pre-configuration estimates (hasEst* facts)
     measured on the canonical pilot run.  The graph must carry the

@@ -15,7 +15,6 @@ from .model import (
     IOHandler,
     Layer,
     PipelineGraph,
-    RequirementSet,
     ResourceConfiguration,
     TaskNode,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "MissingTask",
     "PipelineGraph",
     "PipelineGraphError",
-    "RequirementSet",
     "ResourceConfiguration",
     "SchemaError",
     "StructureError",

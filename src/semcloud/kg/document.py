@@ -11,7 +11,6 @@ that earlier releases wrote, is a SchemaError that says it is not JSON.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -23,7 +22,6 @@ from .model import (
     IOHandler,
     Layer,
     PipelineGraph,
-    RequirementSet,
     TASK_KINDS,
     TaskNode,
 )
@@ -32,9 +30,8 @@ from .validate import validate
 FORMAT = "semcloud-pipeline/1"
 
 _SECTIONS = ("format", "ETLPipeline", "layers", "tasks", "data_entities", "io_handlers", "edges")
-_HEAD_KEYS = ("id", "frequency", "dependsOn")
+_HEAD_KEYS = ("id", "frequency")
 _LAYER_KINDS = ("RetrieveLayer", "SliceLayer", "PrepareLayer", "StoreLayer", "Layer")
-_REQUIREMENTS = tuple(f.name for f in dataclasses.fields(RequirementSet))
 _BY_PROPERTY = {
     cls: {prop: (attr, kind) for attr, prop, kind in table}
     for cls, table in PROPERTIES.items()
@@ -111,11 +108,6 @@ def _value(kind, value, context):
         return _num(value, context)
     if kind is tuple:
         return tuple(str(x) for x in _list(value, context))
-    if kind is RequirementSet:
-        if not isinstance(value, dict):
-            raise SchemaError(f"{context}: expected a mapping, got {value!r}")
-        _known(value, _REQUIREMENTS, context)
-        return RequirementSet(**{k: _num(v, f"{context} {k}") for k, v in value.items()})
     return str(value)
 
 
@@ -173,7 +165,6 @@ def _from_tree(data: dict) -> PipelineGraph:
     return PipelineGraph(
         id=str(head["id"]),
         frequency_class=str(head.get("frequency", "frequent")),
-        depends_on=str(head["dependsOn"]) if head.get("dependsOn") else None,
         layers=tuple(layers),
         tasks=tuple(tasks),
         data_entities=tuple(entities),
@@ -189,22 +180,15 @@ def _item(node, **keys):
         value = getattr(node, attr)
         if value is None:
             continue
-        if kind is tuple:
-            value = list(value)
-        elif kind is RequirementSet:
-            value = dataclasses.asdict(value)
-        item[prop] = value
+        item[prop] = list(value) if kind is tuple else value
     return item
 
 
 def serialize_pipeline(graph: PipelineGraph) -> str:
     """Canonical JSON document text; ``parse_pipeline`` inverts it exactly."""
-    head = {"id": graph.id, "frequency": graph.frequency_class}
-    if graph.depends_on:
-        head["dependsOn"] = graph.depends_on
     doc = {
         "format": FORMAT,
-        "ETLPipeline": head,
+        "ETLPipeline": {"id": graph.id, "frequency": graph.frequency_class},
         "layers": [{"id": l.id, "type": l.kind} for l in graph.layers],
         "tasks": [_item(t, type=t.kind) for t in graph.tasks],
         "data_entities": [_item(d) for d in graph.data_entities],

@@ -15,20 +15,11 @@ from ..datalog.factset import FactSet
 from .errors import InvalidGraph, MissingTask
 from .model import (
     PROPERTIES,
-    STORAGE_MODES,
     CloudAttributes,
     PipelineGraph,
-    RequirementSet,
     ResourceConfiguration,
 )
 from .validate import validate
-
-_REQ_FIELD_ATOMS = (
-    ("computing", "hasComputingRequirement"),
-    ("memory", "hasMemoryRequirement"),
-    ("storage", "hasStorageRequirement"),
-    ("network", "hasNetworkRequirement"),
-)
 
 _EST_ATOMS = (
     ("slice_memory", "hasEstSliceMemory"),
@@ -54,14 +45,15 @@ def to_facts(graph: PipelineGraph, cloud: CloudAttributes | None = None,
     pid = graph.id
     facts.add("ETLPipeline", (pid,))
     facts.add("frequencyClass", (pid, graph.frequency_class))
-    if graph.depends_on:
-        facts.add("dependsOn", (pid, graph.depends_on))
 
     for layer in graph.layers:
         facts.add(layer.kind, (layer.id,))
     for rel, s, o in graph.edges:
         facts.add(rel, (s, o))
-    for d in graph.input_data_ids():
+    # the entities fed into the pipeline: the Retrieve tasks' IO outputs
+    retrieve_ios = {t.io for t in graph.tasks_of_kind("Retrieve")}
+    for d in sorted({d for io in graph.io_handlers if io.id in retrieve_ios
+                     for d in io.outputs}):
         facts.add("hasInputData", (pid, d))
 
     for t in graph.tasks:
@@ -100,32 +92,25 @@ def _add_node(facts: FactSet, cls: str, node) -> None:
         if kind is tuple:
             for item in value:
                 facts.add(prop, (node.id, item))
-        elif kind is RequirementSet:
-            for field, pred in _REQ_FIELD_ATOMS:
-                facts.add(pred, (node.id, getattr(value, field)))
         else:
             facts.add(prop, (node.id, value))
 
 
 def apply_configuration(graph: PipelineGraph, config: ResourceConfiguration,
-                        cloud: CloudAttributes | None = None) -> PipelineGraph:
+                        cloud: CloudAttributes) -> PipelineGraph:
     """Write a configuration onto the task nodes; returns a new graph.
 
-    The config's storage id is translated to a mode via the cloud attributes
-    (fast/cloud ids); without cloud attributes the id is compared against the
-    literal mode names.
+    The config's storage id is the cloud's fast or cloud storage id, and
+    becomes the Store task's "fast" or "cloud" mode; any other id is
+    InvalidGraph.
     """
     if config.pipeline != graph.id:
         raise InvalidGraph(
             f"configuration targets {config.pipeline!r}, graph is {graph.id!r}"
         )
-    if cloud is not None and config.storage == cloud.fast_storage:
-        mode = "fast"
-    elif cloud is not None and config.storage == cloud.cloud_storage:
-        mode = "cloud"
-    elif config.storage in STORAGE_MODES:
-        mode = config.storage
-    else:
+    # listed fast last, so it wins when the two ids are the same
+    mode = {cloud.cloud_storage: "cloud", cloud.fast_storage: "fast"}.get(config.storage)
+    if mode is None:
         raise InvalidGraph(f"unknown storage id {config.storage!r}")
 
     if not graph.tasks_of_kind("Slice") and graph.frequency_class == "frequent":

@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .. import storage
 from ..datalog.corpus import DEFAULT_C1, DEFAULT_C2, DEFAULT_C3
 
 TASK_KINDS = ("Retrieve", "Slice", "Prepare", "Store")
 FREQUENCY_CLASSES = ("frequent", "infrequent")
-STORAGE_MODES = storage.STORAGE_MODES
 
 # the relations a document's edges may carry; a node's own fields are PROPERTIES
 EDGE_RELATIONS = (
@@ -24,14 +22,6 @@ EDGE_RELATIONS = (
     "hasLayer",
     "hasTask",
 )
-
-
-@dataclass(frozen=True)
-class RequirementSet:
-    computing: float = 0.0  # millicores
-    memory: float = 0.0  # MB
-    storage: float = 0.0  # MB
-    network: float = 0.0  # MB/s
 
 
 @dataclass(frozen=True)
@@ -60,7 +50,6 @@ class TaskNode:
     id: str
     kind: str
     io: Optional[str] = None  # IOHandler id
-    requirement: Optional[RequirementSet] = None
     chunk_size: Optional[float] = None  # Slice only
     slice_size: Optional[float] = None  # Slice only
     memory_reservation: Optional[float] = None  # Slice / Prepare
@@ -69,9 +58,8 @@ class TaskNode:
 
 
 # The ontology property of each node field, in the order a document item
-# lists it, with the type of its value.  ``parse_pipeline``,
-# ``serialize_pipeline`` and ``to_facts`` all spell a field by this table; a
-# requirement set is one nested document key but one fact per requirement.
+# lists it, with the type of its value (float, str or tuple).  ``parse_pipeline``,
+# ``serialize_pipeline`` and ``to_facts`` all spell a field by this table.
 PROPERTIES = {
     TaskNode: (
         ("chunk_size", "hasChunkSize", float),
@@ -80,7 +68,6 @@ PROPERTIES = {
         ("storage_mode", "hasStorageMode", str),
         ("required_time", "hasRequiredTime", float),
         ("io", "hasIO", str),
-        ("requirement", "hasRequirementSet", RequirementSet),
     ),
     DataEntity: (
         ("volume", "hasVolume", float),
@@ -120,31 +107,14 @@ class ResourceConfiguration:
 class PipelineGraph:
     id: str
     frequency_class: str = "frequent"
-    depends_on: Optional[str] = None
     layers: tuple = ()
     tasks: tuple = ()
     data_entities: tuple = ()
     io_handlers: tuple = ()
     edges: tuple = ()  # (relation, subject, object) triples
 
-    def io_handler(self, io_id: str) -> Optional[IOHandler]:
-        for io in self.io_handlers:
-            if io.id == io_id:
-                return io
-        return None
-
     def tasks_of_kind(self, kind: str) -> list:
         return [t for t in self.tasks if t.kind == kind]
-
-    def input_data_ids(self) -> list:
-        """Entities fed into the pipeline: the outputs of the Retrieve task's
-        IO handler."""
-        out = set()
-        for t in self.tasks_of_kind("Retrieve"):
-            io = self.io_handler(t.io) if t.io else None
-            if io:
-                out.update(io.outputs)
-        return sorted(out)
 
     def with_tasks(self, tasks) -> "PipelineGraph":
         return replace(self, tasks=tuple(tasks))

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from ..storage import STORAGE_MODES
 from .errors import CycleError, StructureError
-from .model import FREQUENCY_CLASSES, STORAGE_MODES, PipelineGraph, TASK_KINDS
+from .model import FREQUENCY_CLASSES, PipelineGraph, TASK_KINDS
 
 
 def validate(graph: PipelineGraph) -> None:

@@ -246,8 +246,15 @@ def model_from_dict(data: dict):
 
 
 def save_model(model, path) -> None:
+    """Write ``model`` to ``path``.  LearningError, before the file is
+    opened, when ``load_model`` would refuse what it would read back."""
+    data = model_to_dict(model)
+    try:
+        model_from_dict(data)
+    except LearningError as exc:
+        raise LearningError(f"cannot save model file {path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
+        json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

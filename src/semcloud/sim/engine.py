@@ -251,7 +251,7 @@ def run_legacy(workload, cost, node=None):
     peak = base + cost.legacy_kappa * volume
     if peak > node.node_memory:
         raise SimulatedOutOfMemory(
-            "legacy peak %.1f MB exceeds node memory %.1f MB"
+            "legacy peak %.6g MB exceeds node memory %.6g MB"
             % (peak, node.node_memory)
         )
     intervals = []

@@ -233,6 +233,19 @@ class TestContract:
         self.assert_failure(result, "configure", 1, "LearningError")
         assert "time_model.json" in result.combined
 
+    @pytest.mark.parametrize("cost", [{"thr_retrieve": 1e-300}, {"join_overhead": 1e300}])
+    def test_learn_writes_no_model_that_configure_refuses(self, tmp_path, cost):
+        # the time model's slice or prepare time column overflows its scale
+        config_path = write_project(tmp_path, cost=cost)
+        for stage in ("gen", "pilot"):
+            assert invoke(config_path, stage).exit_code == 0
+        result = invoke(config_path, "learn")
+        self.assert_failure(result, "learn", 1, "LearningError")
+        error = result.stderr.splitlines()[0]
+        assert error.startswith("error: cannot save model file ")
+        assert "time_model.json: model scale must be a finite positive array" in error
+        assert not (tmp_path / "out" / "models" / "time_model.json").exists()
+
     @pytest.mark.parametrize("command", ["configure", "report"])
     @pytest.mark.parametrize("key, value", [("k", 0), ("k", 2.5), ("targets", [1.0])])
     def test_malformed_time_model(self, tmp_path, completed_chain, command, key, value):
@@ -438,7 +451,7 @@ class TestContract:
          "tasks: expected a mapping with an id, got {'type': 'Retrieve'}"),
         ('"edges": 5', "edges: expected a list, got 5"),
         ('"tasks": [{"id": "t1", "type": "Retrieve", "hasRequirementSet": 5}]',
-         "task t1 hasRequirementSet: expected a mapping, got 5"),
+         "task t1: unknown property 'hasRequirementSet'"),
         ('"layer": []', "document: unknown key 'layer'"),
         ('"edges": [["p1_t1", "hasIO", "p1_io9"]]', "unknown relation 'hasIO'"),
         ('"tasks": [{"id": "t1", "type": "Retrieve"}, {"id": "t1", "type": "Store"}]',

@@ -223,7 +223,7 @@ class TestDocument:
         (lambda tree: tree["io_handlers"][0].update(hasOutput=5),
          "IO handler p1_io1 hasOutput: expected a list, got 5"),
         (lambda tree: tree["tasks"][0].update(hasRequirementSet=5),
-         "task p1_t1 hasRequirementSet: expected a mapping, got 5"),
+         "task p1_t1: unknown property 'hasRequirementSet'"),
         (lambda tree: tree["tasks"][1].update(hasChunkSize=True),
          "task p1_t2 hasChunkSize: expected a finite number, got True"),
         (lambda tree: tree["data_entities"][0].update(hasVolume=float("nan")),
@@ -236,12 +236,14 @@ class TestDocument:
         (lambda tree: tree.update(layer=tree.pop("layers")), "document: unknown key 'layer'"),
         (lambda tree: tree["ETLPipeline"].update(frequncy="infrequent"),
          "ETLPipeline: unknown key 'frequncy'"),
+        (lambda tree: tree["ETLPipeline"].update(dependsOn="p0"),
+         "ETLPipeline: unknown key 'dependsOn'"),
         (lambda tree: tree["layers"][0].update(hasTask="p1_t1"),
          "layer p1_l1: unknown key 'hasTask'"),
         (lambda tree: tree["io_handlers"][0].update(hasIO="p1_io1"),
          "IO handler p1_io1: unknown property 'hasIO'"),
         (lambda tree: tree["tasks"][0].update(hasRequirementSet={"cpu": 1.0}),
-         "task p1_t1 hasRequirementSet: unknown key 'cpu'"),
+         "task p1_t1: unknown property 'hasRequirementSet'"),
         (lambda tree: tree["edges"].append(["p1_t1", "hasIO", "p1_io9"]),
          "unknown relation 'hasIO'"),
         (lambda tree: tree["edges"].append(["p1_io1", "hasOutput", "p1_d9"]),
@@ -255,7 +257,7 @@ class TestDocument:
     ], ids=["task-not-a-mapping", "task-without-id", "edges-not-a-list", "layers-not-a-list",
             "outputs-not-a-list", "requirements-not-a-mapping", "bool-size", "nan-volume",
             "inf-volume", "requirements-triple-not-a-mapping", "triples-not-a-list",
-            "misspelt-section", "unknown-head-key", "unknown-layer-key",
+            "misspelt-section", "unknown-head-key", "depends-on", "unknown-layer-key",
             "unknown-io-handler-key", "unknown-requirement", "io-edge", "output-edge",
             "input-data-edge", "repeated-task-id", "task-id-on-a-data-entity"])
     def test_malformed_document_is_a_schema_error(self, edit, reason):
@@ -363,7 +365,9 @@ class TestApplyConfiguration:
         with pytest.raises(InvalidGraph):
             apply_configuration(g, self.config(), default_cloud())
 
-    def test_unknown_storage_id_rejected(self):
+    # a literal mode name is not a storage id
+    @pytest.mark.parametrize("storage", ["tape", "fast"])
+    def test_unknown_storage_id_rejected(self, storage):
         g = frequent_pipeline("p1")
-        with pytest.raises(InvalidGraph):
-            apply_configuration(g, self.config("tape"), None)
+        with pytest.raises(InvalidGraph, match="unknown storage id"):
+            apply_configuration(g, self.config(storage), default_cloud())
