@@ -9,6 +9,14 @@ status line on stderr.
 import math
 import os
 
+# Every BLAS and LAPACK call the stages make is small (the largest are
+# learn's least-squares fits on designs of at most 562 x 25).  On a 2-vCPU
+# VM, OpenBLAS's default thread pool made one such np.linalg.lstsq take
+# 80 ms against 0.4 ms on one thread, and starting the pool added 40 to
+# 70 ms to each stage's `import numpy`.  Set before any stage imports
+# numpy; a user's own OPENBLAS_NUM_THREADS still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import click
 
 from .config import ConfigError, checked_setting, derive_seed, load_config
@@ -189,11 +197,18 @@ def learn(ctx, methods):
     def body(cfg):
         import numpy as np
 
-        from .learning import read_pilot_csv, save_model
+        from .learning import EXTERNAL_TARGETS, read_pilot_csv, save_model
 
         plan = cfg.learn_plan()
         chosen = (checked_setting("learn", "methods", list(methods), "--methods")
                   if methods else tuple(plan["methods"]))
+        # a learn that fails leaves no model from an earlier run, so
+        # configure cannot run on models fitted to other pilot statistics
+        for name in EXTERNAL_TARGETS + ("time_model",):
+            try:
+                os.remove(os.path.join(cfg.models_dir, name + ".json"))
+            except FileNotFoundError:
+                pass
         records = read_pilot_csv(cfg.pilot_csv)
         # an overflowing pilot column gives a non-finite model, which
         # save_model refuses; numpy need not warn about it as well

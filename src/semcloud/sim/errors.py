@@ -17,7 +17,7 @@ class InsufficientResources(SimError):
         self.reservation_mb = reservation_mb
         self.best_free_mb = best_free_mb
         super().__init__(
-            "%s reservation %.1f MB exceeds best free node capacity %.1f MB"
+            "%s reservation %.6g MB exceeds best free node capacity %.6g MB"
             % (step, reservation_mb, best_free_mb)
         )
 

@@ -137,6 +137,14 @@ class TestIndividualCommands:
         assert "would run" in result.combined
         assert not os.path.exists(os.path.join(str(tmp_path), "out", "pilot.csv"))
 
+    def test_skipped_runs_print_short_numbers(self, tmp_path):
+        # every reservation is near 1e299 MB, and each skipped run says so
+        config_path = write_project(tmp_path, cost={"alpha_slice": 1e300})
+        result = invoke(config_path, "pilot")
+        assert result.exit_code == 0
+        assert "skipped: " in result.stderr
+        assert max(len(digits) for digits in re.findall(r"\d+", result.combined)) <= 20
+
     def test_configure_without_models_hints_at_learn(self, tmp_path):
         config_path = write_project(tmp_path)
         invoke(config_path, "gen")
@@ -235,16 +243,27 @@ class TestContract:
 
     @pytest.mark.parametrize("cost", [{"thr_retrieve": 1e-300}, {"join_overhead": 1e300}])
     def test_learn_writes_no_model_that_configure_refuses(self, tmp_path, cost):
-        # the time model's slice or prepare time column overflows its scale
-        config_path = write_project(tmp_path, cost=cost)
-        for stage in ("gen", "pilot"):
-            assert invoke(config_path, stage).exit_code == 0
-        result = invoke(config_path, "learn")
-        self.assert_failure(result, "learn", 1, "LearningError")
-        error = result.stderr.splitlines()[0]
-        assert error.startswith("error: cannot save model file ")
-        assert "time_model.json: model scale must be a finite positive array" in error
-        assert not (tmp_path / "out" / "models" / "time_model.json").exists()
+        def refused_learn():
+            # the time model's slice or prepare time column overflows its scale
+            config_path = write_project(tmp_path, cost=cost)
+            assert invoke(config_path, "pilot").exit_code == 0
+            result = invoke(config_path, "learn")
+            self.assert_failure(result, "learn", 1, "LearningError")
+            error = result.stderr.splitlines()[0]
+            assert error.startswith("error: cannot save model file ")
+            assert "time_model.json: model scale must be a finite positive array" in error
+            assert not (tmp_path / "out" / "models" / "time_model.json").exists()
+            result = invoke(config_path, "configure")
+            self.assert_failure(result, "configure", 1, "MissingExternal")
+            assert "time_model.json is missing; run `semcloud learn` first" in result.stderr
+
+        assert invoke(write_project(tmp_path), "gen").exit_code == 0
+        refused_learn()
+        # models learned from other pilot statistics do not outlive a learn
+        # that fails: configure finds no time model, not a stale one
+        for stage in ("pilot", "learn", "configure"):
+            assert invoke(write_project(tmp_path), stage).exit_code == 0, stage
+        refused_learn()
 
     @pytest.mark.parametrize("command", ["configure", "report"])
     @pytest.mark.parametrize("key, value", [("k", 0), ("k", 2.5), ("targets", [1.0])])

@@ -33,33 +33,41 @@ STAGE_LAYERS = {
 }
 
 # Runs the CLI with the rest of argv, then prints the loaded layers, and
-# whether numpy is among the modules, as the last line of stdout.
+# whether numpy is among the modules, as the last line of stdout, and the
+# OPENBLAS_NUM_THREADS the command ran under as the line before it.
 _PROBE = """
-import json, sys
+import json, os, sys
 try:
     from semcloud.cli import main
     main()
 finally:
+    print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
     names = {m.split(".")[1] for m in sys.modules if m.startswith("semcloud.")}
     print(json.dumps(sorted(names | ({"numpy"} & set(sys.modules)))))
 """
 
 
-def loaded(cwd, *args):
-    """(exit code, names loaded) of ``semcloud ARGS`` in a fresh interpreter."""
+def loaded(cwd, *args, blas_threads=None):
+    """(exit code, names loaded, OPENBLAS_NUM_THREADS seen) of ``semcloud
+    ARGS`` in a fresh interpreter started with the variable set to
+    ``blas_threads``, or unset when it is None."""
     src = str(pathlib.Path(semcloud.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run([sys.executable, "-c", _PROBE, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
-    return proc.returncode, set(json.loads(proc.stdout.splitlines()[-1]))
+    *_, threads, names = proc.stdout.splitlines()
+    return proc.returncode, set(json.loads(names)), json.loads(threads)
 
 
 @pytest.mark.parametrize("command", [[]] + [[stage] for stage in STAGES],
                          ids=("semcloud",) + STAGES)
 def test_help_loads_no_layer_and_no_numpy(tmp_path, command):
-    code, names = loaded(tmp_path, *command, "--help")
+    code, names, _ = loaded(tmp_path, *command, "--help")
     assert code == 0
     assert names == {"cli", "config"}
 
@@ -71,11 +79,20 @@ def stage_layers(tmp_path_factory):
     config_path = write_project(root)
     layers = {}
     for stage in STAGES:
-        code, names = loaded(root, "-c", config_path, stage)
+        code, names, _ = loaded(root, "-c", config_path, stage)
         assert code == 0, stage
         assert "numpy" in names, stage
         layers[stage] = names & set(LAYERS)
     return layers
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")], ids=["unset", "2"])
+def test_stages_run_blas_on_one_thread_unless_told(tmp_path, given, seen):
+    code, names, threads = loaded(tmp_path, "-c", write_project(tmp_path), "gen",
+                                  blas_threads=given)
+    assert code == 0
+    assert "numpy" in names
+    assert threads == seen
 
 
 def test_gen_loads_no_rule_layer(stage_layers):
