@@ -96,6 +96,14 @@ def write_trace(*args, **kwargs):
     return write_trace(*args, **kwargs)
 
 
+def _remove(paths):
+    for path in paths:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+
+
 def _status(command, ok, **fields):
     parts = ["semcloud-status", "command=%s" % command, "ok=%d" % (1 if ok else 0)]
     parts += ["%s=%s" % (k, v) for k, v in sorted(fields.items())]
@@ -166,6 +174,7 @@ def pilot(ctx, dry_run):
 
     def body(cfg):
         from .learning import write_pilot_csv
+        from .sim import SimError
 
         runs = cfg.pilot_runs()
         if dry_run:
@@ -182,6 +191,12 @@ def pilot(ctx, dry_run):
         for entry in (err1 + err2)[:5]:
             click.echo("skipped: %s" % (entry,), err=True)
         click.echo("%s: %d rows" % (cfg.pilot_csv, len(records)))
+        # learn fits externals on each kind; a kind with no row is a
+        # failure here, where its cause is known, not later in learn
+        for kind, rows, errors in (("estimation", est, err1), ("configuration", conf, err2)):
+            if errors and not rows:
+                raise SimError("every %s run was skipped, so learn has no %s rows; "
+                               "the first: %s" % (kind, kind, errors[0][3]))
         return {"rows": len(records), "skipped": len(err1) + len(err2)}
 
     _run_command(ctx, "pilot", body)
@@ -202,13 +217,14 @@ def learn(ctx, methods):
         plan = cfg.learn_plan()
         chosen = (checked_setting("learn", "methods", list(methods), "--methods")
                   if methods else tuple(plan["methods"]))
-        # a learn that fails leaves no model from an earlier run, so
-        # configure cannot run on models fitted to other pilot statistics
-        for name in EXTERNAL_TARGETS + ("time_model",):
-            try:
-                os.remove(os.path.join(cfg.models_dir, name + ".json"))
-            except FileNotFoundError:
-                pass
+        # a learn that fails leaves no model or fit report from an earlier
+        # run, so configure cannot run on models fitted to other pilot
+        # statistics and no report describes them
+        stale = [os.path.join(cfg.models_dir, name + ".json")
+                 for name in EXTERNAL_TARGETS + ("time_model",)]
+        stale += [os.path.join(cfg.reports_dir, name)
+                  for name in ("fit_reports.tsv", "fit_timings.tsv")]
+        _remove(stale)
         records = read_pilot_csv(cfg.pilot_csv)
         # an overflowing pilot column gives a non-finite model, which
         # save_model refuses; numpy need not warn about it as well
@@ -397,6 +413,9 @@ def report(ctx):
         have_pilot = os.path.exists(cfg.pilot_csv)
         have_models = os.path.exists(os.path.join(cfg.models_dir, "time_model.json"))
         if not (have_pilot and have_models):
+            # no report from an earlier run outlives the models it read
+            _remove(cfg.path("reports", name) for name in
+                    ("summary.txt", "sweet_spot.tsv", "min_train_fraction.tsv"))
             click.echo("nothing to report: run pilot and learn first")
             return {"rows": 0}
         comparison_path = cfg.path("reports", "comparison.tsv")

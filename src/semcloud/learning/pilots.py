@@ -8,7 +8,7 @@ single-node unsliced runs; configuration-kind records vary (nc, ns).
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from ..storage import STORAGE_MODES
 from .errors import LearningError
@@ -71,9 +71,8 @@ def write_pilot_csv(records, path) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(FIELD_NAMES)
         for r in records:
-            row = asdict(r)
             writer.writerow(
-                [row[name] if name in _STR_FIELDS else repr(float(row[name]))
+                [getattr(r, name) if name in _STR_FIELDS else repr(float(getattr(r, name)))
                  for name in FIELD_NAMES]
             )
 

@@ -1,14 +1,24 @@
 """Deterministic event simulation of distributed and legacy executions."""
 
 import dataclasses
+import functools
 import heapq
+import itertools
 import math
+import operator
 
 import numpy as np
 
 from ..learning.pilots import PilotRunRecord
 from .errors import InsufficientResources, SimError, SimulatedOutOfMemory
-from .model import ClusterSpec, QueueChannel, StepInstance, build_trace, legacy_node
+from .model import (
+    ClusterSpec,
+    QueueChannel,
+    RunTrace,
+    StepInstance,
+    build_trace,
+    legacy_node,
+)
 
 # Steps of the staircase that approximates the legacy run's memory growth.
 _LEGACY_SEGMENTS = 24
@@ -108,26 +118,16 @@ def deploy(pipeline, cluster, cost, workload, prepare_instances=None, nc=None, n
     )
 
 
-class _Instance:
-    def __init__(self, spec, cost):
-        self.spec = spec
-        self.available_at = 0.0
-        self.oomed = spec.working_mb > spec.reservation_mb
-        self.penalty_fraction = cost.restart_penalty
-        self.cpu = cost.cpu_per_instance
-        self.restarted = False
+@functools.cache
+def _generator():
+    """The one RandomState every run draws its noise from.
 
-    def process(self, ready_at, service, intervals):
-        start = self.available_at if self.available_at > ready_at else ready_at
-        if self.oomed and not self.restarted:
-            # working set over reservation: the step restarts once and
-            # the elapsed phase time is paid again
-            service *= 1.0 + self.penalty_fraction
-            self.restarted = True
-        end = start + service
-        self.available_at = end
-        intervals.append((start, end, self.spec.node, self.spec.working_mb, self.cpu))
-        return end
+    ``run`` reseeds it, which gives the stream of a new RandomState(seed)
+    without building and seeding a new MT19937 for each of a pilot's
+    hundreds of runs.  It is made on the first run, so a stage that only
+    imports the simulator loads no numpy.random.
+    """
+    return np.random.RandomState()
 
 
 def _chunk_sizes(n, nc):
@@ -137,17 +137,66 @@ def _chunk_sizes(n, nc):
     return sizes
 
 
+def _serve_one(readies, services):
+    """One instance serving its messages first in, first out."""
+    t = 0.0
+    starts, ends = [], []
+    for ready, service in zip(readies, services):
+        start = t if t > ready else ready
+        t = start + service
+        starts.append(start)
+        ends.append(t)
+    return starts, ends, t
+
+
+def _serve_many(readies, services, pending, penalty):
+    """Messages in arrival order, each on the earliest-free instance.
+
+    ``pending[i]`` is True while instance i still owes its restart: its
+    first message takes ``penalty`` times as long.  Returns the instance
+    picked per message, the starts, the ends, the time the last instance
+    frees up, and the number of restarts.
+    """
+    # the earliest-available instance, lowest index first, is on top
+    free = [(0.0, i) for i in range(len(pending))]
+    picks, starts, ends, restarts = [], [], [], 0
+    for ready, service in zip(readies, services):
+        available, i = free[0]
+        start = available if available > ready else ready
+        if pending[i]:
+            service *= penalty
+            pending[i] = False
+            restarts += 1
+        end = start + service
+        heapq.heapreplace(free, (end, i))
+        picks.append(i)
+        starts.append(start)
+        ends.append(end)
+    return picks, starts, ends, max(available for available, _ in free), restarts
+
+
 def run(plan, workload, cost, seed=0, kind="configuration"):
     """Execute the plan over the workload; returns (RunTrace, PilotRunRecord).
 
     Messages flow chunk -> slices -> prepared slices over FIFO channels
     with a fixed latency per hop.  Each step serves its messages in
     arrival order, on the earliest-available of its instances, for
-    ``(size / throughput + overhead) * noise`` seconds.  Deterministic
-    for a given seed: one noise draw per message, step by step, then
-    five for the record; each step draws its messages' noise at once.
+    ``(size / throughput + overhead) * noise`` seconds; an instance whose
+    working set exceeds its reservation restarts once, and its first
+    message takes ``1 + restart_penalty`` times as long.  Each step keeps
+    its messages' starts and ends in two lists (and, with more than one
+    instance, the instance of each); the totals are summed from those
+    lists, and the trace builds its (start, end, node, mem, cpu) intervals
+    from them only when they are first read.
+
+    Deterministic for a given seed: one noise draw per message, step by
+    step, then five for the record; each step draws its messages' noise at
+    once.  The draws come from one RandomState per process (``_generator``),
+    which each call reseeds, so ``run`` is not thread-safe (the package
+    starts no threads).
     """
-    rng = np.random.RandomState(seed)
+    rng = _generator()
+    rng.seed(seed)
     amp = cost.noise_amplitude
 
     def noise(k):
@@ -158,6 +207,8 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
 
     lam = plan.cluster.queue_latency
     n = workload.n_records
+    cpu = cost.cpu_per_instance
+    penalty = 1.0 + cost.restart_penalty
     # (step, records/s, s per message, output channel); slice's output
     # messages are runs of ns records, the others pass their size on.
     steps = (
@@ -166,38 +217,53 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
         ("prepare", cost.thr_prepare, cost.join_overhead, "prepared"),
         ("store", cost.thr_store, 0.0, None),
     )
-    messages = [(size, 0.0) for size in _chunk_sizes(n, plan.nc)]
-    intervals, windows, channels, restarts = [], {}, [], 0
+    sizes = _chunk_sizes(n, plan.nc)
+    readies = [0.0] * len(sizes)
+    served, windows, channels, restarts = [], {}, [], 0
     for step, thr, overhead, channel in steps:
-        instances = [_Instance(spec, cost) for spec in plan.step_instances(step)]
-        # the earliest-available instance, lowest index first, is on top
-        free = [(0.0, inst.spec.index, inst) for inst in instances]
-        heapq.heapify(free)
-        split = step == "slice"
-        first = len(intervals)
-        out = []
-        for (size, ready), factor in zip(messages, noise(len(messages))):
-            _, index, inst = free[0]
-            end = inst.process(ready, (size / thr + overhead) * factor, intervals) + lam
-            heapq.heapreplace(free, (inst.available_at, index, inst))
-            if split:
-                for piece in _chunk_sizes(size, plan.ns):
-                    out.append((piece, end))
-            else:
-                out.append((size, end))
-        if len(intervals) > first:
-            # No interval starts before the step's first: retrieve's messages
-            # are all ready at 0, slice and prepare receive theirs in arrival
-            # order, prepare's earliest-free time only rises, and each
+        specs = sorted(plan.step_instances(step), key=lambda spec: spec.index)
+        services = [(size / thr + overhead) * factor
+                    for size, factor in zip(sizes, noise(len(sizes)))]
+        pending = [spec.working_mb > spec.reservation_mb for spec in specs]
+        if len(specs) == 1:
+            picks = None
+            if pending[0] and services:
+                services[0] *= penalty
+                restarts += 1
+            starts, ends, last = _serve_one(readies, services)
+        else:
+            picks, starts, ends, last, restarted = _serve_many(
+                readies, services, pending, penalty)
+            restarts += restarted
+        if starts:
+            # No message starts before the step's first: retrieve's are all
+            # ready at 0, slice and prepare receive theirs in arrival order,
+            # prepare's earliest-free time only rises, and each
             # single-instance step serves first in, first out.
-            windows[step] = (intervals[first][0], max(inst.available_at for inst in instances))
-        restarts += sum(inst.restarted for inst in instances)
+            windows[step] = (starts[0], last)
+        served.append((tuple((spec.node, spec.working_mb, cpu) for spec in specs),
+                       picks, starts, ends))
+        readies = [end + lam for end in ends]
+        if step == "slice":
+            cuts = [_chunk_sizes(size, plan.ns) for size in sizes]
+            readies = [ready for ready, cut in zip(readies, cuts) for _ in cut]
+            sizes = [piece for cut in cuts for piece in cut]
         if channel is not None:
-            channels.append(QueueChannel(channel, len(out)))
-        messages = out
+            channels.append(QueueChannel(channel, len(sizes)))
 
-    trace = build_trace(intervals, windows, channels)
-    trace.restarts = restarts
+    trace = RunTrace(
+        None,
+        windows,
+        consumed_time=max((max(ends) for *_, ends in served if ends), default=0.0),
+        # (end - start) * cpu per message; fsum is exactly rounded, so the
+        # step-by-step order gives the sum of the interval order
+        cpu_integral=math.fsum(itertools.chain.from_iterable(
+            map(operator.mul, map(operator.sub, ends, starts), itertools.repeat(cpu))
+            for *_, starts, ends in served)),
+        channels=channels,
+        restarts=restarts,
+        steps=served,
+    )
 
     volume = workload.volume_mb
     ts = _window_len(windows.get("slice"))

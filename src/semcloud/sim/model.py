@@ -119,26 +119,43 @@ class QueueChannel:
     published: int
 
 
-@dataclasses.dataclass
 class RunTrace:
     """One run as its busy intervals, plus the totals callers read.
 
-    ``intervals`` are (start, end, node, mem_mb, cpu) tuples and are the
-    only stored form of the run.  The totals are set when the trace is
-    built: ``consumed_time`` is the last end and ``cpu_integral`` the sum
-    of (end - start) * cpu.  ``times`` (the distinct boundaries, in
-    ascending order) and ``peak_memory`` (the highest per-node level)
-    come from one sweep of the intervals, made when either is first read
-    and then kept.  ``write_trace`` expands the intervals into per-node
-    step series.
+    ``intervals`` are (start, end, node, mem_mb, cpu) tuples.  A trace
+    built from intervals stores them.  A trace from ``sim.run`` stores
+    ``steps`` instead: per step, its instances' (node, mem_mb, cpu), the
+    instance of each message (None when the step has one instance), and
+    the messages' starts and ends.  Its intervals are built from those
+    lists, in step and message order, when first read, and ``steps`` is
+    then dropped, so a trace holds one form at a time.  The totals are set
+    when the trace is made: ``consumed_time`` is the last end and
+    ``cpu_integral`` the sum of (end - start) * cpu.  ``times`` (the
+    distinct boundaries, in ascending order) and ``peak_memory`` (the
+    highest per-node level) come from one sweep of the intervals, made
+    when either is first read and then kept.  ``write_trace`` expands the
+    intervals into per-node step series.
     """
 
-    intervals: list
-    step_windows: dict  # step -> (start, end)
-    consumed_time: float
-    cpu_integral: float  # millicore*s
-    channels: list = dataclasses.field(default_factory=list)
-    restarts: int = 0
+    def __init__(self, intervals, step_windows, consumed_time, cpu_integral,
+                 channels=(), restarts=0, steps=None):
+        if intervals is not None:
+            self.intervals = intervals
+        self.steps = steps
+        self.step_windows = step_windows  # step -> (start, end)
+        self.consumed_time = consumed_time
+        self.cpu_integral = cpu_integral  # millicore*s
+        self.channels = list(channels)
+        self.restarts = restarts
+
+    @functools.cached_property
+    def intervals(self):
+        steps, self.steps = self.steps, None
+        intervals = []
+        for instances, picks, starts, ends in steps:
+            intervals += [(start, end) + instances[i] for i, start, end
+                          in zip(picks or itertools.repeat(0), starts, ends)]
+        return intervals
 
     @functools.cached_property
     def _levels(self):
@@ -193,7 +210,7 @@ def build_trace(intervals, step_windows, channels=None):
         step_windows=dict(step_windows),
         consumed_time=max((end for _, end, *_ in intervals), default=0.0),
         cpu_integral=math.fsum((end - start) * cpu for start, end, _, _, cpu in intervals),
-        channels=list(channels or []),
+        channels=channels or (),
     )
 
 

@@ -6,10 +6,14 @@ evaluation.  It shares only the term dataclasses with the package; the
 evaluation mechanics are written from scratch so it can serve as a
 cross-check for the engine.  ``per_row_knn`` is the KNN prediction the
 blocked ``predict_knn`` must equal bit for bit, written one row at a time.
+``per_message_run`` is the simulation ``sim.run`` must equal bit for bit,
+served one message at a time on instance objects that each build an
+interval tuple.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -24,6 +28,8 @@ from semcloud.datalog.terms import (
     ExternalCall,
     Var,
 )
+from semcloud.learning.pilots import PilotRunRecord
+from semcloud.sim import QueueChannel, build_trace
 
 
 class OracleFailure(Exception):
@@ -188,3 +194,130 @@ def per_row_knn(model, X):
         w = 1.0 / d
         out[row] = float(np.sum(w * model.targets[nearest]) / np.sum(w))
     return out
+
+
+class _Instance:
+    def __init__(self, spec, cost):
+        self.spec = spec
+        self.available_at = 0.0
+        self.oomed = spec.working_mb > spec.reservation_mb
+        self.penalty_fraction = cost.restart_penalty
+        self.cpu = cost.cpu_per_instance
+        self.restarted = False
+
+    def process(self, ready_at, service, intervals):
+        start = self.available_at if self.available_at > ready_at else ready_at
+        if self.oomed and not self.restarted:
+            # working set over reservation: the step restarts once and
+            # the elapsed phase time is paid again
+            service *= 1.0 + self.penalty_fraction
+            self.restarted = True
+        end = start + service
+        self.available_at = end
+        intervals.append((start, end, self.spec.node, self.spec.working_mb, self.cpu))
+        return end
+
+
+def _chunk_sizes(n, nc):
+    sizes = [nc] * (n // nc)
+    if n % nc:
+        sizes.append(n % nc)
+    return sizes
+
+
+def per_message_run(plan, workload, cost, seed=0, kind="configuration"):
+    """``sim.run`` one message at a time, on ``_Instance`` objects, with a
+    new RandomState per call; returns (RunTrace, PilotRunRecord).
+
+    Messages flow chunk -> slices -> prepared slices over FIFO channels
+    with a fixed latency per hop.  Each step serves its messages in
+    arrival order, on the earliest-available of its instances, for
+    ``(size / throughput + overhead) * noise`` seconds.  Deterministic
+    for a given seed: one noise draw per message, step by step, then
+    five for the record; each step draws its messages' noise at once.
+    """
+    rng = np.random.RandomState(seed)
+    amp = cost.noise_amplitude
+
+    def noise(k):
+        """k multiplicative factors; draws nothing when amp is 0."""
+        if amp == 0.0:
+            return [1.0] * k
+        return (1.0 + amp * (2.0 * rng.rand(k) - 1.0)).tolist()
+
+    lam = plan.cluster.queue_latency
+    n = workload.n_records
+    # (step, records/s, s per message, output channel); slice's output
+    # messages are runs of ns records, the others pass their size on.
+    steps = (
+        ("retrieve", cost.thr_retrieve, 0.0, "chunks"),
+        ("slice", cost.thr_slice, 0.0, "slices"),
+        ("prepare", cost.thr_prepare, cost.join_overhead, "prepared"),
+        ("store", cost.thr_store, 0.0, None),
+    )
+    messages = [(size, 0.0) for size in _chunk_sizes(n, plan.nc)]
+    intervals, windows, channels, restarts = [], {}, [], 0
+    for step, thr, overhead, channel in steps:
+        instances = [_Instance(spec, cost) for spec in plan.step_instances(step)]
+        # the earliest-available instance, lowest index first, is on top
+        free = [(0.0, inst.spec.index, inst) for inst in instances]
+        heapq.heapify(free)
+        split = step == "slice"
+        first = len(intervals)
+        out = []
+        for (size, ready), factor in zip(messages, noise(len(messages))):
+            _, index, inst = free[0]
+            end = inst.process(ready, (size / thr + overhead) * factor, intervals) + lam
+            heapq.heapreplace(free, (inst.available_at, index, inst))
+            if split:
+                for piece in _chunk_sizes(size, plan.ns):
+                    out.append((piece, end))
+            else:
+                out.append((size, end))
+        if len(intervals) > first:
+            # No interval starts before the step's first: retrieve's messages
+            # are all ready at 0, slice and prepare receive theirs in arrival
+            # order, prepare's earliest-free time only rises, and each
+            # single-instance step serves first in, first out.
+            windows[step] = (intervals[first][0], max(inst.available_at for inst in instances))
+        restarts += sum(inst.restarted for inst in instances)
+        if channel is not None:
+            channels.append(QueueChannel(channel, len(out)))
+        messages = out
+
+    trace = build_trace(intervals, windows, channels)
+    trace.restarts = restarts
+
+    volume = workload.volume_mb
+    ts = _window_len(windows.get("slice"))
+    tp = _window_len(windows.get("prepare"))
+    rec_nc = min(plan.nc, n) if n else 0
+    rec_ns = min(plan.ns, rec_nc) if n else 0
+    f_ms, f_mp, f_ssl, f_spr, f_sst = noise(5)
+    record = PilotRunRecord(
+        pipeline=plan.pipeline,
+        no_records=float(n),
+        volume=volume,
+        chunk_size=float(rec_nc),
+        slice_size=float(rec_ns),
+        slice_time=ts,
+        prepare_time=tp,
+        slice_memory=cost.slice_working_mb(plan.nc, workload.record_bytes) * f_ms,
+        prepare_memory=cost.prepare_working_mb(plan.ns, workload.record_bytes) * f_mp,
+        slice_storage=cost.expansion_slice * volume * f_ssl,
+        prepare_storage=cost.expansion_prepare * volume * f_spr,
+        store_storage=cost.expansion_store * volume * f_sst,
+        slice_memory_reservation=plan.step_instances("slice")[0].reservation_mb,
+        prepare_memory_reservation=plan.step_instances("prepare")[0].reservation_mb,
+        storage_mode=plan.storage_mode,
+        total_time=trace.consumed_time,
+        cpu_integral=trace.cpu_integral,
+        kind=kind,
+    )
+    return trace, record
+
+
+def _window_len(window):
+    if window is None:
+        return 0.0
+    return window[1] - window[0]

@@ -141,7 +141,7 @@ class TestIndividualCommands:
         # every reservation is near 1e299 MB, and each skipped run says so
         config_path = write_project(tmp_path, cost={"alpha_slice": 1e300})
         result = invoke(config_path, "pilot")
-        assert result.exit_code == 0
+        assert result.exit_code == 1
         assert "skipped: " in result.stderr
         assert max(len(digits) for digits in re.findall(r"\d+", result.combined)) <= 20
 
@@ -264,6 +264,36 @@ class TestContract:
         for stage in ("pilot", "learn", "configure"):
             assert invoke(write_project(tmp_path), stage).exit_code == 0, stage
         refused_learn()
+
+    def test_a_failed_learn_leaves_no_report_of_the_earlier_run(self, tmp_path):
+        config_path = write_project(tmp_path)
+        for stage in ("gen", "pilot", "learn", "configure", "simulate", "report"):
+            assert invoke(config_path, stage).exit_code == 0, stage
+        reports = tmp_path / "out" / "reports"
+        names = ("fit_reports.tsv", "fit_timings.tsv", "summary.txt", "sweet_spot.tsv",
+                 "min_train_fraction.tsv")
+        assert all((reports / name).exists() for name in names)
+        config_path = write_project(tmp_path, cost={"thr_retrieve": 1e-300})
+        assert invoke(config_path, "pilot").exit_code == 0
+        self.assert_failure(invoke(config_path, "learn"), "learn", 1, "LearningError")
+        result = invoke(config_path, "report")
+        assert result.exit_code == 0
+        assert "nothing to report" in result.output
+        assert [name for name in names if (reports / name).exists()] == []
+
+    @pytest.mark.parametrize("kind, setting", [
+        ("configuration", {"cluster": {"nodes": 1}}),
+        ("estimation", {"cost": {"alpha_slice": 1e300}}),
+    ])
+    def test_pilot_fails_when_it_skipped_every_run_of_a_kind(self, tmp_path, kind, setting):
+        result = invoke(write_project(tmp_path, **setting), "pilot")
+        self.assert_failure(result, "pilot", 1, "SimError")
+        step = "slice" if kind == "estimation" else "prepare"
+        error, = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+        assert error.startswith(
+            "error: every %s run was skipped, so learn has no %s rows; the first: "
+            "InsufficientResources('%s reservation " % (kind, kind, step))
+        assert (tmp_path / "out" / "pilot.csv").exists()
 
     @pytest.mark.parametrize("command", ["configure", "report"])
     @pytest.mark.parametrize("key, value", [("k", 0), ("k", 2.5), ("targets", [1.0])])

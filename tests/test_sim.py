@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import math
+import random
 
 import pytest
+from oracle import per_message_run
 
 from semcloud.kg import frequent_pipeline
 from semcloud.learning import PilotRunRecord, write_pilot_csv
@@ -199,6 +201,76 @@ class TestRun:
         assert record.total_time >= max(record.slice_time, record.prepare_time)
 
 
+def _random_plan(gen):
+    """A random plan, workload and cost: noise on or off, n = 0, n < nc,
+    ns = 1, 1 to 8 preparers, and now and then a slice or prepare
+    reservation below its working set, so that the instance restarts."""
+    n = gen.choice([0, gen.randint(1, 40), gen.randint(1, 1500)])
+    nc = gen.randint(1, 2 * n + 2) if gen.random() < 0.2 else gen.randint(1, max(1, n))
+    ns = 1 if gen.random() < 0.2 else gen.randint(1, nc)
+    cost = CostModel(
+        noise_amplitude=gen.choice([0.0, 0.05, 0.5]),
+        thr_prepare=gen.choice([500.0, 2000.0, 7000.0]),
+        join_overhead=gen.choice([0.0, 0.05]),
+        restart_penalty=gen.choice([0.5, 1.0]),
+    )
+    cluster = ClusterSpec(nodes=tuple(NodeSpec("n%d" % i, 4096.0) for i in range(4)),
+                          queue_latency=gen.choice([0.0, 0.02]))
+    workload = small_workload(n=n, rb=gen.choice([125, 1250]))
+    plan = deploy(None, cluster, cost, workload, prepare_instances=gen.randint(1, 8),
+                  nc=nc, ns=ns)
+    shrunk = {step for step in ("slice", "prepare") if gen.random() < 0.3}
+    instances = tuple(
+        dataclasses.replace(inst, reservation_mb=inst.working_mb * gen.uniform(0.3, 0.99))
+        if inst.step in shrunk and gen.random() < 0.7 else inst
+        for inst in plan.instances)
+    return dataclasses.replace(plan, instances=instances), workload, cost
+
+
+def _outputs(trace, record):
+    return (record, trace.step_windows, trace.channels, trace.restarts,
+            trace.consumed_time, trace.cpu_integral, repr(trace.intervals))
+
+
+class TestRunMatchesOracle:
+    @pytest.mark.parametrize("block", range(4))
+    def test_random_plans_equal_the_per_message_oracle(self, block):
+        gen = random.Random(block)
+        restarted = 0
+        for case in range(100):
+            plan, workload, cost = _random_plan(gen)
+            seed = gen.randrange(2**32)
+            trace, record = run(plan, workload, cost, seed=seed)
+            expected = per_message_run(plan, workload, cost, seed=seed)
+            assert _outputs(trace, record) == _outputs(*expected), case
+            restarted += trace.restarts > 0
+        assert restarted > 10
+
+    def test_reseeding_gives_each_seed_its_own_stream(self):
+        cost = CostModel(noise_amplitude=0.05)
+        workload = small_workload(n=530)
+        plan = deploy(None, default_cluster(), cost, workload, prepare_instances=3,
+                      nc=100, ns=7)
+        first = _outputs(*run(plan, workload, cost, seed=11))
+        a1 = _outputs(*run(plan, workload, cost, seed=11))
+        b = _outputs(*run(plan, workload, cost, seed=12))
+        a2 = _outputs(*run(plan, workload, cost, seed=11))
+        assert a1 == first == a2
+        assert b != first
+        assert b == _outputs(*per_message_run(plan, workload, cost, seed=12))
+
+    def test_intervals_replace_the_step_lists_when_first_read(self):
+        cost = quiet_cost()
+        workload = small_workload(n=530)
+        plan = deploy(None, default_cluster(), cost, workload, prepare_instances=3,
+                      nc=100, ns=7)
+        trace, _ = run(plan, workload, cost)
+        assert "intervals" not in vars(trace) and trace.steps is not None
+        intervals = trace.intervals
+        assert trace.steps is None and trace.intervals is intervals
+        assert len(intervals) == 6 + 6 + 80 + 80
+
+
 class TestTrace:
     def test_rectangle_integrals_are_exact(self):
         # one instance at 100 millicores and 10 MB for exactly 2 seconds
@@ -269,6 +341,19 @@ class TestTrace:
         assert read_first.times == times == written_first.times
         assert read_first.peak_memory == peaks == written_first.peak_memory
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_written_series_of_a_run_is_golden(self, tmp_path):
+        # Pins the bytes simulate writes for a run whose intervals are built
+        # only when write_trace reads them: zero noise, three preparers.
+        cost = quiet_cost()
+        workload = small_workload(n=530)
+        plan = deploy(None, default_cluster(), cost, workload, prepare_instances=3,
+                      nc=100, ns=7)
+        trace, _ = run(plan, workload, cost, seed=5)
+        path = tmp_path / "trace.tsv"
+        write_trace(str(path), trace)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f1fdb0137e51f5aa9e16b507bfbc45adb275d346bf28305fa9127c6de611d0ce")
 
     def test_written_series_agree_with_totals(self, tmp_path):
         cost = CostModel(noise_amplitude=0.05)
