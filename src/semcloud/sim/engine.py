@@ -3,9 +3,7 @@
 import dataclasses
 import functools
 import heapq
-import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -137,18 +135,6 @@ def _chunk_sizes(n, nc):
     return sizes
 
 
-def _serve_one(readies, services):
-    """One instance serving its messages first in, first out."""
-    t = 0.0
-    starts, ends = [], []
-    for ready, service in zip(readies, services):
-        start = t if t > ready else ready
-        t = start + service
-        starts.append(start)
-        ends.append(t)
-    return starts, ends, t
-
-
 def _serve_many(readies, services, pending, penalty):
     """Messages in arrival order, each on the earliest-free instance.
 
@@ -184,10 +170,9 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
     ``(size / throughput + overhead) * noise`` seconds; an instance whose
     working set exceeds its reservation restarts once, and its first
     message takes ``1 + restart_penalty`` times as long.  Each step keeps
-    its messages' starts and ends in two lists (and, with more than one
-    instance, the instance of each); the totals are summed from those
-    lists, and the trace builds its (start, end, node, mem, cpu) intervals
-    from them only when they are first read.
+    its messages' instances, starts and ends in three lists; the totals
+    are summed from those lists, and the trace builds its (start, end,
+    node, mem, cpu) intervals from them only when they are first read.
 
     Deterministic for a given seed: one noise draw per message, step by
     step, then five for the record; each step draws its messages' noise at
@@ -225,21 +210,13 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
         services = [(size / thr + overhead) * factor
                     for size, factor in zip(sizes, noise(len(sizes)))]
         pending = [spec.working_mb > spec.reservation_mb for spec in specs]
-        if len(specs) == 1:
-            picks = None
-            if pending[0] and services:
-                services[0] *= penalty
-                restarts += 1
-            starts, ends, last = _serve_one(readies, services)
-        else:
-            picks, starts, ends, last, restarted = _serve_many(
-                readies, services, pending, penalty)
-            restarts += restarted
+        picks, starts, ends, last, restarted = _serve_many(
+            readies, services, pending, penalty)
+        restarts += restarted
         if starts:
             # No message starts before the step's first: retrieve's are all
             # ready at 0, slice and prepare receive theirs in arrival order,
-            # prepare's earliest-free time only rises, and each
-            # single-instance step serves first in, first out.
+            # and a step's earliest-free time only rises.
             windows[step] = (starts[0], last)
         served.append((tuple((spec.node, spec.working_mb, cpu) for spec in specs),
                        picks, starts, ends))
@@ -257,9 +234,8 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
         consumed_time=max((max(ends) for *_, ends in served if ends), default=0.0),
         # (end - start) * cpu per message; fsum is exactly rounded, so the
         # step-by-step order gives the sum of the interval order
-        cpu_integral=math.fsum(itertools.chain.from_iterable(
-            map(operator.mul, map(operator.sub, ends, starts), itertools.repeat(cpu))
-            for *_, starts, ends in served)),
+        cpu_integral=math.fsum((end - start) * cpu for *_, starts, ends in served
+                               for start, end in zip(starts, ends)),
         channels=channels,
         restarts=restarts,
         steps=served,

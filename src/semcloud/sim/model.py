@@ -125,16 +125,15 @@ class RunTrace:
     ``intervals`` are (start, end, node, mem_mb, cpu) tuples.  A trace
     built from intervals stores them.  A trace from ``sim.run`` stores
     ``steps`` instead: per step, its instances' (node, mem_mb, cpu), the
-    instance of each message (None when the step has one instance), and
-    the messages' starts and ends.  Its intervals are built from those
-    lists, in step and message order, when first read, and ``steps`` is
-    then dropped, so a trace holds one form at a time.  The totals are set
-    when the trace is made: ``consumed_time`` is the last end and
-    ``cpu_integral`` the sum of (end - start) * cpu.  ``times`` (the
-    distinct boundaries, in ascending order) and ``peak_memory`` (the
-    highest per-node level) come from one sweep of the intervals, made
-    when either is first read and then kept.  ``write_trace`` expands the
-    intervals into per-node step series.
+    instance of each message, and the messages' starts and ends.  Its
+    intervals are built from those lists, in step and message order, when
+    first read, and ``steps`` is then dropped, so a trace holds one form at
+    a time.  The totals are set when the trace is made: ``consumed_time``
+    is the last end and ``cpu_integral`` the sum of (end - start) * cpu.
+    ``times`` (the distinct boundaries, in ascending order) and
+    ``peak_memory`` (the highest per-node level) come from one sweep of the
+    intervals, made when either is first read and then kept.
+    ``write_trace`` expands the intervals into per-node step series.
     """
 
     def __init__(self, intervals, step_windows, consumed_time, cpu_integral,
@@ -154,7 +153,7 @@ class RunTrace:
         intervals = []
         for instances, picks, starts, ends in steps:
             intervals += [(start, end) + instances[i] for i, start, end
-                          in zip(picks or itertools.repeat(0), starts, ends)]
+                          in zip(picks, starts, ends)]
         return intervals
 
     @functools.cached_property
