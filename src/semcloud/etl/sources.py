@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -107,30 +108,58 @@ _XML_RECORD = re.compile(
     re.S)
 
 
+@functools.lru_cache(maxsize=32)
+def _xml_layout(tags):
+    """(match, tags): the match method of the one compiled pattern of a
+    plain record whose fields are ``tags`` in order, each value a group, and
+    the tag tuple that every record read through it shares as its keys."""
+    fields = "".join(rf"<{tag}>({_XML_TEXT})</{tag}>" for tag in map(re.escape, tags))
+    return re.compile("<record>%s</record>" % fields).match, tags
+
+
 def _ingest_xml(descriptor, text):
     # Record blocks are scanned individually so one truncated record
     # becomes a reject instead of poisoning the whole file.
     if "<records" not in text:
         raise UnreadableSource("%s: missing <records> wrapper" % descriptor.location)
     records, rejects = [], []
-    fields = _XML_FIELD.findall
-    matched_opens = 0
-    for i, match in enumerate(_XML_RECORD.finditer(text)):
-        if match.lastindex:  # group 1, a record of plain fields
-            # Read between <record> and </record>, so an empty record has no
-            # fields; an empty element is None, as ElementTree gives it.
-            start, end = match.span()
+    find, match_record, fields = text.find, _XML_RECORD.match, _XML_FIELD.findall
+    layout, tags = None, ()
+    matched_opens = i = 0
+    # Both branches of _XML_RECORD begin with "<record>", so matching at each
+    # one in turn gives finditer's matches; where none matches, no later
+    # "<record>" has a "</record>" after it either.
+    start = find("<record>")
+    while start >= 0:
+        # A record with the fields of the plain record before it, in the same
+        # order, is that record's layout and takes one match; an empty
+        # element is None, as ElementTree gives it.
+        match = layout and layout(text, start)
+        if match:
+            records.append({tag: value or None for tag, value in zip(tags, match.groups())})
             matched_opens += 1
-            records.append({tag: value or None for tag, value in fields(text, start + 8, end - 9)})
-            continue
-        block = match.group()
-        matched_opens += block.count("<record>")
-        try:
-            element = ET.fromstring(block)
-        except ET.ParseError as exc:
-            rejects.append(Reject(descriptor.location, i, "bad record: %s" % exc))
-            continue
-        records.append({child.tag: child.text for child in element})
+        else:
+            match = match_record(text, start)
+            if match is None:
+                break
+            if match.lastindex:  # group 1, a record of plain fields
+                # Read between <record> and </record>, so an empty record
+                # has no fields.
+                found = fields(text, start + 8, match.end() - 9)
+                layout, tags = _xml_layout(tuple(tag for tag, _ in found))
+                records.append({tag: value or None for tag, (_, value) in zip(tags, found)})
+                matched_opens += 1
+            else:
+                block = match.group()
+                matched_opens += block.count("<record>")
+                try:
+                    element = ET.fromstring(block)
+                except ET.ParseError as exc:
+                    rejects.append(Reject(descriptor.location, i, "bad record: %s" % exc))
+                else:
+                    records.append({child.tag: child.text for child in element})
+        i += 1
+        start = find("<record>", match.end())
     total_opens = text.count("<record>")
     for j in range(total_opens - matched_opens):
         rejects.append(

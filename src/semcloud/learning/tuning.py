@@ -71,17 +71,24 @@ def grid_search(method: str, grid, data, split_seed: int = 0):
     """Pick the hyper-parameters minimising held-out nmae.
 
     ``grid`` is a sequence of parameter dicts; ties break toward the smaller
-    model (lower degree / fewer parameters / smaller k).  Returns
-    (best_params, best_model, FitReport).
+    model (lower degree / fewer parameters / smaller k), and a ``k`` above
+    the training row count is skipped.  Returns (best_params, best_model,
+    FitReport).
     """
     grid = list(grid)
     if not grid:
         raise LearningError("empty hyper-parameter grid")
     X, y = data
     X_tr, y_tr, X_te, y_te = train_test_split(X, y, split_seed)
+    # a knn grid point needs k training rows; a split too small for some of
+    # them is searched over the rest
+    fitting = [params for params in grid if params.get("k", 0) <= len(y_tr)]
+    if not fitting:
+        raise LearningError(f"no {method} grid point fits {len(y_tr)} training rows "
+                            f"(of {len(y)}): {grid}")
 
     best = None
-    for params in grid:
+    for params in fitting:
         t0 = time.perf_counter()
         model = fit_method(method, X_tr, y_tr, params)
         learn_ms = (time.perf_counter() - t0) * 1e3

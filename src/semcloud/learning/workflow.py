@@ -22,6 +22,12 @@ DEFAULT_GRIDS = {
 
 EXTERNAL_TARGETS = tuple(ESTIMATION_TARGETS) + tuple(CONFIGURATION_TARGETS)
 
+# The project settings that set how many pilot runs of each kind there are.
+_RUN_SETTINGS = {
+    "estimation": "pilot.estimation_seeds, pilot.durations and pilot.record_bytes",
+    "configuration": "pilot.configuration_seeds and search.*",
+}
+
 
 def learn_externals(records, methods):
     """Fit every rule external with the best of ``methods``; returns
@@ -31,6 +37,11 @@ def learn_externals(records, methods):
     models, reports = {}, {}
     for external in EXTERNAL_TARGETS:
         data = training_frame(records, external)
+        if len(data[1]) < 2:
+            kind = "estimation" if external in ESTIMATION_TARGETS else "configuration"
+            raise LearningError(
+                f"@{external} has {len(data[1])} training row from the {kind} pilot runs, "
+                f"and a fit needs 2 to hold one out; {_RUN_SETTINGS[kind]} set those runs")
         for method in methods:
             _, model, report = grid_search(method, DEFAULT_GRIDS[method], data)
             if external not in reports or report.nmae < reports[external].nmae:
@@ -42,7 +53,9 @@ def learn_time_model(records, method):
     """Fit total_time over TIME_FEATURES from configuration-kind rows."""
     data = time_model_frame(records)
     if len(data[1]) < 4:
-        raise LearningError("too few configuration rows for a time model")
+        raise LearningError(
+            f"the time model has {len(data[1])} training rows from the configuration pilot "
+            f"runs, and needs 4; {_RUN_SETTINGS['configuration']} set those runs")
     _, model, report = grid_search(method, DEFAULT_GRIDS[method], data)
     return model, report
 

@@ -281,6 +281,35 @@ class TestContract:
         assert "nothing to report" in result.output
         assert [name for name in names if (reports / name).exists()] == []
 
+    def test_learn_skips_knn_grid_points_above_the_training_rows(self, tmp_path):
+        # one estimation seed gives func_ms, func_ssl and func_sst four rows,
+        # three of them to train on: knn's k=5 is skipped, not an error
+        config_path = write_project(tmp_path, pilot=dict(SMALL_PROJECT["pilot"],
+                                                         estimation_seeds=1))
+        assert invoke(config_path, "pilot").exit_code == 0
+        result = invoke(config_path, "learn")
+        assert result.exit_code == 0, result.combined
+        assert status_lines(result) == ["semcloud-status command=learn ok=1 models=8"]
+        text = (tmp_path / "out" / "reports" / "fit_reports.tsv").read_text()
+        rows = {row[0]: row[1:3] for row in map(str.split, text.splitlines()[1:])}
+        assert len(rows) == 8
+        assert all(int(params[2:]) <= 3 for method, params in rows.values() if method == "knn")
+
+    @pytest.mark.parametrize("seeds, error", [
+        (1, "@func_ss has 1 training row from the configuration pilot runs, and a fit needs 2 "
+            "to hold one out"),
+        (3, "the time model has 3 training rows from the configuration pilot runs, and needs 4"),
+    ])
+    def test_learn_fails_on_too_few_configuration_rows(self, tmp_path, seeds, error):
+        # a one-point search space gives one configuration run per seed
+        config_path = write_project(tmp_path, search=dict(SMALL_PROJECT["search"], span=1),
+                                    pilot=dict(SMALL_PROJECT["pilot"], configuration_seeds=seeds))
+        assert invoke(config_path, "pilot").exit_code == 0
+        result = invoke(config_path, "learn")
+        self.assert_failure(result, "learn", 1, "LearningError")
+        assert [line for line in result.stderr.splitlines() if line.startswith("error")] == [
+            "error: %s; pilot.configuration_seeds and search.* set those runs" % error]
+
     @pytest.mark.parametrize("kind, setting", [
         ("configuration", {"cluster": {"nodes": 1}}),
         ("estimation", {"cost": {"alpha_slice": 1e300}}),

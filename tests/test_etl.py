@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import pathlib
 import random
 import re
 import time
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,6 +243,15 @@ class TestIngestion:
         assert len(raws) == 59
         assert len(rejects) == 1
 
+    def test_xml_records_share_their_tag_strings(self, tmp_path):
+        spec = WorkloadSpec(machines=4, production_lines=2, duration=43.2, seed=7)
+        desc = next(d for d in generate_workload(spec, str(tmp_path)) if d.format == "xml")
+        raws, rejects = ingest(desc)
+        assert rejects == [] and len(raws) == spec.total_records()
+        first = list(raws[0])
+        assert all(len(raw) == len(first) and all(map(operator.is_, raw, first))
+                   for raw in raws)
+
     def test_missing_file_is_unreadable(self, workload):
         _, descriptors = workload
         desc = dataclasses.replace(descriptors[0], location="/nonexistent.csv")
@@ -410,6 +421,77 @@ class TestXmlDifferential:
             plain += sum(1 for m in sources._XML_RECORD.finditer(text) if m.lastindex)
         assert plain > 300  # the plain-record branch did its share
         assert time.monotonic() - started < 10.0
+
+    LAYOUT_NAMES = ["a", "force-peak", "x.y_1", "xAy_1", "_z", "records", "re"]
+    LAYOUT_TEXTS = ["", "1.5", "12.0", "abc", " ", "\n", "a>b"]
+    # texts that a plain record cannot hold: an entity, and (in the raw text)
+    # carriage returns
+    ESCAPED_TEXTS = ["x&amp;y", "1\r\n2"]
+    # blocks that break a run of plain records: empty, comment, CDATA, nested,
+    # an element with an attribute, and a close tag that does not match
+    BREAKS = ["<record></record>", "<record><!--c--></record>",
+              "<record><a><![CDATA[x<y]]></a></record>",
+              "<record><a>1</a><record><a>2</a></record></record>",
+              '<record><a k="1">2</a></record>', "<record><a>1</b></record>"]
+
+    def layout_record(self, rnd, tags):
+        texts = [rnd.choice(self.LAYOUT_TEXTS) for _ in tags]
+        if texts and rnd.random() < 0.05:
+            texts[rnd.randrange(len(texts))] = rnd.choice(self.ESCAPED_TEXTS)
+        return "<record>%s</record>" % "".join(
+            "<%s>%s</%s>" % (tag, text, tag) for tag, text in zip(tags, texts))
+
+    def layout_document(self, rnd):
+        """Records that mostly share one to three tag sequences, some with a
+        tag twice, between other blocks; now and then the last never closes."""
+        layouts = []
+        for _ in range(rnd.randint(1, 3)):
+            tags = [rnd.choice(self.LAYOUT_NAMES) for _ in range(rnd.randint(0, 6))]
+            if tags and rnd.random() < 0.3:
+                tags.insert(rnd.randrange(len(tags)), rnd.choice(tags))
+            layouts.append(tags)
+        records, tags = [], layouts[0]
+        for _ in range(rnd.randint(1, 16)):
+            shape = rnd.random()
+            if shape < 0.9:
+                if rnd.random() < 0.1:
+                    tags = rnd.choice(layouts)
+                records.append(self.layout_record(rnd, tags))
+            elif shape < 0.97:
+                records.append(rnd.choice(self.BREAKS))
+            else:
+                records.append(self.record(rnd))
+        if rnd.random() < 0.2 and records[-1].endswith("</record>"):
+            records[-1] = records[-1][:-len("</record>")]
+        gap = rnd.choice(["", "\n", "\n  ", "\r\n  "])
+        return "<records>" + gap + gap.join(records) + gap + "</records>\n"
+
+    def test_repeated_layouts_read_as_the_block_by_block_reader(self, tmp_path, monkeypatch):
+        record = mock.Mock(wraps=sources._XML_RECORD)
+        monkeypatch.setattr(sources, "_XML_RECORD", record)
+        rnd = random.Random(24)
+        path = tmp_path / "doc.xml"
+        desc = SourceDescriptor("xml", str(path), (), (), 1)
+        started = time.monotonic()
+        blocks = 0
+        for case in range(600):
+            text = self.document(rnd) if case % 10 == 0 else self.layout_document(rnd)
+            path.write_bytes(text.encode())
+            read = path.read_text()  # ingest reads with universal newlines
+            assert self.read(ingest, desc) == self.read(block_by_block, str(path), read), case
+            assert (self.read(sources._ingest_xml, desc, text)
+                    == self.read(block_by_block, str(path), text)), case
+            blocks += read.count("<record>") + text.count("<record>")
+        # every record a layout did not take was matched against _XML_RECORD
+        assert record.match.call_count < blocks / 2
+        assert time.monotonic() - started < 10.0
+
+    def test_a_layout_matches_its_tag_names_literally(self, tmp_path):
+        desc = SourceDescriptor("xml", str(tmp_path / "doc.xml"), (), (), 1)
+        text = ("<records><record><x.y_1>1</x.y_1><a>2</a></record>"
+                "<record><xAy_1>3</xAy_1><a>4</a></record></records>")
+        assert sources._ingest_xml(desc, text) == (
+            [{"x.y_1": "1", "a": "2"}, {"xAy_1": "3", "a": "4"}], [])
 
 
 class TestUnifiedFiles:

@@ -453,6 +453,13 @@ class TestTuning:
         assert report.nmae == 0.0
         assert params == {"k": 2} and model.k == 2
 
+    def test_grid_points_the_split_cannot_fit_are_skipped(self):
+        data = self.quartic_data(n=5)  # four training rows
+        params, model, _ = grid_search("knn", [{"k": 5}, {"k": 2}, {"k": 9}], data)
+        assert params == {"k": 2} and model.k == 2
+        with pytest.raises(LearningError, match=r"no knn grid point fits 4 training rows \(of 5\)"):
+            grid_search("knn", [{"k": 5}, {"k": 9}], data)
+
     def test_single_point_grid(self):
         data = self.quartic_data()
         params, model, report = grid_search("knn", [{"k": 3}], data)
