@@ -6,6 +6,7 @@ one YAML project config and one root seed.  Exit codes: 0 success,
 status line on stderr.
 """
 
+import glob
 import math
 import os
 
@@ -276,7 +277,7 @@ def configure(ctx, pipeline_path):
     def body(cfg):
         from .configure import build_registry, target_pilot_record
         from .datalog import dump_facts
-        from .kg import frequent_pipeline
+        from .kg import frequent_pipeline, validate
         from .learning import EXTERNAL_TARGETS, read_pilot_csv
         from .sim import SimWorkload
 
@@ -284,12 +285,19 @@ def configure(ctx, pipeline_path):
         target = SimWorkload.from_spec(spec)
         cloud = cfg.cloud_attributes()
         graph = None
-        if pipeline_path is not None:
-            try:
+        try:
+            if pipeline_path is not None:
                 with open(pipeline_path) as fh:
                     text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError("cannot read pipeline document: %s" % exc)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read pipeline document: %s" % exc)
+        finally:
+            # read first, as the document may be an earlier configured
+            # pipeline; a configure that fails leaves no configuration that
+            # simulate could run
+            _remove([cfg.configured_pipeline_path, cfg.facts_path,
+                     cfg.path("resource_config.tsv")])
+        if pipeline_path is not None:
             graph = parse_pipeline(text)
         records = read_pilot_csv(cfg.pilot_csv)
         pilot_record = target_pilot_record(records, target)
@@ -309,6 +317,9 @@ def configure(ctx, pipeline_path):
         time_model = _load_model(cfg, "time_model")
         registry = build_registry(models, time_model, cfg.search_space)
         config, configured, idb = configure_pipeline(graph, cloud, registry, pilot_record)
+        # the configured document must be one that simulate and
+        # `configure --pipeline` accept
+        validate(configured)
         os.makedirs(cfg.workdir, exist_ok=True)
         with open(cfg.configured_pipeline_path, "w") as fh:
             fh.write(serialize_pipeline(configured))
@@ -342,6 +353,10 @@ def simulate(ctx, legacy_only):
         from .configure import ConfigureError
         from .sim import compare, write_comparison
 
+        # a simulate that fails leaves no comparison or trace of an earlier
+        # configuration for report to read
+        _remove([cfg.path("reports", "comparison.tsv")]
+                + glob.glob(os.path.join(glob.escape(cfg.reports_dir), "trace_*.tsv")))
         workloads = cfg.timed_workloads("simulate")
         cluster = cfg.cluster_spec()
         cost = cfg.cost_model(noise_amplitude=0.0)

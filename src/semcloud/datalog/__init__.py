@@ -9,9 +9,9 @@ from .errors import (
     SignatureMismatch,
     TypeMismatch,
 )
-from .factset import FactSet, dump_facts, parse_facts, query
+from .factset import FactSet, dump_facts, query
 from .parser import parse_program
-from .terms import Program, Rule, format_program, format_rule
+from .terms import Program, Rule
 
 __all__ = [
     "Diagnostic",
@@ -30,9 +30,6 @@ __all__ = [
     "dump_facts",
     "evaluate",
     "evaluate_aggregate",
-    "format_program",
-    "format_rule",
-    "parse_facts",
     "parse_program",
     "query",
 ]

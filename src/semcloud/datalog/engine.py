@@ -19,7 +19,7 @@ channel; it never aborts the evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
@@ -69,7 +69,6 @@ class Diagnostic:
     rule: str
     element: str
     reason: str
-    environment: dict = field(default_factory=dict)
 
 
 class _InstanceFailure(Exception):
@@ -91,7 +90,7 @@ def evaluate(program: Program, edb: FactSet, registry: ExternalRegistry,
             try:
                 args = tuple(_eval_term(a, env, facts, registry) for a in rule.head.args)
             except _InstanceFailure as fail:
-                _record(diagnostics, rule, rule.head, fail.reason, env)
+                _record(diagnostics, rule, rule.head, fail.reason)
                 continue
             facts.add(rule.head.predicate, args)
     return facts
@@ -111,10 +110,10 @@ def _match_body(rule, elements, env, facts, registry, diagnostics):
         try:
             value = _eval_term(el.expr, env, facts, registry)
         except _InstanceFailure as fail:
-            _record(diagnostics, rule, el, fail.reason, env)
+            _record(diagnostics, rule, el, fail.reason)
             return
         if isinstance(value, float) and not math.isfinite(value):
-            _record(diagnostics, rule, el, "non-finite binding value", env)
+            _record(diagnostics, rule, el, "non-finite binding value")
             return
         extended = dict(env)
         extended[el.var.name] = value
@@ -124,7 +123,7 @@ def _match_body(rule, elements, env, facts, registry, diagnostics):
             if _compare(el, env, facts, registry):
                 yield from _match_body(rule, rest, env, facts, registry, diagnostics)
         except _InstanceFailure as fail:
-            _record(diagnostics, rule, el, fail.reason, env)
+            _record(diagnostics, rule, el, fail.reason)
     else:  # pragma: no cover - parser only produces the three kinds
         raise TypeError(f"unknown body element {el!r}")
 
@@ -230,7 +229,7 @@ def evaluate_aggregate(agg: Aggregate, env, facts, registry) -> float:
     return sum(values) / len(values)
 
 
-def _record(diagnostics, rule: Rule, element, reason: str, env: dict) -> None:
+def _record(diagnostics, rule: Rule, element, reason: str) -> None:
     if diagnostics is None:
         return
     diagnostics.append(
@@ -238,6 +237,5 @@ def _record(diagnostics, rule: Rule, element, reason: str, env: dict) -> None:
             rule=rule.head.predicate,
             element=format_body_element(element),
             reason=reason,
-            environment=dict(env),
         )
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import DatalogSyntaxError
 from .terms import format_value
 
 
@@ -102,19 +101,3 @@ def dump_facts(facts: FactSet) -> str:
             lines.append(pred + ".")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def parse_facts(text: str) -> FactSet:
-    """Inverse of :func:`dump_facts`; accepts optional trailing dots."""
-    from .parser import parse_ground_atom  # local import avoids a cycle
-
-    facts = FactSet()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%") or line.startswith("#"):
-            continue
-        try:
-            pred, args = parse_ground_atom(line)
-        except DatalogSyntaxError as exc:
-            raise DatalogSyntaxError(f"bad fact: {exc}", line=lineno, column=1) from exc
-        facts.add(pred, args)
-    return facts

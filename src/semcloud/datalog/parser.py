@@ -11,8 +11,7 @@ Grammar sketch::
               | '@'ident '(' args ')' | '#'agg '{' ... '}' | '(' expr ')'
 
 Inside rules a bare identifier in argument position is a variable ('_' is
-anonymous); numbers and quoted strings are constants.  In ground-fact text
-(see :func:`parse_ground_atom`) bare identifiers are symbol constants.
+anonymous); numbers and quoted strings are constants.
 """
 
 from __future__ import annotations
@@ -91,10 +90,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, ground: bool = False):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.ground = ground  # ground mode: bare identifiers are constants
         self._anon = itertools.count()
 
     # -- token plumbing ----------------------------------------------------
@@ -239,8 +237,6 @@ class _Parser:
             self.expect("}")
             return Aggregate(kind=kind, elements=tuple(elements))
         if tok.kind == "ident":
-            if self.ground:
-                return Const(tok.text)
             if tok.text == "_":
                 return Var(name=f"_anon{next(self._anon)}")
             return Var(name=tok.text)
@@ -303,19 +299,3 @@ def parse_program(text: str) -> Program:
     )
     return Program(rules=rules, order=order, calls=tuple(calls))
 
-
-def parse_ground_atom(text: str):
-    """Parse one ground atom line, e.g. ``hasVolume(d1,12.5).``"""
-    parser = _Parser(text, ground=True)
-    atom = parser.parse_atom()
-    if parser.at("."):
-        parser.next()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise DatalogSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    args = []
-    for a in atom.args:
-        if not isinstance(a, Const):
-            raise DatalogSyntaxError("fact arguments must be ground")
-        args.append(a.value)
-    return atom.predicate, tuple(args)

@@ -210,11 +210,3 @@ def format_body_element(el: BodyElement) -> str:
         return f"{el.var.name} = {format_term(el.expr)}"
     raise TypeError(f"not a body element: {el!r}")
 
-
-def format_rule(rule: Rule) -> str:
-    body = ", ".join(format_body_element(el) for el in rule.body)
-    return f"{format_atom(rule.head)} <- {body}."
-
-
-def format_program(program: Program) -> str:
-    return "\n".join(format_rule(r) for r in program.rules) + "\n"

@@ -93,19 +93,10 @@ def _ingest_json(descriptor, text):
     return records, rejects
 
 
-# A plain field: an ASCII name (\w would take non-XML names such as "a²")
-# around text that ElementTree would hand back unchanged, so no markup,
-# entity, "]]>", carriage return or character that XML 1.0 forbids.
-_XML_NAME = r"[A-Za-z_][A-Za-z0-9_.-]*"
+# Text that ElementTree would hand back unchanged: no markup, entity, "]]>",
+# carriage return or character that XML 1.0 forbids.
 _XML_TEXT = r"[^<&\]\r\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]*"
-_XML_FIELD = re.compile(rf"<({_XML_NAME})>({_XML_TEXT})</\1>")
-# Either a record of plain fields only (group 1), or any other <record>
-# block up to the first </record>.  No plain field is named "record", so
-# the first branch ends where the second would: the blocks are those of
-# the second branch alone, and only the other blocks need a parser.
-_XML_RECORD = re.compile(
-    rf"(<record>(?:<(?!record>)({_XML_NAME})>{_XML_TEXT}</\2>)*</record>)|<record>.*?</record>",
-    re.S)
+_XML_RECORD = re.compile(r"<record>.*?</record>", re.S)
 
 
 @functools.lru_cache(maxsize=32)
@@ -117,47 +108,49 @@ def _xml_layout(tags):
     return re.compile("<record>%s</record>" % fields).match, tags
 
 
+def _layout_tag(tag):
+    # A namespaced tag reads back as "{uri}b", and a "record" field would end
+    # the block early, so a layout of either could match text that
+    # ElementTree reads differently.
+    return tag.isascii() and tag[0] != "{" and tag != "record"
+
+
 def _ingest_xml(descriptor, text):
-    # Record blocks are scanned individually so one truncated record
+    # Record blocks are read individually so one truncated record
     # becomes a reject instead of poisoning the whole file.
     if "<records" not in text:
         raise UnreadableSource("%s: missing <records> wrapper" % descriptor.location)
     records, rejects = [], []
-    find, match_record, fields = text.find, _XML_RECORD.match, _XML_FIELD.findall
+    find, match_block = text.find, _XML_RECORD.match
     layout, tags = None, ()
     matched_opens = i = 0
-    # Both branches of _XML_RECORD begin with "<record>", so matching at each
-    # one in turn gives finditer's matches; where none matches, no later
-    # "<record>" has a "</record>" after it either.
     start = find("<record>")
     while start >= 0:
-        # A record with the fields of the plain record before it, in the same
-        # order, is that record's layout and takes one match; an empty
+        # A record with the fields of the last block ElementTree read that
+        # set a layout, in the same order, takes one match; an empty
         # element is None, as ElementTree gives it.
         match = layout and layout(text, start)
         if match:
             records.append({tag: value or None for tag, value in zip(tags, match.groups())})
             matched_opens += 1
         else:
-            match = match_record(text, start)
+            # where no block matches, no later "<record>" has a "</record>"
+            # after it either
+            match = match_block(text, start)
             if match is None:
                 break
-            if match.lastindex:  # group 1, a record of plain fields
-                # Read between <record> and </record>, so an empty record
-                # has no fields.
-                found = fields(text, start + 8, match.end() - 9)
-                layout, tags = _xml_layout(tuple(tag for tag, _ in found))
-                records.append({tag: value or None for tag, (_, value) in zip(tags, found)})
-                matched_opens += 1
+            block = match.group()
+            matched_opens += block.count("<record>")
+            try:
+                element = ET.fromstring(block)
+            except ET.ParseError as exc:
+                rejects.append(Reject(descriptor.location, i, "bad record: %s" % exc))
             else:
-                block = match.group()
-                matched_opens += block.count("<record>")
-                try:
-                    element = ET.fromstring(block)
-                except ET.ParseError as exc:
-                    rejects.append(Reject(descriptor.location, i, "bad record: %s" % exc))
-                else:
-                    records.append({child.tag: child.text for child in element})
+                keys = tuple(child.tag for child in element)
+                if all(map(_layout_tag, keys)):
+                    layout, tags = _xml_layout(keys)
+                    keys = tags
+                records.append(dict(zip(keys, [child.text for child in element])))
         i += 1
         start = find("<record>", match.end())
     total_opens = text.count("<record>")

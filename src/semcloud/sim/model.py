@@ -14,7 +14,6 @@ class NodeSpec:
     name: str
     node_memory: float = 128.0  # MB
     node_storage: float = 4096.0  # MB
-    cpu: float = 2000.0  # millicores
 
 
 @dataclasses.dataclass(frozen=True)

@@ -281,6 +281,59 @@ class TestContract:
         assert "nothing to report" in result.output
         assert [name for name in names if (reports / name).exists()] == []
 
+    def test_a_failed_configure_leaves_no_configuration(self, tmp_path, completed_chain):
+        _, workdir, _ = completed_chain
+        out = tmp_path / "out"
+        shutil.copytree(workdir, out)
+        names = ("configured_pipeline.yaml", "configured_facts.dl", "resource_config.tsv")
+        config_path = write_project(tmp_path)
+        # the --pipeline document is read before the earlier outputs go
+        result = invoke(config_path, "configure", "--pipeline",
+                        str(out / "configured_pipeline.yaml"))
+        assert result.exit_code == 0, result.combined
+        for name in ("configured_pipeline.yaml", "resource_config.tsv"):
+            assert (out / name).read_bytes() == pathlib.Path(workdir, name).read_bytes()
+        path = out / "models" / "time_model.json"
+        path.write_text(path.read_text()[:100])
+        self.assert_failure(invoke(config_path, "configure"), "configure", 1, "LearningError")
+        assert [name for name in names if (out / name).exists()] == []
+        result = invoke(config_path, "simulate")
+        self.assert_failure(result, "simulate", 1, "ConfigureError")
+        assert "run `semcloud configure` first" in result.stderr
+
+    def test_configure_writes_no_pipeline_that_its_readers_refuse(self, tmp_path):
+        # a one-byte record gives a negative slice memory reservation
+        config_path = write_project(tmp_path, pilot=dict(SMALL_PROJECT["pilot"],
+                                                         record_bytes=[1]))
+        for stage in ("gen", "pilot", "learn"):
+            assert invoke(config_path, stage).exit_code == 0, stage
+        result = invoke(config_path, "configure")
+        self.assert_failure(result, "configure", 1, "StructureError")
+        assert result.stderr.splitlines()[0] == "error: p1_t2: memory reservation must be positive"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "models", "pilot.csv", "reports", "workload"]
+
+    @pytest.mark.parametrize("args", [(), ("--legacy-only",)])
+    def test_simulate_leaves_no_comparison_of_an_earlier_run(self, tmp_path, completed_chain,
+                                                             args):
+        _, workdir, _ = completed_chain
+        out = tmp_path / "out"
+        shutil.copytree(workdir, out)
+        config_path = write_project(tmp_path)
+        if args:
+            assert invoke(config_path, "simulate", *args).exit_code == 0
+            traces = ["trace_legacy_0.tsv", "trace_legacy_1.tsv"]
+        else:
+            path = out / "configured_pipeline.yaml"
+            path.write_text(path.read_text()[:100])
+            self.assert_failure(invoke(config_path, "simulate"), "simulate", 1, "SchemaError")
+            traces = []
+        reports = out / "reports"
+        assert not (reports / "comparison.tsv").exists()
+        assert sorted(p.name for p in reports.glob("trace_*.tsv")) == traces
+        assert invoke(config_path, "report").exit_code == 0
+        assert "time ratio" not in (reports / "summary.txt").read_text()
+
     def test_learn_skips_knn_grid_points_above_the_training_rows(self, tmp_path):
         # one estimation seed gives func_ms, func_ssl and func_sst four rows,
         # three of them to train on: knn's k=5 is skipped, not an error

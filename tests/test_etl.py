@@ -10,7 +10,6 @@ import random
 import re
 import time
 import xml.etree.ElementTree as ET
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,8 +344,8 @@ class TestIngestion:
 
 
 def block_by_block(location, text):
-    """The XML reader as it was before the plain-record scan: ElementTree
-    parses every <record> block on its own."""
+    """The reference XML reader: ElementTree parses every <record> block on
+    its own."""
     if "<records" not in text:
         raise UnreadableSource(location)
     records, rejects, matched = [], [], 0
@@ -404,12 +403,29 @@ class TestXmlDifferential:
         except UnreadableSource:
             return "unreadable"
 
-    def test_ingest_matches_the_block_by_block_reader(self, tmp_path):
+    @staticmethod
+    def count_layout_hits(monkeypatch):
+        """A list that gains one entry for each record a layout takes."""
+        hits, layout = [], sources._xml_layout
+
+        def counted(tags):
+            match, shared = layout(tags)
+
+            def hit(text, pos):
+                found = match(text, pos)
+                if found:
+                    hits.append(pos)
+                return found
+            return hit, shared
+        monkeypatch.setattr(sources, "_xml_layout", counted)
+        return hits
+
+    def test_ingest_matches_the_block_by_block_reader(self, tmp_path, monkeypatch):
+        hits = self.count_layout_hits(monkeypatch)
         rnd = random.Random(15)
         path = tmp_path / "doc.xml"
         desc = SourceDescriptor("xml", str(path), (), (), 1)
         started = time.monotonic()
-        plain = 0
         for case in range(1000):
             text = self.document(rnd)
             path.write_text(text)
@@ -418,8 +434,7 @@ class TestXmlDifferential:
             # the raw text too, carriage returns and all
             assert (self.read(sources._ingest_xml, desc, text)
                     == self.read(block_by_block, str(path), text)), case
-            plain += sum(1 for m in sources._XML_RECORD.finditer(text) if m.lastindex)
-        assert plain > 300  # the plain-record branch did its share
+        assert len(hits) > 100  # layouts took a share of the records
         assert time.monotonic() - started < 10.0
 
     LAYOUT_NAMES = ["a", "force-peak", "x.y_1", "xAy_1", "_z", "records", "re"]
@@ -467,8 +482,7 @@ class TestXmlDifferential:
         return "<records>" + gap + gap.join(records) + gap + "</records>\n"
 
     def test_repeated_layouts_read_as_the_block_by_block_reader(self, tmp_path, monkeypatch):
-        record = mock.Mock(wraps=sources._XML_RECORD)
-        monkeypatch.setattr(sources, "_XML_RECORD", record)
+        hits = self.count_layout_hits(monkeypatch)
         rnd = random.Random(24)
         path = tmp_path / "doc.xml"
         desc = SourceDescriptor("xml", str(path), (), (), 1)
@@ -482,8 +496,7 @@ class TestXmlDifferential:
             assert (self.read(sources._ingest_xml, desc, text)
                     == self.read(block_by_block, str(path), text)), case
             blocks += read.count("<record>") + text.count("<record>")
-        # every record a layout did not take was matched against _XML_RECORD
-        assert record.match.call_count < blocks / 2
+        assert len(hits) > blocks / 2
         assert time.monotonic() - started < 10.0
 
     def test_a_layout_matches_its_tag_names_literally(self, tmp_path):
@@ -492,6 +505,18 @@ class TestXmlDifferential:
                 "<record><xAy_1>3</xAy_1><a>4</a></record></records>")
         assert sources._ingest_xml(desc, text) == (
             [{"x.y_1": "1", "a": "2"}, {"xAy_1": "3", "a": "4"}], [])
+
+    @pytest.mark.parametrize("first, second", [
+        ('<b xmlns="u">1</b>', "<{u}b>2</{u}b>"),  # ElementTree reads the tag as {u}b
+        ("<record/>", "<record></record>"),  # a record field ends the block
+        ("<é>1</é>", "<é>2</é>"),
+    ])
+    def test_only_plain_ascii_tags_make_a_layout(self, tmp_path, monkeypatch, first, second):
+        hits = self.count_layout_hits(monkeypatch)
+        desc = SourceDescriptor("xml", str(tmp_path / "doc.xml"), (), (), 1)
+        text = "<records><record>%s</record><record>%s</record></records>" % (first, second)
+        assert sources._ingest_xml(desc, text) == block_by_block(desc.location, text)
+        assert hits == []
 
 
 class TestUnifiedFiles:

@@ -1,4 +1,5 @@
-"""Import hygiene: every import in the package is used."""
+"""Import hygiene: every import in the package is used, and every package
+exports exactly the names it imports."""
 
 import ast
 import pathlib
@@ -74,3 +75,34 @@ def test_every_import_is_used():
               for path in modules
               for line, name in unused_imports(path.read_text())]
     assert unused == []
+
+
+def export_mismatch(source):
+    """``(missing, stale)`` for a package ``__init__`` source: the names it
+    imports that ``__all__`` leaves out, and the ``__all__`` entries it does
+    not import (a stale entry breaks ``from package import *``)."""
+    tree = ast.parse(source)
+    imported, exported = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif (isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            exported = ast.literal_eval(node.value)
+    return (sorted(set(imported) - set(exported)),
+            sorted(set(exported) - set(imported)))
+
+
+def test_the_check_sees_an_export_mismatch():
+    source = "from .a import b, c as d\nimport os.path\n\n__all__ = ['b', 'os', 'e']\n"
+    assert export_mismatch(source) == (["d"], ["e"])
+
+
+def test_every_package_exports_exactly_what_it_imports():
+    packages = sorted(PACKAGE.rglob("__init__.py"))
+    assert len(packages) > 1
+    mismatched = {str(path.relative_to(PACKAGE)): export_mismatch(path.read_text())
+                  for path in packages}
+    assert {path: found for path, found in mismatched.items() if found != ([], [])} == {}

@@ -79,7 +79,7 @@ class TestDeploy:
         assert len({inst.node for inst in plan.instances}) == 1
 
     def test_insufficient_memory_raises(self):
-        tiny = ClusterSpec(nodes=(NodeSpec("n1", 8.0, 4096.0, 2000.0),))
+        tiny = ClusterSpec(nodes=(NodeSpec("n1", 8.0, 4096.0),))
         with pytest.raises(InsufficientResources) as exc:
             deploy(None, tiny, quiet_cost(), small_workload(), nc=500, ns=500)
         assert exc.value.reservation_mb > exc.value.best_free_mb
@@ -409,7 +409,7 @@ class TestLegacy:
 
     def test_out_of_memory_raises(self):
         cost = quiet_cost()
-        node = NodeSpec("old", 64.0, 65536.0, 2000.0)
+        node = NodeSpec("old", 64.0, 65536.0)
         with pytest.raises(SimulatedOutOfMemory):
             run_legacy(small_workload(n=100000), node=node, cost=cost)
 
@@ -474,7 +474,7 @@ class TestCompareAndPilots:
             "cffae2644f7c2ef424da67eb6fe3cb90492922ea170c3564fc722f08248dceb5")
 
     def test_collect_pilot_stats_skips_a_grid_entry_that_does_not_fit(self):
-        tiny = ClusterSpec(nodes=(NodeSpec("n1", 100.0, 4096.0, 2000.0),))
+        tiny = ClusterSpec(nodes=(NodeSpec("n1", 100.0, 4096.0),))
         records, errors = collect_pilot_stats(
             None, tiny, quiet_cost(), [small_workload(n=400)],
             [None, (400, 400)], seeds=[1])
@@ -494,7 +494,7 @@ class TestCompareAndPilots:
             return deploy(*args, **kwargs)
 
         monkeypatch.setattr(engine, "deploy", counting)
-        tiny = ClusterSpec(nodes=(NodeSpec("n1", 100.0, 4096.0, 2000.0),))
+        tiny = ClusterSpec(nodes=(NodeSpec("n1", 100.0, 4096.0),))
         records, errors = collect_pilot_stats(
             None, tiny, quiet_cost(), [small_workload(n=400)],
             [None, (400, 400)], seeds=[1, 2, 3])
