@@ -100,4 +100,3 @@ def dump_facts(facts: FactSet) -> str:
         else:
             lines.append(pred + ".")
     return "\n".join(lines) + ("\n" if lines else "")
-

@@ -298,4 +298,3 @@ def parse_program(text: str) -> Program:
         if isinstance(node, ExternalCall)
     )
     return Program(rules=rules, order=order, calls=tuple(calls))
-

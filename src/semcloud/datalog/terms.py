@@ -209,4 +209,3 @@ def format_body_element(el: BodyElement) -> str:
     if isinstance(el, Binding):
         return f"{el.var.name} = {format_term(el.expr)}"
     raise TypeError(f"not a body element: {el!r}")
-
