@@ -14,7 +14,6 @@ from .model import (
     QueueChannel,
     RunTrace,
     StepInstance,
-    build_trace,
     legacy_node,
 )
 
@@ -170,9 +169,8 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
     ``(size / throughput + overhead) * noise`` seconds; an instance whose
     working set exceeds its reservation restarts once, and its first
     message takes ``1 + restart_penalty`` times as long.  Each step keeps
-    its messages' instances, starts and ends in three lists; the totals
-    are summed from those lists, and the trace builds its (start, end,
-    node, mem, cpu) intervals from them only when they are first read.
+    its messages' instances, starts and ends in three lists, and those
+    lists are the trace: ``RunTrace`` sums its totals from them.
 
     Deterministic for a given seed: one noise draw per message, step by
     step, then five for the record; each step draws its messages' noise at
@@ -228,18 +226,7 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
         if channel is not None:
             channels.append(QueueChannel(channel, len(sizes)))
 
-    trace = RunTrace(
-        None,
-        windows,
-        consumed_time=max((max(ends) for *_, ends in served if ends), default=0.0),
-        # (end - start) * cpu per message; fsum is exactly rounded, so the
-        # step-by-step order gives the sum of the interval order
-        cpu_integral=math.fsum((end - start) * cpu for *_, starts, ends in served
-                               for start, end in zip(starts, ends)),
-        channels=channels,
-        restarts=restarts,
-        steps=served,
-    )
+    trace = RunTrace(served, windows, channels=channels, restarts=restarts)
 
     volume = workload.volume_mb
     ts = _window_len(windows.get("slice"))
@@ -296,16 +283,25 @@ def run_legacy(workload, cost, node=None):
             "legacy peak %.6g MB exceeds node memory %.6g MB"
             % (peak, node.node_memory)
         )
-    intervals = []
-    windows = {}
+    steps, windows = [], {}
     if duration > 0.0:
-        intervals.append((0.0, duration, node.name, base, cost.cpu_per_instance))
-        step = cost.legacy_kappa * volume / _LEGACY_SEGMENTS
-        for j in range(_LEGACY_SEGMENTS):
-            start = duration * j / _LEGACY_SEGMENTS
-            intervals.append((start, duration, node.name, step, 0.0))
+        # one message per instance: the base, then each stair to the end
+        stair = cost.legacy_kappa * volume / _LEGACY_SEGMENTS
+        instances = ((node.name, base, cost.cpu_per_instance),)
+        instances += ((node.name, stair, 0.0),) * _LEGACY_SEGMENTS
+        starts = [0.0] + [duration * j / _LEGACY_SEGMENTS for j in range(_LEGACY_SEGMENTS)]
+        steps.append((instances, list(range(len(instances))), starts,
+                      [duration] * len(instances)))
         windows = {"legacy": (0.0, duration)}
-    return build_trace(intervals, windows)
+    return build_trace(steps, windows)
+
+
+def build_trace(steps, step_windows):
+    """``RunTrace(steps, step_windows)`` for ``run_legacy`` only: the
+    benchmark's span recorder (``bench/tracer.py``) wraps this attribute
+    to count legacy traces as ``sim.build_trace``, and ``run`` makes its
+    trace directly.  It goes when the spans move into the package."""
+    return RunTrace(steps, step_windows)
 
 
 @dataclasses.dataclass(frozen=True)

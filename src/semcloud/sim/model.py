@@ -1,9 +1,12 @@
 """Cluster, cost model, and trace data types."""
 
+import collections
 import dataclasses
 import functools
+import heapq
 import itertools
 import math
+import operator
 
 MB = 2**20
 MAX_NOISE_AMPLITUDE = 0.5
@@ -119,52 +122,33 @@ class QueueChannel:
 
 
 class RunTrace:
-    """One run as its busy intervals, plus the totals callers read.
+    """One run as the messages its step instances served, plus its totals.
 
-    ``intervals`` are (start, end, node, mem_mb, cpu) tuples.  A trace
-    built from intervals stores them.  A trace from ``sim.run`` stores
-    ``steps`` instead: per step, its instances' (node, mem_mb, cpu), the
-    instance of each message, and the messages' starts and ends.  Its
-    intervals are built from those lists, in step and message order, when
-    first read, and ``steps`` is then dropped, so a trace holds one form at
-    a time.  The totals are set when the trace is made: ``consumed_time``
-    is the last end and ``cpu_integral`` the sum of (end - start) * cpu.
-    ``times`` (the distinct boundaries, in ascending order) and
-    ``peak_memory`` (the highest per-node level) come from one sweep of the
-    intervals, made when either is first read and then kept.
-    ``write_trace`` expands the intervals into per-node step series.
+    ``steps`` lists, per step, ``(instances, picks, starts, ends)``: the
+    instances as (node, mem_mb, cpu) triples, and per message the index of
+    the instance that served it, its start and its end.  An instance serves
+    its messages one after another.  ``consumed_time`` (the last end) and
+    ``cpu_integral`` are set when the trace is made; ``times`` (the
+    distinct boundaries, ascending) and ``peak_memory`` (the highest level
+    of each node that served a message) are kept by the first sweep that
+    runs to the end: ``write_trace``'s, or one made when either is read.
     """
 
-    def __init__(self, intervals, step_windows, consumed_time, cpu_integral,
-                 channels=(), restarts=0, steps=None):
-        if intervals is not None:
-            self.intervals = intervals
+    def __init__(self, steps, step_windows, channels=(), restarts=0):
         self.steps = steps
         self.step_windows = step_windows  # step -> (start, end)
-        self.consumed_time = consumed_time
-        self.cpu_integral = cpu_integral  # millicore*s
+        self.consumed_time = max((max(ends) for *_, ends in steps if ends), default=0.0)
+        # fsum is exactly rounded, so the order of the terms does not matter
+        self.cpu_integral = math.fsum(  # millicore*s
+            (end - start) * instances[i][2] for instances, picks, starts, ends in steps
+            for i, start, end in zip(picks, starts, ends))
         self.channels = list(channels)
         self.restarts = restarts
 
     @functools.cached_property
-    def intervals(self):
-        steps, self.steps = self.steps, None
-        intervals = []
-        for instances, picks, starts, ends in steps:
-            intervals += [(start, end) + instances[i] for i, start, end
-                          in zip(picks, starts, ends)]
-        return intervals
-
-    @functools.cached_property
     def _levels(self):
-        times = []
-        peak = dict.fromkeys(sorted({node for _, _, node, _, _ in self.intervals}), 0.0)
-        for t, changed, mem, _ in _sweep(self.intervals):
-            times.append(t)
-            for node in changed:
-                if mem[node] > peak[node]:
-                    peak[node] = mem[node]
-        return times, peak
+        collections.deque(_sweep(self)[1], maxlen=0)
+        return vars(self)["_levels"]  # the sweep kept them when it ended
 
     @property
     def times(self):
@@ -175,54 +159,71 @@ class RunTrace:
         return self._levels[1]
 
 
-def _sweep(intervals):
-    """Yield (time, changed, mem, cpu) once per distinct boundary, ascending.
+def _boundaries(messages, first, starts, ends, node, mem, cpu):
+    """One instance's (time, order, node, d_mem, d_cpu) events, ascending;
+    the run's message k starts at order 2k and ends at 2k + 1."""
+    for j in messages:
+        order = 2 * (first + j)
+        yield starts[j], order, node, mem, cpu
+        yield ends[j], order + 1, node, -mem, -cpu
 
-    ``mem`` and ``cpu`` map every node (sorted by name) to its level
-    after all changes at that boundary; they are the same dicts on each
-    yield, updated in place, so read them before advancing.  ``changed``
-    lists the nodes whose levels changed there.
+
+def _sweep(trace):
+    """The nodes that served a message, sorted, and an iterator that yields
+    (time, changed, mem, cpu) once per distinct boundary, ascending.
+
+    Merging the instances' events by (time, order) gives the order of a
+    stable sort by time.  ``mem`` and ``cpu`` map each of the nodes to its
+    level after all changes at that boundary; they are the same dicts on
+    each yield, updated in place, so read them before advancing.
+    ``changed`` lists the nodes whose levels changed there.  When the
+    iterator ends, the trace keeps the boundaries and each node's highest
+    level as its ``times`` and ``peak_memory``.
     """
-    deltas = []
-    for start, end, node, mem, cpu in intervals:
-        deltas.append((start, node, mem, cpu))
-        deltas.append((end, node, -mem, -cpu))
-    deltas.sort(key=lambda d: d[0])
-    nodes = sorted({d[1] for d in deltas})
+    streams, nodes, first = [], set(), 0
+    for instances, picks, starts, ends in trace.steps:
+        served = [[] for _ in instances]
+        for j, i in enumerate(picks):
+            served[i].append(j)
+        for (node, mem, cpu), messages in zip(instances, served):
+            if messages:
+                streams.append(_boundaries(messages, first, starts, ends, node, mem, cpu))
+                nodes.add(node)
+        first += len(picks)
+    nodes = sorted(nodes)
+    return nodes, _levels_at(heapq.merge(*streams), nodes, trace)
+
+
+def _levels_at(events, nodes, trace):
     mem = dict.fromkeys(nodes, 0.0)
     cpu = dict.fromkeys(nodes, 0.0)
-    for t, changes in itertools.groupby(deltas, key=lambda d: d[0]):
+    times, peak = [], dict.fromkeys(nodes, 0.0)
+    for t, changes in itertools.groupby(events, key=operator.itemgetter(0)):
         changed = []
-        for _, node, dm, dc in changes:
+        for _, _, node, dm, dc in changes:
             mem[node] += dm
             cpu[node] += dc
             changed.append(node)
+        times.append(t)
+        for node in changed:
+            if mem[node] > peak[node]:
+                peak[node] = mem[node]
         yield t, changed, mem, cpu
-
-
-def build_trace(intervals, step_windows, channels=None):
-    """Assemble a RunTrace from (start, end, node, mem_mb, cpu) intervals."""
-    intervals = list(intervals)
-    return RunTrace(
-        intervals=intervals,
-        step_windows=dict(step_windows),
-        consumed_time=max((end for _, end, *_ in intervals), default=0.0),
-        cpu_integral=math.fsum((end - start) * cpu for start, end, _, _, cpu in intervals),
-        channels=channels or (),
-    )
+    trace._levels = times, peak
 
 
 def write_trace(path, trace):
     """Write the per-node memory/cpu step series of a trace as TSV.
 
     Columns are ``time``, ``mem_<node>`` and ``cpu_<node>`` for the
-    nodes in name order.  Each boundary gives two rows, the levels just
-    before and just after its changes, so the trapezoidal integral of a
-    column over ``time`` is the exact integral of the step function.
-    The "before" row is the previous "after" row, and only the cells of
-    the nodes that changed at a boundary are formatted again.
+    nodes that served a message, in name order.  Each boundary gives two
+    rows, the levels just before and just after its changes, so the
+    trapezoidal integral of a column over ``time`` is the exact integral
+    of the step function.  The "before" row is the previous "after" row,
+    and only the cells of the nodes that changed at a boundary are
+    formatted again.
     """
-    nodes = sorted({node for _, _, node, _, _ in trace.intervals})
+    nodes, boundaries = _sweep(trace)
     column = {node: j for j, node in enumerate(nodes)}
     width = len(nodes)
     header = ["time"]
@@ -232,7 +233,7 @@ def write_trace(path, trace):
     before = "\t".join(cells)
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
-        for t, changed, mem, cpu in _sweep(trace.intervals):
+        for t, changed, mem, cpu in boundaries:
             for node in set(changed):
                 j = column[node]
                 cells[j] = repr(mem[node])

@@ -8,7 +8,8 @@ cross-check for the engine.  ``per_row_knn`` is the KNN prediction the
 blocked ``predict_knn`` must equal bit for bit, written one row at a time.
 ``per_message_run`` is the simulation ``sim.run`` must equal bit for bit,
 served one message at a time on instance objects that each build an
-interval tuple.
+interval tuple; ``trace_of`` makes a trace of one instance per interval,
+and ``intervals_of`` reads any trace back as interval tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from semcloud.datalog.terms import (
     Var,
 )
 from semcloud.learning.pilots import PilotRunRecord
-from semcloud.sim import QueueChannel, build_trace
+from semcloud.sim import QueueChannel, RunTrace
 
 
 class OracleFailure(Exception):
@@ -196,6 +197,23 @@ def per_row_knn(model, X):
     return out
 
 
+def trace_of(intervals, windows, channels=(), restarts=0):
+    """A RunTrace of one step that serves each (start, end, node, mem_mb,
+    cpu) interval on an instance of its own."""
+    intervals = list(intervals)
+    return RunTrace(
+        [(tuple(interval[2:] for interval in intervals), list(range(len(intervals))),
+          [interval[0] for interval in intervals], [interval[1] for interval in intervals])],
+        dict(windows), channels, restarts)
+
+
+def intervals_of(trace):
+    """A trace's (start, end, node, mem_mb, cpu) intervals, in step and
+    message order."""
+    return [(start, end) + instances[i] for instances, picks, starts, ends in trace.steps
+            for i, start, end in zip(picks, starts, ends)]
+
+
 class _Instance:
     def __init__(self, spec, cost):
         self.spec = spec
@@ -285,8 +303,10 @@ def per_message_run(plan, workload, cost, seed=0, kind="configuration"):
             channels.append(QueueChannel(channel, len(out)))
         messages = out
 
-    trace = build_trace(intervals, windows, channels)
-    trace.restarts = restarts
+    trace = trace_of(intervals, windows, channels, restarts)
+    # the totals straight from the intervals, not from RunTrace
+    trace.consumed_time = max((end for _, end, *_ in intervals), default=0.0)
+    trace.cpu_integral = math.fsum((end - start) * cpu for start, end, _, _, cpu in intervals)
 
     volume = workload.volume_mb
     ts = _window_len(windows.get("slice"))

@@ -14,6 +14,7 @@ from semcloud.datalog import (
     ProgramRecursionError,
     SafetyError,
     SignatureMismatch,
+    TypeMismatch,
     dump_facts,
     evaluate,
     evaluate_aggregate,
@@ -149,6 +150,17 @@ class TestEngine:
         assert query(result, "a", 1) == []
         assert diags
 
+    @pytest.mark.parametrize("text", [
+        "a(y) <- b(x), y = x - 1.",
+        "a(x * 2) <- b(x).",
+        "a(x) <- b(x), x >= 1.",
+        "a(x) <- b(x), 1 < x.",
+        "a(y) <- b(x), y = #max{x, 1}.",
+    ])
+    def test_arithmetic_ordering_or_aggregate_on_a_symbol_raises(self, text):
+        with pytest.raises(TypeMismatch):
+            _ev(text, [("b", ("k",))])
+
     def test_anonymous_variables_do_not_join(self):
         result = _ev("a(x) <- b(x,_), c(_).",
                      [("b", (1.0, 7.0)), ("c", (99.0,))])
@@ -237,7 +249,8 @@ def _double_plus_one(x):
 
 
 # (program, EDB, externals): each rule reads a predicate, or calls an
-# external, somewhere other than a plain body atom.
+# external, somewhere other than a plain body atom, or uses an operator that
+# no corpus rule uses.
 DEPENDENCY_CASES = [
     pytest.param("a(m) <- u(z), m = #max{y : z_r(y)}.  z_r(x) <- s(x).",
                  [("u", (1.0,)), ("s", (5.0,)), ("s", (2.0,))], {},
@@ -258,6 +271,11 @@ DEPENDENCY_CASES = [
                  [("p", (1.0, 1.0)), ("p", (1.0, 2.0)), ("p", (2.0, 2.0)), ("p", (2.0, 3.0)),
                   ("q", (2.0, 2.0, "k")), ("q", (3.0, 3.0, "j")), ("q", (3.0, 2.0, "k"))],
                  {}, id="constants-and-repeated-variables"),
+    pytest.param("a(x) <- p(x, y), x == y.  b(x) <- q(x, y), x != y.  "
+                 "c(d) <- p(x, y), x != y, d = x - y.",
+                 [("p", (1.0, 1.0)), ("p", (3.0, 1.0)), ("p", (2.0, 5.0)),
+                  ("q", ("k", "k")), ("q", ("k", "j")), ("q", ("j", 1.0))],
+                 {}, id="equality-and-subtraction"),
 ]
 
 

@@ -6,8 +6,9 @@ import math
 import random
 
 import pytest
-from oracle import per_message_run
+from oracle import intervals_of, per_message_run, trace_of
 
+import semcloud.sim.model
 from semcloud.kg import frequent_pipeline
 from semcloud.learning import PilotRunRecord, write_pilot_csv
 from semcloud.sim import (
@@ -19,7 +20,6 @@ from semcloud.sim import (
     SimWorkload,
     SimulatedOutOfMemory,
     StepInstance,
-    build_trace,
     collect_pilot_stats,
     compare,
     default_cluster,
@@ -167,8 +167,9 @@ class TestRun:
         )
         trace, record = run(dataclasses.replace(plan, instances=instances), workload,
                             cost, seed=20261018)
-        assert len(trace.intervals) == 172
-        assert hashlib.sha256(repr(trace.intervals).encode()).hexdigest() == (
+        intervals = intervals_of(trace)
+        assert len(intervals) == 172
+        assert hashlib.sha256(repr(intervals).encode()).hexdigest() == (
             "a45f53b859d148aa47069e6307489c04684dd8419180f679069b7f10d1bc93e5")
         assert trace.step_windows == {
             "retrieve": (0.0, 0.026533484270502235),
@@ -229,7 +230,8 @@ def _random_plan(gen):
 
 def _outputs(trace, record):
     return (record, trace.step_windows, trace.channels, trace.restarts,
-            trace.consumed_time, trace.cpu_integral, repr(trace.intervals))
+            trace.consumed_time, trace.cpu_integral, repr(intervals_of(trace)),
+            trace.times, trace.peak_memory)
 
 
 class TestRunMatchesOracle:
@@ -259,41 +261,29 @@ class TestRunMatchesOracle:
         assert b != first
         assert b == _outputs(*per_message_run(plan, workload, cost, seed=12))
 
-    def test_intervals_replace_the_step_lists_when_first_read(self):
-        cost = quiet_cost()
-        workload = small_workload(n=530)
-        plan = deploy(None, default_cluster(), cost, workload, prepare_instances=3,
-                      nc=100, ns=7)
-        trace, _ = run(plan, workload, cost)
-        assert "intervals" not in vars(trace) and trace.steps is not None
-        intervals = trace.intervals
-        assert trace.steps is None and trace.intervals is intervals
-        assert len(intervals) == 6 + 6 + 80 + 80
-
 
 class TestTrace:
     def test_rectangle_integrals_are_exact(self):
         # one instance at 100 millicores and 10 MB for exactly 2 seconds
-        trace = build_trace([(0.0, 2.0, "n1", 10.0, 100.0)],
-                            {"only": (0.0, 2.0)})
+        trace = trace_of([(0.0, 2.0, "n1", 10.0, 100.0)], {"only": (0.0, 2.0)})
         assert trace.consumed_time == 2.0
         assert trace.cpu_integral == pytest.approx(200.0)
         assert trace.peak_memory["n1"] == 10.0
 
     def test_overlapping_intervals_stack(self):
-        trace = build_trace(
+        trace = trace_of(
             [(0.0, 2.0, "n1", 10.0, 100.0), (1.0, 3.0, "n1", 5.0, 50.0)], {})
         assert trace.peak_memory["n1"] == 15.0
         assert trace.cpu_integral == pytest.approx(100 * 2 + 50 * 2)
 
     def test_empty_trace(self):
-        trace = build_trace([], {})
+        trace = trace_of([], {})
         assert trace.consumed_time == 0.0
         assert trace.cpu_integral == 0.0
 
     def test_back_to_back_intervals_do_not_stack(self):
         # one interval ends exactly where the next on the same node starts
-        trace = build_trace(
+        trace = trace_of(
             [(0.0, 1.0, "n1", 10.0, 100.0), (1.0, 2.0, "n1", 6.0, 100.0)], {})
         assert trace.peak_memory == {"n1": 10.0}
         assert trace.times == [0.0, 1.0, 2.0]
@@ -301,7 +291,7 @@ class TestTrace:
 
     def test_written_series_golden(self, tmp_path):
         # node a runs back to back over t=1; a and b both stop at t=2
-        trace = build_trace(
+        trace = trace_of(
             [(0.0, 1.0, "a", 10.0, 100.0), (0.5, 2.0, "b", 4.0, 50.0),
              (1.0, 2.0, "a", 6.0, 100.0)], {})
         path = tmp_path / "trace.tsv"
@@ -322,7 +312,7 @@ class TestTrace:
 
     def test_totals_are_set_before_the_series_is_swept(self):
         intervals = [(0.0, 1.0, "a", 10.0, 100.0), (0.5, 2.0, "b", 4.0, 50.0)]
-        trace = build_trace(intervals, {})
+        trace = trace_of(intervals, {})
         stored = vars(trace)
         assert stored["consumed_time"] == 2.0
         assert stored["cpu_integral"] == 175.0
@@ -338,13 +328,14 @@ class TestTrace:
         times, peaks = list(read_first.times), dict(read_first.peak_memory)
         write_trace(str(tmp_path / "a.tsv"), read_first)
         write_trace(str(tmp_path / "b.tsv"), written_first)
+        assert "_levels" in vars(written_first)  # the write's sweep kept them
         assert read_first.times == times == written_first.times
         assert read_first.peak_memory == peaks == written_first.peak_memory
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
     def test_written_series_of_a_run_is_golden(self, tmp_path):
-        # Pins the bytes simulate writes for a run whose intervals are built
-        # only when write_trace reads them: zero noise, three preparers.
+        # Pins the bytes simulate writes for a run whose instances serve
+        # several messages each: zero noise, three preparers.
         cost = quiet_cost()
         workload = small_workload(n=530)
         plan = deploy(None, default_cluster(), cost, workload, prepare_instances=3,
@@ -354,6 +345,35 @@ class TestTrace:
         write_trace(str(path), trace)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "f1fdb0137e51f5aa9e16b507bfbc45adb275d346bf28305fa9127c6de611d0ce")
+
+    def test_idle_instances_get_no_column(self, tmp_path):
+        # one slice, so one preparer of eight serves; the other seven sit
+        # alone on their nodes and must not show up as all-zero columns
+        cost = quiet_cost()
+        workload = small_workload(n=100)
+        plan = deploy(None, default_cluster(9, node_memory=256.0), cost, workload,
+                      prepare_instances=8, nc=100, ns=100)
+        idle = {inst.node for inst in plan.step_instances("prepare")[1:]}
+        busy = {inst.node for inst in plan.instances if inst.step != "prepare"}
+        assert len(idle - busy) == 7
+        trace, _ = run(plan, workload, cost)
+        path = tmp_path / "trace.tsv"
+        write_trace(str(path), trace)
+        assert path.read_text().splitlines()[0] == (
+            "time\tmem_node1\tmem_node9\tcpu_node1\tcpu_node9")
+        assert list(trace.peak_memory) == ["node1", "node9"]
+
+    def test_a_trace_has_one_form(self):
+        cost = quiet_cost()
+        workload = small_workload(n=530)
+        plan = deploy(None, default_cluster(), cost, workload, nc=100, ns=7)
+        trace, _ = run(plan, workload, cost)
+        instances, picks, starts, ends = trace.steps[2]
+        assert len(instances) == plan.prepare_instances
+        assert len(picks) == len(starts) == len(ends) == 80
+        assert not hasattr(trace, "intervals")
+        assert not hasattr(semcloud.sim, "build_trace")
+        assert not hasattr(semcloud.sim.model, "build_trace")
 
     def test_written_series_agree_with_totals(self, tmp_path):
         cost = CostModel(noise_amplitude=0.05)
@@ -388,6 +408,15 @@ class TestLegacy:
         base = cost.retrieve_memory + cost.store_memory
         assert peak == pytest.approx(base + cost.legacy_kappa *
                                      workload.volume_mb)
+
+    def test_written_staircase_is_golden(self, tmp_path):
+        # the base and the 24 stair segments, one message each
+        trace = run_legacy(small_workload(n=1000), cost=quiet_cost())
+        path = tmp_path / "trace.tsv"
+        write_trace(str(path), trace)
+        assert len(path.read_text().splitlines()) == 1 + 2 * 25
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2f871c01c4702528df6610c910028f0f6dfa6849b65c4f9f5de133a2ca040a5f")
 
     def test_memory_grows_linearly_with_volume(self):
         cost = quiet_cost()
