@@ -174,7 +174,7 @@ def pilot(ctx, dry_run):
     """Collect pilot running statistics from instrumented simulations."""
 
     def body(cfg):
-        from .learning import write_pilot_csv
+        from .pilots import write_pilot_csv
         from .sim import SimError
 
         runs = cfg.pilot_runs()
@@ -350,7 +350,7 @@ def simulate(ctx, legacy_only):
     """Simulate the configured pipeline against the legacy baseline."""
 
     def body(cfg):
-        from .configure import ConfigureError
+        from .errors import ConfigureError
         from .sim import compare, write_comparison
 
         # a simulate that fails leaves no comparison or trace of an earlier

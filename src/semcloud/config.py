@@ -68,7 +68,7 @@ def _rules():
     _DEFAULTS for the plans no type owns.  Built on the first check, since
     it reads CostModel's fields, the noise bound and the learning methods.
     """
-    from .learning import DEFAULT_GRIDS
+    from .pilots import DEFAULT_GRIDS
     from .sim import MAX_NOISE_AMPLITUDE, CostModel
 
     method = ("one of %s" % sorted(DEFAULT_GRIDS),

@@ -13,14 +13,10 @@ import numpy as np
 
 from .datalog import evaluate, query
 from .datalog.corpus import configuration_program
-from .errors import DomainError
+from .errors import ConfigureError
 from .kg import ResourceConfiguration, apply_configuration, to_facts
 from .learning import TIME_FEATURES, predict_method, register_externals
 from .optimizer import optimize_slicing
-
-
-class ConfigureError(DomainError):
-    pass
 
 
 def slicing_objective(time_model, n, v, ts, tp, space):

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from ..rng import LegacyRandom
 from .errors import CapacityExceeded, MissingReference
 from .records import write_unified
 
@@ -67,16 +68,14 @@ class ReferenceStore:
 
 
 def reference_entries(machines, programs, seed=0):
-    """Deterministic reference fixture for the given machine/program ids."""
-    import numpy as np
-
-    rng = np.random.RandomState(seed)
+    """Deterministic reference fixture for the given machine/program ids,
+    drawn as ``np.random.RandomState(seed).rand()`` draws; the seed must be
+    an integer."""
+    draw = LegacyRandom(seed).random
     entries = {}
     for machine in machines:
         for program in programs:
-            curve = tuple(
-                round(float(v), 6) for v in 50.0 + 10.0 * rng.rand(REFERENCE_CURVE_LEN)
-            )
+            curve = tuple(round(50.0 + 10.0 * draw(), 6) for _ in range(REFERENCE_CURVE_LEN))
             entries[(machine, program)] = {
                 "metadata": "ref:%s:%s" % (machine, program),
                 "curve": curve,

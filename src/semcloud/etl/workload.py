@@ -12,8 +12,7 @@ import operator
 import os
 import re
 
-import numpy as np
-
+from ..rng import LegacyRandom
 from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER, UnifiedRecord
 from .sources import SourceDescriptor
 
@@ -105,18 +104,19 @@ _TRAILING_ZEROS = re.compile(r"0+ ")
 
 def _draws(spec):
     """(machine, program, timestamp cell, row) of each record, drawn in the
-    RandomState's order; row holds the unrounded attribute values, each at
-    least 10 and under 1.1 * (230 + spec.machines / 2).  The timestamp cell
-    is repr(round(t, 6)) itself, since at a high rate t can be under 1e-4."""
-    rng = np.random.RandomState(spec.seed)
+    order of ``np.random.RandomState(spec.seed)``'s ``randint`` and ``rand``
+    (``rng.LegacyRandom``); row holds the unrounded attribute values, each
+    at least 10 and under 1.1 * (230 + spec.machines / 2).  The timestamp
+    cell is repr(round(t, 6)) itself, since at a high rate t can be under
+    1e-4."""
+    rng = LegacyRandom(spec.seed)
+    draw = rng.random
     per_machine = spec.records_per_machine()
-    scale = 10.0 * np.arange(1, len(UNIFIED_ATTRIBUTES) + 1)
     for m_index, machine in enumerate(machine_ids(spec)):
-        base = scale + 0.5 * m_index
+        base = [10.0 * (j + 1) + 0.5 * m_index for j in range(len(UNIFIED_ATTRIBUTES))]
         for k in range(per_machine):
             program = "p%d" % (rng.randint(PROGRAM_COUNT) + 1)
-            # rand(n) draws what n rand() calls draw
-            row = (base * (1.0 + 0.1 * rng.rand(len(scale)))).tolist()
+            row = [b * (1.0 + 0.1 * draw()) for b in base]
             yield machine, program, repr(round(k / spec.rate, 6)), row
 
 

@@ -1,8 +1,4 @@
-from ..errors import DomainError
-
-
-class LearningError(DomainError):
-    """Base class for model-fitting errors."""
+from ..errors import LearningError
 
 
 class DimensionMismatch(LearningError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..pilots import DEFAULT_GRIDS
 from .errors import LearningError
 from .registry import (
     CONFIGURATION_TARGETS,
@@ -10,15 +11,6 @@ from .registry import (
     training_frame,
 )
 from .tuning import grid_search
-
-DEFAULT_GRIDS = {
-    "polyr": [{"degree": d} for d in range(1, 7)],
-    "mlp": [
-        {"hidden_widths": (10, 9), "epochs": 300, "step_size": 0.01},
-        {"hidden_widths": (16,), "epochs": 300, "step_size": 0.01},
-    ],
-    "knn": [{"k": k} for k in (1, 2, 3, 5)],
-}
 
 EXTERNAL_TARGETS = tuple(ESTIMATION_TARGETS) + tuple(CONFIGURATION_TARGETS)
 

@@ -3,6 +3,11 @@
 A record captures one observed execution -- data size, configuration, and
 measured resource/time.  Estimation-kind records come from canonical
 single-node unsliced runs; configuration-kind records vary (nc, ns).
+
+The records, their CSV form and the learning methods' grids live outside
+``learning``, whose models load numpy: ``pilot`` writes records, and the
+project check names the methods, without loading it.  ``learning``
+re-exports every name here.
 """
 
 from __future__ import annotations
@@ -10,10 +15,21 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 
-from ..storage import STORAGE_MODES
 from .errors import LearningError
+from .storage import STORAGE_MODES
 
 RUN_KINDS = ("estimation", "configuration")
+
+# The hyper-parameter grid each learning method searches; its keys are the
+# method names a project's learn section may give.
+DEFAULT_GRIDS = {
+    "polyr": [{"degree": d} for d in range(1, 7)],
+    "mlp": [
+        {"hidden_widths": (10, 9), "epochs": 300, "step_size": 0.01},
+        {"hidden_widths": (16,), "epochs": 300, "step_size": 0.01},
+    ],
+    "knn": [{"k": k} for k in (1, 2, 3, 5)],
+}
 
 
 @dataclass(frozen=True)

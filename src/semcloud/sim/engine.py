@@ -5,9 +5,8 @@ import functools
 import heapq
 import math
 
-import numpy as np
-
-from ..learning.pilots import PilotRunRecord
+from ..pilots import PilotRunRecord
+from ..rng import LegacyRandom
 from .errors import InsufficientResources, SimError, SimulatedOutOfMemory
 from .model import (
     ClusterSpec,
@@ -117,14 +116,22 @@ def deploy(pipeline, cluster, cost, workload, prepare_instances=None, nc=None, n
 
 @functools.cache
 def _generator():
-    """The one RandomState every run draws its noise from.
+    """The one generator every run draws its noise from.
 
-    ``run`` reseeds it, which gives the stream of a new RandomState(seed)
-    without building and seeding a new MT19937 for each of a pilot's
-    hundreds of runs.  It is made on the first run, so a stage that only
-    imports the simulator loads no numpy.random.
+    ``run`` reseeds it, which loads the cached MT19937 state of its seed
+    (``rng.LegacyRandom``) instead of building a generator for each of a
+    pilot's hundreds of runs; it draws numpy's ``RandomState(seed)`` stream.
     """
-    return np.random.RandomState()
+    return LegacyRandom(0)
+
+
+def _noise(draw, amp, k):
+    """k multiplicative factors ``1 + amp * (2 * draw() - 1)``, the IEEE
+    operations of numpy's ``1 + amp * (2 * rand(k) - 1)`` in its order;
+    draws nothing when amp is 0."""
+    if amp == 0.0:
+        return [1.0] * k
+    return [1.0 + amp * (2.0 * draw() - 1.0) for _ in range(k)]
 
 
 def _chunk_sizes(n, nc):
@@ -172,22 +179,15 @@ def run(plan, workload, cost, seed=0, kind="configuration"):
     its messages' instances, starts and ends in three lists, and those
     lists are the trace: ``RunTrace`` sums its totals from them.
 
-    Deterministic for a given seed: one noise draw per message, step by
-    step, then five for the record; each step draws its messages' noise at
-    once.  The draws come from one RandomState per process (``_generator``),
-    which each call reseeds, so ``run`` is not thread-safe (the package
-    starts no threads).
+    Deterministic for a given integer seed (anything else is a TypeError):
+    one noise draw per message, step by step, then five for the record, in
+    the order of ``np.random.RandomState(seed).rand()``.  The draws come
+    from one generator per process (``_generator``), which each call
+    reseeds, so ``run`` is not thread-safe (the package starts no threads).
     """
     rng = _generator()
     rng.seed(seed)
-    amp = cost.noise_amplitude
-
-    def noise(k):
-        """k multiplicative factors; draws nothing when amp is 0."""
-        if amp == 0.0:
-            return [1.0] * k
-        return (1.0 + amp * (2.0 * rng.rand(k) - 1.0)).tolist()
-
+    noise = functools.partial(_noise, rng.random, cost.noise_amplitude)
     lam = plan.cluster.queue_latency
     n = workload.n_records
     cpu = cost.cpu_per_instance

@@ -29,7 +29,7 @@ from semcloud.datalog.terms import (
     ExternalCall,
     Var,
 )
-from semcloud.learning.pilots import PilotRunRecord
+from semcloud.pilots import PilotRunRecord
 from semcloud.sim import QueueChannel, RunTrace
 
 
