@@ -73,8 +73,8 @@ def build_registry(models, time_model, space_factory):
 
 
 def _picker(best, index):
-    def call(n, v, ts, tp):
-        return best(n, v, ts, tp)[index]
+    def call(rows):
+        return [best(*row)[index] for row in rows]
 
     return call
 

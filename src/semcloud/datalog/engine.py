@@ -11,9 +11,16 @@ on this to replace pre-configured values read from the pipeline graph with
 freshly computed ones.
 
 External calls are resolved during grounding and replaced by their concrete
-values.  A failing ground instance (division by zero, non-finite external
-result, empty comprehension) is dropped and recorded in the diagnostics
-channel; it never aborts the evaluation.
+values.  Every external is a row function: it takes a list of argument rows
+and returns one value per row.  A plain call is a one-row call; a
+comprehension whose value term is a bare external call, as in
+``#avg{@f(x) : range(x)}``, evaluates the arguments of every matched scope
+in scope order and makes one call over all of them.  Its outcome is the
+per-scope one: the first failure in scope order wins, so an argument that
+fails at scope k is raised only after the values of scopes 0..k-1 were
+computed and checked.  A failing ground instance (division by zero,
+non-finite external result, empty comprehension) is dropped and recorded in
+the diagnostics channel; it never aborts the evaluation.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
+    DatalogError,
     EmptyAggregate,
     MissingExternal,
     SignatureMismatch,
@@ -45,7 +53,12 @@ from .terms import (
 
 
 class ExternalRegistry:
-    """Maps external names to pure numeric functions with a declared arity."""
+    """Maps external names to pure numeric row functions with a declared arity.
+
+    A row function takes a list of argument rows, each a tuple of ``arity``
+    values, and returns a sequence of one value per row, in row order.  The
+    value for a row must not depend on the other rows of the call.
+    """
 
     def __init__(self):
         self._functions: dict = {}
@@ -191,13 +204,8 @@ def _eval_term(term, env, facts, registry):
             raise _InstanceFailure("division by zero")
         return left / right
     if isinstance(term, ExternalCall):
-        func = registry.resolve(term.name, len(term.args))
-        args = [_eval_term(a, env, facts, registry) for a in term.args]
-        value = func(*args)
-        value = float(value)
-        if not math.isfinite(value):
-            raise _InstanceFailure(f"@{term.name} returned a non-finite value")
-        return value
+        return _call(term, [tuple(_eval_term(a, env, facts, registry) for a in term.args)],
+                     registry)[0]
     if isinstance(term, Aggregate):
         try:
             return evaluate_aggregate(term, env, facts, registry)
@@ -209,11 +217,7 @@ def _eval_term(term, env, facts, registry):
 def evaluate_aggregate(agg: Aggregate, env, facts, registry) -> float:
     """#max/#min/#avg over a term list or a comprehension's value multiset."""
     if agg.is_comprehension:
-        # condition atoms only: no rule or diagnostics are needed to match them
-        values = [
-            _eval_term(agg.expr, scope, facts, registry)
-            for scope in _match_body(None, agg.condition, env, facts, registry, None)
-        ]
+        values = _comprehension_values(agg, env, facts, registry)
         if not values:
             raise EmptyAggregate(
                 "#%s comprehension matched no facts" % agg.kind
@@ -227,6 +231,40 @@ def evaluate_aggregate(agg: Aggregate, env, facts, registry) -> float:
     if agg.kind == "min":
         return min(values)
     return sum(values) / len(values)
+
+
+def _comprehension_values(agg: Aggregate, env, facts, registry) -> list:
+    """The comprehension's values in scope order; one call for a bare external."""
+    # condition atoms only: no rule or diagnostics are needed to match them
+    scopes = _match_body(None, agg.condition, env, facts, registry, None)
+    if not isinstance(agg.expr, ExternalCall):
+        return [_eval_term(agg.expr, scope, facts, registry) for scope in scopes]
+    rows, failure = [], None
+    try:
+        for scope in scopes:
+            rows.append(tuple(_eval_term(a, scope, facts, registry) for a in agg.expr.args))
+    except (_InstanceFailure, DatalogError) as exc:
+        failure = exc  # raised once the rows before it are called and checked
+    values = _call(agg.expr, rows, registry) if rows else []
+    if failure is not None:
+        raise failure
+    return values
+
+
+def _call(term: ExternalCall, rows: list, registry) -> list:
+    """@term's values for the argument ``rows`` from one call, checked in row order."""
+    values = registry.resolve(term.name, len(term.args))(rows)
+    if len(values) != len(rows):
+        raise SignatureMismatch(
+            f"@{term.name} returned {len(values)} values for {len(rows)} rows"
+        )
+    checked = []
+    for value in values:
+        value = float(value)
+        if not math.isfinite(value):
+            raise _InstanceFailure(f"@{term.name} returned a non-finite value")
+        checked.append(value)
+    return checked
 
 
 def _record(diagnostics, rule: Rule, element, reason: str) -> None:

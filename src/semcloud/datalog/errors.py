@@ -27,7 +27,8 @@ class MissingExternal(DatalogError):
 
 
 class SignatureMismatch(DatalogError):
-    """Registered external arity does not match a call site."""
+    """Registered external arity does not match a call site, or an external
+    returned a different number of values than it was given rows."""
 
 
 class TypeMismatch(DatalogError):

@@ -12,7 +12,7 @@ import operator
 import os
 import re
 
-from ..rng import LegacyRandom
+from ..rng import LegacyRandom, check_seed
 from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER, UnifiedRecord
 from .sources import SourceDescriptor
 
@@ -82,6 +82,7 @@ class WorkloadSpec:
                                  % (name, getattr(self, name)))
         if self.records_per_machine() < 1:
             raise ValueError("rate * duration must give each machine a record")
+        check_seed(self.seed)
 
     def records_per_machine(self):
         return int(self.rate * self.duration)

@@ -93,7 +93,8 @@ def time_model_frame(records):
 
 
 def register_externals(models: dict) -> ExternalRegistry:
-    """A new ExternalRegistry holding each fitted model as a pure function.
+    """A new ExternalRegistry holding each fitted model as a pure row function:
+    one predict_method call scores every argument row of an engine call.
 
     ``models`` maps external names (without '@') to fitted models.  Raises
     SignatureMismatch when a name is not in ESTIMATION_TARGETS or
@@ -114,8 +115,8 @@ def register_externals(models: dict) -> ExternalRegistry:
                 f"@{name} takes {arity} arguments but the model has {n_features} features"
             )
 
-        def call(*args, _model=model):
-            return float(predict_method(_model, np.asarray([args], dtype=float))[0])
+        def call(rows, _model=model):
+            return predict_method(_model, np.asarray(rows, dtype=float)).tolist()
 
         registry.register(name, call, arity)
     return registry

@@ -14,6 +14,15 @@ import operator
 import random
 
 
+def check_seed(seed):
+    """``seed`` as an int in ``[0, 2**32)``, the seeds numpy takes: a
+    TypeError for anything that is not an integer, a ValueError out of range."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= 0xFFFFFFFF:
+        raise ValueError("Seed must be between 0 and 2**32 - 1, got %d" % seed)
+    return seed
+
+
 @functools.lru_cache(maxsize=64)
 def _state(seed):
     """``setstate`` argument for numpy's integer seeding (``init_genrand``)."""
@@ -33,10 +42,7 @@ class LegacyRandom(random.Random):
     """
 
     def seed(self, seed):
-        seed = operator.index(seed)
-        if not 0 <= seed <= 0xFFFFFFFF:
-            raise ValueError("Seed must be between 0 and 2**32 - 1, got %d" % seed)
-        self.setstate(_state(seed))
+        self.setstate(_state(check_seed(seed)))
 
     def randint(self, high):
         """Legacy ``RandomState.randint(high)`` for ``1 <= high <= 2**32``:

@@ -38,11 +38,16 @@ def make_stub_funcs(rng=None):
     }
 
 
+def row_function(func):
+    """A scalar ``func(*args)`` as an engine row function: one value per row."""
+    return lambda rows: [func(*row) for row in rows]
+
+
 def make_registry(funcs=None):
     funcs = funcs or make_stub_funcs()
     registry = ExternalRegistry()
     for name, arity in configuration_program().calls:
-        registry.register(name, funcs[name], arity)
+        registry.register(name, row_function(funcs[name]), arity)
     return registry
 
 

@@ -21,6 +21,7 @@ from semcloud.learning import (
     TIME_FEATURES,
     KNNModel,
     fit_method,
+    learn_externals,
     predict_method,
     time_model_frame,
 )
@@ -176,6 +177,41 @@ def test_fleet_edb_configures_as_with_per_row_knn(learned, pilot_records, projec
     monkeypatch.setattr(registry, "predict_method", reference)
     assert configured() == blocked
     assert len(blocked) == len(FLEET_SIZES) and max(reference_rows) > 1
+
+
+@pytest.mark.parametrize("methods", [None, ("knn",)], ids=["learned", "knn"])
+def test_fleet_edb_derives_the_same_facts_with_row_by_row_externals(
+        learned, pilot_records, project_config, monkeypatch, methods):
+    """Scoring every argument row of an engine call in one predict_method
+    call derives the same facts, bit for bit, as one call per row."""
+    cfg = project_config
+    models, _, time_model, _ = learned
+    if methods is not None:
+        models, _ = learn_externals(pilot_records, methods)
+    _, edb = fleet_edb(mean_estimation_pilot(pilot_records), cfg.cloud_attributes())
+
+    def derived(externals):
+        idb = evaluate(configuration_program(), edb, externals)
+        return [(predicate, repr(args)) for predicate, args in idb]
+
+    batch_rows = []
+
+    def recording(model, X):
+        batch_rows.append(len(X))
+        return predict_method(model, X)
+
+    monkeypatch.setattr(registry, "predict_method", recording)
+    batched = derived(build_registry(models, time_model, cfg.search_space))
+    # the reference calls this module's predict_method, which is not recorded
+    row_by_row = build_registry(models, time_model, cfg.search_space)
+    arity = {**registry.ESTIMATION_TARGETS, **registry.CONFIGURATION_TARGETS}
+    for name, model in models.items():
+        row_by_row.register(
+            name, lambda rows, model=model: [
+                predict_method(model, np.asarray([row], dtype=float))[0] for row in rows],
+            len(arity[name][0]))
+    assert derived(row_by_row) == batched
+    assert max(batch_rows) == 10  # the #avg comprehensions over range(1..10)
 
 
 def test_empty_space_is_still_empty_through_the_table(time_model):

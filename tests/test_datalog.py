@@ -22,10 +22,10 @@ from semcloud.datalog import (
     query,
 )
 from semcloud.datalog.corpus import RULES_TEXT, configuration_program
-from semcloud.datalog.terms import Aggregate, Const
+from semcloud.datalog.terms import Aggregate, Atom, Binding, Const, Program, Rule, Var
 
 from oracle import brute_force_ground
-from stubs import make_registry, make_stub_funcs, pipeline_edb
+from stubs import make_registry, make_stub_funcs, pipeline_edb, row_function
 
 EMPTY = ExternalRegistry()
 
@@ -136,13 +136,13 @@ class TestEngine:
 
     def test_arity_mismatch_raises(self):
         registry = ExternalRegistry()
-        registry.register("f", lambda x, y: x + y, 2)
+        registry.register("f", row_function(lambda x, y: x + y), 2)
         with pytest.raises(SignatureMismatch):
             _ev("a(y) <- b(x), y = @f(x).", [("b", (1.0,))], registry)
 
     def test_non_finite_external_drops_instance(self):
         registry = ExternalRegistry()
-        registry.register("f", lambda x: float("inf"), 1)
+        registry.register("f", row_function(lambda x: float("inf")), 1)
         diags = []
         result = evaluate(
             parse_program("a(y) <- b(x), y = @f(x)."),
@@ -165,6 +165,41 @@ class TestEngine:
         result = _ev("a(x) <- b(x,_), c(_).",
                      [("b", (1.0, 7.0)), ("c", (99.0,))])
         assert query(result, "a", 1) == [(1.0,)]
+
+    def test_failing_head_term_drops_instance(self):
+        diags = []
+        result = evaluate(parse_program("a(1 / x) <- b(x)."),
+                          FactSet([("b", (0.0,)), ("b", (4.0,))]), EMPTY, diagnostics=diags)
+        assert query(result, "a", 1) == [(0.25,)]
+        assert diags == [Diagnostic("a", "a((1 / x))", "division by zero")]
+
+    def test_non_finite_binding_arithmetic_drops_instance(self):
+        diags = []
+        result = evaluate(parse_program("a(y) <- b(x), y = x * x."),
+                          FactSet([("b", (1e200,)), ("b", (3.0,))]), EMPTY, diagnostics=diags)
+        assert query(result, "a", 1) == [(9.0,)]
+        assert diags == [Diagnostic("a", "y = (x * x)", "non-finite binding value")]
+
+    def test_failing_comparison_drops_instance(self):
+        diags = []
+        result = evaluate(parse_program("a(x) <- b(x), 1 / x > 0."),
+                          FactSet([("b", (0.0,)), ("b", (2.0,))]), EMPTY, diagnostics=diags)
+        assert query(result, "a", 1) == [(2.0,)]
+        assert diags == [Diagnostic("a", "(1 / x) > 0", "division by zero")]
+
+    def test_unbound_variable_drops_instance(self):
+        # the parser's safety check rejects this rule, so it is built by hand
+        x, y, z = Var("x"), Var("y"), Var("z")
+        rule = Rule(head=Atom("a", (x,)), body=(Atom("b", (x,)), Binding(y, z)))
+        diags = []
+        result = evaluate(Program(rules=(rule,), order=(rule,), calls=()),
+                          FactSet([("b", (1.0,))]), EMPTY, diagnostics=diags)
+        assert query(result, "a", 1) == []
+        assert diags == [Diagnostic("a", "y = z", "unbound variable z")]
+
+    def test_dropped_instance_without_a_diagnostics_list(self):
+        result = _ev("a(y) <- b(x), y = 1 / x.", [("b", (0.0,)), ("b", (2.0,))])
+        assert query(result, "a", 1) == [(0.5,)]
 
 
 class TestAggregates:
@@ -194,6 +229,99 @@ class TestAggregates:
         edb = [("range", (1.0,)), ("range", (2.0,)), ("b", (10.0,))]
         result = _ev("a(y) <- b(x), y = #max{x * i : range(i)}.", edb)
         assert query(result, "a", 1) == [(20.0,)]
+
+
+def _counting(func):
+    """``row_function(func)`` that lists the rows of every call in ``.calls``."""
+    lifted = row_function(func)
+
+    def call(rows):
+        call.calls.append(list(rows))
+        return lifted(rows)
+
+    call.calls = []
+    return call
+
+
+def _range(*values):
+    return [("range", (v,)) for v in values]
+
+
+class TestBatchedComprehensions:
+    """A bare external in a comprehension is one call over every scope's
+    arguments, with the outcome of calling it scope by scope."""
+
+    def _evaluate(self, text, edb, func, arity=1):
+        registry = ExternalRegistry()
+        registry.register("f", func, arity)
+        diags = []
+        result = evaluate(parse_program(text), FactSet(edb), registry, diagnostics=diags)
+        return query(result, "a", 1), diags
+
+    def test_one_call_per_comprehension_with_rows_in_scope_order(self):
+        edb = [("b", (10.0,)), ("b", (20.0,))] + _range(3.0, 1.0, 2.0, 9.0)
+        batched = _counting(lambda x, i: x * i)
+        facts, diags = self._evaluate("a(y) <- b(x), y = #avg{@f(x, i) : range(i)}.",
+                                      edb, batched, arity=2)
+        assert facts == [(37.5,), (75.0,)] and diags == []
+        # not a bare call: evaluated scope by scope, one row per call
+        per_scope = _counting(lambda x, i: x * i)
+        assert self._evaluate("a(y) <- b(x), y = #avg{@f(x, i) + 0 : range(i)}.",
+                              edb, per_scope, arity=2) == (facts, diags)
+        assert len(batched.calls) == 2 and len(per_scope.calls) == 8
+        assert [row for call in batched.calls for row in call] == \
+            [row for call in per_scope.calls for row in call]
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_non_finite_value_at_any_row_drops_instance(self, j):
+        f = _counting(lambda i: math.inf if i == float(j) else i)
+        facts, diags = self._evaluate("a(y) <- b(x), y = #avg{@f(i) : range(i)}.",
+                                      [("b", (0.0,))] + _range(0.0, 1.0, 2.0), f)
+        assert facts == [] and len(f.calls) == 1
+        assert [d.reason for d in diags] == ["@f returned a non-finite value"]
+
+    @pytest.mark.parametrize("bad", [0.0, "k"], ids=["division-by-zero", "type-mismatch"])
+    @pytest.mark.parametrize("order", ["value-first", "argument-first"])
+    def test_first_failure_in_scope_order_wins(self, order, bad):
+        # the engine's scope order over range(1), read from a first evaluation
+        probe = _counting(lambda i: i)
+        self._evaluate("a(y) <- b(x), y = #avg{@f(i) : range(i)}.",
+                       [("b", (0.0,))] + _range(1.0, 3.0), probe)
+        [[(first,), (second,)]] = probe.calls
+        # @f(1 / d) is inf at d = 2 and its argument fails at d = bad
+        good_scope, bad_scope = (first, second) if order == "value-first" else (second, first)
+        edb = [("b", (0.0,)), ("d", (good_scope, 2.0)), ("d", (bad_scope, bad))]
+        text = "a(y) <- b(x), y = #avg{@f(1 / d) : range(i), d(i, d)}."
+        f = _counting(lambda x: math.inf)
+        if order == "value-first":
+            facts, diags = self._evaluate(text, edb + _range(1.0, 3.0), f)
+            assert facts == [] and f.calls == [[(0.5,)]]
+            assert [d.reason for d in diags] == ["@f returned a non-finite value"]
+        elif bad == 0.0:
+            facts, diags = self._evaluate(text, edb + _range(1.0, 3.0), f)
+            assert facts == [] and f.calls == []
+            assert [d.reason for d in diags] == ["division by zero"]
+        else:
+            with pytest.raises(TypeMismatch):
+                self._evaluate(text, edb + _range(1.0, 3.0), f)
+            assert f.calls == []
+
+    def test_empty_comprehension_makes_no_call(self):
+        f = _counting(lambda i: i)
+        facts, diags = self._evaluate("a(y) <- b(x), y = #avg{@f(i) : range(i)}.",
+                                      [("b", (0.0,))], f)
+        assert facts == [] and f.calls == []
+        assert [d.reason for d in diags] == ["#avg comprehension matched no facts"]
+
+    @pytest.mark.parametrize("text", ["a(y) <- b(x), y = #avg{@f(i) : range(i)}.",
+                                      "a(y) <- b(x), y = @f(x)."])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_wrong_number_of_values_raises(self, text, change):
+        def f(rows):
+            return [1.0] * (len(rows) + change)
+
+        with pytest.raises(SignatureMismatch, match="returned"):
+            self._evaluate(text, [("b", (0.0,))] + _range(1.0, 2.0), f)
 
 
 class TestFactSet:
@@ -285,7 +413,7 @@ def test_engine_reads_every_dependency_like_the_oracle(text, edb, funcs):
     assert program.calls == tuple((name, 1) for name in funcs)
     registry = ExternalRegistry()
     for name, func in funcs.items():
-        registry.register(name, func, 1)
+        registry.register(name, row_function(func), 1)
     diagnostics = []
     engine = evaluate(program, FactSet(edb), registry, diagnostics)
     _assert_same_facts(engine, brute_force_ground(program, edb, funcs))

@@ -167,10 +167,16 @@ class TestWorkloadGeneration:
     @pytest.mark.parametrize("fields", [
         {"duration": -5.0}, {"duration": math.inf}, {"rate": 0.0}, {"rate": math.nan},
         {"record_bytes": -1}, {"record_bytes": 0}, {"duration": 0.5},
+        {"seed": -1}, {"seed": 2**32},
     ])
     def test_impossible_spec_rejected(self, fields):
         with pytest.raises(ValueError):
             WorkloadSpec(**fields)
+
+    @pytest.mark.parametrize("seed", [None, 1.5])
+    def test_non_integer_seed_rejected_when_built(self, seed):
+        with pytest.raises(TypeError):
+            WorkloadSpec(seed=seed)
 
     def test_machine_ids(self):
         ids = machine_ids(WorkloadSpec(machines=3))

@@ -519,7 +519,7 @@ class TestRegistryAndPersistence:
         model = fit_knn(X, np.array([1.0, 2.0]), k=1)
         registry = register_externals({"func_ms": model})
         fn = registry.resolve("func_ms", 2)
-        assert fn(10.0, 1.0) == pytest.approx(1.0)
+        assert fn([(10.0, 1.0)]) == [pytest.approx(1.0)]
         with pytest.raises(MissingExternal):
             registry.resolve("func_mp", 4)
 
@@ -531,7 +531,7 @@ class TestRegistryAndPersistence:
                 register_externals({name: model})
         fn = register_externals({"func_ms": model}).resolve("func_ms", 2)
         with pytest.raises(DimensionMismatch):
-            fn(10.0, 1.0, 3.0)
+            fn([(10.0, 1.0, 3.0)])
 
     def test_save_load_round_trip(self, tmp_path):
         X = np.linspace(0, 2, 15).reshape(-1, 1)
