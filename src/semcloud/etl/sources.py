@@ -171,14 +171,15 @@ def map_to_unified(raw_records, descriptor):
     None, and so does a null cell: JSON null, an empty XML element or an
     empty CSV cell.  A source field without a mapping raises MappingGap;
     a null key, or a cell that is not a number, raises BadCell.  Records
-    with the key set of the record before them reuse its field plan.
+    with the keys of the record before them, in the same order, reuse its
+    field plan.
     """
     unified = []
     keys = None
     for index, raw in enumerate(raw_records):
-        if raw.keys() != keys:
-            keys = raw.keys()
-            machine, program, stamp, fields = plan = _field_plan(keys, descriptor, index)
+        if tuple(raw) != keys:
+            keys = tuple(raw)
+            machine, program, stamp, fields = plan = _field_plan(raw.keys(), descriptor, index)
         try:
             machine_id, program_id = raw[machine], raw[program]
             if machine_id in _NULLS or program_id in _NULLS:

@@ -285,12 +285,14 @@ def fit_knn(X, y, k: int) -> KNNModel:
     return KNNModel(k=k, samples=standardizer.apply(X), targets=y, standardizer=standardizer)
 
 
-# Rows scored per block in predict_knn: the block's (rows, samples) distance
-# matrix holds at most this many floats (128 KB); the sum over features keeps
-# one more matrix that size per term in flight (eight lanes from 8 features
-# on), and the call keeps one per-sample vector per fixed feature.  A 241-row,
+# Distances scored per block in predict_knn: a block's (rows, candidate
+# samples) distance matrix holds at most this many floats (128 KB), unless
+# one row alone has more candidates; the sum over features keeps one more
+# matrix that size per term in flight (eight lanes from 8 features on), and
+# the call keeps one per-sample vector per fixed feature.  A 241-row,
 # 562-sample slicing-grid call, four of its six features fixed, peaked at
-# 370 KB at 2**13, 570 KB at 2**14 and 1720 KB at 2**16.
+# 300 KB (570 KB when every block scored all samples); the 300 grid calls
+# of a seed-101 fleet batch peaked at 460 KB in the median, 620 KB at most.
 _KNN_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -353,6 +355,69 @@ def _nearest(dist: np.ndarray, k: int):
     return nearest, d
 
 
+def _distances(columns, block, fixed):
+    """Distances from each row of ``block`` to each sample column, bit for
+    bit the per-row algorithm's sqrt of np.sum over the feature axis.
+
+    ``fixed`` maps a feature to the per-sample vector of squared
+    differences that every row shares.  A vector comes back when every
+    feature is in ``fixed``; ``block`` is then not read.
+    """
+    def squared(j):
+        if j in fixed:
+            return fixed[j].copy()
+        d = columns[j] - block[:, j:j + 1]
+        d *= d
+        return d
+
+    dist = _ordered_sum(squared, 0, columns.shape[0])
+    return np.sqrt(dist, out=dist)
+
+
+def _knn_blocks(k, columns, Xs, fixed):
+    """Consecutive row blocks of a predict_knn call: (start, stop, kept),
+    where ``kept`` is None or the sample indices, ascending, that can hold
+    one of a block row's k nearest.
+
+    With some features but not all fixed, a sample's distance from the
+    fixed features alone (the varying terms set to zero) is a lower bound
+    on its distance from every row: each term is >= 0 and rounding to
+    nearest is monotone.  The k samples of smallest bound give each row a
+    reach, its largest distance to them, which is at least its k-th
+    nearest distance.  A sample whose bound exceeds a block's largest
+    reach is farther from every block row than that row's k-th nearest,
+    so dropping it changes no pick, tie-breaks included.  Blocks are
+    sized so that rows * kept stays within _KNN_BLOCK_ELEMENTS, or are
+    one row.
+    """
+    n = columns.shape[1]
+    if not fixed or len(fixed) == columns.shape[0]:
+        rows = max(1, _KNN_BLOCK_ELEMENTS // n)
+        for start in range(0, Xs.shape[0], rows):
+            yield start, start + rows, None
+        return
+    zero = np.zeros(n)
+    bound = _distances(columns, None, {j: fixed.get(j, zero) for j in range(columns.shape[0])})
+    order = np.argsort(bound, kind="stable")
+    ranked = bound[order]
+    seed = order[:k]
+    seed_fixed = {j: v[seed] for j, v in fixed.items()}
+    # the reaches are found a window of rows at a time, rows * k within budget
+    window = max(1, _KNN_BLOCK_ELEMENTS // k)
+    for base in range(0, Xs.shape[0], window):
+        reach = _distances(columns[:, seed], Xs[base:base + window], seed_fixed).max(axis=1)
+        # samples each row alone would keep; a NaN reach sorts last
+        counts = np.searchsorted(ranked, reach, side="right")
+        start = 0
+        while start < reach.shape[0]:
+            size = np.maximum.accumulate(counts[start:]) * np.arange(1, reach.shape[0] - start + 1)
+            stop = start + max(1, int(np.count_nonzero(size <= _KNN_BLOCK_ELEMENTS)))
+            # not (bound > reach): a NaN bound or reach keeps the sample
+            kept = np.flatnonzero(~(bound > reach[start:stop].max()))
+            yield base + start, base + stop, None if kept.shape[0] == n else kept
+            start = stop
+
+
 def predict_knn(model: KNNModel, X) -> np.ndarray:
     X = _as_matrix(X)
     if X.shape[1] != model.n_features:
@@ -369,26 +434,20 @@ def predict_knn(model: KNNModel, X) -> np.ndarray:
             fixed[j] = d = columns[j] - Xs[0, j]
             d *= d
     out = np.empty(Xs.shape[0])
-    rows = max(1, _KNN_BLOCK_ELEMENTS // columns.shape[1])
-    for start in range(0, Xs.shape[0], rows):
-        block = Xs[start:start + rows]
-
-        def squared(j):
-            if j in fixed:
-                return fixed[j].copy()
-            d = columns[j] - block[:, j:j + 1]
-            d *= d
-            return d
-
-        # the per-row algorithm's np.sum over the feature axis, bit for bit
-        dist = _ordered_sum(squared, 0, columns.shape[0])
+    for start, stop, kept in _knn_blocks(model.k, columns, Xs, fixed):
+        block = Xs[start:stop]
+        if kept is None:
+            dist = _distances(columns, block, fixed)
+        else:  # elementwise operations give the same bits on a column subset
+            dist = _distances(columns[:, kept], block, {j: v[kept] for j, v in fixed.items()})
         if dist.ndim == 1:  # every feature fixed; _nearest overwrites dist
             dist = np.broadcast_to(dist, (block.shape[0], dist.shape[0])).copy()
-        np.sqrt(dist, out=dist)
         nearest, d = _nearest(dist, model.k)
+        if kept is not None:
+            nearest = kept[nearest]
         targets = model.targets[nearest]
         exact = d[:, 0] == 0.0  # exact stored point: its target, no weighting
         w = 1.0 / np.where(exact[:, None], 1.0, d)
         weighted = np.sum(w * targets, axis=1) / np.sum(w, axis=1)
-        out[start:start + rows] = np.where(exact, targets[:, 0], weighted)
+        out[start:stop] = np.where(exact, targets[:, 0], weighted)
     return out

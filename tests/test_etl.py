@@ -284,6 +284,32 @@ class TestIngestion:
             expected[1].values[:peak] + (None,) + expected[1].values[peak + 1:])
         assert records[0] == expected[0] and records[2:] == expected[2:]
 
+    def test_reordered_or_changed_keys_get_a_fresh_plan(self, workload, monkeypatch):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "json")
+        raws, _ = ingest(desc)
+        expected = map_to_unified(raws, desc)
+        raws[2] = dict(reversed(raws[2].items()))
+        del raws[5]["forcePeak"]
+        real, planned = sources._field_plan, []
+
+        def spy(keys, descriptor, index):
+            planned.append(index)
+            return real(keys, descriptor, index)
+
+        monkeypatch.setattr(sources, "_field_plan", spy)
+        records = map_to_unified(raws, desc)
+        assert planned == [0, 2, 3, 5, 6]
+        assert records[:5] == expected[:5] and records[6:] == expected[6:]
+        # a reordered record's errors name its own index
+        reordered = dict(reversed(raws[7].items()))
+        with pytest.raises(BadCell) as raised:
+            map_to_unified(raws[:7] + [dict(reordered, forcePeak="abc")], desc)
+        assert (raised.value.index, raised.value.field) == (7, "forcePeak")
+        del reordered["timestamp"]
+        with pytest.raises(MappingGap, match="record 7 has no field for 'timestamp'"):
+            map_to_unified(raws[:7] + [reordered], desc)
+
     def test_record_without_a_key_field_is_a_mapping_gap(self, workload):
         _, descriptors = workload
         desc = next(d for d in descriptors if d.format == "json")

@@ -17,6 +17,7 @@ from semcloud.learning import (
     PilotRunRecord,
     PolyRModel,
     SignatureMismatch,
+    Standardizer,
     fit_knn,
     fit_method,
     fit_mlp,
@@ -191,7 +192,9 @@ class TestKNNBlocks:
     def test_k_equals_n(self):
         rng = np.random.RandomState(3)
         X = rng.randn(25, 4)
-        self.assert_bitwise(fit_knn(X, rng.randn(25), k=25), rng.randn(30, 4))
+        model = fit_knn(X, rng.randn(25), k=25)
+        self.assert_bitwise(model, rng.randn(30, 4))
+        self.assert_bitwise(model, self.fixed_queries(rng, X, 30, [1, 2]))
 
     def test_overflowed_distances(self):
         # every distance of a +-1e200 row overflows to inf, so its prediction
@@ -269,6 +272,102 @@ class TestKNNBlocks:
             self.assert_bitwise(model, queries)
             self.assert_bitwise(model, queries[:1])
             assert np.isnan(predict_knn(model, queries)).all()
+
+    @staticmethod
+    def nearest_widths(monkeypatch):
+        """The sample columns of each block predict_knn hands _nearest."""
+        import semcloud.learning.models as models
+
+        real, widths = models._nearest, []
+
+        def spy(dist, k):
+            widths.append(dist.shape[1])
+            return real(dist, k)
+
+        monkeypatch.setattr(models, "_nearest", spy)
+        return widths
+
+    @staticmethod
+    def lattice_model(samples, k):
+        """A KNN model over ``samples`` as given: standardizing by mean 0
+        and scale 1 keeps every lattice distance, and every tie, exact."""
+        features = samples.shape[1]
+        return KNNModel(k=k, samples=samples, targets=np.arange(samples.shape[0], dtype=float),
+                        standardizer=Standardizer(np.zeros(features), np.ones(features)))
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_fixed_columns_far_from_the_samples(self, monkeypatch, k):
+        rng = np.random.RandomState(9 + k)
+        X = rng.randn(300, 5)
+        model = fit_knn(X, rng.randn(300), k=k)
+        queries = self.fixed_queries(rng, X, 120, [0, 2, 3])
+        queries[:, [0, 2, 3]] = [8.0, -8.0, 8.0]
+        widths = self.nearest_widths(monkeypatch)
+        self.assert_bitwise(model, queries)
+        assert max(widths) < 300 // 10
+
+    def test_distance_tied_at_the_reach(self, monkeypatch):
+        # feature 0 is fixed at 0: samples 1 and 2 share the smallest
+        # bound and sample 1 seeds the reach, 3 from row 0; sample 0's
+        # bound is 3 as well, and its distance to row 0 ties the reach at
+        # a lower index, so it must be kept and picked
+        model = self.lattice_model(np.array(
+            [[3.0, 0.0], [0.0, 3.0], [0.0, 5.0], [10.0, 0.0], [10.0, 1.0]]), k=1)
+        queries = np.array([[0.0, 0.0], [0.0, 1.0]])
+        widths = self.nearest_widths(monkeypatch)
+        self.assert_bitwise(model, queries)
+        assert predict_knn(model, queries)[0] == 0.0 and widths[-1] == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 11])
+    def test_lattice_ties_at_the_reach(self, k):
+        rng = np.random.RandomState(10 + k)
+        model = self.lattice_model(rng.randint(0, 5, size=(90, 3)).astype(float), k)
+        queries = rng.randint(0, 5, size=(60, 3)).astype(float)
+        for fixed in ([0], [2], [0, 1]):
+            queries[:, fixed] = queries[0, fixed]
+            self.assert_bitwise(model, queries)
+
+    def test_infinite_reach_beside_finite_rows(self):
+        # row 5's varying column overflows every distance it has, so its
+        # reach is inf and its block keeps every sample; the finite rows
+        # of that block must not change
+        rng = np.random.RandomState(11)
+        X = rng.randn(40, 4)
+        model = fit_knn(X, rng.randn(40), k=3)
+        queries = self.fixed_queries(rng, X, 12, [0, 1])
+        queries[:, [0, 1]] = 3.0
+        queries[5, 3] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_bitwise(model, queries)
+            prediction = predict_knn(model, queries)
+        assert np.isnan(prediction[5]) and np.isfinite(np.delete(prediction, 5)).all()
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_bound_ties_among_the_seed(self, k):
+        # the fixed columns take two values, so ten samples share the
+        # smallest bound and the seed picks among ties
+        rng = np.random.RandomState(12 + k)
+        X = rng.randn(80, 4)
+        X[:, :2] = rng.randint(0, 2, size=(80, 2))
+        X[:10, :2] = 0.0
+        model = fit_knn(X, rng.randn(80), k=k)
+        queries = rng.randn(50, 4)
+        queries[:, :2] = 0.0
+        self.assert_bitwise(model, queries)
+
+    def test_fleet_shaped_grid_scores_fewer_samples(self, monkeypatch):
+        # test_fleet_shaped_grid's data with the fixed volume and
+        # no_records placed beyond the samples: the bound must rule
+        # samples out, so _nearest sees fewer columns than samples
+        rng = np.random.RandomState(6)
+        X = rng.uniform(1.0, 4000.0, size=(562, 6))
+        model = fit_knn(X, rng.uniform(0.1, 5.0, 562), k=2)
+        rows = _KNN_BLOCK_ELEMENTS // model.samples.shape[0]
+        queries = self.fixed_queries(rng, X, 2 * rows + 13, [0, 1, 4, 5])
+        queries[:, [0, 1]] = 4500.0
+        widths = self.nearest_widths(monkeypatch)
+        self.assert_bitwise(model, queries)
+        assert widths and max(widths) < 562
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 128, 129, 300])
