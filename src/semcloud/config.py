@@ -115,6 +115,23 @@ _DEFAULTS = {
 }
 
 
+# The most (nc, ns) candidates one slicing grid may have, as the product
+# search.nc_steps x search.ns_steps: the pilot simulates each candidate once
+# per configuration seed, and every slicing search scores each.  A setting
+# that is not given counts at SearchSpace's default, 16.
+GRID_BUDGET = 1 << 16
+_GRID_STEPS = 16
+
+
+def _check_grid_budget(search):
+    nc_steps = search.get("nc_steps", _GRID_STEPS)
+    ns_steps = search.get("ns_steps", _GRID_STEPS)
+    if nc_steps * ns_steps > GRID_BUDGET:
+        raise ConfigError(
+            "search.nc_steps x search.ns_steps must be at most %d grid candidates, "
+            "got %d x %d = %d" % (GRID_BUDGET, nc_steps, ns_steps, nc_steps * ns_steps))
+
+
 def _checked(config):
     """Check every setting of ``config`` against _rules(); the sections with parsed values."""
     if (isinstance(config.seed, bool) or not isinstance(config.seed, int)
@@ -131,6 +148,7 @@ def _checked(config):
             raise ConfigError("unknown settings: %s" % ", ".join(unknown))
         sections[section] = {key: checked_setting(section, key, value)
                              for key, value in values.items()}
+    _check_grid_budget(sections["search"])
     return sections
 
 

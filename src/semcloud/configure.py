@@ -8,6 +8,7 @@ the graph.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -25,10 +26,10 @@ def slicing_objective(time_model, n, v, ts, tp, space):
     One predict_method call scores every candidate of ``space``; the
     objective answers the searches' scalar calls from that table.
     """
-    grid = list(space.candidates())
-    nc, ns = np.array(grid, dtype=float).reshape(-1, 2).T
-    columns = {"volume": v, "no_records": n, "chunk_size": nc, "slice_size": ns,
-               "slice_time": ts, "prepare_time": tp}
+    grid = space.candidates()
+    pairs = np.fromiter(itertools.chain.from_iterable(grid), dtype=float, count=2 * len(grid))
+    columns = {"volume": v, "no_records": n, "chunk_size": pairs[0::2],
+               "slice_size": pairs[1::2], "slice_time": ts, "prepare_time": tp}
     X = np.empty((len(grid), len(TIME_FEATURES)))
     for j, feature in enumerate(TIME_FEATURES):
         X[:, j] = columns[feature]

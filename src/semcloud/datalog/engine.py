@@ -10,6 +10,14 @@ by an earlier atom, overwrites) the variable -- the configuration rules rely
 on this to replace pre-configured values read from the pipeline graph with
 freshly computed ones.
 
+Which variables are bound at each body element does not depend on the
+instance, so ``compile_rules`` turns each rule into a join plan once per
+program (``parse_program`` calls it): every atom, comprehension conditions
+included, gets its lookup positions, key sources and free-variable slots,
+and every term becomes a function of the environment.  ``_match_body``
+walks a plan depth first and hands each complete environment on: the head
+facts, diagnostics and external calls come in the order of that walk.
+
 External calls are resolved during grounding and replaced by their concrete
 values.  Every external is a row function: it takes a list of argument rows
 and returns one value per row.  A plain call is a one-row call; a
@@ -26,6 +34,7 @@ the diagnostics channel; it never aborts the evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,162 +101,320 @@ class _InstanceFailure(Exception):
         self.reason = reason
 
 
+@dataclass(frozen=True)
+class RulePlan:
+    """A rule compiled for ``evaluate``: its body as join steps and its head
+    args as term functions.  ``position`` is the rule's index in
+    ``Program.rules``."""
+
+    position: int | None
+    rule: Rule
+    body: tuple
+    head: tuple
+
+
+def compile_rules(rules, order) -> tuple:
+    """One RulePlan per rule of ``order``, in that order.
+
+    Which variables are bound at each body element does not depend on the
+    instance, so every atom's lookup positions and free variables, and those
+    of every comprehension condition, are fixed here once.
+    """
+    positions = {id(rule): i for i, rule in enumerate(rules)}
+    plans = []
+    for rule in order:
+        body, bound = _compile_body(rule.body, frozenset())
+        head = tuple(_compile_term(arg, bound) for arg in rule.head.args)
+        plans.append(RulePlan(positions.get(id(rule)), rule, body, head))
+    return tuple(plans)
+
+
+class _Run:
+    """One evaluation's state: the facts so far, the externals, the
+    diagnostics list and the rule being matched."""
+
+    __slots__ = ("facts", "registry", "diagnostics", "rule")
+
+    def __init__(self, facts, registry, diagnostics=None):
+        self.facts = facts
+        self.registry = registry
+        self.diagnostics = diagnostics
+        self.rule = None
+
+
 def evaluate(program: Program, edb: FactSet, registry: ExternalRegistry,
              diagnostics: list | None = None) -> FactSet:
     """Return EDB plus all derived facts; a pure function of its arguments."""
     for name, arity in program.calls:
         registry.resolve(name, arity)
+    plans = program.plans
+    if plans is None:  # a Program built by hand
+        plans = compile_rules(program.rules, program.order)
     facts = edb.copy()
-    for rule in program.order:
-        for env in _match_body(rule, rule.body, {}, facts, registry, diagnostics):
-            try:
-                args = tuple(_eval_term(a, env, facts, registry) for a in rule.head.args)
-            except _InstanceFailure as fail:
-                _record(diagnostics, rule, rule.head, fail.reason)
-                continue
-            facts.add(rule.head.predicate, args)
+    run = _Run(facts, registry, diagnostics)
+    for plan in plans:
+        run.rule = plan.rule
+        _match_body(plan.body, 0, {}, run, _deriver(plan, run))
     return facts
 
 
-def _match_body(rule, elements, env, facts, registry, diagnostics):
-    if not elements:
-        yield dict(env)
-        return
-    el, rest = elements[0], elements[1:]
-    if isinstance(el, Atom):
-        for tup in _candidates(el, env, facts):
-            extended = _unify(el.args, tup, env)
-            if extended is not None:
-                yield from _match_body(rule, rest, extended, facts, registry, diagnostics)
-    elif isinstance(el, Binding):
+def _deriver(plan: RulePlan, run: _Run):
+    """The function that adds the rule's head fact for one matched body."""
+    head, atom, add = plan.head, plan.rule.head, run.facts.add
+
+    def derive(env):
         try:
-            value = _eval_term(el.expr, env, facts, registry)
+            args = tuple([term(env, run) for term in head])
         except _InstanceFailure as fail:
-            _record(diagnostics, rule, el, fail.reason)
+            _record(run, atom, fail.reason)
+            return
+        add(atom.predicate, args)
+
+    return derive
+
+
+class _Join:
+    """Join step of a positive atom.
+
+    The atom's tuples are looked up on ``positions``, its constants and the
+    variables bound before it, with one key source each: ``(False, value)``
+    or ``(True, name)``.  ``slots`` are the ``(position, name)`` of its free
+    variables, in order of first occurrence, and ``repeats`` the
+    ``(first position, position)`` of a free variable repeated in the atom.
+    Anonymous variables are neither keys nor slots.
+    """
+
+    __slots__ = ("predicate", "arity", "positions", "sources", "slots", "repeats")
+
+    def __init__(self, atom: Atom, bound):
+        positions, sources, slots, repeats, first = [], [], [], [], {}
+        for i, arg in enumerate(atom.args):
+            if isinstance(arg, Const):
+                positions.append(i)
+                sources.append((False, arg.value))
+            elif isinstance(arg, Var) and not arg.is_anonymous:
+                if arg.name in bound:
+                    positions.append(i)
+                    sources.append((True, arg.name))
+                elif arg.name in first:
+                    repeats.append((first[arg.name], i))
+                else:
+                    first[arg.name] = i
+                    slots.append((i, arg.name))
+        self.predicate, self.arity = atom.predicate, atom.arity
+        self.positions, self.sources = tuple(positions), tuple(sources)
+        self.slots, self.repeats = tuple(slots), tuple(repeats)
+
+
+class _Bind:
+    """Binding step ``name = expr``; ``element`` is the body element."""
+
+    __slots__ = ("element", "name", "expr")
+
+    def __init__(self, element: Binding, expr):
+        self.element, self.name, self.expr = element, element.var.name, expr
+
+
+class _Test:
+    """Comparison step; ``ordered`` for the four that need two numbers."""
+
+    __slots__ = ("element", "left", "right", "test", "ordered")
+
+    def __init__(self, element: Comparison, left, right):
+        self.element, self.left, self.right = element, left, right
+        self.test = _COMPARISONS[element.op]
+        self.ordered = element.op not in ("==", "!=")
+
+
+_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_EMIT = object()  # the last step of every body: hand the environment on
+
+
+def _compile_body(elements, bound):
+    """Join steps for ``elements`` matched with the names in ``bound``
+    already bound; returns (steps, the names bound after them)."""
+    steps = []
+    for el in elements:
+        if isinstance(el, Atom):
+            steps.append(_Join(el, bound))
+            bound = bound | {arg.name for arg in el.args
+                             if isinstance(arg, Var) and not arg.is_anonymous}
+        elif isinstance(el, Binding):
+            steps.append(_Bind(el, _compile_term(el.expr, bound)))
+            bound = bound | {el.var.name}
+        elif isinstance(el, Comparison):
+            steps.append(_Test(el, _compile_term(el.left, bound),
+                               _compile_term(el.right, bound)))
+        else:
+            raise TypeError(f"unknown body element {el!r}")
+    steps.append(_EMIT)
+    return tuple(steps), bound
+
+
+def _match_body(steps, i, env, run, emit):
+    """Call ``emit`` with each environment that satisfies ``steps[i:]``,
+    depth first, each step's matches in the order the facts give them."""
+    step = steps[i]
+    if step.__class__ is _Join:
+        key = []
+        for is_var, source in step.sources:
+            if is_var:
+                source = env[source]
+                if source != source:
+                    return  # NaN: the join compares with ==, and NaN equals nothing
+            key.append(source)
+        slots, repeats = step.slots, step.repeats
+        for tup in run.facts.lookup(step.predicate, step.arity, step.positions, tuple(key)):
+            if repeats and any(tup[first] != tup[j] for first, j in repeats):
+                continue
+            if slots:
+                extended = dict(env)
+                for j, name in slots:
+                    extended[name] = tup[j]
+                _match_body(steps, i + 1, extended, run, emit)
+            else:
+                _match_body(steps, i + 1, env, run, emit)
+    elif step is _EMIT:
+        emit(env)
+    elif step.__class__ is _Bind:
+        try:
+            value = step.expr(env, run)
+        except _InstanceFailure as fail:
+            _record(run, step.element, fail.reason)
             return
         if isinstance(value, float) and not math.isfinite(value):
-            _record(diagnostics, rule, el, "non-finite binding value")
+            _record(run, step.element, "non-finite binding value")
             return
         extended = dict(env)
-        extended[el.var.name] = value
-        yield from _match_body(rule, rest, extended, facts, registry, diagnostics)
-    elif isinstance(el, Comparison):
+        extended[step.name] = value
+        _match_body(steps, i + 1, extended, run, emit)
+    else:
         try:
-            if _compare(el, env, facts, registry):
-                yield from _match_body(rule, rest, env, facts, registry, diagnostics)
+            left, right = step.left(env, run), step.right(env, run)
+            if step.ordered and (not isinstance(left, float) or not isinstance(right, float)):
+                raise TypeMismatch("ordered comparison on non-numbers: %r %s %r"
+                                   % (left, step.element.op, right))
+            holds = step.test(left, right)
         except _InstanceFailure as fail:
-            _record(diagnostics, rule, el, fail.reason)
-    else:  # pragma: no cover - parser only produces the three kinds
-        raise TypeError(f"unknown body element {el!r}")
+            _record(run, step.element, fail.reason)
+            return
+        if holds:
+            _match_body(steps, i + 1, env, run, emit)
 
 
-def _candidates(atom, env, facts):
-    """The atom's tuples that can match: looked up on its bound positions."""
-    positions, key = [], []
-    for i, arg in enumerate(atom.args):
-        if isinstance(arg, Const):
-            positions.append(i)
-            key.append(arg.value)
-        elif isinstance(arg, Var) and arg.name in env and not arg.is_anonymous:
-            positions.append(i)
-            key.append(env[arg.name])
-    return facts.lookup(atom.predicate, atom.arity, tuple(positions), tuple(key))
-
-
-def _unify(args, tup, env):
-    """``env`` extended by the atom's free variables, or None.
-
-    ``tup`` came from _candidates, so its constants and the variables bound
-    before the atom already match; only a variable repeated inside the atom
-    can still disagree.
-    """
-    extended = dict(env)
-    for arg, value in zip(args, tup):
-        if isinstance(arg, Var) and not arg.is_anonymous:
-            if extended.setdefault(arg.name, value) != value:
-                return None
-    return extended
-
-
-def _compare(cmp: Comparison, env, facts, registry) -> bool:
-    left = _eval_term(cmp.left, env, facts, registry)
-    right = _eval_term(cmp.right, env, facts, registry)
-    if cmp.op == "==":
-        return left == right
-    if cmp.op == "!=":
-        return left != right
-    if not isinstance(left, float) or not isinstance(right, float):
-        raise TypeMismatch(f"ordered comparison on non-numbers: {left!r} {cmp.op} {right!r}")
-    return {"<": left < right, "<=": left <= right, ">": left > right, ">=": left >= right}[cmp.op]
-
-
-def _eval_term(term, env, facts, registry):
+def _compile_term(term, bound):
+    """``term`` as a function ``(env, run) -> value``; ``bound`` names the
+    variables bound where it is evaluated."""
     if isinstance(term, Const):
-        return term.value
+        value = term.value
+        return lambda env, run: value
     if isinstance(term, Var):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise _InstanceFailure(f"unbound variable {term.name}") from None
+        name = term.name
+
+        def variable(env, run):
+            try:
+                return env[name]
+            except KeyError:
+                raise _InstanceFailure(f"unbound variable {name}") from None
+
+        return variable
     if isinstance(term, Arith):
-        left = _eval_term(term.left, env, facts, registry)
-        right = _eval_term(term.right, env, facts, registry)
-        if not isinstance(left, float) or not isinstance(right, float):
-            raise TypeMismatch(f"arithmetic on non-numbers: {left!r} {term.op} {right!r}")
-        if term.op == "+":
-            return left + right
-        if term.op == "-":
-            return left - right
-        if term.op == "*":
-            return left * right
-        if right == 0.0:
-            raise _InstanceFailure("division by zero")
-        return left / right
+        left, right = _compile_term(term.left, bound), _compile_term(term.right, bound)
+        op = term.op
+        apply = _ARITHMETIC.get(op)
+
+        def arithmetic(env, run):
+            a, b = left(env, run), right(env, run)
+            if not isinstance(a, float) or not isinstance(b, float):
+                raise TypeMismatch(f"arithmetic on non-numbers: {a!r} {op} {b!r}")
+            if apply is not None:
+                return apply(a, b)
+            if b == 0.0:
+                raise _InstanceFailure("division by zero")
+            return a / b
+
+        return arithmetic
     if isinstance(term, ExternalCall):
-        return _call(term, [tuple(_eval_term(a, env, facts, registry) for a in term.args)],
-                     registry)[0]
+        args = tuple(_compile_term(a, bound) for a in term.args)
+
+        def call(env, run):
+            return _call(term, [tuple([a(env, run) for a in args])], run.registry)[0]
+
+        return call
     if isinstance(term, Aggregate):
-        try:
-            return evaluate_aggregate(term, env, facts, registry)
-        except EmptyAggregate as exc:
-            raise _InstanceFailure(str(exc)) from exc
+        aggregate = _compile_aggregate(term, bound)
+
+        def instance_aggregate(env, run):
+            try:
+                return aggregate(env, run)
+            except EmptyAggregate as exc:
+                raise _InstanceFailure(str(exc)) from exc
+
+        return instance_aggregate
     raise TypeError(f"cannot evaluate {term!r}")
 
 
 def evaluate_aggregate(agg: Aggregate, env, facts, registry) -> float:
     """#max/#min/#avg over a term list or a comprehension's value multiset."""
-    if agg.is_comprehension:
-        values = _comprehension_values(agg, env, facts, registry)
-        if not values:
-            raise EmptyAggregate(
-                "#%s comprehension matched no facts" % agg.kind
-            )
+    return _compile_aggregate(agg, frozenset(env))(env, _Run(facts, registry))
+
+
+def _compile_aggregate(agg: Aggregate, bound):
+    """``agg`` as a function ``(env, run) -> float``; raises EmptyAggregate
+    on a comprehension that matches nothing."""
+    kind, comprehension = agg.kind, agg.is_comprehension
+    if comprehension:
+        values = _compile_comprehension(agg, bound)
     else:
-        values = [_eval_term(e, env, facts, registry) for e in agg.elements]
-    if any(not isinstance(v, float) for v in values):
-        raise TypeMismatch("aggregate over non-numeric values")
-    if agg.kind == "max":
-        return max(values)
-    if agg.kind == "min":
-        return min(values)
-    return sum(values) / len(values)
+        elements = tuple(_compile_term(e, bound) for e in agg.elements)
+
+        def values(env, run):
+            return [e(env, run) for e in elements]
+
+    def aggregate(env, run):
+        found = values(env, run)
+        if comprehension and not found:
+            raise EmptyAggregate("#%s comprehension matched no facts" % kind)
+        if any(not isinstance(v, float) for v in found):
+            raise TypeMismatch("aggregate over non-numeric values")
+        if kind == "max":
+            return max(found)
+        if kind == "min":
+            return min(found)
+        return sum(found) / len(found)
+
+    return aggregate
 
 
-def _comprehension_values(agg: Aggregate, env, facts, registry) -> list:
+def _compile_comprehension(agg: Aggregate, bound):
     """The comprehension's values in scope order; one call for a bare external."""
-    # condition atoms only: no rule or diagnostics are needed to match them
-    scopes = _match_body(None, agg.condition, env, facts, registry, None)
+    condition, inner = _compile_body(agg.condition, bound)
+
+    def scopes(env, run):
+        matched = []
+        _match_body(condition, 0, env, run, matched.append)
+        return matched
+
     if not isinstance(agg.expr, ExternalCall):
-        return [_eval_term(agg.expr, scope, facts, registry) for scope in scopes]
-    rows, failure = [], None
-    try:
-        for scope in scopes:
-            rows.append(tuple(_eval_term(a, scope, facts, registry) for a in agg.expr.args))
-    except (_InstanceFailure, DatalogError) as exc:
-        failure = exc  # raised once the rows before it are called and checked
-    values = _call(agg.expr, rows, registry) if rows else []
-    if failure is not None:
-        raise failure
+        expr = _compile_term(agg.expr, inner)
+        return lambda env, run: [expr(scope, run) for scope in scopes(env, run)]
+    call = agg.expr
+    args = tuple(_compile_term(a, inner) for a in call.args)
+
+    def values(env, run):
+        rows, failure = [], None
+        try:
+            for scope in scopes(env, run):
+                rows.append(tuple([a(scope, run) for a in args]))
+        except (_InstanceFailure, DatalogError) as exc:
+            failure = exc  # raised once the rows before it are called and checked
+        found = _call(call, rows, run.registry) if rows else []
+        if failure is not None:
+            raise failure
+        return found
+
     return values
 
 
@@ -267,12 +434,12 @@ def _call(term: ExternalCall, rows: list, registry) -> list:
     return checked
 
 
-def _record(diagnostics, rule: Rule, element, reason: str) -> None:
-    if diagnostics is None:
+def _record(run: _Run, element, reason: str) -> None:
+    if run.diagnostics is None:
         return
-    diagnostics.append(
+    run.diagnostics.append(
         Diagnostic(
-            rule=rule.head.predicate,
+            rule=run.rule.head.predicate,
             element=format_body_element(element),
             reason=reason,
         )

@@ -14,6 +14,11 @@ from typing import Iterable, Iterator
 from .terms import format_value
 
 
+# the exact value types a fact may hold as it is; anything else is coerced
+_CANONICAL = frozenset((float, str))
+_NONE = frozenset()
+
+
 def _sort_key(tup):
     # mixed str/float tuples: numbers sort before symbols, each kind internally
     return tuple((0, v, "") if isinstance(v, float) else (1, 0.0, v) for v in tup)
@@ -30,11 +35,21 @@ class FactSet:
             self.add(pred, args)
 
     def add(self, predicate: str, args: Iterable) -> None:
-        tup = tuple(float(a) if isinstance(a, (int, float)) and not isinstance(a, bool) else a for a in args)
-        relation = self._index.setdefault((predicate, len(tup)), set())
-        if tup not in relation:
-            relation.add(tup)
-            self._hashes.pop((predicate, len(tup)), None)
+        """Add one fact; ints (not bools) and float subclasses become floats.
+
+        A tuple of exact floats and strs, the form the engine derives, is
+        stored as it is.
+        """
+        if type(args) is not tuple or not _CANONICAL.issuperset(map(type, args)):
+            args = tuple(float(a) if isinstance(a, (int, float)) and not isinstance(a, bool)
+                         else a for a in args)
+        key = (predicate, len(args))
+        relation = self._index.get(key)
+        if relation is None:
+            self._index[key] = {args}
+        elif args not in relation:
+            relation.add(args)
+            self._hashes.pop(key, None)
 
     def lookup(self, predicate: str, arity: int, positions: tuple = (), key: tuple = ()):
         """Tuples of a relation whose args at ``positions`` equal ``key``.
@@ -43,10 +58,12 @@ class FactSet:
         matching tuples come from the relation's hash index on those
         positions, in the relation's iteration order.
         """
-        relation = self._index.get((predicate, arity), frozenset())
+        relation = self._index.get((predicate, arity), _NONE)
         if not positions or not relation:
             return relation
-        by_positions = self._hashes.setdefault((predicate, arity), {})
+        by_positions = self._hashes.get((predicate, arity))
+        if by_positions is None:
+            by_positions = self._hashes[(predicate, arity)] = {}
         buckets = by_positions.get(positions)
         if buckets is None:
             buckets = by_positions[positions] = {}

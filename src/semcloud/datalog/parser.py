@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 
+from .engine import compile_rules
 from .errors import DatalogSyntaxError, SafetyError
 from .terms import (
     AGGREGATE_KINDS,
@@ -297,4 +298,5 @@ def parse_program(text: str) -> Program:
         (node.name, len(node.args)) for rule in rules for node in rule_nodes(rule)
         if isinstance(node, ExternalCall)
     )
-    return Program(rules=rules, order=order, calls=tuple(calls))
+    return Program(rules=rules, order=order, calls=tuple(calls),
+                   plans=compile_rules(rules, order))

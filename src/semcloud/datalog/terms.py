@@ -9,7 +9,7 @@ atoms, arithmetic over 64-bit floats, comparisons, variable bindings
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import ProgramRecursionError
@@ -100,12 +100,15 @@ class Rule:
 @dataclass(frozen=True)
 class Program:
     """Rules plus the schedule ``evaluate`` follows: the rules in
-    ``rule_order`` and each external call's ``(name, arity)`` in first-call
-    order.  ``parse_program`` sets both once."""
+    ``rule_order``, each external call's ``(name, arity)`` in first-call
+    order, and one compiled ``engine.RulePlan`` per rule of ``order``.
+    ``parse_program`` sets all three once; ``evaluate`` compiles the plans of
+    a Program built without them on each call."""
 
     rules: tuple
     order: tuple
     calls: tuple
+    plans: tuple = field(default=None, compare=False, repr=False)
 
 
 def walk(node):

@@ -33,11 +33,16 @@ def geometric_grid(lo, hi, steps):
         return [lo] if lo == hi else [lo, hi]
     ratio = (hi / lo) ** (1.0 / (steps - 1))
     values = []
+    last = None
     for k in range(steps):
-        v = int(round(lo * ratio**k))
-        v = min(max(v, lo), hi)
-        if not values or v != values[-1]:
+        v = round(lo * ratio**k)
+        if v < lo:
+            v = lo
+        elif v > hi:
+            v = hi
+        if v != last:
             values.append(v)
+            last = v
     return values
 
 
@@ -68,8 +73,9 @@ class SearchSpace:
 
     @functools.cached_property
     def _candidates(self):
-        return tuple((nc, ns) for nc in self.nc_values() for ns in self.ns_values(nc)
-                     if 1 <= ns <= nc <= self.n)
+        # every ns grid lies in [1, nc]; only an n below 1 puts nc above n
+        return tuple((nc, ns) for nc in self.nc_values() if nc <= self.n
+                     for ns in self.ns_values(nc))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,29 +90,25 @@ class OptResult:
 def optimize_slicing(objective, space):
     """Exhaustive minimisation of objective(nc, ns) over the space.
 
-    Non-finite objective values are dropped.  Ties on the objective are
-    broken toward larger ns, then larger nc, preferring the finer
-    slicing among equally fast configurations.
+    The objective is called once per candidate, in grid order.  Non-finite
+    values are dropped.  Ties on the objective are broken toward larger ns,
+    then larger nc, preferring the finer slicing among equally fast
+    configurations.
     """
-    best = None
-    evaluated = 0
-    dropped = 0
-    for nc, ns in space.candidates():
-        evaluated += 1
-        value = float(objective(nc, ns))
-        if not math.isfinite(value):
-            dropped += 1
-            continue
-        key = (value, -ns, -nc)
-        if best is None or key < best[0]:
-            best = (key, nc, ns, value)
-    if evaluated == 0:
+    pairs = space.candidates()
+    values = [float(objective(nc, ns)) for nc, ns in pairs]
+    if not values:
         raise EmptySpace("no feasible (nc, ns) candidates for n=%d" % space.n)
-    if best is None:
+    finite = list(filter(math.isfinite, values))
+    if not finite:
         raise NonFiniteModel(
-            "objective was non-finite on all %d candidates" % evaluated
+            "objective was non-finite on all %d candidates" % len(values)
         )
-    return OptResult(nc=best[1], ns=best[2], value=best[3], evaluated=evaluated, dropped=dropped)
+    low = min(finite)
+    ns, nc, value = max((ns, nc, value) for (nc, ns), value in zip(pairs, values)
+                        if value == low)
+    return OptResult(nc=nc, ns=ns, value=value, evaluated=len(values),
+                     dropped=len(values) - len(finite))
 
 
 def sweet_spot_curve(objective, space, nc=None):

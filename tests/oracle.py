@@ -42,7 +42,7 @@ def _eval(term, env, store, funcs):
         return term.value
     if isinstance(term, Var):
         if term.name not in env:
-            raise OracleFailure("unbound " + term.name)
+            raise OracleFailure("unbound variable " + term.name)
         return env[term.name]
     if isinstance(term, Arith):
         a = _eval(term.left, env, store, funcs)
@@ -58,7 +58,7 @@ def _eval(term, env, store, funcs):
         fn = funcs[term.name]
         out = float(fn(*[_eval(x, env, store, funcs) for x in term.args]))
         if not math.isfinite(out):
-            raise OracleFailure("non-finite external")
+            raise OracleFailure("@%s returned a non-finite value" % term.name)
         return out
     if isinstance(term, Aggregate):
         if term.is_comprehension:
@@ -66,7 +66,7 @@ def _eval(term, env, store, funcs):
             for scope in _scopes(list(term.condition), dict(env), store):
                 vals.append(_eval(term.expr, scope, store, funcs))
             if not vals:
-                raise OracleFailure("empty comprehension")
+                raise OracleFailure("#%s comprehension matched no facts" % term.kind)
         else:
             vals = [_eval(e, env, store, funcs) for e in term.elements]
         if any(not isinstance(v, float) for v in vals):
@@ -109,8 +109,9 @@ def _scopes(atoms, env, store):
             yield from _scopes(atoms[1:], nxt, store)
 
 
-def _instances(body, env, store, funcs):
-    """All complete environments for a rule body, left to right."""
+def _instances(body, env, store, funcs, drop):
+    """All complete environments for a rule body, left to right; an instance
+    that fails at a binding or comparison goes to ``drop(element, reason)``."""
     if not body:
         yield env
         return
@@ -120,22 +121,25 @@ def _instances(body, env, store, funcs):
                            key=lambda t: tuple(map(str, t))):
             nxt = _bind(el.args, fact, env)
             if nxt is not None:
-                yield from _instances(rest, nxt, store, funcs)
+                yield from _instances(rest, nxt, store, funcs, drop)
     elif isinstance(el, Binding):
         try:
             val = _eval(el.expr, env, store, funcs)
-        except OracleFailure:
+        except OracleFailure as exc:
+            drop(el, str(exc))
             return
         if isinstance(val, float) and not math.isfinite(val):
+            drop(el, "non-finite binding value")
             return
         nxt = dict(env)
         nxt[el.var.name] = val
-        yield from _instances(rest, nxt, store, funcs)
+        yield from _instances(rest, nxt, store, funcs, drop)
     elif isinstance(el, Comparison):
         try:
             a = _eval(el.left, env, store, funcs)
             b = _eval(el.right, env, store, funcs)
-        except OracleFailure:
+        except OracleFailure as exc:
+            drop(el, str(exc))
             return
         if el.op in ("==", "!="):
             ok = (a == b) if el.op == "==" else (a != b)
@@ -144,17 +148,20 @@ def _instances(body, env, store, funcs):
         else:
             ok = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[el.op]
         if ok:
-            yield from _instances(rest, env, store, funcs)
+            yield from _instances(rest, env, store, funcs, drop)
     else:
         raise TypeError(repr(el))
 
 
-def brute_force_ground(program, edb_facts, funcs):
+def brute_force_ground(program, edb_facts, funcs, dropped=None):
     """Naive evaluation: iterate every rule until a fixpoint is reached.
 
     edb_facts is an iterable of (predicate, args) pairs; funcs maps external
     names (no '@') to plain callables.  Returns a dict
-    (predicate, arity) -> set of ground tuples, EDB included.
+    (predicate, arity) -> set of ground tuples, EDB included.  A ``dropped``
+    list receives ``(head predicate, element, reason)`` for each instance
+    the last pass, the one that derives nothing new, could not complete; the
+    element is the body element or the head atom that failed.
     """
     store: dict = {}
     for pred, args in edb_facts:
@@ -162,13 +169,18 @@ def brute_force_ground(program, edb_facts, funcs):
         store.setdefault((pred, len(tup)), set()).add(tup)
     while True:
         grew = False
+        drops = []
         for rule in program.rules:
+            def drop(element, reason, rule=rule):
+                drops.append((rule.head.predicate, element, reason))
+
             derived = []
-            for env in _instances(list(rule.body), {}, store, funcs):
+            for env in _instances(list(rule.body), {}, store, funcs, drop):
                 try:
                     args = tuple(_eval(t, env, store, funcs)
                                  for t in rule.head.args)
-                except OracleFailure:
+                except OracleFailure as exc:
+                    drop(rule.head, str(exc))
                     continue
                 derived.append(args)
             key = (rule.head.predicate, len(rule.head.args))
@@ -178,6 +190,8 @@ def brute_force_ground(program, edb_facts, funcs):
                     bucket.add(args)
                     grew = True
         if not grew:
+            if dropped is not None:
+                dropped.extend(drops)
             return {k: v for k, v in store.items() if v}
 
 

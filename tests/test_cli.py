@@ -1,5 +1,6 @@
 """Command-line interface: the full loop on a small project config."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from semcloud import config
 from semcloud.cli import main
 from semcloud.config import ConfigError, ProjectConfig, load_config
+from semcloud.optimizer import SearchSpace
 
 SMALL_PROJECT = {
     "seed": 0,
@@ -484,6 +486,9 @@ class TestContract:
         ({"search": {"foo": 1}}, ["configure"]),
         ({"search": {"nc_steps": "x"}}, ["configure"]),
         ({"search": {"span": 0}}, ["configure"]),
+        # over the grid budget: rejected when the file loads, never run
+        ({"search": {"nc_steps": 1e300}}, ["pilot", "--dry-run"]),
+        ({"search": {"ns_steps": 4097}}, ["configure"]),
         ({}, ["configure", "--pipeline", os.path.join("no", "such", "pipeline.yaml")]),
         ({"learn": {"methods": ["bogus"]}}, ["learn"]),
         ({"learn": {"time_method": "bogus"}}, ["learn"]),
@@ -571,6 +576,18 @@ class TestContract:
         assert as_string.pilot_runs() == as_number.pilot_runs()
         assert as_string.learn_plan() == as_number.learn_plan()
         assert as_string.simulate_plan() == as_number.simulate_plan()
+
+    def test_the_grid_budget_bounds_the_product_of_the_step_counts(self):
+        assert ProjectConfig(search={"nc_steps": 256, "ns_steps": 256}).search["nc_steps"] == 256
+        assert ProjectConfig(search={"nc_steps": config.GRID_BUDGET // 16}).search
+        message = "search.nc_steps x search.ns_steps must be at most 65536 grid candidates"
+        with pytest.raises(ConfigError, match=message + ", got 257 x 256 = 65792"):
+            ProjectConfig(search={"nc_steps": 257, "ns_steps": 256})
+        with pytest.raises(ConfigError, match=message + ", got 16 x 4097 = 65552"):
+            ProjectConfig(search={"ns_steps": 4097})
+        # a step count the project file leaves out counts at SearchSpace's default
+        defaults = {f.name: f.default for f in dataclasses.fields(SearchSpace)}
+        assert defaults["nc_steps"] == defaults["ns_steps"] == config._GRID_STEPS
 
     def test_a_bad_value_fails_when_the_config_is_built(self):
         with pytest.raises(ConfigError, match="pilot.estimation_seeds"):

@@ -1,5 +1,6 @@
 """Configuring pipelines: the table-backed slicing search and fleet EDBs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -98,6 +99,28 @@ def fleet_edb(pilot, cloud):
         for pred, args in to_facts(graph, cloud=cloud, pilot=pilot):
             edb.add(pred, args)
     return graphs, edb
+
+
+# sha256 of repr() of the FLEET_SIZES EDB's configured_resource rows, with
+# knn models behind every external and the learned knn time model, taken
+# before the engine compiled its rules into join plans and before the
+# slicing search ran flat.  A later change to the engine or the search that
+# moves one bit of one row fails here.  No model here is a least-squares
+# fit, whose last bits may depend on the LAPACK build.
+FLEET_ROWS_SHA256 = "5ef1451442b7e397c0955c97af04d1cd7785cdcc226bf04e1049e0029ea16b67"
+
+
+def test_fleet_rows_keep_their_bits(learned, pilot_records, project_config):
+    cfg = project_config
+    _, _, time_model, _ = learned
+    assert isinstance(time_model, KNNModel)
+    models, _ = learn_externals(pilot_records, ("knn",))
+    _, edb = fleet_edb(mean_estimation_pilot(pilot_records), cfg.cloud_attributes())
+    idb = evaluate(configuration_program(), edb,
+                   build_registry(models, time_model, cfg.search_space))
+    rows = query(idb, "configured_resource", 6)
+    assert len(rows) == len(FLEET_SIZES)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FLEET_ROWS_SHA256
 
 
 def test_fleet_edb_configures_each_pipeline_as_alone(learned, pilot_records, project_config):

@@ -1,6 +1,7 @@
 """Datalog dialect: parser, engine semantics, aggregates, shipped corpus."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,12 +23,29 @@ from semcloud.datalog import (
     query,
 )
 from semcloud.datalog.corpus import RULES_TEXT, configuration_program
-from semcloud.datalog.terms import Aggregate, Atom, Binding, Const, Program, Rule, Var
+from semcloud.datalog.terms import (
+    Aggregate,
+    Atom,
+    Binding,
+    Const,
+    Program,
+    Rule,
+    Var,
+    format_body_element,
+)
 
 from oracle import brute_force_ground
 from stubs import make_registry, make_stub_funcs, pipeline_edb, row_function
 
 EMPTY = ExternalRegistry()
+
+
+class _Float(float):
+    pass
+
+
+class _Symbol(str):
+    pass
 
 
 def _ev(text, edb=(), registry=EMPTY):
@@ -49,6 +67,13 @@ class TestParser:
                  if r.head.predicate == "configured_resource"]
         assert len(confs) == 4
         assert all(r.head.arity == 6 for r in confs)
+
+    def test_plans_follow_the_order_and_keep_each_rule_position(self):
+        program = parse_program(RULES_TEXT)
+        assert [plan.rule for plan in program.plans] == list(program.order)
+        assert [program.rules[plan.position] for plan in program.plans] == list(program.order)
+        # the plans are derived from the rules: equal programs with or without them
+        assert program == Program(rules=program.rules, order=program.order, calls=program.calls)
 
     def test_self_recursion_rejected(self):
         with pytest.raises(ProgramRecursionError):
@@ -368,6 +393,35 @@ class TestFactSet:
         assert sorted(facts.lookup("p", 2, (1,), ("a",))) == [(1.0, "a"), (3.0, "a")]
         assert sorted(clone.lookup("p", 2, (1,), ("a",))) == [(1.0, "a"), (2.0, "a")]
 
+    @pytest.mark.parametrize("value, stored", [
+        (3, 3.0), (True, True), (np.float64(2.5), 2.5), (_Float(1.5), 1.5),
+        (_Symbol("k"), "k"), (2.5, 2.5), ("k", "k"),
+    ], ids=["int", "bool", "numpy-float64", "float-subclass", "str-subclass", "float", "str"])
+    def test_add_stores_numbers_as_floats_and_keeps_the_rest(self, value, stored):
+        facts = FactSet()
+        facts.add("p", ("a", value))
+        [tup] = facts.lookup("p", 2)
+        assert tup == ("a", stored)
+        # ints and float subclasses become floats; bools and strs, of any
+        # class, are kept as they were given
+        kept = isinstance(value, (bool, str)) or type(value) is float
+        assert (tup[1] is value) == kept
+        assert type(tup[1]) is (type(value) if kept else float)
+        assert ("p", ("a", value)) in facts and ("p", ("a", stored)) in facts
+        assert list(facts.lookup("p", 2, (1,), (value,))) == [tup]
+        assert list(facts.lookup("p", 2, (0, 1), ("a", stored))) == [tup]
+        facts.add("p", ["a", value])
+        assert len(facts) == 1
+
+    def test_adding_a_present_fact_keeps_the_indexes(self):
+        facts = FactSet([("p", (1.0, "a")), ("p", (2.0, "b"))])
+        bucket = facts.lookup("p", 2, (1,), ("a",))
+        for args in [(1.0, "a"), (1, "a"), [1.0, "a"], (np.float64(1.0), "a")]:
+            facts.add("p", args)
+            assert facts.lookup("p", 2, (1,), ("a",)) is bucket
+        facts.add("p", (3.0, "a"))
+        assert sorted(facts.lookup("p", 2, (1,), ("a",))) == [(1.0, "a"), (3.0, "a")]
+
     def test_corpus_is_parsed_once(self):
         assert configuration_program() is configuration_program()
 
@@ -443,6 +497,211 @@ class TestCorpusAgainstOracle:
             edb = pipeline_edb(rng)
             result = evaluate(program, FactSet(edb), make_registry(funcs))
             assert len(query(result, "configured_resource", 6)) == 1
+
+
+_NUMBERS = ("0", "1", "2", "3")
+_SYMBOLS = ('"a"', '"b"', '"c"')
+_AGGREGATES = ("max", "min", "avg")
+_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def _inf_at_three(x):
+    return math.inf if x == 3.0 else 2.0 * x + 1.0
+
+
+class _RandomProgram:
+    """A random safe, non-recursive program in the parser's language, and an
+    EDB for it, drawn from ``rng``.
+
+    Each predicate column holds numbers ("n") or symbols ("s"), and numbers
+    are read only where numbers are needed, so no instance raises
+    TypeMismatch, which the engine raises and the oracle would drop.  Values
+    are small integers, so most sums are exact in whatever order the engine
+    and the oracle add them, and facts compare within a relative 1e-9.  A
+    comprehension's value term can fail in one way
+    only, so the reason a dropped instance gives does not depend on the
+    order in which the engine and the oracle visit its scopes.
+    ``features`` names the constructs the program uses.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.features = set()
+        self.signatures = {}
+        self.edb = []
+        for i in range(rng.randint(2, 5)):
+            predicate = "e%d" % i
+            kinds = "".join(self.pick("nns") for _ in range(rng.randint(1, 4)))
+            self.signatures[predicate] = kinds
+            for _ in range(rng.randint(3, 10)):
+                self.edb.append((predicate, tuple(
+                    float(self.pick(_NUMBERS)) if kind == "n" else self.pick(_SYMBOLS)[1:-1]
+                    for kind in kinds)))
+        edb = sorted(self.signatures)
+        defined, rules = [], []
+        for _ in range(rng.randint(1, 6)):
+            if defined and rng.rand() < 0.25:
+                head = self.pick(defined)  # one more rule for an IDB predicate
+                readable = edb + defined[:defined.index(head)]
+            else:
+                head = "q%d" % len(defined)
+                readable = edb + defined
+                defined.append(head)
+            rules.append(self.rule(head, readable))
+        self.text = "\n".join(rules)
+
+    def pick(self, options):
+        return options[self.rng.randint(len(options))]
+
+    def fresh(self, prefix):
+        self.count += 1
+        return "%s%d" % (prefix, self.count)
+
+    def rule(self, head, readable):
+        self.bound, self.assigned, self.count = {}, set(), 0
+        self.in_head = False
+        body = []
+        for _ in range(self.rng.randint(1, 4)):
+            body.append(self.atom(self.pick(readable), self.bound, "x"))
+            for _ in range(self.rng.randint(0, 2)):
+                if self.rng.rand() < 0.5:
+                    body.append(self.binding(readable))
+                else:
+                    body.append(self.comparison(readable))
+        self.in_head = True
+        if head in self.signatures:
+            terms = [self.typed(kind, readable) for kind in self.signatures[head]]
+        else:
+            terms = [self.typed(self.pick("nnss"), readable)
+                     for _ in range(self.rng.randint(1, 4))]
+            self.signatures[head] = "".join(kind for _, kind in terms)
+        return "%s(%s) <- %s." % (head, ",".join(text for text, _ in terms), ", ".join(body))
+
+    def typed(self, kind, readable):
+        """A head term of ``kind``: a bound variable, a symbol or a number term."""
+        names = [name for name, k in self.bound.items() if k == kind]
+        if kind == "s":
+            return (self.pick(names) if names else self.pick(_SYMBOLS)), "s"
+        if names and self.rng.rand() < 0.5:
+            return self.pick(names), "n"
+        return self.number(readable, 1), "n"
+
+    def atom(self, predicate, scope, prefix):
+        """An atom over ``predicate``; its fresh variables are added to ``scope``."""
+        args, fresh = [], {}
+        for kind in self.signatures[predicate]:
+            r = self.rng.rand()
+            keys = [name for name, k in scope.items() if k == kind]
+            again = [name for name, k in fresh.items() if k == kind]
+            if r < 0.3 and keys:
+                key = self.pick(keys)
+                args.append(key)
+                self.features.add("bound variable")
+                if key in self.assigned:
+                    self.features.add("variable bound by a binding")
+                if prefix == "u" and key in self.bound:
+                    self.features.add("comprehension reads an outer binding")
+            elif r < 0.45:
+                args.append(self.pick(_NUMBERS if kind == "n" else _SYMBOLS))
+                self.features.add("constant")
+            elif r < 0.55:
+                args.append("_")
+                self.features.add("anonymous variable")
+            elif r < 0.65 and again:
+                args.append(self.pick(again))
+                self.features.add("repeated variable")
+            else:
+                name = self.fresh(prefix)
+                fresh[name] = kind
+                args.append(name)
+        scope.update(fresh)
+        return "%s(%s)" % (predicate, ",".join(args))
+
+    def binding(self, readable):
+        expr = self.number(readable, 1)
+        atom_bound = [name for name, k in self.bound.items()
+                      if k == "n" and name not in self.assigned]
+        if atom_bound and self.rng.rand() < 0.3:
+            name = self.pick(atom_bound)
+            self.features.add("binding overwrites")
+        else:
+            name = self.fresh("b")
+        self.bound[name] = "n"
+        self.assigned.add(name)
+        return "%s = %s" % (name, expr)
+
+    def comparison(self, readable):
+        if self.rng.rand() < 0.3:
+            kind = self.pick("ns")
+            names = [name for name, k in self.bound.items() if k == kind]
+            if names:
+                other = self.pick(names + [self.pick(_NUMBERS if kind == "n" else _SYMBOLS)])
+                return "%s %s %s" % (self.pick(names), self.pick(("==", "!=")), other)
+        return "%s %s %s" % (self.number(readable, 1), self.pick(_COMPARISONS),
+                             self.number(readable, 1))
+
+    def number(self, readable, depth):
+        """A numeric term over the bound variables."""
+        names = [name for name, k in self.bound.items() if k == "n"]
+        r = self.rng.rand()
+        if depth == 0 or r < 0.4:
+            return self.pick(names) if names and self.rng.rand() < 0.7 else self.pick(_NUMBERS)
+        if r < 0.6:
+            return "(%s %s %s)" % (self.number(readable, depth - 1), self.pick("+-*/"),
+                                   self.number(readable, depth - 1))
+        if r < 0.7:
+            return "#%s{%s, %s}" % (self.pick(_AGGREGATES), self.number(readable, depth - 1),
+                                    self.number(readable, depth - 1))
+        if r < 0.8:
+            return "@f(%s)" % self.number(readable, depth - 1)
+        return self.comprehension(readable)
+
+    def comprehension(self, readable):
+        scope = dict(self.bound)
+        condition = [self.atom(self.pick(readable), scope, "u")
+                     for _ in range(self.rng.randint(1, 3))]
+        local = [name for name, k in scope.items() if k == "n" and name not in self.bound]
+        values = local + [name for name, k in self.bound.items() if k == "n"]
+        if local and self.rng.rand() < 0.4:
+            expr = "@f(%s)" % self.pick(local)  # fails only with a non-finite value
+        elif values and self.rng.rand() < 0.5:
+            # fails only on a division by zero
+            expr = "(%s %s %s)" % (self.pick(values), self.pick("+-*/"),
+                                   self.pick(values + list(_NUMBERS)))
+        else:
+            expr = self.pick(values) if values else self.pick(_NUMBERS)
+        if self.in_head:
+            self.features.add("comprehension in a head")
+        return "#%s{%s : %s}" % (self.pick(_AGGREGATES), expr, ", ".join(condition))
+
+
+class TestRandomPrograms:
+    def test_engine_matches_the_oracle_on_random_programs(self):
+        registry = ExternalRegistry()
+        registry.register("f", row_function(_inf_at_three), 1)
+        rng = np.random.RandomState(30)
+        started = time.monotonic()
+        features, derived, dropped_any = set(), 0, 0
+        for trial in range(300):
+            drawn = _RandomProgram(rng)
+            program = parse_program(drawn.text)
+            diagnostics, dropped = [], []
+            engine = evaluate(program, FactSet(drawn.edb), registry, diagnostics)
+            oracle = brute_force_ground(program, drawn.edb, {"f": _inf_at_three}, dropped)
+            _assert_same_facts(engine, oracle)
+            assert (sorted((d.rule, d.element, d.reason) for d in diagnostics)
+                    == sorted((rule, format_body_element(element), reason)
+                              for rule, element, reason in dropped)), (trial, drawn.text)
+            features |= drawn.features
+            derived += len(engine) > len(FactSet(drawn.edb))
+            dropped_any += bool(diagnostics)
+        assert time.monotonic() - started < 5.0
+        assert features == {
+            "bound variable", "variable bound by a binding", "binding overwrites",
+            "comprehension reads an outer binding", "comprehension in a head",
+            "constant", "anonymous variable", "repeated variable",
+        }
+        assert derived > 150 and dropped_any > 50
 
 
 def _as_dict(factset):

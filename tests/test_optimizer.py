@@ -1,5 +1,6 @@
 """Slicing search: grids, exhaustive optimization, curve."""
 
+import functools
 import math
 
 import pytest
@@ -13,6 +14,50 @@ from semcloud.optimizer import (
     write_curve,
 )
 from semcloud.optimizer.search import geometric_grid
+
+
+def reference_grid(lo, hi, steps):
+    """geometric_grid as it was written before the grid became one tight loop."""
+    lo = max(1, int(lo))
+    hi = max(lo, int(hi))
+    if steps < 2 or lo == hi:
+        return [lo] if lo == hi else [lo, hi]
+    ratio = (hi / lo) ** (1.0 / (steps - 1))
+    values = []
+    for k in range(steps):
+        v = int(round(lo * ratio**k))
+        v = min(max(v, lo), hi)
+        if not values or v != values[-1]:
+            values.append(v)
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_ns_grid(nc, steps, span):
+    return tuple(reference_grid(nc / span, nc, steps))
+
+
+def reference_candidates(n, nc_steps=16, ns_steps=16, span=64):
+    """Every (nc, ns) pair by the per-pair filter ``1 <= ns <= nc <= n``."""
+    return tuple((nc, ns) for nc in reference_grid(n / span, n, nc_steps)
+                 for ns in _reference_ns_grid(nc, ns_steps, span) if 1 <= ns <= nc <= n)
+
+
+def reference_search(objective, space):
+    """``(nc, ns, value, evaluated, dropped)`` of a scan that keeps the
+    candidate of least ``(value, -ns, -nc)``, dropping non-finite values."""
+    best = None
+    evaluated = dropped = 0
+    for nc, ns in space.candidates():
+        evaluated += 1
+        value = float(objective(nc, ns))
+        if not math.isfinite(value):
+            dropped += 1
+            continue
+        key = (value, -ns, -nc)
+        if best is None or key < best[0]:
+            best = (key, nc, ns, value)
+    return best[1], best[2], best[3], evaluated, dropped
 
 
 def bowl(nc_star=400, ns_star=80):
@@ -47,6 +92,71 @@ class TestGrids:
         assert space.candidates() is space.candidates()
         assert list(space.candidates()) == grid
         assert space == SearchSpace(n=3870) and hash(space) == hash(SearchSpace(n=3870))
+
+
+class TestExactness:
+    """The grid and the scan against the code they replaced, value for value."""
+
+    # Every n up to 4,000 (the fleet's sizes) and every 11th n to 30,000;
+    # every lo below hi up to 200 at the two step counts in use, and every
+    # lo and hi up to 40 at each step count from 1 to 20.  The whole ranges
+    # (every n to 30,000; lo and hi to 300 at steps 1 to 20) take about
+    # 15 s and compared equal once.
+    SIZES = (*range(4001), *range(4001, 30001, 11))
+    GRID_CASES = [(lo, hi, steps) for steps in (5, 16) for lo in range(201)
+                  for hi in range(lo + 1, 201)]
+    GRID_CASES += [(lo, hi, steps) for steps in range(1, 21) for lo in range(41)
+                   for hi in range(41)]
+
+    def test_candidates_at_the_defaults(self):
+        for n in self.SIZES:
+            assert SearchSpace(n).candidates() == reference_candidates(n), n
+
+    def test_candidates_at_the_small_project_steps(self):
+        for n in range(5001):
+            assert (SearchSpace(n, nc_steps=5, ns_steps=5, span=16).candidates()
+                    == reference_candidates(n, 5, 5, 16)), n
+
+    def test_geometric_grid(self):
+        lo, hi, steps = zip(*self.GRID_CASES)
+        assert list(map(geometric_grid, lo, hi, steps)) == list(map(reference_grid, lo, hi, steps))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1.0],
+        [-0.0, 0.0, 1.0],
+        [1.0, math.nan, -0.0, math.inf, 0.0, -math.inf, 0.0],
+        [2.5] * 7,
+    ], ids=["zero-first", "negative-zero-first", "non-finite-dropped", "all-equal"])
+    def test_ties_and_non_finite_values(self, values):
+        space = SearchSpace(n=500)
+        cycle = {pair: values[i % len(values)] for i, pair in enumerate(space.candidates())}
+        def objective(nc, ns):
+            return cycle[(nc, ns)]
+
+        result = optimize_slicing(objective, space)
+        nc, ns, value, evaluated, dropped = reference_search(objective, space)
+        assert (result.nc, result.ns, result.evaluated, result.dropped) == (
+            nc, ns, evaluated, dropped)
+        assert repr(result.value) == repr(value)
+
+    def test_an_objective_that_raises_midway(self):
+        space = SearchSpace(n=500)
+        raise_at = space.candidates()[37]
+
+        def objective_for(calls):
+            def objective(nc, ns):
+                calls.append((nc, ns))
+                if (nc, ns) == raise_at:
+                    raise ZeroDivisionError("model failed")
+                return float(nc - ns)
+            return objective
+
+        calls, reference_calls = [], []
+        with pytest.raises(ZeroDivisionError):
+            optimize_slicing(objective_for(calls), space)
+        with pytest.raises(ZeroDivisionError):
+            reference_search(objective_for(reference_calls), space)
+        assert calls == reference_calls == list(space.candidates()[:38])
 
 
 class TestOptimize:
