@@ -1,8 +1,7 @@
-from .engine import Diagnostic, ExternalRegistry, evaluate, evaluate_aggregate
+from .engine import Diagnostic, ExternalRegistry, build_program, evaluate
 from .errors import (
     DatalogError,
     DatalogSyntaxError,
-    EmptyAggregate,
     MissingExternal,
     ProgramRecursionError,
     SafetyError,
@@ -21,15 +20,14 @@ __all__ = [
     "Rule",
     "DatalogError",
     "DatalogSyntaxError",
-    "EmptyAggregate",
     "MissingExternal",
     "ProgramRecursionError",
     "SafetyError",
     "SignatureMismatch",
     "TypeMismatch",
+    "build_program",
     "dump_facts",
     "evaluate",
-    "evaluate_aggregate",
     "parse_program",
     "query",
 ]

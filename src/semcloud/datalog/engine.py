@@ -1,22 +1,23 @@
 """Bottom-up evaluation of non-recursive programs.
 
-Rules are evaluated once each, grouped by head predicate in a topological
-order of the predicate dependency graph (``Program.order``, which
-``parse_program`` takes from ``terms.rule_order``), so every rule
-runs after each predicate it reads, comprehension conditions included, and
-the result is independent of the textual rule order.  Body elements are
-processed left to right; a binding ``x = expr`` assigns (and, if x was bound
-by an earlier atom, overwrites) the variable -- the configuration rules rely
-on this to replace pre-configured values read from the pipeline graph with
-freshly computed ones.
+``build_program`` is the only constructor of a ``Program``.  It takes the
+rule order from ``terms.rule_order``, so every rule runs after each
+predicate it reads, comprehension conditions included, and the result is
+independent of the textual rule order.  Body elements are processed left to
+right; a binding ``x = expr`` assigns (and, if x was bound by an earlier
+atom, overwrites) the variable -- the configuration rules rely on this to
+replace pre-configured values read from the pipeline graph with freshly
+computed ones.
 
 Which variables are bound at each body element does not depend on the
-instance, so ``compile_rules`` turns each rule into a join plan once per
-program (``parse_program`` calls it): every atom, comprehension conditions
-included, gets its lookup positions, key sources and free-variable slots,
-and every term becomes a function of the environment.  ``_match_body``
-walks a plan depth first and hands each complete environment on: the head
-facts, diagnostics and external calls come in the order of that walk.
+instance, so ``build_program`` compiles each rule into a join plan once:
+every atom, comprehension conditions included, gets its lookup positions,
+key sources and free-variable slots, and every term becomes a function of
+the environment.  That pass alone decides safety: reading a variable where
+it is not bound, or binding one twice, is a SafetyError naming the rule and
+the variable.  ``_match_body`` walks a plan depth first and hands each
+complete environment on: the head facts, diagnostics and external calls
+come in the order of that walk.
 
 External calls are resolved during grounding and replaced by their concrete
 values.  Every external is a row function: it takes a list of argument rows
@@ -27,8 +28,9 @@ in scope order and makes one call over all of them.  Its outcome is the
 per-scope one: the first failure in scope order wins, so an argument that
 fails at scope k is raised only after the values of scopes 0..k-1 were
 computed and checked.  A failing ground instance (division by zero,
-non-finite external result, empty comprehension) is dropped and recorded in
-the diagnostics channel; it never aborts the evaluation.
+non-finite external result, non-finite binding or computed head value,
+empty comprehension) is dropped and recorded in the diagnostics channel; it
+never aborts the evaluation.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from typing import Callable
 
 from .errors import (
     DatalogError,
-    EmptyAggregate,
     MissingExternal,
+    SafetyError,
     SignatureMismatch,
     TypeMismatch,
 )
@@ -57,7 +59,10 @@ from .terms import (
     Program,
     Rule,
     Var,
+    format_atom,
     format_body_element,
+    rule_nodes,
+    rule_order,
 )
 
 
@@ -107,26 +112,50 @@ class RulePlan:
     args as term functions.  ``position`` is the rule's index in
     ``Program.rules``."""
 
-    position: int | None
+    position: int
     rule: Rule
     body: tuple
     head: tuple
 
 
-def compile_rules(rules, order) -> tuple:
-    """One RulePlan per rule of ``order``, in that order.
-
-    Which variables are bound at each body element does not depend on the
-    instance, so every atom's lookup positions and free variables, and those
-    of every comprehension condition, are fixed here once.
-    """
+def build_program(rules) -> Program:
+    """The Program of ``rules``: their ``rule_order``, each external call's
+    ``(name, arity)`` in first-call order, and one RulePlan per rule of the
+    order.  Raises ProgramRecursionError on a cycle and SafetyError on an
+    unsafe rule."""
+    rules = tuple(rules)
+    order = rule_order(rules)
     positions = {id(rule): i for i, rule in enumerate(rules)}
-    plans = []
-    for rule in order:
+    calls = dict.fromkeys(
+        (node.name, len(node.args)) for rule in rules for node in rule_nodes(rule)
+        if isinstance(node, ExternalCall)
+    )
+    return Program(rules=rules, order=order, calls=tuple(calls),
+                   plans=tuple(_compile_rule(positions[id(rule)], rule) for rule in order))
+
+
+def _compile_rule(position: int, rule: Rule) -> RulePlan:
+    """``rule`` as a RulePlan.  A computed head term, arithmetic or an
+    aggregate, must give a finite value, as a binding must."""
+    try:
         body, bound = _compile_body(rule.body, frozenset())
-        head = tuple(_compile_term(arg, bound) for arg in rule.head.args)
-        plans.append(RulePlan(positions.get(id(rule)), rule, body, head))
-    return tuple(plans)
+        head = tuple(_finite(_compile_term(arg, bound), "non-finite head value")
+                     if isinstance(arg, (Arith, Aggregate)) else _compile_term(arg, bound)
+                     for arg in rule.head.args)
+    except SafetyError as exc:
+        raise SafetyError(f"rule {position + 1} ({format_atom(rule.head)}): {exc}") from None
+    return RulePlan(position, rule, body, head)
+
+
+def _finite(term, reason: str):
+    """``term`` failing the instance with ``reason`` on a non-finite float."""
+    def finite(env, run):
+        value = term(env, run)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _InstanceFailure(reason)
+        return value
+
+    return finite
 
 
 class _Run:
@@ -147,12 +176,9 @@ def evaluate(program: Program, edb: FactSet, registry: ExternalRegistry,
     """Return EDB plus all derived facts; a pure function of its arguments."""
     for name, arity in program.calls:
         registry.resolve(name, arity)
-    plans = program.plans
-    if plans is None:  # a Program built by hand
-        plans = compile_rules(program.rules, program.order)
     facts = edb.copy()
     run = _Run(facts, registry, diagnostics)
-    for plan in plans:
+    for plan in program.plans:
         run.rule = plan.rule
         _match_body(plan.body, 0, {}, run, _deriver(plan, run))
     return facts
@@ -234,16 +260,23 @@ _EMIT = object()  # the last step of every body: hand the environment on
 
 def _compile_body(elements, bound):
     """Join steps for ``elements`` matched with the names in ``bound``
-    already bound; returns (steps, the names bound after them)."""
-    steps = []
+    already bound; returns (steps, the names bound after them).  Raises
+    SafetyError on a read of a name not bound where it stands and on a
+    variable bound by two bindings."""
+    steps, assigned = [], set()
     for el in elements:
         if isinstance(el, Atom):
             steps.append(_Join(el, bound))
             bound = bound | {arg.name for arg in el.args
                              if isinstance(arg, Var) and not arg.is_anonymous}
         elif isinstance(el, Binding):
-            steps.append(_Bind(el, _compile_term(el.expr, bound)))
-            bound = bound | {el.var.name}
+            name = el.var.name
+            if name in assigned:
+                raise SafetyError(f"variable {name} is bound twice")
+            assigned.add(name)
+            steps.append(_Bind(el, _finite(_compile_term(el.expr, bound),
+                                           "non-finite binding value")))
+            bound = bound | {name}
         elif isinstance(el, Comparison):
             steps.append(_Test(el, _compile_term(el.left, bound),
                                _compile_term(el.right, bound)))
@@ -284,9 +317,6 @@ def _match_body(steps, i, env, run, emit):
         except _InstanceFailure as fail:
             _record(run, step.element, fail.reason)
             return
-        if isinstance(value, float) and not math.isfinite(value):
-            _record(run, step.element, "non-finite binding value")
-            return
         extended = dict(env)
         extended[step.name] = value
         _match_body(steps, i + 1, extended, run, emit)
@@ -306,20 +336,16 @@ def _match_body(steps, i, env, run, emit):
 
 def _compile_term(term, bound):
     """``term`` as a function ``(env, run) -> value``; ``bound`` names the
-    variables bound where it is evaluated."""
+    variables bound where it is evaluated, and reading any other is a
+    SafetyError."""
     if isinstance(term, Const):
         value = term.value
         return lambda env, run: value
     if isinstance(term, Var):
         name = term.name
-
-        def variable(env, run):
-            try:
-                return env[name]
-            except KeyError:
-                raise _InstanceFailure(f"unbound variable {name}") from None
-
-        return variable
+        if name not in bound:
+            raise SafetyError(f"variable {name} is read where it is not bound")
+        return lambda env, run: env[name]
     if isinstance(term, Arith):
         left, right = _compile_term(term.left, bound), _compile_term(term.right, bound)
         op = term.op
@@ -344,26 +370,13 @@ def _compile_term(term, bound):
 
         return call
     if isinstance(term, Aggregate):
-        aggregate = _compile_aggregate(term, bound)
-
-        def instance_aggregate(env, run):
-            try:
-                return aggregate(env, run)
-            except EmptyAggregate as exc:
-                raise _InstanceFailure(str(exc)) from exc
-
-        return instance_aggregate
+        return _compile_aggregate(term, bound)
     raise TypeError(f"cannot evaluate {term!r}")
 
 
-def evaluate_aggregate(agg: Aggregate, env, facts, registry) -> float:
-    """#max/#min/#avg over a term list or a comprehension's value multiset."""
-    return _compile_aggregate(agg, frozenset(env))(env, _Run(facts, registry))
-
-
 def _compile_aggregate(agg: Aggregate, bound):
-    """``agg`` as a function ``(env, run) -> float``; raises EmptyAggregate
-    on a comprehension that matches nothing."""
+    """``agg`` as a function ``(env, run) -> float``; a comprehension that
+    matches nothing fails the instance."""
     kind, comprehension = agg.kind, agg.is_comprehension
     if comprehension:
         values = _compile_comprehension(agg, bound)
@@ -376,7 +389,7 @@ def _compile_aggregate(agg: Aggregate, bound):
     def aggregate(env, run):
         found = values(env, run)
         if comprehension and not found:
-            raise EmptyAggregate("#%s comprehension matched no facts" % kind)
+            raise _InstanceFailure("#%s comprehension matched no facts" % kind)
         if any(not isinstance(v, float) for v in found):
             raise TypeMismatch("aggregate over non-numeric values")
         if kind == "max":

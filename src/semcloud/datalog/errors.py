@@ -15,7 +15,7 @@ class DatalogSyntaxError(DatalogError):
 
 
 class SafetyError(DatalogError):
-    """A head variable is not bound by any positive atom or binding."""
+    """A rule reads a variable where it is not bound, or binds one twice."""
 
 
 class ProgramRecursionError(DatalogError):
@@ -33,7 +33,3 @@ class SignatureMismatch(DatalogError):
 
 class TypeMismatch(DatalogError):
     """Arithmetic or comparison applied to a non-numeric constant."""
-
-
-class EmptyAggregate(DatalogError):
-    """A comprehension aggregate matched no facts; fails the rule instance."""

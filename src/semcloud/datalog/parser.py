@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 import re
 
-from .engine import compile_rules
-from .errors import DatalogSyntaxError, SafetyError
+from .engine import build_program
+from .errors import DatalogSyntaxError
 from .terms import (
     AGGREGATE_KINDS,
     Aggregate,
@@ -33,9 +33,6 @@ from .terms import (
     Program,
     Rule,
     Var,
-    rule_nodes,
-    rule_order,
-    walk,
 )
 
 _TOKEN_RE = re.compile(
@@ -244,59 +241,7 @@ class _Parser:
         raise DatalogSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def _variables(nodes) -> set:
-    return {node.name for node in nodes if isinstance(node, Var)}
-
-
-def _reads(terms) -> set:
-    """Variables the terms read from their rule.
-
-    The only atoms inside terms are comprehension conditions, and the
-    variables they bind are local to the comprehension.
-    """
-    nodes = [node for term in terms for node in walk(term)]
-    local = {name for node in nodes if isinstance(node, Atom) for name in _variables(node.args)}
-    return _variables(nodes) - local
-
-
-def _check_safety(rule: Rule) -> None:
-    bound: set = set()
-    seen_bindings: set = set()
-    for el in rule.body:
-        if isinstance(el, Atom):
-            bound |= _variables(el.args)
-        elif isinstance(el, Binding):
-            if el.var.name in seen_bindings:
-                raise SafetyError(
-                    f"variable {el.var.name} bound twice in rule for {rule.head.predicate}"
-                )
-            seen_bindings.add(el.var.name)
-            free = _reads((el.expr,)) - bound
-            if free:
-                raise SafetyError(
-                    f"binding of {el.var.name} uses unbound variables {sorted(free)}"
-                )
-            bound.add(el.var.name)
-        else:
-            free = _reads((el.left, el.right)) - bound
-            if free:
-                raise SafetyError(f"comparison uses unbound variables {sorted(free)}")
-    unbound_head = _reads(rule.head.args) - bound
-    if unbound_head:
-        raise SafetyError(
-            f"head variables {sorted(unbound_head)} of {rule.head.predicate} are unsafe"
-        )
-
-
 def parse_program(text: str) -> Program:
-    """Parse rule text into a validated (safe, non-recursive) Program."""
-    rules = tuple(_Parser(text).parse_program())
-    order = rule_order(rules)
-    for rule in rules:
-        _check_safety(rule)
-    calls = dict.fromkeys(
-        (node.name, len(node.args)) for rule in rules for node in rule_nodes(rule)
-        if isinstance(node, ExternalCall)
-    )
-    return Program(rules=rules, order=order, calls=tuple(calls),
-                   plans=compile_rules(rules, order))
+    """Parse rule text into a Program; ``build_program`` rejects recursion
+    and unsafe rules."""
+    return build_program(_Parser(text).parse_program())

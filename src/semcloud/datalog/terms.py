@@ -70,10 +70,6 @@ class Atom:
     def arity(self) -> int:
         return len(self.args)
 
-    @property
-    def key(self):
-        return (self.predicate, self.arity)
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -102,13 +98,14 @@ class Program:
     """Rules plus the schedule ``evaluate`` follows: the rules in
     ``rule_order``, each external call's ``(name, arity)`` in first-call
     order, and one compiled ``engine.RulePlan`` per rule of ``order``.
-    ``parse_program`` sets all three once; ``evaluate`` compiles the plans of
-    a Program built without them on each call."""
+    ``engine.build_program`` is the only constructor, and it rejects an
+    unsafe rule; the plans follow from the rules and take no part in
+    equality."""
 
     rules: tuple
     order: tuple
     calls: tuple
-    plans: tuple = field(default=None, compare=False, repr=False)
+    plans: tuple = field(compare=False, repr=False)
 
 
 def walk(node):

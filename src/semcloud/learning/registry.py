@@ -181,7 +181,7 @@ def _finite_array(value, name, shape, positive=False):
     length from 1 up.  With ``positive`` every entry must be above zero."""
     try:
         array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int past float range overflows
         array = None
     if (array is None or array.ndim != len(shape)
             or any(have != want if want is not None else have < 1

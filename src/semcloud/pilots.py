@@ -13,6 +13,7 @@ re-exports every name here.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 
 from .errors import LearningError
@@ -93,8 +94,16 @@ def write_pilot_csv(records, path) -> None:
             )
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_pilot_csv(path) -> list:
-    """Pilot records from a CSV file; LearningError if unreadable."""
+    """Pilot records from a CSV file; LearningError if unreadable or if a
+    numeric cell is not a finite number."""
     try:
         with open(path, newline="") as stream:
             reader = csv.DictReader(stream)
@@ -105,12 +114,12 @@ def read_pilot_csv(path) -> list:
             for row in reader:
                 try:
                     values = {
-                        name: row[name] if name in _STR_FIELDS else float(row[name])
+                        name: row[name] if name in _STR_FIELDS else _finite(row[name])
                         for name in FIELD_NAMES
                     }
                 except (TypeError, ValueError) as exc:
                     raise LearningError(
-                        f"pilot stats line {reader.line_num}: {exc}") from None
+                        f"pilot stats {path} line {reader.line_num}: {exc}") from None
                 out.append(PilotRunRecord(**values))
             return out
     except (OSError, UnicodeDecodeError) as exc:

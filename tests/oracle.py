@@ -153,6 +153,15 @@ def _instances(body, env, store, funcs, drop):
         raise TypeError(repr(el))
 
 
+def _head_value(term, env, store, funcs):
+    """A head term's value; a computed one, arithmetic or an aggregate, must
+    be finite, as a binding's value must."""
+    val = _eval(term, env, store, funcs)
+    if isinstance(term, (Arith, Aggregate)) and not math.isfinite(val):
+        raise OracleFailure("non-finite head value")
+    return val
+
+
 def brute_force_ground(program, edb_facts, funcs, dropped=None):
     """Naive evaluation: iterate every rule until a fixpoint is reached.
 
@@ -161,7 +170,8 @@ def brute_force_ground(program, edb_facts, funcs, dropped=None):
     (predicate, arity) -> set of ground tuples, EDB included.  A ``dropped``
     list receives ``(head predicate, element, reason)`` for each instance
     the last pass, the one that derives nothing new, could not complete; the
-    element is the body element or the head atom that failed.
+    element is the body element or the head atom that failed.  A computed
+    head value that is not finite drops its instance.
     """
     store: dict = {}
     for pred, args in edb_facts:
@@ -177,7 +187,7 @@ def brute_force_ground(program, edb_facts, funcs, dropped=None):
             derived = []
             for env in _instances(list(rule.body), {}, store, funcs, drop):
                 try:
-                    args = tuple(_eval(t, env, store, funcs)
+                    args = tuple(_head_value(t, env, store, funcs)
                                  for t in rule.head.args)
                 except OracleFailure as exc:
                     drop(rule.head, str(exc))

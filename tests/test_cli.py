@@ -395,6 +395,20 @@ class TestContract:
         self.assert_failure(result, command, 1, "LearningError")
         assert "time_model.json" in result.combined
 
+    @pytest.mark.parametrize("command", ["configure", "report"])
+    def test_time_model_sample_past_float_range(self, tmp_path, completed_chain, command):
+        _, workdir, _ = completed_chain
+        copy = tmp_path / "out"
+        shutil.copytree(workdir, copy)
+        path = copy / "models" / "time_model.json"
+        data = json.loads(path.read_text())
+        assert data["method"] == "knn"
+        data["payload"]["samples"][0][0] = 10**400
+        path.write_text(json.dumps(data))
+        result = invoke(write_project(tmp_path), command)
+        self.assert_failure(result, command, 1, "LearningError")
+        assert "time_model.json: LearningError: model samples must be a finite array" in result.stderr
+
     def test_report_needs_only_the_time_model(self, tmp_path, completed_chain):
         _, workdir, _ = completed_chain
         shutil.copytree(workdir, tmp_path / "out")

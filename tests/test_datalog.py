@@ -16,19 +16,16 @@ from semcloud.datalog import (
     SafetyError,
     SignatureMismatch,
     TypeMismatch,
+    build_program,
     dump_facts,
     evaluate,
-    evaluate_aggregate,
     parse_program,
     query,
 )
 from semcloud.datalog.corpus import RULES_TEXT, configuration_program
 from semcloud.datalog.terms import (
-    Aggregate,
     Atom,
     Binding,
-    Const,
-    Program,
     Rule,
     Var,
     format_body_element,
@@ -72,8 +69,8 @@ class TestParser:
         program = parse_program(RULES_TEXT)
         assert [plan.rule for plan in program.plans] == list(program.order)
         assert [program.rules[plan.position] for plan in program.plans] == list(program.order)
-        # the plans are derived from the rules: equal programs with or without them
-        assert program == Program(rules=program.rules, order=program.order, calls=program.calls)
+        # the plans are derived from the rules and take no part in equality
+        assert build_program(program.rules) == program
 
     def test_self_recursion_rejected(self):
         with pytest.raises(ProgramRecursionError):
@@ -91,13 +88,21 @@ class TestParser:
         with pytest.raises(ProgramRecursionError):
             parse_program(text)
 
-    def test_unsafe_head_variable(self):
-        with pytest.raises(SafetyError):
-            parse_program("a(x,y) <- b(x).")
-
-    def test_unsafe_comparison(self):
-        with pytest.raises(SafetyError):
-            parse_program("a(x) <- b(x), y > 0.")
+    @pytest.mark.parametrize("text, error", [
+        ("a(x,y) <- b(x).", "rule 1 (a(x,y)): variable y is read where it is not bound"),
+        ("a(x) <- b(x), y > 0.", "rule 1 (a(x)): variable y is read where it is not bound"),
+        # a name bound inside a comprehension is not bound outside it
+        ("c(z) <- b(z).  a(y) <- b(z), y = #max{x : c(x)} + x.",
+         "rule 2 (a(y)): variable x is read where it is not bound"),
+        ("a(z) <- b(z), #max{x : c(x)} > x.",
+         "rule 1 (a(z)): variable x is read where it is not bound"),
+        ("a(y) <- b(x), y = x, y = 1.", "rule 1 (a(y)): variable y is bound twice"),
+    ], ids=["head", "comparison", "binding-after-comprehension",
+            "comparison-after-comprehension", "two-bindings"])
+    def test_unsafe_rule_names_the_rule_and_the_variable(self, text, error):
+        with pytest.raises(SafetyError) as raised:
+            parse_program(text)
+        assert str(raised.value) == error
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(DatalogSyntaxError):
@@ -212,15 +217,33 @@ class TestEngine:
         assert query(result, "a", 1) == [(2.0,)]
         assert diags == [Diagnostic("a", "(1 / x) > 0", "division by zero")]
 
-    def test_unbound_variable_drops_instance(self):
-        # the parser's safety check rejects this rule, so it is built by hand
+    def test_a_rule_built_by_hand_is_checked_for_safety(self):
         x, y, z = Var("x"), Var("y"), Var("z")
         rule = Rule(head=Atom("a", (x,)), body=(Atom("b", (x,)), Binding(y, z)))
-        diags = []
-        result = evaluate(Program(rules=(rule,), order=(rule,), calls=()),
-                          FactSet([("b", (1.0,))]), EMPTY, diagnostics=diags)
-        assert query(result, "a", 1) == []
-        assert diags == [Diagnostic("a", "y = z", "unbound variable z")]
+        with pytest.raises(SafetyError, match="variable z is read where it is not bound"):
+            build_program([rule])
+
+    def test_non_finite_computed_head_drops_instance_like_the_oracle(self):
+        # a head computed by arithmetic or an aggregate is checked as a
+        # binding is; a plain variable head is not checked
+        text = ("a(x * x) <- b(x).  n(x * x - x * x) <- b(x).  m(#max{x * x, 1}) <- b(x).  "
+                "v(x) <- b(x).  g(w) <- a(w).")
+        edb = [("b", (1e200,)), ("b", (3.0,)), ("b", (1.7e308,))]
+        program = parse_program(text)
+        diags, dropped = [], []
+        engine = evaluate(program, FactSet(edb), EMPTY, diags)
+        _assert_same_facts(engine, brute_force_ground(program, edb, {}, dropped))
+        assert query(engine, "g", 1) == [(9.0,)]
+        assert query(engine, "n", 1) == [(0.0,)]
+        assert query(engine, "m", 1) == [(9.0,)]
+        assert len(query(engine, "v", 1)) == 3
+        assert sorted((d.rule, d.element, d.reason) for d in diags) == sorted(
+            (rule, format_body_element(element), reason) for rule, element, reason in dropped)
+        assert sorted((d.rule, d.element) for d in diags) == [
+            ("a", "a((x * x))"), ("a", "a((x * x))"), ("m", "m(#max{(x * x),1})"),
+            ("m", "m(#max{(x * x),1})"),
+            ("n", "n(((x * x) - (x * x)))"), ("n", "n(((x * x) - (x * x)))")]
+        assert {d.reason for d in diags} == {"non-finite head value"}
 
     def test_dropped_instance_without_a_diagnostics_list(self):
         result = _ev("a(y) <- b(x), y = 1 / x.", [("b", (0.0,)), ("b", (2.0,))])
@@ -229,8 +252,8 @@ class TestEngine:
 
 class TestAggregates:
     def test_term_list_max(self):
-        agg = Aggregate(kind="max", elements=(Const(3.0), Const(7.0)))
-        assert evaluate_aggregate(agg, {}, FactSet(), EMPTY) == 7.0
+        result = _ev("a(y) <- b(x), y = #max{3, 7}.", [("b", (0.0,))])
+        assert query(result, "a", 1) == [(7.0,)]
 
     def test_nested_min_max(self):
         result = _ev("a(y) <- b(x), y = #min{10, #max{4, 6}}.", [("b", (0.0,))])

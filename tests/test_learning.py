@@ -1,5 +1,7 @@
 """Learning stack: models, metrics, tuning, registry, pilot records."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -697,10 +699,12 @@ class TestRegistryAndPersistence:
         ("knn", "hyperparameters", "k", 16),
         ("knn", "payload", "samples", [1.0, 2.0]),
         ("knn", "payload", "samples", [[0.0, float("nan")]] * 15),
+        ("knn", "payload", "samples", [[10**400, 0.0]] + [[0.0, 0.0]] * 14),
         ("knn", "payload", "targets", [1.0, 2.0]),
         ("knn", "payload", "mean", [0.0]),
         ("knn", "payload", "scale", [1.0, 0.0]),
         ("polyr", "payload", "weights", [1.0, 2.0]),
+        ("polyr", "payload", "weights", [10**400, 0.0, 0.0, 0.0, 0.0]),
         ("polyr", "payload", "feature_scale", [1.0]),
         ("mlp", "payload", "biases", [[0.1, 0.1], [0.1]]),
         ("mlp", "payload", "biases", [[0.1, 0.1, 0.1]]),
@@ -728,6 +732,18 @@ class TestPilotRecords:
                                      slice_size=100.0)]
         write_pilot_csv(records, tmp_path / "pilot.csv")
         assert read_pilot_csv(tmp_path / "pilot.csv") == records
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_a_non_finite_cell_is_rejected_naming_the_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "pilot.csv"
+        write_pilot_csv([make_pilot_record(), make_pilot_record()], path)
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index("slice_time")] = cell
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(LearningError, match=r"pilot stats %s line 3: non-finite value '%s'"
+                           % (re.escape(str(path)), re.escape(cell))):
+            read_pilot_csv(path)
 
     def test_violations_flag_bad_rows(self):
         good = make_pilot_record()
