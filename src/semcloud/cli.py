@@ -7,7 +7,6 @@ status line on stderr.
 """
 
 import glob
-import math
 import os
 
 # Every BLAS and LAPACK call the stages make is small (the largest are
@@ -137,7 +136,32 @@ def _run_command(ctx, command, body):
     _status(command, True, **fields)
 
 
-@click.group()
+class _Semcloud(click.Group):
+    """The command group.  A usage error (an unknown option or command, a
+    bad or missing option value) prints click's message and one status
+    line, for the command it names or for ``semcloud`` itself, and exits 2."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent=parent, **extra)
+        except click.UsageError as exc:
+            _usage_error(exc, "semcloud")
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            # set once the command name resolves, before its options parse
+            _usage_error(exc, ctx.invoked_subcommand or "semcloud")
+
+
+def _usage_error(exc, command):
+    exc.show()
+    _status(command, False, error="UsageError")
+    raise click.exceptions.Exit(2)
+
+
+@click.group(cls=_Semcloud)
 @click.option("--config", "-c", "config_path", default="project.yaml",
               show_default=True, help="Project config file.")
 @click.pass_context
@@ -148,17 +172,12 @@ def main(ctx, config_path):
 
 
 @main.command()
-@click.option("--machines", type=int, default=None, help="Override machine count.")
 @click.pass_context
-def gen(ctx, machines):
+def gen(ctx):
     """Generate the heterogeneous source files."""
 
     def body(cfg):
-        overrides = {"seed": derive_seed(cfg.seed, "gen")}
-        if machines is not None:
-            overrides["machines"] = machines
-            overrides["production_lines"] = min(cfg.workload_spec().production_lines, machines)
-        spec = cfg.workload_spec(**overrides)
+        spec = cfg.workload_spec(seed=derive_seed(cfg.seed, "gen"))
         descriptors = generate_workload(spec, cfg.workload_dir)
         for desc in descriptors:
             click.echo("%s: %d records" % (desc.location, spec.total_records()))
@@ -422,7 +441,7 @@ def report(ctx):
     def body(cfg):
         from .configure import slicing_objective, target_pilot_record
         from .learning import read_pilot_csv, training_frame
-        from .optimizer import sweet_spot_curve, write_curve
+        from .optimizer import optimize_slicing, sweet_spot_curve, write_curve
         from .sim import SimWorkload
 
         have_pilot = os.path.exists(cfg.pilot_csv)
@@ -448,7 +467,8 @@ def report(ctx):
             time_model, float(target.n_records), target.volume_mb,
             pilot_record.slice_time, pilot_record.prepare_time, space,
         )
-        curve = sweet_spot_curve(objective, space)
+        best = optimize_slicing(objective, space)
+        curve = sweet_spot_curve(objective, space, best.nc)
         write_curve(cfg.path("reports", "sweet_spot.tsv"), curve,
                     header=("slice_size", "predicted_time"))
 
@@ -472,8 +492,7 @@ def report(ctx):
         with open(cfg.path("reports", "min_train_fraction.tsv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-        summary = ["sweet spot: slice_size=%d predicted_time=%s"
-                   % min(curve, key=lambda p: (p[1] if math.isfinite(p[1]) else math.inf, -p[0]))]
+        summary = ["sweet spot: slice_size=%d predicted_time=%s" % (best.ns, best.value)]
         if time_ratio is not None:
             summary.append("largest volume time ratio: %s" % time_ratio)
         with open(cfg.path("reports", "summary.txt"), "w") as fh:

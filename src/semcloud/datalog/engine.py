@@ -119,19 +119,18 @@ class RulePlan:
 
 
 def build_program(rules) -> Program:
-    """The Program of ``rules``: their ``rule_order``, each external call's
-    ``(name, arity)`` in first-call order, and one RulePlan per rule of the
-    order.  Raises ProgramRecursionError on a cycle and SafetyError on an
-    unsafe rule."""
+    """The Program of ``rules``: each external call's ``(name, arity)`` in
+    first-call order, and one RulePlan per rule, in ``rule_order``.  Raises
+    ProgramRecursionError on a cycle and SafetyError on an unsafe rule."""
     rules = tuple(rules)
-    order = rule_order(rules)
     positions = {id(rule): i for i, rule in enumerate(rules)}
     calls = dict.fromkeys(
         (node.name, len(node.args)) for rule in rules for node in rule_nodes(rule)
         if isinstance(node, ExternalCall)
     )
-    return Program(rules=rules, order=order, calls=tuple(calls),
-                   plans=tuple(_compile_rule(positions[id(rule)], rule) for rule in order))
+    return Program(rules=rules, calls=tuple(calls),
+                   plans=tuple(_compile_rule(positions[id(rule)], rule)
+                               for rule in rule_order(rules)))
 
 
 def _compile_rule(position: int, rule: Rule) -> RulePlan:
@@ -272,7 +271,7 @@ def _compile_body(elements, bound):
         elif isinstance(el, Binding):
             name = el.var.name
             if name in assigned:
-                raise SafetyError(f"variable {name} is bound twice")
+                raise SafetyError(f"variable {el.var.text} is bound twice")
             assigned.add(name)
             steps.append(_Bind(el, _finite(_compile_term(el.expr, bound),
                                            "non-finite binding value")))
@@ -344,7 +343,7 @@ def _compile_term(term, bound):
     if isinstance(term, Var):
         name = term.name
         if name not in bound:
-            raise SafetyError(f"variable {name} is read where it is not bound")
+            raise SafetyError(f"variable {term.text} is read where it is not bound")
         return lambda env, run: env[name]
     if isinstance(term, Arith):
         left, right = _compile_term(term.left, bound), _compile_term(term.right, bound)

@@ -71,9 +71,6 @@ class FactSet:
                 buckets.setdefault(tuple(tup[i] for i in positions), []).append(tup)
         return buckets.get(key, ())
 
-    def predicates(self):
-        return sorted(self._index.keys())
-
     def copy(self) -> "FactSet":
         fs = FactSet()
         fs._index = {k: set(v) for k, v in self._index.items()}
@@ -83,9 +80,9 @@ class FactSet:
         return sum(len(v) for v in self._index.values())
 
     def __iter__(self) -> Iterator:
-        for (pred, _arity) in self.predicates():
-            for tup in sorted(self._index[(pred, _arity)], key=_sort_key):
-                yield pred, tup
+        for key in sorted(self._index):
+            for tup in sorted(self._index[key], key=_sort_key):
+                yield key[0], tup
 
     def __contains__(self, item) -> bool:
         pred, args = item

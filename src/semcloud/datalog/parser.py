@@ -236,7 +236,7 @@ class _Parser:
             return Aggregate(kind=kind, elements=tuple(elements))
         if tok.kind == "ident":
             if tok.text == "_":
-                return Var(name=f"_anon{next(self._anon)}")
+                return Var(name=f"_#{next(self._anon)}")
             return Var(name=tok.text)
         raise DatalogSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 

@@ -26,11 +26,19 @@ class Const:
 
 @dataclass(frozen=True)
 class Var:
+    """A variable.  The parser gives each ``_`` a name of its own, ``_#``
+    and a number, which no identifier can spell."""
+
     name: str
 
     @property
     def is_anonymous(self) -> bool:
         return self.name.startswith("_")
+
+    @property
+    def text(self) -> str:
+        """The variable as written: ``_`` for an anonymous one."""
+        return self.name.partition("#")[0]
 
 
 @dataclass(frozen=True)
@@ -95,15 +103,14 @@ class Rule:
 
 @dataclass(frozen=True)
 class Program:
-    """Rules plus the schedule ``evaluate`` follows: the rules in
-    ``rule_order``, each external call's ``(name, arity)`` in first-call
-    order, and one compiled ``engine.RulePlan`` per rule of ``order``.
+    """Rules plus the schedule ``evaluate`` follows: each external call's
+    ``(name, arity)`` in first-call order, and one compiled
+    ``engine.RulePlan`` per rule, in ``rule_order``.
     ``engine.build_program`` is the only constructor, and it rejects an
     unsafe rule; the plans follow from the rules and take no part in
     equality."""
 
     rules: tuple
-    order: tuple
     calls: tuple
     plans: tuple = field(compare=False, repr=False)
 
@@ -182,7 +189,7 @@ def format_term(term: Term) -> str:
     if isinstance(term, Const):
         return format_value(term.value)
     if isinstance(term, Var):
-        return term.name
+        return term.text
     if isinstance(term, Arith):
         return f"({format_term(term.left)} {term.op} {format_term(term.right)})"
     if isinstance(term, ExternalCall):
@@ -207,5 +214,5 @@ def format_body_element(el: BodyElement) -> str:
     if isinstance(el, Comparison):
         return f"{format_term(el.left)} {el.op} {format_term(el.right)}"
     if isinstance(el, Binding):
-        return f"{el.var.name} = {format_term(el.expr)}"
+        return f"{el.var.text} = {format_term(el.expr)}"
     raise TypeError(f"not a body element: {el!r}")

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-from .errors import UnreadableSource
-
 # Payload attribute names of the unified welding-record schema.  With
 # machine_id, program_id, and timestamp this makes 26 attributes total;
 # values are per-operation aggregates of the raw sensor channels.
@@ -59,20 +57,6 @@ class UnifiedRecord:
     def attribute(self, name):
         return self.values[_POSITION[name]]
 
-    def identity(self):
-        """Hashable identity for multiset comparisons."""
-        return (self.machine_id, self.program_id, self.timestamp, self.values)
-
-
-def make_record(machine_id, program_id, timestamp, values, record_bytes):
-    """Build a UnifiedRecord from a name->value dict; missing names are null."""
-    return UnifiedRecord(
-        machine_id=str(machine_id),
-        program_id=str(program_id),
-        timestamp=float(timestamp),
-        values=tuple(map(values.get, UNIFIED_ATTRIBUTES)),
-        record_bytes=int(record_bytes),
-    )
 
 
 def record_cells(record):
@@ -92,25 +76,3 @@ def write_unified(path, records):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_unified(path):
-    """The records of a file ``write_unified`` wrote.  A bad header or row
-    raises UnreadableSource naming the path and the line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or tuple(lines[0].split("\t")) != UNIFIED_HEADER:
-        raise UnreadableSource("%s: line 1: not a unified record header" % path)
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(UNIFIED_HEADER):
-            raise UnreadableSource("%s: line %d: expected %d cells, got %d"
-                                   % (path, lineno, len(UNIFIED_HEADER), len(cells)))
-        try:
-            values = tuple(None if cell == NULL_TOKEN else float(cell) for cell in cells[3:-1])
-            records.append(
-                UnifiedRecord(cells[0], cells[1], float(cells[2]), values, int(cells[-1]))
-            )
-        except ValueError as exc:
-            raise UnreadableSource("%s: line %d: %s" % (path, lineno, exc)) from exc
-    return records

@@ -25,9 +25,6 @@ class SourceDescriptor:
     absent: tuple
     record_bytes: int
 
-    def mapping_dict(self):
-        return dict(self.field_mapping)
-
 
 @dataclasses.dataclass(frozen=True)
 class Reject:
@@ -196,7 +193,7 @@ def map_to_unified(raw_records, descriptor):
 def _field_plan(keys, descriptor, index):
     """(machine, program, timestamp, fields): the source field of each key,
     then of each unified attribute, or None where the record has none."""
-    mapping = descriptor.mapping_dict()
+    mapping = dict(descriptor.field_mapping)
     for field in keys:
         if field not in mapping:
             raise MappingGap(

@@ -13,7 +13,7 @@ import os
 import re
 
 from ..rng import LegacyRandom, check_seed
-from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER, UnifiedRecord
+from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER
 from .sources import SourceDescriptor
 
 # Per-source field name schemes: the same unified property goes by a
@@ -122,20 +122,11 @@ def _draws(spec):
 
 
 def _cell_rows(spec):
-    """The record_cells row of each base record, without building the records."""
+    """The record_cells row of each generated record, without building the records."""
     strip, cells = _TRAILING_ZEROS.sub, _ATTRIBUTE_CELLS
     return [[machine, program, stamp]
             + strip(" ", cells % tuple(row)).replace(". ", ".0 ").split()
             for machine, program, stamp, row in _draws(spec)]
-
-
-def base_records(spec):
-    """The underlying record stream all sources describe: each value is
-    the float of the cell the sources carry, so round(v, 6) of its draw."""
-    record_bytes = int(spec.record_bytes)
-    return [UnifiedRecord(machine, program, float(stamp), tuple(map(float, values)),
-                          record_bytes)
-            for machine, program, stamp, *values in _cell_rows(spec)]
 
 
 def _source_fields(field_of, absent):

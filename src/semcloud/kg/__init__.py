@@ -1,4 +1,4 @@
-from .builders import frequent_pipeline, infrequent_pipeline
+from .builders import frequent_pipeline
 from .document import FORMAT, parse_pipeline, serialize_pipeline
 from .errors import (
     CycleError,
@@ -37,7 +37,6 @@ __all__ = [
     "TaskNode",
     "apply_configuration",
     "frequent_pipeline",
-    "infrequent_pipeline",
     "parse_pipeline",
     "serialize_pipeline",
     "to_facts",

@@ -80,32 +80,3 @@ def frequent_pipeline(pipeline_id: str = "p1", *, no_records: float = 10000.0,
         edges=tuple(edges),
     )
 
-
-def infrequent_pipeline(pipeline_id: str = "p0", *, no_records: float = 100.0,
-                        volume_mb: float = 1.0) -> PipelineGraph:
-    """The minimal three-task pipeline: Retrieve -> Prepare -> Store."""
-    p = pipeline_id
-    d1 = DataEntity(id=f"{p}_d1", volume=volume_mb, no_records=no_records, location="source")
-    d2 = DataEntity(id=f"{p}_d2", volume=volume_mb, no_records=no_records)
-    d3 = DataEntity(id=f"{p}_d3", volume=volume_mb, no_records=no_records)
-    io1 = IOHandler(id=f"{p}_io1", outputs=(d1.id,))
-    io2 = IOHandler(id=f"{p}_io2", inputs=(d1.id,), outputs=(d2.id,))
-    io3 = IOHandler(id=f"{p}_io3", inputs=(d2.id,), outputs=(d3.id,))
-    tasks = (
-        TaskNode(id=f"{p}_t1", kind="Retrieve", io=io1.id),
-        TaskNode(id=f"{p}_t2", kind="Prepare", io=io2.id),
-        TaskNode(id=f"{p}_t3", kind="Store", io=io3.id),
-    )
-    edges = (
-        ("hasStartTask", p, tasks[0].id),
-        ("hasNextTask", tasks[0].id, tasks[1].id),
-        ("hasNextTask", tasks[1].id, tasks[2].id),
-    )
-    return PipelineGraph(
-        id=p,
-        frequency_class="infrequent",
-        tasks=tasks,
-        data_entities=(d1, d2, d3),
-        io_handlers=(io1, io2, io3),
-        edges=edges,
-    )

@@ -132,4 +132,4 @@ def apply_configuration(graph: PipelineGraph, config: ResourceConfiguration,
         elif t.kind == "Store":
             t = replace(t, storage_mode=mode)
         new_tasks.append(t)
-    return graph.with_tasks(new_tasks)
+    return replace(graph, tasks=tuple(new_tasks))

@@ -7,7 +7,7 @@ immutable after construction; every mutation produces a new graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..datalog.corpus import DEFAULT_C1, DEFAULT_C2, DEFAULT_C3
@@ -115,6 +115,3 @@ class PipelineGraph:
 
     def tasks_of_kind(self, kind: str) -> list:
         return [t for t in self.tasks if t.kind == kind]
-
-    def with_tasks(self, tasks) -> "PipelineGraph":
-        return replace(self, tasks=tuple(tasks))

@@ -31,6 +31,14 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
+def _model_rows(model, X) -> np.ndarray:
+    """``X`` as a matrix of ``model``'s feature count."""
+    X = _as_matrix(X)
+    if X.shape[1] != model.n_features:
+        raise DimensionMismatch(f"model expects {model.n_features} features, got {X.shape[1]}")
+    return X
+
+
 def _as_vector(y, rows: int) -> np.ndarray:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != rows:
@@ -120,11 +128,7 @@ def fit_polyr(X, y, degree: int) -> PolyRModel:
 
 
 def predict_polyr(model: PolyRModel, X) -> np.ndarray:
-    X = _as_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"model expects {model.n_features} features, got {X.shape[1]}"
-        )
+    X = _model_rows(model, X)
     design = _poly_design(X, model.degree, model.feature_scale)
     return _row_dot(design, model.weights)
 
@@ -240,11 +244,7 @@ def fit_mlp(X, y, hidden_widths, epochs: int = 300, step_size: float = 0.01) -> 
 
 
 def predict_mlp(model: MLPModel, X) -> np.ndarray:
-    X = _as_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"model expects {model.n_features} features, got {X.shape[1]}"
-        )
+    X = _model_rows(model, X)
     # _forward's matrix products would round one row differently from many
     h = np.ascontiguousarray(model.standardizer.apply(X))
     for W, b in zip(model.weights, model.biases):
@@ -419,11 +419,7 @@ def _knn_blocks(k, columns, Xs, fixed):
 
 
 def predict_knn(model: KNNModel, X) -> np.ndarray:
-    X = _as_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"model expects {model.n_features} features, got {X.shape[1]}"
-        )
+    X = _model_rows(model, X)
     Xs = model.standardizer.apply(X)
     columns = np.ascontiguousarray(model.samples.T)
     # A feature equal in every row of a many-row call adds one per-sample

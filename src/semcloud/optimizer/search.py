@@ -111,15 +111,13 @@ def optimize_slicing(objective, space):
                      dropped=len(values) - len(finite))
 
 
-def sweet_spot_curve(objective, space, nc=None):
+def sweet_spot_curve(objective, space, nc):
     """Objective as a function of ns at fixed nc.
 
-    When nc is omitted the exhaustive optimum's nc is used, so the curve
-    shows the valley around the selected configuration.  Returns a list
-    of (ns, value) pairs; non-finite values are reported as nan.
+    At the exhaustive optimum's nc the curve shows the valley around the
+    selected configuration.  Returns a list of (ns, value) pairs;
+    non-finite values are reported as nan.
     """
-    if nc is None:
-        nc = optimize_slicing(objective, space).nc
     curve = []
     for ns in space.ns_values(nc):
         value = float(objective(nc, ns))

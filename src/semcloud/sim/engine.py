@@ -263,14 +263,14 @@ def _window_len(window):
     return window[1] - window[0]
 
 
-def run_legacy(workload, cost, node=None):
-    """Monolithic single-node baseline.
+def run_legacy(workload, cost):
+    """Monolithic baseline on the single ``legacy_node``.
 
     Retrieve, prepare, and store run sequentially with an integration
     overhead factor; retained memory grows linearly with the processed
     volume (staircase approximation with _LEGACY_SEGMENTS steps).
     """
-    node = node or legacy_node()
+    node = legacy_node()
     n = workload.n_records
     volume = workload.volume_mb
     duration = cost.legacy_factor * n * (

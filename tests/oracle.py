@@ -75,7 +75,7 @@ def _eval(term, env, store, funcs):
             return max(vals)
         if term.kind == "min":
             return min(vals)
-        return float(np.mean(vals))
+        return sum(vals) / len(vals)
     raise TypeError(repr(term))
 
 

@@ -191,14 +191,6 @@ class TestIndividualCommands:
         assert "thr_prepare" in result.combined
         assert "Traceback" not in result.combined
 
-    def test_gen_machines_override(self, tmp_path):
-        config_path = write_project(tmp_path)
-        result = invoke(config_path, "gen", "--machines", "3")
-        assert result.exit_code == 0
-        csv_path = os.path.join(str(tmp_path), "out", "workload", "source_csv.csv")
-        text = pathlib.Path(csv_path).read_text()
-        assert "m03" in text and "m04" not in text
-
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_report_sweet_spot_is_the_configured_slice_size(tmp_path, seed):
@@ -537,7 +529,7 @@ class TestContract:
         ({"pilot": {"durations": [0.01]}}, ["pilot"]),
         ({"pilot": {"record_bytes": [-625]}}, ["pilot"]),
         ({"workload": {"machines": 6.5}}, ["gen"]),
-        ({"workload": {"production_lines": "x"}}, ["gen", "--machines", "3"]),
+        ({"workload": {"production_lines": "x"}}, ["gen"]),
         ({"workload": {"machines": True}}, ["gen"]),
         ({"workload": {"seed": 3}}, ["gen"]),
         ({"workload": dict(SMALL_PROJECT["workload"], record_bytes=1250.5)}, ["pilot", "--dry-run"]),
@@ -562,6 +554,22 @@ class TestContract:
             if isinstance(values, dict) and len(values) == 1:
                 section = "%s.%s" % (section, *values)
             assert section in result.combined
+
+    @pytest.mark.parametrize("args, command", [
+        (["gen", "--machines", "3"], "gen"),
+        (["gen", "--bogus"], "gen"),
+        (["gen", "extra"], "gen"),
+        (["learn", "--methods"], "learn"),
+        (["pilot", "--dry-run=yes"], "pilot"),
+        (["bogus"], "semcloud"),
+        (["--bogus", "gen"], "semcloud"),
+    ], ids=["removed-option", "unknown-option", "extra-argument", "missing-value",
+            "value-for-a-flag", "unknown-command", "unknown-group-option"])
+    def test_usage_errors_print_one_status_line(self, tmp_path, args, command):
+        result = invoke(write_project(tmp_path), *args)
+        self.assert_failure(result, command, 2, "UsageError")
+        assert "Error: " in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_numeric_strings_read_as_numbers(self):
         # YAML 1.1 reads 1e3 (no dot) as a string; every section takes it.

@@ -70,7 +70,7 @@ def test_table_objective_matches_per_point_search(time_model, pilot_records, n):
     singles = [single(nc, ns) for nc, ns in space.candidates()]
     assert best.value == expected.value
     assert values == singles
-    assert sweet_spot_curve(table, space) == sweet_spot_curve(single, space)
+    assert sweet_spot_curve(table, space, best.nc) == sweet_spot_curve(single, space, best.nc)
 
 
 def test_table_objective_rejects_points_outside_the_space(learned):

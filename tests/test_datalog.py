@@ -29,6 +29,7 @@ from semcloud.datalog.terms import (
     Rule,
     Var,
     format_body_element,
+    rule_order,
 )
 
 from oracle import brute_force_ground
@@ -67,8 +68,9 @@ class TestParser:
 
     def test_plans_follow_the_order_and_keep_each_rule_position(self):
         program = parse_program(RULES_TEXT)
-        assert [plan.rule for plan in program.plans] == list(program.order)
-        assert [program.rules[plan.position] for plan in program.plans] == list(program.order)
+        order = list(rule_order(program.rules))
+        assert [plan.rule for plan in program.plans] == order
+        assert [program.rules[plan.position] for plan in program.plans] == order
         # the plans are derived from the rules and take no part in equality
         assert build_program(program.rules) == program
 
@@ -97,8 +99,12 @@ class TestParser:
         ("a(z) <- b(z), #max{x : c(x)} > x.",
          "rule 1 (a(z)): variable x is read where it is not bound"),
         ("a(y) <- b(x), y = x, y = 1.", "rule 1 (a(y)): variable y is bound twice"),
+        ("a(_) <- b(x).", "rule 1 (a(_)): variable _ is read where it is not bound"),
+        # each _ is a variable of its own: binding one binds no other
+        ("a(_) <- b(x), _ = x.", "rule 1 (a(_)): variable _ is read where it is not bound"),
     ], ids=["head", "comparison", "binding-after-comprehension",
-            "comparison-after-comprehension", "two-bindings"])
+            "comparison-after-comprehension", "two-bindings", "anonymous",
+            "anonymous-bound-elsewhere"])
     def test_unsafe_rule_names_the_rule_and_the_variable(self, text, error):
         with pytest.raises(SafetyError) as raised:
             parse_program(text)
@@ -159,6 +165,12 @@ class TestEngine:
         assert len(diags) == 1
         assert isinstance(diags[0], Diagnostic)
         assert "zero" in diags[0].reason
+
+    def test_anonymous_variable_prints_as_written(self):
+        diags = []
+        evaluate(parse_program("a(x) <- b(x, _), _ = 1 / x."),
+                 FactSet([("b", (0.0, 1.0))]), EMPTY, diagnostics=diags)
+        assert [d.element for d in diags] == ["_ = (1 / x)"]
 
     def test_missing_external_raises(self):
         with pytest.raises(MissingExternal):
@@ -227,7 +239,7 @@ class TestEngine:
         # a head computed by arithmetic or an aggregate is checked as a
         # binding is; a plain variable head is not checked
         text = ("a(x * x) <- b(x).  n(x * x - x * x) <- b(x).  m(#max{x * x, 1}) <- b(x).  "
-                "v(x) <- b(x).  g(w) <- a(w).")
+                "h(#avg{x, x}) <- b(x).  v(x) <- b(x).  g(w) <- a(w).")
         edb = [("b", (1e200,)), ("b", (3.0,)), ("b", (1.7e308,))]
         program = parse_program(text)
         diags, dropped = [], []
@@ -236,12 +248,13 @@ class TestEngine:
         assert query(engine, "g", 1) == [(9.0,)]
         assert query(engine, "n", 1) == [(0.0,)]
         assert query(engine, "m", 1) == [(9.0,)]
+        assert query(engine, "h", 1) == [(3.0,), (1e200,)]
         assert len(query(engine, "v", 1)) == 3
         assert sorted((d.rule, d.element, d.reason) for d in diags) == sorted(
             (rule, format_body_element(element), reason) for rule, element, reason in dropped)
         assert sorted((d.rule, d.element) for d in diags) == [
-            ("a", "a((x * x))"), ("a", "a((x * x))"), ("m", "m(#max{(x * x),1})"),
-            ("m", "m(#max{(x * x),1})"),
+            ("a", "a((x * x))"), ("a", "a((x * x))"), ("h", "h(#avg{x,x})"),
+            ("m", "m(#max{(x * x),1})"), ("m", "m(#max{(x * x),1})"),
             ("n", "n(((x * x) - (x * x)))"), ("n", "n(((x * x) - (x * x)))")]
         assert {d.reason for d in diags} == {"non-finite head value"}
 

@@ -1,5 +1,6 @@
 """ETL core: workload generation, ingestion, slicing, prepare, store."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -27,16 +28,14 @@ from semcloud.etl import (
     Reject,
     Slice,
     SourceDescriptor,
+    UnifiedRecord,
     UnreadableSource,
     WorkloadSpec,
-    base_records,
     generate_workload,
     ingest,
     machine_ids,
-    make_record,
     map_to_unified,
     prepare_slice,
-    read_unified,
     reference_entries,
     slice_records,
     store_prepared,
@@ -103,21 +102,19 @@ class TestWorkloadGeneration:
         assert digests == GOLDEN_DIGESTS
 
     def test_golden_stored_bytes(self, tmp_path):
-        descriptors = generate_workload(GOLDEN_SPEC, str(tmp_path / "sources"))
-        programs = sorted({r.program_id for r in base_records(GOLDEN_SPEC)})
+        by_source = unified_all(generate_workload(GOLDEN_SPEC, str(tmp_path / "sources")))
+        programs = sorted({r.program_id for r in by_source["csv"]})
         references = ReferenceStore(reference_entries(
             machine_ids(GOLDEN_SPEC), programs, seed=GOLDEN_SPEC.seed))
         digests = {}
-        for desc in descriptors:
-            raws, rejects = ingest(desc)
-            assert rejects == []
-            store = PreparedStore("fast", str(tmp_path / desc.format))
-            for slice_ in slice_records(map_to_unified(raws, desc), *GOLDEN_STORE):
+        for fmt, records in by_source.items():
+            store = PreparedStore("fast", str(tmp_path / fmt))
+            for slice_ in slice_records(records, *GOLDEN_STORE):
                 store_prepared(prepare_slice(slice_, references), store)
             digest = hashlib.sha256()
-            for path in sorted((tmp_path / desc.format).iterdir()):
+            for path in sorted((tmp_path / fmt).iterdir()):
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
-            digests[desc.format] = digest.hexdigest()
+            digests[fmt] = digest.hexdigest()
         assert digests == GOLDEN_STORED_DIGESTS
 
     @staticmethod
@@ -128,11 +125,11 @@ class TestWorkloadGeneration:
         for m_index, machine in enumerate(machine_ids(spec)):
             for k in range(spec.records_per_machine()):
                 program = "p%d" % (rng.randint(PROGRAM_COUNT) + 1)
-                values = {name: round(float((10.0 * (j + 1) + 0.5 * m_index)
-                                            * (1.0 + 0.1 * rng.rand())), 6)
-                          for j, name in enumerate(UNIFIED_ATTRIBUTES)}
-                records.append(make_record(machine, program, round(k / spec.rate, 6), values,
-                                           spec.record_bytes))
+                values = tuple(round(float((10.0 * (j + 1) + 0.5 * m_index)
+                                           * (1.0 + 0.1 * rng.rand())), 6)
+                               for j in range(len(UNIFIED_ATTRIBUTES)))
+                records.append(UnifiedRecord(machine, program, round(k / spec.rate, 6), values,
+                                             spec.record_bytes))
         return records
 
     @pytest.mark.parametrize("spec", [
@@ -141,8 +138,7 @@ class TestWorkloadGeneration:
         WorkloadSpec(machines=4, production_lines=2, duration=10.0, rate=0.7, seed=2),
     ], ids=["golden", "47-machines", "rate-0.7"])
     def test_written_cells_are_the_record_cells(self, spec, tmp_path):
-        records = base_records(spec)
-        assert records == self.drawn_records(spec)
+        records = self.drawn_records(spec)
         desc = next(d for d in generate_workload(spec, str(tmp_path)) if d.format == "csv")
         columns = [UNIFIED_HEADER.index(prop) for _, prop in desc.field_mapping]
         lines = pathlib.Path(desc.location).read_text().splitlines()
@@ -552,33 +548,26 @@ class TestXmlDifferential:
 
 
 class TestUnifiedFiles:
-    def test_round_trip(self, tmp_path):
-        values = {name: float(i) for i, name in enumerate(UNIFIED_ATTRIBUTES)}
-        values["quality_score"] = None
-        records = [make_record("m01", "p1", 12.5, values, 1250)]
+    @staticmethod
+    def record():
+        """A record whose attribute i holds float(i), but quality_score is null."""
+        values = [float(i) for i in range(len(UNIFIED_ATTRIBUTES))]
+        values[UNIFIED_ATTRIBUTES.index("quality_score")] = None
+        return UnifiedRecord("m01", "p1", 12.5, tuple(values), 1250)
+
+    def test_written_row_is_the_record_cells(self, tmp_path):
+        record = self.record()
         path = tmp_path / "u.tsv"
-        write_unified(path, records)
-        assert read_unified(path) == records
-        cells = path.read_text().splitlines()[1].split("\t")
-        assert cells == record_cells(records[0]) + ["1250"]
+        write_unified(path, [record])
+        header, row = path.read_text().splitlines()
+        assert tuple(header.split("\t")) == UNIFIED_HEADER
+        cells = row.split("\t")
+        assert cells == record_cells(record) + ["1250"]
         assert cells[UNIFIED_HEADER.index("quality_score")] == NULL_TOKEN
 
-    @pytest.mark.parametrize("text,where", [
-        ("\t".join(UNIFIED_HEADER) + "\nm01\tp1\t0.0\t1.5\t2.5\t100\n", "line 2: expected 27 cells"),
-        ("machine_id\tprogram_id\ttimestamp\n", "line 1"),
-    ], ids=["short-row", "bad-header"])
-    def test_malformed_file_is_unreadable(self, tmp_path, text, where):
-        path = tmp_path / "u.tsv"
-        path.write_text(text)
-        with pytest.raises(UnreadableSource, match=re.escape(f"{path}: {where}")):
-            read_unified(path)
-
     def test_attribute_lookup(self):
-        values = {name: float(i) for i, name in enumerate(UNIFIED_ATTRIBUTES)}
-        values["quality_score"] = None
-        record = make_record("m01", "p1", 12.5, values, 1250)
-        assert [record.attribute(name) for name in UNIFIED_ATTRIBUTES] == [
-            values[name] for name in UNIFIED_ATTRIBUTES]
+        record = self.record()
+        assert [record.attribute(name) for name in UNIFIED_ATTRIBUTES] == list(record.values)
         with pytest.raises(KeyError) as raised:
             record.attribute("machine_id")
         assert raised.value.args == ("machine_id",)
@@ -590,12 +579,9 @@ class TestUnifiedFiles:
 class TestSlicing:
     @staticmethod
     def records(counts):
-        values = {name: 1.0 for name in UNIFIED_ATTRIBUTES}
-        out = []
-        for machine, count in counts.items():
-            for i in range(count):
-                out.append(make_record(machine, "p1", float(i), values, 100))
-        return out
+        values = (1.0,) * len(UNIFIED_ATTRIBUTES)
+        return [UnifiedRecord(machine, "p1", float(i), values, 100)
+                for machine, count in counts.items() for i in range(count)]
 
     def test_hand_checked_partition(self):
         records = self.records({"m01": 6, "m02": 4})
@@ -613,8 +599,7 @@ class TestSlicing:
         records = self.records({"m01": 13, "m02": 9})
         slices = list(slice_records(records, nc=5, ns=2))
         flat = [r for s in slices for r in s.records]
-        assert sorted(r.identity() for r in flat) == sorted(
-            r.identity() for r in records)
+        assert collections.Counter(flat) == collections.Counter(records)
 
     def test_large_ns_single_slice_per_machine(self):
         records = self.records({"m01": 5})
@@ -661,9 +646,9 @@ class TestStore:
         assert receipt.mode == "fast"
         assert receipt.record_count == 4
         assert receipt.bytes_written == prepared.total_bytes()
-        loaded = read_unified(receipt.location)
-        assert [r.identity() for r in loaded] == [
-            r.record.identity() for r in prepared.records]
+        rows = pathlib.Path(receipt.location).read_text().splitlines()[1:]
+        assert [row.split("\t")[:-1] for row in rows] == [
+            record_cells(r.record) for r in prepared.records]
 
     def test_capacity_enforced(self, tmp_path):
         prepared = self.prepared()

@@ -21,7 +21,6 @@ from semcloud.kg import (
     TaskNode,
     apply_configuration,
     frequent_pipeline,
-    infrequent_pipeline,
     parse_pipeline,
     serialize_pipeline,
     to_facts,
@@ -42,6 +41,27 @@ def default_cloud():
     )
 
 
+# The minimal three-task pipeline, Retrieve -> Prepare -> Store, as a user
+# writes it.
+INFREQUENT_DOCUMENT = """{"format": "semcloud-pipeline/1",
+ "ETLPipeline": {"id": "p0", "frequency": "infrequent"},
+ "tasks": [{"id": "p0_t1", "type": "Retrieve", "hasIO": "p0_io1"},
+           {"id": "p0_t2", "type": "Prepare", "hasIO": "p0_io2"},
+           {"id": "p0_t3", "type": "Store", "hasIO": "p0_io3"}],
+ "data_entities": [{"id": "p0_d1", "hasVolume": 1.0, "hasNoRecords": 100.0, "storedAt": "source"},
+                   {"id": "p0_d2", "hasVolume": 1.0, "hasNoRecords": 100.0},
+                   {"id": "p0_d3", "hasVolume": 1.0, "hasNoRecords": 100.0}],
+ "io_handlers": [{"id": "p0_io1", "hasOutput": ["p0_d1"]},
+                 {"id": "p0_io2", "hasInput": ["p0_d1"], "hasOutput": ["p0_d2"]},
+                 {"id": "p0_io3", "hasInput": ["p0_d2"], "hasOutput": ["p0_d3"]}],
+ "edges": [["p0", "hasStartTask", "p0_t1"], ["p0_t1", "hasNextTask", "p0_t2"],
+           ["p0_t2", "hasNextTask", "p0_t3"]]}"""
+
+
+def infrequent_graph():
+    return parse_pipeline(INFREQUENT_DOCUMENT)
+
+
 class Pilot:
     slice_memory = 20.0
     prepare_memory = 30.0
@@ -58,11 +78,6 @@ class TestBuildersAndValidate:
         assert kinds.count("Prepare") == 2
         assert validate(g) is None
 
-    def test_infrequent_pipeline_shape(self):
-        g = infrequent_pipeline()
-        assert [t.kind for t in g.tasks] == ["Retrieve", "Prepare", "Store"]
-        assert validate(g) is None
-
     def test_store_before_prepare_is_a_violation(self):
         g = frequent_pipeline("p1", prepare_tasks=1)
         tasks = {t.id: t for t in g.tasks}
@@ -75,20 +90,20 @@ class TestBuildersAndValidate:
                 swapped.append(dataclasses.replace(t, kind="Prepare"))
             else:
                 swapped.append(t)
-        bad = g.with_tasks(swapped)
+        bad = dataclasses.replace(g, tasks=tuple(swapped))
         with pytest.raises(StructureError, match="not legal"):
             validate(bad)
         assert tasks  # keep the original around for clarity
 
     def test_two_retrieve_roots_is_a_violation(self):
-        g = infrequent_pipeline()
+        g = infrequent_graph()
         extra = TaskNode(id="p0_tx", kind="Retrieve", io=None)
         bad = dataclasses.replace(g, tasks=g.tasks + (extra,))
         with pytest.raises(StructureError, match=r"(?m)^p0: expected a single Retrieve root"):
             validate(bad)
 
     def test_records_without_volume_is_a_violation(self):
-        g = infrequent_pipeline()
+        g = infrequent_graph()
         entities = tuple(
             dataclasses.replace(d, volume=0.0, no_records=10.0)
             if d.location == "source" else d
@@ -98,7 +113,7 @@ class TestBuildersAndValidate:
             validate(dataclasses.replace(g, data_entities=entities))
 
     def test_cycle_is_a_violation(self):
-        g = infrequent_pipeline()
+        g = infrequent_graph()
         last = g.tasks[-1].id
         first = g.tasks[0].id
         bad = dataclasses.replace(
@@ -126,7 +141,7 @@ class TestBuildersAndValidate:
         ((), [("p0_t3", "ghost"), ("ghost", "p0_t1")]),
     ], ids=["self-loop", "off-the-start-task", "through-a-non-task"])
     def test_every_hasnexttask_cycle_is_a_cycle(self, tasks, edges):
-        g = infrequent_pipeline()
+        g = infrequent_graph()
         bad = dataclasses.replace(g, tasks=g.tasks + tasks,
                                   edges=g.edges + tuple(("hasNextTask", s, o) for s, o in edges))
         with pytest.raises(CycleError, match=r"(?m)^p0: hasNextTask relation is cyclic$"):
@@ -185,14 +200,14 @@ class TestDocument:
             parse_pipeline('{"format": "something-else/9"}')
 
     def test_parse_rejects_invalid_structure(self):
-        g = infrequent_pipeline()
+        g = infrequent_graph()
         extra = TaskNode(id="p0_tx", kind="Retrieve", io=None)
         bad = dataclasses.replace(g, tasks=g.tasks + (extra,))
         with pytest.raises(StructureError):
             parse_pipeline(serialize_pipeline(bad))
 
     def test_parse_rejects_cycle(self):
-        g = infrequent_pipeline()
+        g = infrequent_graph()
         bad = dataclasses.replace(
             g, edges=g.edges + (("hasNextTask", g.tasks[-1].id, g.tasks[0].id),))
         with pytest.raises(CycleError):
@@ -290,7 +305,7 @@ class TestDocument:
         lambda: frequent_pipeline("p1", chunk_size=100.0, slice_size=10.0, slice_time=0.5,
                                   prepare_time=1.5, memory_reservation=64.0,
                                   storage_mode="fast"),
-        infrequent_pipeline,
+        infrequent_graph,
     ], ids=["preconfigured-frequent", "infrequent"])
     def test_serialized_text_is_a_fixed_point(self, build):
         g = build()
@@ -324,7 +339,7 @@ class TestFacts:
         assert query(facts, "range", 1) == []  # no pilot, no range atoms
 
     def test_invalid_graph_is_rejected(self):
-        g = infrequent_pipeline()
+        g = infrequent_graph()
         extra = TaskNode(id="p0_tx", kind="Retrieve", io=None)
         with pytest.raises(StructureError, match="root"):
             to_facts(dataclasses.replace(g, tasks=g.tasks + (extra,)))

@@ -208,13 +208,15 @@ class TestCurve:
     def test_curve_minimum_matches_restricted_search(self):
         space = SearchSpace(n=3870)
         objective = bowl()
-        nc = optimize_slicing(objective, space).nc
-        curve = sweet_spot_curve(objective, space)
-        best_ns = min(curve, key=lambda p: (p[1], -p[0]))[0]
+        result = optimize_slicing(objective, space)
+        curve = sweet_spot_curve(objective, space, result.nc)
+        best = min(curve, key=lambda p: (p[1], -p[0]))
         restricted = min(
-            ((c, s) for c, s in space.candidates() if c == nc),
+            ((c, s) for c, s in space.candidates() if c == result.nc),
             key=lambda p: (objective(*p), -p[1]))
-        assert best_ns == restricted[1]
+        assert best[0] == restricted[1]
+        # the curve's least value at the optimum's nc, largest ns first, is the optimum
+        assert best == (result.ns, result.value)
 
     def test_explicit_nc_and_nan_passthrough(self):
         space = SearchSpace(n=1000)

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from semcloud.etl import WorkloadSpec, base_records, reference_entries
+from semcloud.etl import WorkloadSpec, reference_entries
 from semcloud.rng import LegacyRandom
 from semcloud.sim import CostModel, SimWorkload, default_cluster, deploy, run
 from semcloud.sim.engine import _noise
@@ -103,8 +103,9 @@ class TestCallersNeedAnIntegerSeed:
             run(plan, workload, cost, seed=None)
 
     def test_workload_generator(self):
+        # the spec checks the seed the generator draws with when it is built
         with pytest.raises(TypeError):
-            base_records(WorkloadSpec(machines=3, production_lines=1, duration=2.0, seed=None))
+            WorkloadSpec(machines=3, production_lines=1, duration=2.0, seed=None)
 
     def test_reference_entries(self):
         with pytest.raises(TypeError):

@@ -437,10 +437,9 @@ class TestLegacy:
         assert run_legacy(small_workload(n=1000), quiet_cost()).consumed_time > 0.0
 
     def test_out_of_memory_raises(self):
-        cost = quiet_cost()
-        node = NodeSpec("old", 64.0, 65536.0)
-        with pytest.raises(SimulatedOutOfMemory):
-            run_legacy(small_workload(n=100000), node=node, cost=cost)
+        # 4e6 records of 1250 bytes hold about 9,600 MB at the legacy peak
+        with pytest.raises(SimulatedOutOfMemory, match="exceeds node memory 8192 MB"):
+            run_legacy(small_workload(n=4_000_000), cost=quiet_cost())
 
 
 class TestCompareAndPilots:
@@ -485,10 +484,10 @@ class TestCompareAndPilots:
         # the slice restart (its reservation is below its working set).
         cost = CostModel(noise_amplitude=0.05)
         graph = frequent_pipeline()
-        graph = graph.with_tasks(
+        graph = dataclasses.replace(graph, tasks=tuple(
             dataclasses.replace(task, memory_reservation=30.0) if task.kind == "Slice"
             else task
-            for task in graph.tasks)
+            for task in graph.tasks))
         workloads = [small_workload(n=530), small_workload(n=250, rb=625)]
         grid = [None, (100, 7), (530, 53)]
         plan = deploy(graph, default_cluster(), cost, workloads[0], nc=100, ns=7)
