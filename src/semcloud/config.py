@@ -97,16 +97,6 @@ def _rules():
     }
 
 
-def checked_setting(section, key, value, name=None):
-    """``value`` parsed by the rule of ``<section>.<key>``; a ConfigError
-    naming ``name`` (the setting by default) if it fails the rule."""
-    what, check = _rules()[section][key]
-    checked = check(value)
-    if checked is None:
-        raise ConfigError("%s must be %s, got %r" % (name or "%s.%s" % (section, key), what, value))
-    return checked
-
-
 _DEFAULTS = {
     "pilot": {"durations": (21.6, 43.2, 64.8, 86.4), "record_bytes": (625, 1250, 2500),
               "estimation_seeds": 5, "configuration_seeds": 3, "noise_amplitude": 0.05},
@@ -146,8 +136,12 @@ def _checked(config):
         unknown = sorted("%s.%s" % (section, key) for key in set(values) - set(rules))
         if unknown:
             raise ConfigError("unknown settings: %s" % ", ".join(unknown))
-        sections[section] = {key: checked_setting(section, key, value)
-                             for key, value in values.items()}
+        sections[section] = checked = {}
+        for key, value in values.items():
+            what, check = rules[key]
+            checked[key] = check(value)
+            if checked[key] is None:
+                raise ConfigError("%s.%s must be %s, got %r" % (section, key, what, value))
     _check_grid_budget(sections["search"])
     return sections
 

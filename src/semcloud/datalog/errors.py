@@ -27,8 +27,9 @@ class MissingExternal(DatalogError):
 
 
 class SignatureMismatch(DatalogError):
-    """Registered external arity does not match a call site, or an external
-    returned a different number of values than it was given rows."""
+    """Registered external arity does not match a call site, an external
+    returned a different number of values than it was given rows, or a
+    fitted model's feature count is not its external's arity."""
 
 
 class TypeMismatch(DatalogError):

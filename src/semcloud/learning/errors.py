@@ -15,7 +15,3 @@ class EmptyModel(LearningError):
 
 class ZeroMeanTruth(LearningError):
     """nmae undefined: ground-truth mean is zero."""
-
-
-class SignatureMismatch(LearningError):
-    """Model feature count does not match the external call signature."""

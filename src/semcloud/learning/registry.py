@@ -12,7 +12,8 @@ import json
 
 import numpy as np
 
-from .errors import LearningError, SignatureMismatch
+from ..datalog.errors import SignatureMismatch
+from .errors import LearningError
 from .models import (
     KNNModel,
     MLPModel,

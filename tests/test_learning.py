@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from semcloud import datalog
 from semcloud.datalog import MissingExternal
 from semcloud.learning.models import _KNN_BLOCK_ELEMENTS, _ordered_sum
 from semcloud.learning import (
@@ -630,6 +631,8 @@ class TestRegistryAndPersistence:
         for name in ("func_mp", "func_fs_1", "func_nope"):
             with pytest.raises(SignatureMismatch):
                 register_externals({name: model})
+        # one class for an external's arity, whichever layer finds it wrong
+        assert SignatureMismatch is datalog.SignatureMismatch
         fn = register_externals({"func_ms": model}).resolve("func_ms", 2)
         with pytest.raises(DimensionMismatch):
             fn([(10.0, 1.0, 3.0)])

@@ -77,6 +77,20 @@ class TestGrids:
         assert geometric_grid(3, 3, 5) == [3]
         assert geometric_grid(2, 3, 10) == [2, 3]
 
+    @pytest.mark.parametrize("lo, hi, steps", [
+        (50, 10, 5), (0.3, 10, 5), (-4, 0.5, 5), (7, 7, 5), (7, 7, 0),
+        (10, 100, 0), (10, 100, 1), (10, 100, 2),
+    ], ids=["lo-above-hi", "lo-below-1", "both-below-1", "lo-equals-hi",
+            "lo-equals-hi-0-steps", "0-steps", "1-step", "2-steps"])
+    def test_grid_and_curve_are_never_empty(self, lo, hi, steps):
+        grid = geometric_grid(lo, hi, steps)
+        assert grid and grid == sorted(set(grid)) and grid[0] >= 1
+        # so sweet_spot_curve always has a row: one per ns of its grid
+        space = SearchSpace(n=100, ns_steps=max(steps, 1))
+        for nc in (0, 1, 100):
+            curve = sweet_spot_curve(lambda nc, ns: float(ns), space, nc)
+            assert [ns for ns, _ in curve] == space.ns_values(nc) != []
+
     def test_candidates_are_feasible(self):
         space = SearchSpace(n=3870)
         cands = list(space.candidates())
