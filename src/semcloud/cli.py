@@ -6,6 +6,8 @@ one YAML project config and one root seed.  Exit codes: 0 success,
 status line on stderr.
 """
 
+import contextlib
+import dataclasses
 import functools
 import glob
 import os
@@ -59,14 +61,6 @@ run_legacy = _forward(".sim", "run_legacy")
 write_trace = _forward(".sim", "write_trace")
 
 
-def _remove(paths):
-    for path in paths:
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-
-
 def _status(command, ok, **fields):
     parts = ["semcloud-status", "command=%s" % command, "ok=%d" % (1 if ok else 0)]
     parts += ["%s=%s" % (k, v) for k, v in sorted(fields.items())]
@@ -78,29 +72,52 @@ def _format_hyperparameters(params):
     return ",".join("%s=%s" % kv for kv in sorted(params.items()))
 
 
+def _write_table(path, header, rows):
+    """Write a report table: a tab-separated header line, then one line per row."""
+    with open(path, "w") as fh:
+        for row in (header, *rows):
+            fh.write("\t".join(row) + "\n")
+
+
 class _Semcloud(click.Group):
-    """The command group.  A usage error (an unknown option or command, a
-    bad or missing option value) prints click's message and one status
-    line, for the command it names or for ``semcloud`` itself, and exits 2."""
+    """The command group, and the one place where a failure becomes an exit
+    code and one status line, for the command it names or for ``semcloud``.
+    A usage error (an unknown option or command, a bad or missing option
+    value) prints click's message and exits 2, as a ConfigError (a bad
+    project file or option value) does; a domain error, or an OSError such
+    as a workdir that names a file, exits 1.  Anything else propagates."""
 
     def make_context(self, info_name, args, parent=None, **extra):
-        try:
+        with self._exit_codes(None):
             return super().make_context(info_name, args, parent=parent, **extra)
-        except click.UsageError as exc:
-            _usage_error(exc, "semcloud")
 
     def invoke(self, ctx):
-        try:
+        with self._exit_codes(ctx):
             return super().invoke(ctx)
-        except click.UsageError as exc:
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _exit_codes(ctx):
+        try:
+            yield
+        except Exception as exc:
+            if isinstance(exc, (click.exceptions.Exit, click.exceptions.Abort)):
+                raise
+            if isinstance(exc, click.UsageError):
+                exc.show()
+                code, error = 2, "UsageError"
+            else:
+                # imported on a failure only, so --help loads only cli and config
+                from .errors import DomainError
+
+                if not isinstance(exc, (ConfigError, DomainError, OSError)):
+                    raise
+                code = 2 if isinstance(exc, ConfigError) else 1
+                click.echo("%s: %s" % ("config error" if code == 2 else "error", exc), err=True)
+                error = type(exc).__name__
             # set once the command name resolves, before its options parse
-            _usage_error(exc, ctx.invoked_subcommand or "semcloud")
-
-
-def _usage_error(exc, command):
-    exc.show()
-    _status(command, False, error="UsageError")
-    raise click.exceptions.Exit(2)
+            _status(getattr(ctx, "invoked_subcommand", None) or "semcloud", False, error=error)
+            raise click.exceptions.Exit(code)
 
 
 @click.group(cls=_Semcloud)
@@ -113,34 +130,31 @@ def main(ctx, config_path):
     ctx.obj["config_path"] = config_path
 
 
-def _stage(func):
+def _stage(*outputs):
     """Register ``func(cfg, **options)``, which runs a stage and returns its
-    status fields, as the command of its name.  The command loads the
-    project config, calls ``func`` and prints one status line.  A domain
-    error, or an OSError such as a workdir that names a file, exits 1; a bad
-    project file or option exits 2."""
+    status fields, as the command of its name.  ``outputs``, kept as the
+    command's, are the glob patterns under the workdir of every file the
+    stage writes.  The command loads the project config, removes every file
+    they match, so a stage that fails leaves no artifact of an earlier run,
+    calls ``func`` and prints one status line."""
 
-    @functools.wraps(func)
-    def command(**options):
-        from .errors import DomainError
+    def register(func):
+        @functools.wraps(func)
+        def command(**options):
+            cfg = load_config(click.get_current_context().obj["config_path"])
+            for pattern in outputs:
+                for path in glob.glob(os.path.join(glob.escape(cfg.workdir), pattern)):
+                    os.remove(path)
+            _status(func.__name__, True, **func(cfg, **options))
 
-        ctx = click.get_current_context()
-        try:
-            fields = func(load_config(ctx.obj["config_path"]), **options)
-        except (DomainError, OSError) as exc:
-            click.echo("error: %s" % exc, err=True)
-            _status(func.__name__, False, error=type(exc).__name__)
-            ctx.exit(1)
-        except ConfigError as exc:
-            click.echo("config error: %s" % exc, err=True)
-            _status(func.__name__, False, error=type(exc).__name__)
-            ctx.exit(2)
-        _status(func.__name__, True, **fields)
+        command = main.command()(command)
+        command.outputs = outputs
+        return command
 
-    return main.command()(command)
+    return register
 
 
-@_stage
+@_stage("workload/source_*")
 def gen(cfg):
     """Generate the heterogeneous source files."""
     spec = cfg.workload_spec(seed=derive_seed(cfg.seed, "gen"))
@@ -150,7 +164,8 @@ def gen(cfg):
     return {"sources": len(descriptors), "records": spec.total_records()}
 
 
-@_stage
+# declares nothing: --dry-run writes nothing, and a failing pilot still writes pilot.csv
+@_stage()
 @click.option("--dry-run", is_flag=True, help="Print the plan, write nothing.")
 def pilot(cfg, dry_run):
     """Collect pilot running statistics from instrumented simulations."""
@@ -181,22 +196,15 @@ def pilot(cfg, dry_run):
     return {"rows": len(records), "skipped": len(err1) + len(err2)}
 
 
-@_stage
+@_stage("models/func_*.json", "models/time_model.json",
+        "reports/fit_reports.tsv", "reports/fit_timings.tsv")
 def learn(cfg):
     """Fit the rule externals and the time model from pilot statistics."""
     import numpy as np
 
-    from .learning import EXTERNAL_TARGETS, read_pilot_csv, save_model
+    from .learning import read_pilot_csv, save_model
 
     plan = cfg.learn_plan()
-    # a learn that fails leaves no model or fit report from an earlier
-    # run, so configure cannot run on models fitted to other pilot
-    # statistics and no report describes them
-    stale = [os.path.join(cfg.models_dir, name + ".json")
-             for name in EXTERNAL_TARGETS + ("time_model",)]
-    stale += [os.path.join(cfg.reports_dir, name)
-              for name in ("fit_reports.tsv", "fit_timings.tsv")]
-    _remove(stale)
     records = read_pilot_csv(cfg.pilot_csv)
     # an overflowing pilot column gives a non-finite model, which
     # save_model refuses; numpy need not warn about it as well
@@ -210,19 +218,16 @@ def learn(cfg):
     save_model(time_model, os.path.join(cfg.models_dir, "time_model.json"))
 
     rows = sorted(reports.items()) + [("time_model", time_report)]
-    data_lines = ["\t".join(["target", "method", "hyperparameters", "nmae"])]
-    timing_lines = ["\t".join(["target", "learning_time_ms", "inference_time_ms"])]
     for name, report in rows:
-        params = _format_hyperparameters(report.hyperparameters)
-        data_lines.append("\t".join([name, report.method, params, repr(report.nmae)]))
-        timing_lines.append("\t".join([
-            name, "%.3f" % report.learning_time_ms, "%.6f" % report.inference_time_ms,
-        ]))
         click.echo("%-10s %-6s nmae=%.4f" % (name, report.method, report.nmae))
-    with open(os.path.join(cfg.reports_dir, "fit_reports.tsv"), "w") as fh:
-        fh.write("\n".join(data_lines) + "\n")
-    with open(os.path.join(cfg.reports_dir, "fit_timings.tsv"), "w") as fh:
-        fh.write("\n".join(timing_lines) + "\n")
+    _write_table(cfg.path("reports", "fit_reports.tsv"),
+                 ("target", "method", "hyperparameters", "nmae"),
+                 [(name, report.method, _format_hyperparameters(report.hyperparameters),
+                   repr(report.nmae)) for name, report in rows])
+    _write_table(cfg.path("reports", "fit_timings.tsv"),
+                 ("target", "learning_time_ms", "inference_time_ms"),
+                 [(name, "%.3f" % report.learning_time_ms, "%.6f" % report.inference_time_ms)
+                  for name, report in rows])
     return {"models": len(models) + 1}
 
 
@@ -236,10 +241,24 @@ def _load_model(cfg, name):
     return load_model(path)
 
 
-@_stage
-@click.option("--pipeline", "pipeline_path", type=click.Path(),
+class _Document(click.Path):
+    """A path option whose value is the text of the file it names, read as
+    the options parse: ``configure --pipeline`` may name an earlier
+    ``configured_pipeline.yaml``, which the runner removes before the stage
+    runs."""
+
+    def convert(self, value, param, ctx):
+        try:
+            with open(super().convert(value, param, ctx)) as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read pipeline document: %s" % exc) from None
+
+
+@_stage("configured_pipeline.yaml", "configured_facts.dl", "resource_config.tsv")
+@click.option("--pipeline", "document", type=_Document(),
               default=None, help="Pre-configured pipeline document to configure.")
-def configure(cfg, pipeline_path):
+def configure(cfg, document):
     """Derive the resource configuration via the rule corpus."""
     from .configure import build_registry, target_pilot_record
     from .datalog import dump_facts
@@ -250,21 +269,7 @@ def configure(cfg, pipeline_path):
     spec = cfg.workload_spec()
     target = SimWorkload.from_spec(spec)
     cloud = cfg.cloud_attributes()
-    graph = None
-    try:
-        if pipeline_path is not None:
-            with open(pipeline_path) as fh:
-                text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot read pipeline document: %s" % exc)
-    finally:
-        # read first, as the document may be an earlier configured
-        # pipeline; a configure that fails leaves no configuration that
-        # simulate could run
-        _remove([cfg.configured_pipeline_path, cfg.facts_path,
-                 cfg.path("resource_config.tsv")])
-    if pipeline_path is not None:
-        graph = parse_pipeline(text)
+    graph = None if document is None else parse_pipeline(document)
     records = read_pilot_csv(cfg.pilot_csv)
     pilot_record = target_pilot_record(records, target)
     if graph is None:
@@ -291,15 +296,12 @@ def configure(cfg, pipeline_path):
         fh.write(serialize_pipeline(configured))
     with open(cfg.facts_path, "w") as fh:
         fh.write(dump_facts(idb))
-    lines = ["\t".join(["pipeline", "chunk_size", "slice_size", "storage",
-                        "slice_memory_reservation", "prepare_memory_reservation"])]
-    lines.append("\t".join([
-        config.pipeline, repr(config.chunk_size), repr(config.slice_size),
-        config.storage, repr(config.slice_memory_reservation),
-        repr(config.prepare_memory_reservation),
-    ]))
-    with open(cfg.path("resource_config.tsv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(cfg.path("resource_config.tsv"),
+                 ("pipeline", "chunk_size", "slice_size", "storage",
+                  "slice_memory_reservation", "prepare_memory_reservation"),
+                 [(config.pipeline, repr(config.chunk_size), repr(config.slice_size),
+                   config.storage, repr(config.slice_memory_reservation),
+                   repr(config.prepare_memory_reservation))])
     click.echo("configured_resource(%s, %g, %g, %s, %g, %g)" % (
         config.pipeline, config.chunk_size, config.slice_size,
         config.storage, config.slice_memory_reservation,
@@ -307,17 +309,13 @@ def configure(cfg, pipeline_path):
     return {"chunk_size": int(config.chunk_size), "slice_size": int(config.slice_size)}
 
 
-@_stage
+@_stage("reports/comparison.tsv", "reports/trace_*.tsv")
 @click.option("--legacy-only", is_flag=True, help="Run only the legacy baseline.")
 def simulate(cfg, legacy_only):
     """Simulate the configured pipeline against the legacy baseline."""
     from .errors import ConfigureError
-    from .sim import compare, write_comparison
+    from .sim import ComparisonRow, compare
 
-    # a simulate that fails leaves no comparison or trace of an earlier
-    # configuration for report to read
-    _remove([cfg.path("reports", "comparison.tsv")]
-            + glob.glob(os.path.join(glob.escape(cfg.reports_dir), "trace_*.tsv")))
     workloads = cfg.timed_workloads("simulate")
     cluster = cfg.cluster_spec()
     cost = cfg.cost_model(noise_amplitude=0.0)
@@ -345,7 +343,9 @@ def simulate(cfg, legacy_only):
             write_trace(cfg.path("reports", "trace_distributed_%d.tsv" % i), trace)
     if configured is not None:
         rows = compare(legacy_traces, dist_traces, volumes)
-        write_comparison(cfg.path("reports", "comparison.tsv"), rows)
+        _write_table(cfg.path("reports", "comparison.tsv"),
+                     [f.name for f in dataclasses.fields(ComparisonRow)],
+                     [map(repr, dataclasses.astuple(row)) for row in rows])
         last = rows[-1]
         click.echo("largest volume: time ratio %.3f, memory ratio %.3f"
                    % (last.time_ratio, last.memory_ratio))
@@ -373,24 +373,21 @@ def _last_time_ratio(path):
     return cell
 
 
-@_stage
+@_stage("reports/summary.txt", "reports/sweet_spot.tsv", "reports/min_train_fraction.tsv")
 def report(cfg):
     """Consolidate sweet-spot and minimal-training-data series."""
     from .configure import slicing_objective, target_pilot_record
     from .learning import read_pilot_csv, training_frame
-    from .optimizer import optimize_slicing, sweet_spot_curve, write_curve
+    from .optimizer import optimize_slicing, sweet_spot_curve
     from .sim import SimWorkload
 
     have_pilot = os.path.exists(cfg.pilot_csv)
     have_models = os.path.exists(os.path.join(cfg.models_dir, "time_model.json"))
     if not (have_pilot and have_models):
-        # no report from an earlier run outlives the models it read
-        _remove(cfg.path("reports", name) for name in
-                ("summary.txt", "sweet_spot.tsv", "min_train_fraction.tsv"))
         click.echo("nothing to report: run pilot and learn first")
         return {"rows": 0}
     comparison_path = cfg.path("reports", "comparison.tsv")
-    # read before any report is rewritten, so a bad file changes nothing
+    # read first, so a bad file fails the stage before its sweeps run
     time_ratio = (_last_time_ratio(comparison_path)
                   if os.path.exists(comparison_path) else None)
     os.makedirs(cfg.reports_dir, exist_ok=True)
@@ -406,28 +403,25 @@ def report(cfg):
     )
     best = optimize_slicing(objective, space)
     curve = sweet_spot_curve(objective, space, best.nc)
-    write_curve(cfg.path("reports", "sweet_spot.tsv"), curve,
-                header=("slice_size", "predicted_time"))
+    _write_table(cfg.path("reports", "sweet_spot.tsv"), ("slice_size", "predicted_time"),
+                 [(str(ns), repr(float(value))) for ns, value in curve])
 
     plan = cfg.learn_plan()
     fractions = (0.05, 0.074, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0)
-    lines = ["\t".join(["method", "fraction", "nmae", "min_fraction", "hyperparameters"])]
+    rows = []
     data = training_frame(records, "func_ms")
     for method in plan["methods"]:
         params = SWEEP_HYPERPARAMETERS[method]
         sweep, min_fraction = min_train_fraction_sweep(
             method, params, data, plan["target_nmae"], fractions
         )
-        for fraction, score in sweep:
-            lines.append("\t".join([
-                method, repr(fraction), repr(score),
-                "" if min_fraction is None else repr(min_fraction),
-                _format_hyperparameters(params),
-            ]))
+        rows += [(method, repr(fraction), repr(score),
+                  "" if min_fraction is None else repr(min_fraction),
+                  _format_hyperparameters(params)) for fraction, score in sweep]
         click.echo("%s: minimal training fraction %s"
                    % (method, min_fraction if min_fraction is not None else "not reached"))
-    with open(cfg.path("reports", "min_train_fraction.tsv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(cfg.path("reports", "min_train_fraction.tsv"),
+                 ("method", "fraction", "nmae", "min_fraction", "hyperparameters"), rows)
 
     summary = ["sweet spot: slice_size=%d predicted_time=%s" % (best.ns, best.value)]
     if time_ratio is not None:

@@ -56,7 +56,6 @@ def _list(rule):
 _POSITIVE = _number()
 _NON_NEGATIVE = _number(allow_zero=True)
 _COUNT = _number(integer=True)
-_SYMBOL = ("a non-empty string", lambda value: value if isinstance(value, str) and value else None)
 
 
 @functools.cache
@@ -84,10 +83,9 @@ def _rules():
                           else _POSITIVE if f.name.startswith("thr_") else _NON_NEGATIVE)
                  for f in dataclasses.fields(CostModel)
                  if f.name != "noise_amplitude"},
-        "cloud": {"id": _SYMBOL, "memory_buffer_coefficient": _POSITIVE,
-                  "storage_buffer_coefficient": _POSITIVE, "max_memory_coefficient": _POSITIVE,
-                  "node_memory": _POSITIVE, "node_storage": _POSITIVE,
-                  "fast_storage": _SYMBOL, "cloud_storage": _SYMBOL},
+        "cloud": {"memory_buffer_coefficient": _POSITIVE, "storage_buffer_coefficient": _POSITIVE,
+                  "max_memory_coefficient": _POSITIVE, "node_memory": _POSITIVE,
+                  "node_storage": _POSITIVE},
         "search": {"nc_steps": _COUNT, "ns_steps": _COUNT, "span": _COUNT},
         "pilot": {"durations": _list(_POSITIVE), "record_bytes": _list(_COUNT),
                   "estimation_seeds": _COUNT, "configuration_seeds": _COUNT,

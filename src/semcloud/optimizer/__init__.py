@@ -5,7 +5,6 @@ from .search import (
     SearchSpace,
     optimize_slicing,
     sweet_spot_curve,
-    write_curve,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "SearchSpace",
     "optimize_slicing",
     "sweet_spot_curve",
-    "write_curve",
 ]

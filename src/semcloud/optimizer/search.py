@@ -123,12 +123,3 @@ def sweet_spot_curve(objective, space, nc):
         value = float(objective(nc, ns))
         curve.append((ns, value if math.isfinite(value) else math.nan))
     return curve
-
-
-def write_curve(path, curve, header=("ns", "value")):
-    """Write a (x, y) curve as a tab-delimited text file."""
-    lines = ["\t".join(header)]
-    for x, y in curve:
-        lines.append("%s\t%s" % (x, repr(float(y))))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -102,8 +102,9 @@ def _finite(text) -> float:
 
 
 def read_pilot_csv(path) -> list:
-    """Pilot records from a CSV file; LearningError if unreadable or if a
-    numeric cell is not a finite number."""
+    """Pilot records from a CSV file; LearningError if unreadable, if a
+    numeric cell is not a finite number, or if a record fails the checks
+    write_pilot_csv makes."""
     try:
         with open(path, newline="") as stream:
             reader = csv.DictReader(stream)
@@ -113,14 +114,18 @@ def read_pilot_csv(path) -> list:
             out = []
             for row in reader:
                 try:
-                    values = {
+                    record = PilotRunRecord(**{
                         name: row[name] if name in _STR_FIELDS else _finite(row[name])
                         for name in FIELD_NAMES
-                    }
+                    })
                 except (TypeError, ValueError) as exc:
-                    raise LearningError(
-                        f"pilot stats {path} line {reader.line_num}: {exc}") from None
-                out.append(PilotRunRecord(**values))
+                    problems = [str(exc)]
+                else:
+                    problems = record.violations()
+                if problems:
+                    raise LearningError(f"pilot stats {path} line {reader.line_num}: "
+                                        + "; ".join(problems))
+                out.append(record)
             return out
     except (OSError, UnicodeDecodeError) as exc:
         raise LearningError(

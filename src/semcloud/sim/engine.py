@@ -348,13 +348,6 @@ def compare(legacy_traces, distributed_traces, volumes):
     return tuple(rows)
 
 
-def write_comparison(path, rows):
-    lines = ["\t".join(f.name for f in dataclasses.fields(ComparisonRow))]
-    lines += ["\t".join(map(repr, dataclasses.astuple(row))) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def collect_pilot_stats(pipeline, cluster, cost, workloads, grid, seeds):
     """Gather PilotRunRecords over a configuration grid.
 

@@ -90,6 +90,16 @@ class TestChain:
         for rel in expected:
             assert os.path.exists(os.path.join(workdir, rel)), rel
 
+    def test_every_output_is_declared_by_one_stage(self, completed_chain):
+        _, workdir, _ = completed_chain
+        root = pathlib.Path(workdir)
+        declared = [path for command in main.commands.values()
+                    for pattern in command.outputs for path in root.glob(pattern)]
+        # pilot declares nothing, so that a pilot --dry-run removes nothing
+        assert main.commands["pilot"].outputs == ()
+        files = [path for path in root.rglob("*") if path.is_file()]
+        assert sorted(declared) == sorted(set(files) - {root / "pilot.csv"})
+
     def test_configured_resource_is_printed(self, completed_chain):
         _, _, results = completed_chain
         assert "configured_resource(" in results["configure"].combined
@@ -200,6 +210,10 @@ def test_report_sweet_spot_is_the_configured_slice_size(tmp_path, seed):
     with open(os.path.join(workdir, "reports", "summary.txt")) as fh:
         summary = fh.readline()
     assert summary.startswith("sweet spot: slice_size=%d " % float(config["slice_size"]))
+    with open(os.path.join(workdir, "reports", "sweet_spot.tsv")) as fh:
+        header, first = fh.read().splitlines()[:2]
+    assert header == "slice_size\tpredicted_time"
+    assert re.fullmatch(r"\d+\t\S+", first), first
 
 
 def status_lines(result):
@@ -297,6 +311,26 @@ class TestContract:
         result = invoke(config_path, "simulate")
         self.assert_failure(result, "simulate", 1, "ConfigureError")
         assert "run `semcloud configure` first" in result.stderr
+
+    @pytest.mark.parametrize("command, cut", [
+        ("learn", "pilot.csv"),
+        ("configure", "models/time_model.json"),
+        ("simulate", "configured_pipeline.yaml"),
+        ("report", "models/time_model.json"),
+    ])
+    def test_a_stage_that_starts_and_fails_leaves_none_of_its_outputs(
+            self, tmp_path, completed_chain, command, cut):
+        _, workdir, _ = completed_chain
+        out = tmp_path / "out"
+        shutil.copytree(workdir, out)
+        outputs = main.commands[command].outputs
+        assert all(list(out.glob(pattern)) for pattern in outputs)
+        path = out / cut
+        path.write_text(path.read_text()[:100])
+        result = invoke(write_project(tmp_path), command)
+        assert result.exit_code == 1, result.combined
+        assert len(status_lines(result)) == 1
+        assert [path for pattern in outputs for path in out.glob(pattern)] == []
 
     def test_configure_writes_no_pipeline_that_its_readers_refuse(self, tmp_path):
         # a one-byte record gives a negative slice memory reservation
@@ -427,7 +461,7 @@ class TestContract:
         result = invoke(write_project(tmp_path), "report")
         self.assert_failure(result, "report", 1, "SimError")
         assert "comparison.tsv" in result.combined
-        assert earlier.read_text() == "stale\n"
+        assert not earlier.exists()
 
     @pytest.mark.parametrize("command", ["learn", "configure", "report"])
     def test_pilot_stats_that_are_not_utf8(self, tmp_path, completed_chain, command):
@@ -438,12 +472,17 @@ class TestContract:
         self.assert_failure(result, command, 1, "LearningError")
         assert "cannot read pilot stats" in result.combined
 
-    def test_pipeline_document_that_is_not_utf8(self, tmp_path):
+    def test_pipeline_document_that_is_not_utf8(self, tmp_path, completed_chain):
+        _, workdir, _ = completed_chain
+        shutil.copytree(workdir, tmp_path / "out")
         path = tmp_path / "pipeline.yaml"
         path.write_bytes(b"\xff\xfe format: semcloud-pipeline/1\n")
         result = invoke(write_project(tmp_path), "configure", "--pipeline", str(path))
         self.assert_failure(result, "configure", 2, "ConfigError")
         assert "cannot read pipeline document" in result.combined
+        # the option fails as it parses, before configure removes its outputs
+        for name in ("configured_pipeline.yaml", "configured_facts.dl", "resource_config.tsv"):
+            assert (tmp_path / "out" / name).read_bytes() == pathlib.Path(workdir, name).read_bytes()
 
     def test_overflowing_record_count_names_the_dropped_instance(self, tmp_path, completed_chain):
         # the models' outputs overflow; the engine drops the instance, and

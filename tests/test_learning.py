@@ -748,6 +748,24 @@ class TestPilotRecords:
                            % (re.escape(str(path)), re.escape(cell))):
             read_pilot_csv(path)
 
+    @pytest.mark.parametrize("column, cell, reason", [
+        ("slice_memory", "-5.0", "slice_memory is negative"),
+        ("kind", "bogus", "unknown run kind 'bogus'"),
+        ("storage_mode", "ssd", "unknown storage mode 'ssd'"),
+    ])
+    def test_a_row_that_fails_its_checks_is_rejected_naming_the_file_and_line(
+            self, tmp_path, column, cell, reason):
+        # the checks write_pilot_csv makes on each record
+        path = tmp_path / "pilot.csv"
+        write_pilot_csv([make_pilot_record(), make_pilot_record()], path)
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = cell
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(LearningError, match=r"pilot stats %s line 3: %s$"
+                           % (re.escape(str(path)), re.escape(reason))):
+            read_pilot_csv(path)
+
     def test_violations_flag_bad_rows(self):
         good = make_pilot_record()
         assert good.violations() == []

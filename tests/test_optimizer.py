@@ -11,7 +11,6 @@ from semcloud.optimizer import (
     SearchSpace,
     optimize_slicing,
     sweet_spot_curve,
-    write_curve,
 )
 from semcloud.optimizer.search import geometric_grid
 
@@ -241,11 +240,4 @@ class TestCurve:
         curve = sweet_spot_curve(holed, space, nc=64)
         assert curve[0][0] >= 1
         assert math.isnan(curve[-1][1])
-
-    def test_write_curve(self, tmp_path):
-        path = tmp_path / "curve.tsv"
-        write_curve(path, [(1, 2.0), (2, 3.5)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "ns\tvalue"
-        assert lines[1] == "1\t2.0"
 
