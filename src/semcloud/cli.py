@@ -8,6 +8,7 @@ status line on stderr.
 
 import contextlib
 import dataclasses
+import fnmatch
 import functools
 import glob
 import os
@@ -130,13 +131,14 @@ def main(ctx, config_path):
     ctx.obj["config_path"] = config_path
 
 
-def _stage(*outputs):
+def _stage(*outputs, inputs=()):
     """Register ``func(cfg, **options)``, which runs a stage and returns its
-    status fields, as the command of its name.  ``outputs``, kept as the
-    command's, are the glob patterns under the workdir of every file the
-    stage writes.  The command loads the project config, removes every file
-    they match, so a stage that fails leaves no artifact of an earlier run,
-    calls ``func`` and prints one status line."""
+    status fields, as the command of its name.  ``outputs`` and ``inputs``,
+    kept as the command's, are the glob patterns under the workdir of every
+    file the stage writes and of every file it reads through ``_read``.  The
+    command loads the project config, removes every file the outputs match,
+    so a stage that fails leaves no artifact of an earlier run, calls
+    ``func`` and prints one status line."""
 
     def register(func):
         @functools.wraps(func)
@@ -149,16 +151,53 @@ def _stage(*outputs):
 
         command = main.command()(command)
         command.outputs = outputs
+        command.inputs = inputs
         return command
 
     return register
+
+
+def _read(cfg, name, optional=False):
+    """The text of the workdir file ``name``, which the calling stage
+    declares among its inputs.  A missing file is None when ``optional``,
+    else an InputError naming the stage that writes it, found by the
+    declared outputs; so is a file that cannot be read or is not UTF-8."""
+    path = cfg.path(name)
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        from .errors import InputError
+
+        if not isinstance(exc, FileNotFoundError):
+            raise InputError("cannot read %s: %s" % (path, exc)) from None
+        if optional:
+            return None
+        # pilot declares no outputs (see pilot), so its one file is named here
+        writer = "pilot" if name == "pilot.csv" else next(
+            stage for stage, command in main.commands.items()
+            if any(fnmatch.fnmatch(name, pattern) for pattern in command.outputs))
+        raise InputError("%s is missing; run `semcloud %s` first" % (path, writer)) from None
+
+
+def _pilot_records(cfg):
+    from .pilots import read_pilot_csv
+
+    return read_pilot_csv(_read(cfg, "pilot.csv"), cfg.path("pilot.csv"))
+
+
+def _load_model(cfg, name):
+    from .learning import load_model
+
+    name = "models/%s.json" % name
+    return load_model(_read(cfg, name), cfg.path(name))
 
 
 @_stage("workload/source_*")
 def gen(cfg):
     """Generate the heterogeneous source files."""
     spec = cfg.workload_spec(seed=derive_seed(cfg.seed, "gen"))
-    descriptors = generate_workload(spec, cfg.workload_dir)
+    descriptors = generate_workload(spec, cfg.path("workload"))
     for desc in descriptors:
         click.echo("%s: %d records" % (desc.location, spec.total_records()))
     return {"sources": len(descriptors), "records": spec.total_records()}
@@ -183,10 +222,10 @@ def pilot(cfg, dry_run):
                                      runs.grid, runs.configuration_seeds)
     records = est + conf
     os.makedirs(cfg.workdir, exist_ok=True)
-    write_pilot_csv(records, cfg.pilot_csv)
+    write_pilot_csv(records, cfg.path("pilot.csv"))
     for entry in (err1 + err2)[:5]:
         click.echo("skipped: %s" % (entry,), err=True)
-    click.echo("%s: %d rows" % (cfg.pilot_csv, len(records)))
+    click.echo("%s: %d rows" % (cfg.path("pilot.csv"), len(records)))
     # learn fits externals on each kind; a kind with no row is a
     # failure here, where its cause is known, not later in learn
     for kind, rows, errors in (("estimation", est, err1), ("configuration", conf, err2)):
@@ -197,25 +236,24 @@ def pilot(cfg, dry_run):
 
 
 @_stage("models/func_*.json", "models/time_model.json",
-        "reports/fit_reports.tsv", "reports/fit_timings.tsv")
+        "reports/fit_reports.tsv", "reports/fit_timings.tsv", inputs=("pilot.csv",))
 def learn(cfg):
     """Fit the rule externals and the time model from pilot statistics."""
     import numpy as np
 
-    from .learning import read_pilot_csv, save_model
+    from .learning import save_model
 
     plan = cfg.learn_plan()
-    records = read_pilot_csv(cfg.pilot_csv)
+    records = _pilot_records(cfg)
     # an overflowing pilot column gives a non-finite model, which
     # save_model refuses; numpy need not warn about it as well
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         models, reports = learn_externals(records, methods=plan["methods"])
         time_model, time_report = learn_time_model(records, method=plan["time_method"])
-    os.makedirs(cfg.models_dir, exist_ok=True)
-    os.makedirs(cfg.reports_dir, exist_ok=True)
-    for name, model in models.items():
-        save_model(model, os.path.join(cfg.models_dir, name + ".json"))
-    save_model(time_model, os.path.join(cfg.models_dir, "time_model.json"))
+    os.makedirs(cfg.path("models"), exist_ok=True)
+    os.makedirs(cfg.path("reports"), exist_ok=True)
+    for name, model in {**models, "time_model": time_model}.items():
+        save_model(model, cfg.path("models", name + ".json"))
 
     rows = sorted(reports.items()) + [("time_model", time_report)]
     for name, report in rows:
@@ -229,16 +267,6 @@ def learn(cfg):
                  [(name, "%.3f" % report.learning_time_ms, "%.6f" % report.inference_time_ms)
                   for name, report in rows])
     return {"models": len(models) + 1}
-
-
-def _load_model(cfg, name):
-    from .datalog import MissingExternal
-    from .learning import load_model
-
-    path = os.path.join(cfg.models_dir, name + ".json")
-    if not os.path.exists(path):
-        raise MissingExternal("model file %s is missing; run `semcloud learn` first" % path)
-    return load_model(path)
 
 
 class _Document(click.Path):
@@ -255,7 +283,8 @@ class _Document(click.Path):
             raise ConfigError("cannot read pipeline document: %s" % exc) from None
 
 
-@_stage("configured_pipeline.yaml", "configured_facts.dl", "resource_config.tsv")
+@_stage("configured_pipeline.yaml", "configured_facts.dl", "resource_config.tsv",
+        inputs=("pilot.csv", "models/*.json"))
 @click.option("--pipeline", "document", type=_Document(),
               default=None, help="Pre-configured pipeline document to configure.")
 def configure(cfg, document):
@@ -263,15 +292,14 @@ def configure(cfg, document):
     from .configure import build_registry, target_pilot_record
     from .datalog import dump_facts
     from .kg import frequent_pipeline, validate
-    from .learning import EXTERNAL_TARGETS, read_pilot_csv
+    from .learning import EXTERNAL_TARGETS
     from .sim import SimWorkload
 
     spec = cfg.workload_spec()
     target = SimWorkload.from_spec(spec)
     cloud = cfg.cloud_attributes()
     graph = None if document is None else parse_pipeline(document)
-    records = read_pilot_csv(cfg.pilot_csv)
-    pilot_record = target_pilot_record(records, target)
+    pilot_record = target_pilot_record(_pilot_records(cfg), target)
     if graph is None:
         graph = frequent_pipeline(
             target.pipeline,
@@ -292,9 +320,9 @@ def configure(cfg, document):
     # `configure --pipeline` accept
     validate(configured)
     os.makedirs(cfg.workdir, exist_ok=True)
-    with open(cfg.configured_pipeline_path, "w") as fh:
+    with open(cfg.path("configured_pipeline.yaml"), "w") as fh:
         fh.write(serialize_pipeline(configured))
-    with open(cfg.facts_path, "w") as fh:
+    with open(cfg.path("configured_facts.dl"), "w") as fh:
         fh.write(dump_facts(idb))
     _write_table(cfg.path("resource_config.tsv"),
                  ("pipeline", "chunk_size", "slice_size", "storage",
@@ -309,26 +337,17 @@ def configure(cfg, document):
     return {"chunk_size": int(config.chunk_size), "slice_size": int(config.slice_size)}
 
 
-@_stage("reports/comparison.tsv", "reports/trace_*.tsv")
+@_stage("reports/comparison.tsv", "reports/trace_*.tsv", inputs=("configured_pipeline.yaml",))
 @click.option("--legacy-only", is_flag=True, help="Run only the legacy baseline.")
 def simulate(cfg, legacy_only):
     """Simulate the configured pipeline against the legacy baseline."""
-    from .errors import ConfigureError
     from .sim import ComparisonRow, compare
 
     workloads = cfg.timed_workloads("simulate")
     cluster = cfg.cluster_spec()
     cost = cfg.cost_model(noise_amplitude=0.0)
-    os.makedirs(cfg.reports_dir, exist_ok=True)
-    configured = None
-    if not legacy_only:
-        if not os.path.exists(cfg.configured_pipeline_path):
-            raise ConfigureError(
-                "%s is missing; run `semcloud configure` first"
-                % cfg.configured_pipeline_path
-            )
-        with open(cfg.configured_pipeline_path) as fh:
-            configured = parse_pipeline(fh.read())
+    os.makedirs(cfg.path("reports"), exist_ok=True)
+    configured = None if legacy_only else parse_pipeline(_read(cfg, "configured_pipeline.yaml"))
     volumes, dist_traces, legacy_traces = [], [], []
     for i, workload in enumerate(workloads):
         volumes.append(workload.volume_mb)
@@ -352,15 +371,12 @@ def simulate(cfg, legacy_only):
     return {"volumes": len(volumes), "legacy_only": int(legacy_only)}
 
 
-def _last_time_ratio(path):
-    """The ``time_ratio`` cell of comparison.tsv's last row, as written."""
+def _last_time_ratio(text, path):
+    """The ``time_ratio`` cell of the last row of ``text``, the comparison
+    table at ``path``, as written."""
     from .sim import SimError
 
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, ValueError) as exc:
-        raise SimError("cannot read %s (%s)" % (path, exc)) from None
+    lines = text.splitlines()
     header = lines[0].split("\t") if lines else []
     last = lines[-1].split("\t") if len(lines) > 1 else []
     if "time_ratio" not in header or len(last) != len(header):
@@ -373,26 +389,22 @@ def _last_time_ratio(path):
     return cell
 
 
-@_stage("reports/summary.txt", "reports/sweet_spot.tsv", "reports/min_train_fraction.tsv")
+@_stage("reports/summary.txt", "reports/sweet_spot.tsv", "reports/min_train_fraction.tsv",
+        inputs=("pilot.csv", "models/time_model.json", "reports/comparison.tsv"))
 def report(cfg):
     """Consolidate sweet-spot and minimal-training-data series."""
     from .configure import slicing_objective, target_pilot_record
-    from .learning import read_pilot_csv, training_frame
+    from .learning import training_frame
     from .optimizer import optimize_slicing, sweet_spot_curve
     from .sim import SimWorkload
 
-    have_pilot = os.path.exists(cfg.pilot_csv)
-    have_models = os.path.exists(os.path.join(cfg.models_dir, "time_model.json"))
-    if not (have_pilot and have_models):
-        click.echo("nothing to report: run pilot and learn first")
-        return {"rows": 0}
-    comparison_path = cfg.path("reports", "comparison.tsv")
-    # read first, so a bad file fails the stage before its sweeps run
-    time_ratio = (_last_time_ratio(comparison_path)
-                  if os.path.exists(comparison_path) else None)
-    os.makedirs(cfg.reports_dir, exist_ok=True)
-    records = read_pilot_csv(cfg.pilot_csv)
+    # every input is read first, so a bad file fails the stage before its sweeps run
+    records = _pilot_records(cfg)
     time_model = _load_model(cfg, "time_model")
+    comparison = _read(cfg, "reports/comparison.tsv", optional=True)
+    time_ratio = (None if comparison is None
+                  else _last_time_ratio(comparison, cfg.path("reports/comparison.tsv")))
+    os.makedirs(cfg.path("reports"), exist_ok=True)
     spec = cfg.workload_spec()
     target = SimWorkload.from_spec(spec)
     pilot_record = target_pilot_record(records, target)

@@ -193,30 +193,6 @@ class ProjectConfig:
     def path(self, *parts):
         return os.path.join(self.workdir, *parts)
 
-    @property
-    def workload_dir(self):
-        return self.path("workload")
-
-    @property
-    def pilot_csv(self):
-        return self.path("pilot.csv")
-
-    @property
-    def models_dir(self):
-        return self.path("models")
-
-    @property
-    def reports_dir(self):
-        return self.path("reports")
-
-    @property
-    def configured_pipeline_path(self):
-        return self.path("configured_pipeline.yaml")
-
-    @property
-    def facts_path(self):
-        return self.path("configured_facts.dl")
-
     # domain objects
     def workload_spec(self, **overrides):
         from .etl import WorkloadSpec

@@ -1,7 +1,9 @@
 """The three regression methods that back the adaptive rule functions.
 
-All three predict a single nonnegative scalar from a small numeric feature
-vector and are deterministic given (data, hyper-parameters).
+All three predict a single scalar from a small numeric feature vector and
+are deterministic given (data, hyper-parameters).  The MLP's prediction is
+nonnegative, and KNN's is when its stored targets are; polynomial regression
+is not bounded below and can extrapolate below zero.
 
 Polynomial regression expands each feature into its powers [x, x^2, ..., x^m]
 with one shared intercept, so a model of degree m over f features carries

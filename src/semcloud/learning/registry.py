@@ -203,6 +203,8 @@ def _standardizer(payload, n_features):
 def model_from_dict(data: dict):
     """The model ``data`` describes.  LearningError when a value is malformed
     or the shapes disagree, so a bad model file fails where it is loaded."""
+    if not isinstance(data, dict):
+        raise LearningError(f"model must be a mapping, got {type(data).__name__}")
     if data.get("format") != MODEL_FORMAT:
         raise LearningError(f"unsupported model format {data.get('format')!r}")
     method = data["method"]
@@ -260,10 +262,11 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
-def load_model(path):
-    """The model saved at ``path``; LearningError if unreadable or malformed."""
+def load_model(text, source):
+    """The model that the model file text ``text`` holds; LearningError,
+    naming the file ``source``, if it is malformed."""
     try:
-        with open(path) as fh:
-            return model_from_dict(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError, LearningError) as exc:
-        raise LearningError(f"cannot load model file {path}: {type(exc).__name__}: {exc}") from None
+        return model_from_dict(json.loads(text))
+    # the JSON scanner recurses once per nesting level
+    except (KeyError, TypeError, ValueError, RecursionError, LearningError) as exc:
+        raise LearningError(f"cannot load model file {source}: {type(exc).__name__}: {exc}") from None

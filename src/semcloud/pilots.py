@@ -13,6 +13,7 @@ re-exports every name here.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 
@@ -101,32 +102,33 @@ def _finite(text) -> float:
     return value
 
 
-def read_pilot_csv(path) -> list:
-    """Pilot records from a CSV file; LearningError if unreadable, if a
-    numeric cell is not a finite number, or if a record fails the checks
-    write_pilot_csv makes."""
+def read_pilot_csv(text, source) -> list:
+    """Pilot records from the CSV ``text`` of the file ``source``;
+    LearningError, naming ``source`` and the line, if the CSV is malformed,
+    if a numeric cell is not a finite number, or if a record fails the
+    checks write_pilot_csv makes."""
+    reader = csv.DictReader(io.StringIO(text))
     try:
-        with open(path, newline="") as stream:
-            reader = csv.DictReader(stream)
-            missing = set(FIELD_NAMES) - set(reader.fieldnames or ())
-            if missing:
-                raise LearningError(f"pilot stats file missing columns {sorted(missing)}")
-            out = []
-            for row in reader:
-                try:
-                    record = PilotRunRecord(**{
-                        name: row[name] if name in _STR_FIELDS else _finite(row[name])
-                        for name in FIELD_NAMES
-                    })
-                except (TypeError, ValueError) as exc:
-                    problems = [str(exc)]
-                else:
-                    problems = record.violations()
-                if problems:
-                    raise LearningError(f"pilot stats {path} line {reader.line_num}: "
-                                        + "; ".join(problems))
-                out.append(record)
-            return out
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LearningError(
-            f"cannot read pilot stats ({exc}); run `semcloud pilot` first") from None
+        missing = set(FIELD_NAMES) - set(reader.fieldnames or ())
+        if missing:
+            raise LearningError(f"pilot stats {source} line 1: missing columns {sorted(missing)}")
+        out = []
+        for row in reader:
+            try:
+                record = PilotRunRecord(**{
+                    name: row[name] if name in _STR_FIELDS else _finite(row[name])
+                    for name in FIELD_NAMES
+                })
+            except (TypeError, ValueError) as exc:
+                problems = [str(exc)]
+            else:
+                problems = record.violations()
+            if problems:
+                raise LearningError(f"pilot stats {source} line {reader.line_num}: "
+                                    + "; ".join(problems))
+            out.append(record)
+        return out
+    except csv.Error as exc:
+        # such as a cell longer than csv.field_size_limit(); the line is the
+        # csv reader's, as the DictReader counts only the rows it returned
+        raise LearningError(f"pilot stats {source} line {reader.reader.line_num}: {exc}") from None

@@ -1,6 +1,7 @@
 """Command-line interface: the full loop on a small project config."""
 
 import dataclasses
+import fnmatch
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from semcloud import config
+from semcloud import cli, config
 from semcloud.cli import main
 from semcloud.config import ConfigError, ProjectConfig, load_config
 from semcloud.optimizer import SearchSpace
@@ -50,15 +51,36 @@ def invoke(config_path, *args):
 
 
 @pytest.fixture(scope="module")
-def completed_chain(tmp_path_factory):
-    """gen -> pilot -> learn -> configure -> simulate -> report, once."""
+def traced_chain(tmp_path_factory):
+    """gen -> pilot -> learn -> configure -> simulate -> report, once, and
+    the workdir names each stage reads through cli._read."""
     root = tmp_path_factory.mktemp("proj")
     config_path = write_project(root)
-    results = {}
-    for command in ("gen", "pilot", "learn", "configure", "simulate", "report"):
-        results[command] = invoke(config_path, command)
+    results, reads = {}, {}
+    read = cli._read
+    with pytest.MonkeyPatch.context() as patch:
+        for command in ("gen", "pilot", "learn", "configure", "simulate", "report"):
+            names = reads[command] = []
+
+            def spy(cfg, name, optional=False, names=names):
+                names.append(name)
+                return read(cfg, name, optional)
+
+            patch.setattr(cli, "_read", spy)
+            results[command] = invoke(config_path, command)
     workdir = os.path.join(str(root), "out")
-    return config_path, workdir, results
+    return config_path, workdir, results, reads
+
+
+@pytest.fixture(scope="module")
+def completed_chain(traced_chain):
+    return traced_chain[:3]
+
+
+# The stage that writes each workdir file a test below breaks.
+WRITERS = {"pilot.csv": "pilot", "models/func_mp.json": "learn",
+           "models/time_model.json": "learn", "configured_pipeline.yaml": "configure",
+           "reports/comparison.tsv": "simulate"}
 
 
 class TestChain:
@@ -99,6 +121,32 @@ class TestChain:
         assert main.commands["pilot"].outputs == ()
         files = [path for path in root.rglob("*") if path.is_file()]
         assert sorted(declared) == sorted(set(files) - {root / "pilot.csv"})
+
+    def test_every_declared_input_is_written_by_one_other_stage(self, completed_chain):
+        _, workdir, _ = completed_chain
+        root = pathlib.Path(workdir)
+        for stage, command in main.commands.items():
+            for pattern in command.inputs:
+                names = [path.relative_to(root).as_posix() for path in root.glob(pattern)]
+                assert names, (stage, pattern)
+                for name in names:
+                    writers = [other for other, each in main.commands.items()
+                               if any(fnmatch.fnmatch(name, out) for out in each.outputs)]
+                    # pilot.csv is the one file that no stage declares (see pilot)
+                    if name == "pilot.csv":
+                        assert writers == [], writers
+                    else:
+                        assert len(writers) == 1 and writers != [stage], (name, writers)
+
+    def test_each_stage_reads_exactly_its_declared_inputs(self, traced_chain):
+        _, _, results, reads = traced_chain
+        assert all(result.exit_code == 0 for result in results.values())
+        for stage, names in reads.items():
+            patterns = main.commands[stage].inputs
+            assert [name for name in names
+                    if not any(fnmatch.fnmatch(name, p) for p in patterns)] == [], stage
+            # and no declaration is wider than the chain needs
+            assert [p for p in patterns if not fnmatch.filter(names, p)] == [], stage
 
     def test_configured_resource_is_printed(self, completed_chain):
         _, _, results = completed_chain
@@ -179,8 +227,8 @@ class TestIndividualCommands:
     def test_report_on_empty_project(self, tmp_path):
         config_path = write_project(tmp_path)
         result = invoke(config_path, "report")
-        assert result.exit_code == 0
-        assert "nothing to report" in result.combined
+        assert result.exit_code == 1
+        assert "pilot.csv is missing; run `semcloud pilot` first" in result.combined
 
     def test_empty_cluster_is_usage_error(self, tmp_path):
         config_path = write_project(tmp_path, cluster={"nodes": 0})
@@ -239,7 +287,7 @@ class TestContract:
 
     def test_learn_without_pilot_stats(self, tmp_path):
         result = invoke(write_project(tmp_path), "learn")
-        self.assert_failure(result, "learn", 1, "LearningError")
+        self.assert_failure(result, "learn", 1, "InputError")
         assert "semcloud pilot" in result.combined
 
     def test_truncated_model_file(self, tmp_path, completed_chain):
@@ -265,7 +313,7 @@ class TestContract:
             assert "time_model.json: model scale must be a finite positive array" in error
             assert not (tmp_path / "out" / "models" / "time_model.json").exists()
             result = invoke(config_path, "configure")
-            self.assert_failure(result, "configure", 1, "MissingExternal")
+            self.assert_failure(result, "configure", 1, "InputError")
             assert "time_model.json is missing; run `semcloud learn` first" in result.stderr
 
         assert invoke(write_project(tmp_path), "gen").exit_code == 0
@@ -288,8 +336,8 @@ class TestContract:
         assert invoke(config_path, "pilot").exit_code == 0
         self.assert_failure(invoke(config_path, "learn"), "learn", 1, "LearningError")
         result = invoke(config_path, "report")
-        assert result.exit_code == 0
-        assert "nothing to report" in result.output
+        self.assert_failure(result, "report", 1, "InputError")
+        assert "time_model.json is missing; run `semcloud learn` first" in result.stderr
         assert [name for name in names if (reports / name).exists()] == []
 
     def test_a_failed_configure_leaves_no_configuration(self, tmp_path, completed_chain):
@@ -309,7 +357,7 @@ class TestContract:
         self.assert_failure(invoke(config_path, "configure"), "configure", 1, "LearningError")
         assert [name for name in names if (out / name).exists()] == []
         result = invoke(config_path, "simulate")
-        self.assert_failure(result, "simulate", 1, "ConfigureError")
+        self.assert_failure(result, "simulate", 1, "InputError")
         assert "run `semcloud configure` first" in result.stderr
 
     @pytest.mark.parametrize("command, cut", [
@@ -469,8 +517,30 @@ class TestContract:
         shutil.copytree(workdir, tmp_path / "out")
         (tmp_path / "out" / "pilot.csv").write_bytes(b"\xff\xfe pipeline,no_records\n")
         result = invoke(write_project(tmp_path), command)
-        self.assert_failure(result, command, 1, "LearningError")
-        assert "cannot read pilot stats" in result.combined
+        self.assert_failure(result, command, 1, "InputError")
+        assert "cannot read %s" % (tmp_path / "out" / "pilot.csv") in result.combined
+
+    @pytest.mark.parametrize("stage, pattern, broken", [
+        (stage, pattern, broken) for stage, command in sorted(main.commands.items())
+        for pattern in command.inputs for broken in ("missing", "not-utf8")
+        # report reads the comparison only when simulate wrote one
+        if (pattern, broken) != ("reports/comparison.tsv", "missing")])
+    def test_a_declared_input_that_is_missing_or_not_utf8(self, tmp_path, completed_chain,
+                                                           stage, pattern, broken):
+        _, workdir, _ = completed_chain
+        out = tmp_path / "out"
+        shutil.copytree(workdir, out)
+        path = sorted(out.glob(pattern))[0]
+        if broken == "missing":
+            path.unlink()
+            writer = WRITERS[path.relative_to(out).as_posix()]
+            message = "error: %s is missing; run `semcloud %s` first" % (path, writer)
+        else:
+            path.write_bytes(b"\xff\xfe{")
+            message = "error: cannot read %s: " % path
+        result = invoke(write_project(tmp_path), stage)
+        self.assert_failure(result, stage, 1, "InputError")
+        assert result.stderr.startswith(message), result.stderr
 
     def test_pipeline_document_that_is_not_utf8(self, tmp_path, completed_chain):
         _, workdir, _ = completed_chain

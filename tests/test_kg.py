@@ -184,7 +184,7 @@ class TestLargeGraphs:
         assert result.exit_code == 1
         assert [line for line in result.stderr.splitlines()
                 if line.startswith("semcloud-status ")] == [
-            "semcloud-status command=configure ok=0 error=LearningError"]
+            "semcloud-status command=configure ok=0 error=InputError"]
         assert "Traceback" not in result.output + result.stderr
 
 

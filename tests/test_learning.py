@@ -1,5 +1,6 @@
 """Learning stack: models, metrics, tuning, registry, pilot records."""
 
+import csv
 import re
 
 import numpy as np
@@ -645,10 +646,20 @@ class TestRegistryAndPersistence:
                       fit_mlp(X, y, (4,), epochs=10, step_size=0.05)):
             path = tmp_path / "m.json"
             save_model(model, path)
-            loaded = load_model(path)
+            loaded = load_model(path.read_text(), path)
             assert type(loaded) is type(model)
             assert predict_method(loaded, probe) == pytest.approx(
                 predict_method(model, probe))
+
+    @pytest.mark.parametrize("text, reason", [
+        # the JSON scanner recurses once per nesting level
+        ("[" * 100_000 + "]" * 100_000, "RecursionError: maximum recursion depth exceeded"),
+        ("[]", "LearningError: model must be a mapping, got list"),
+    ], ids=["deeply-nested", "not-a-mapping"])
+    def test_malformed_model_file_is_rejected_naming_the_file(self, text, reason):
+        with pytest.raises(LearningError,
+                           match="^cannot load model file m.json: " + re.escape(reason)):
+            load_model(text, "m.json")
 
     def test_model_dict_round_trip(self):
         model = fit_knn(np.ones((3, 1)), np.arange(3.0), k=1)
@@ -733,8 +744,9 @@ class TestPilotRecords:
         records = [make_pilot_record(),
                    make_pilot_record(kind="configuration", chunk_size=200.0,
                                      slice_size=100.0)]
-        write_pilot_csv(records, tmp_path / "pilot.csv")
-        assert read_pilot_csv(tmp_path / "pilot.csv") == records
+        path = tmp_path / "pilot.csv"
+        write_pilot_csv(records, path)
+        assert read_pilot_csv(path.read_text(), path) == records
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_a_non_finite_cell_is_rejected_naming_the_file_and_line(self, tmp_path, cell):
@@ -746,7 +758,17 @@ class TestPilotRecords:
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
         with pytest.raises(LearningError, match=r"pilot stats %s line 3: non-finite value '%s'"
                            % (re.escape(str(path)), re.escape(cell))):
-            read_pilot_csv(path)
+            read_pilot_csv(path.read_text(), path)
+
+    def test_an_over_long_cell_is_rejected_naming_the_file_and_line(self, tmp_path):
+        path = tmp_path / "pilot.csv"
+        write_pilot_csv([make_pilot_record(), make_pilot_record()], path)
+        header, first, second = path.read_text().splitlines()
+        cell = "p" * (csv.field_size_limit() + 1)
+        path.write_text("\n".join([header, first, cell + second[2:]]) + "\n")
+        with pytest.raises(LearningError, match=r"pilot stats %s line 3: field larger than "
+                           "field limit" % re.escape(str(path))):
+            read_pilot_csv(path.read_text(), path)
 
     @pytest.mark.parametrize("column, cell, reason", [
         ("slice_memory", "-5.0", "slice_memory is negative"),
@@ -764,7 +786,7 @@ class TestPilotRecords:
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
         with pytest.raises(LearningError, match=r"pilot stats %s line 3: %s$"
                            % (re.escape(str(path)), re.escape(reason))):
-            read_pilot_csv(path)
+            read_pilot_csv(path.read_text(), path)
 
     def test_violations_flag_bad_rows(self):
         good = make_pilot_record()
