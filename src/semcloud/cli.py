@@ -138,16 +138,26 @@ def _stage(*outputs, inputs=()):
     file the stage writes and of every file it reads through ``_read``.  The
     command loads the project config, removes every file the outputs match,
     so a stage that fails leaves no artifact of an earlier run, calls
-    ``func`` and prints one status line."""
+    ``func`` and prints one status line.  When ``func`` raises, the command
+    removes every file the outputs match again, so a stage that fails
+    part-way leaves none of its own either."""
 
     def register(func):
-        @functools.wraps(func)
-        def command(**options):
-            cfg = load_config(click.get_current_context().obj["config_path"])
+        def remove_outputs(cfg):
             for pattern in outputs:
                 for path in glob.glob(os.path.join(glob.escape(cfg.workdir), pattern)):
                     os.remove(path)
-            _status(func.__name__, True, **func(cfg, **options))
+
+        @functools.wraps(func)
+        def command(**options):
+            cfg = load_config(click.get_current_context().obj["config_path"])
+            remove_outputs(cfg)
+            try:
+                fields = func(cfg, **options)
+            except BaseException:
+                remove_outputs(cfg)
+                raise
+            _status(func.__name__, True, **fields)
 
         command = main.command()(command)
         command.outputs = outputs

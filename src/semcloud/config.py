@@ -120,6 +120,30 @@ def _check_grid_budget(search):
             "got %d x %d = %d" % (GRID_BUDGET, nc_steps, ns_steps, nc_steps * ns_steps))
 
 
+# The most records one workload may generate, as the product
+# workload.machines x int(workload.rate x workload.duration): gen writes
+# every record to three sources, about 1.9 KB of them per record, at about
+# 26 us per record in constant memory.  2**21 is twice the paper-scale day
+# of 12 machines at one record a second (1,036,800 records), so about
+# 4 GB of sources and a minute of gen.  A setting that is not given counts
+# at WorkloadSpec's default.
+RECORD_BUDGET = 1 << 21
+_WORKLOAD_DEFAULTS = {"machines": 45, "rate": 1.0, "duration": 86.4}
+
+
+def _check_record_budget(workload):
+    machines, rate, duration = (workload.get(key, default)
+                                for key, default in _WORKLOAD_DEFAULTS.items())
+    # in floats, so a product past float range is inf, not an OverflowError
+    per_machine = rate * duration
+    records = machines * float(int(per_machine)) if per_machine < math.inf else per_machine
+    if records > RECORD_BUDGET:
+        raise ConfigError(
+            "workload.machines x int(workload.rate x workload.duration) must be at most %d "
+            "records, got %.15g x int(%r x %r) = %.15g"
+            % (RECORD_BUDGET, machines, rate, duration, records))
+
+
 def _checked(config):
     """Check every setting of ``config`` against _rules(); the sections with parsed values."""
     if (isinstance(config.seed, bool) or not isinstance(config.seed, int)
@@ -141,6 +165,7 @@ def _checked(config):
             if checked[key] is None:
                 raise ConfigError("%s.%s must be %s, got %r" % (section, key, what, value))
     _check_grid_budget(sections["search"])
+    _check_record_budget(sections["workload"])
     return sections
 
 

@@ -33,40 +33,45 @@ class Reject:
     reason: str
 
 
+# Characters of an XML source read at a time.
+_CHUNK_CHARS = 1 << 16
+
+
 def ingest(descriptor):
     """Read one source into raw field dicts plus a reject channel.
 
     Returns (raw_records, rejects).  Structural problems with single
     records become Rejects; an unreadable container raises
-    UnreadableSource.
+    UnreadableSource: a file that cannot be opened or is not UTF-8, a CSV
+    field over the csv module's field limit, JSON that does not parse.
+    A CSV source is read a line at a time and an XML source a chunk at a
+    time; a JSON source is read whole, so json.loads shares one key string
+    among every entry.
     """
     try:
         with open(descriptor.location) as fh:
-            text = fh.read()
-    except OSError as exc:
+            if descriptor.format == "csv":
+                return _ingest_csv(descriptor, fh)
+            if descriptor.format == "json":
+                return _ingest_json(descriptor, fh.read())
+            if descriptor.format == "xml":
+                return _ingest_xml(descriptor, iter(functools.partial(fh.read, _CHUNK_CHARS), ""))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UnreadableSource("%s: %s" % (descriptor.location, exc))
-    if descriptor.format == "csv":
-        return _ingest_csv(descriptor, text)
-    if descriptor.format == "json":
-        return _ingest_json(descriptor, text)
-    if descriptor.format == "xml":
-        return _ingest_xml(descriptor, text)
     raise UnreadableSource("unknown source format %r" % descriptor.format)
 
 
-def _ingest_csv(descriptor, text):
-    # Rows end at line feeds only (the file was read with universal
-    # newlines); str.splitlines would also break a cell at a vertical tab,
-    # form feed, \x1c-\x1e, \x85 or a Unicode line or paragraph separator.
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    rows = list(csv.reader(lines))
-    if not rows:
+def _ingest_csv(descriptor, lines):
+    # Rows end at line feeds only (the file is read with universal
+    # newlines), and a quoted cell keeps the line feeds it spans;
+    # str.splitlines would also break a cell at a vertical tab, form feed,
+    # \x1c-\x1e, \x85 or a Unicode line or paragraph separator.
+    rows = csv.reader(lines)
+    header = next(rows, None)
+    if header is None:
         return [], []
-    header = rows[0]
     records, rejects = [], []
-    for i, row in enumerate(rows[1:]):
+    for i, row in enumerate(rows):
         if len(row) != len(header):
             rejects.append(Reject(descriptor.location, i, "cell count mismatch"))
             continue
@@ -112,45 +117,70 @@ def _layout_tag(tag):
     return tag.isascii() and tag[0] != "{" and tag != "record"
 
 
-def _ingest_xml(descriptor, text):
+def _xml_pieces(chunks):
+    """The text of ``chunks`` cut after the last "</record>" of each chunk.
+
+    No "<record>", "<records" or "</record>" spans a cut: none of them
+    overlaps a "</record>", and the text before a cut ends with one.  So
+    each record block, from a "<record>" to the first "</record>" after it,
+    lies in one piece."""
+    carry = ""
+    for chunk in chunks:
+        text = carry + chunk
+        # carry holds no "</record>", so a new one ends in chunk
+        cut = text.rfind("</record>", max(0, len(carry) - 8))
+        if cut < 0:
+            carry = text
+        else:
+            cut += len("</record>")
+            yield text[:cut]
+            carry = text[cut:]
+    yield carry
+
+
+def _ingest_xml(descriptor, chunks):
     # Record blocks are read individually so one truncated record
     # becomes a reject instead of poisoning the whole file.
-    if "<records" not in text:
-        raise UnreadableSource("%s: missing <records> wrapper" % descriptor.location)
     records, rejects = [], []
-    find, match_block = text.find, _XML_RECORD.match
+    match_block = _XML_RECORD.match
     layout, tags = None, ()
-    matched_opens = i = 0
-    start = find("<record>")
-    while start >= 0:
-        # A record with the fields of the last block ElementTree read that
-        # set a layout, in the same order, takes one match; an empty
-        # element is None, as ElementTree gives it.
-        match = layout and layout(text, start)
-        if match:
-            records.append({tag: value or None for tag, value in zip(tags, match.groups())})
-            matched_opens += 1
-        else:
-            # where no block matches, no later "<record>" has a "</record>"
-            # after it either
-            match = match_block(text, start)
-            if match is None:
-                break
-            block = match.group()
-            matched_opens += block.count("<record>")
-            try:
-                element = ET.fromstring(block)
-            except ET.ParseError as exc:
-                rejects.append(Reject(descriptor.location, i, "bad record: %s" % exc))
+    wrapped = False
+    total_opens = matched_opens = i = 0
+    for text in _xml_pieces(chunks):
+        wrapped = wrapped or "<records" in text
+        total_opens += text.count("<record>")
+        find = text.find
+        start = find("<record>")
+        while start >= 0:
+            # A record with the fields of the last block ElementTree read that
+            # set a layout, in the same order, takes one match; an empty
+            # element is None, as ElementTree gives it.
+            match = layout and layout(text, start)
+            if match:
+                records.append({tag: value or None for tag, value in zip(tags, match.groups())})
+                matched_opens += 1
             else:
-                keys = tuple(child.tag for child in element)
-                if all(map(_layout_tag, keys)):
-                    layout, tags = _xml_layout(keys)
-                    keys = tags
-                records.append(dict(zip(keys, [child.text for child in element])))
-        i += 1
-        start = find("<record>", match.end())
-    total_opens = text.count("<record>")
+                # where no block matches, no later "<record>" has a "</record>"
+                # after it either
+                match = match_block(text, start)
+                if match is None:
+                    break
+                block = match.group()
+                matched_opens += block.count("<record>")
+                try:
+                    element = ET.fromstring(block)
+                except ET.ParseError as exc:
+                    rejects.append(Reject(descriptor.location, i, "bad record: %s" % exc))
+                else:
+                    keys = tuple(child.tag for child in element)
+                    if all(map(_layout_tag, keys)):
+                        layout, tags = _xml_layout(keys)
+                        keys = tags
+                    records.append(dict(zip(keys, [child.text for child in element])))
+            i += 1
+            start = find("<record>", match.end())
+    if not wrapped:
+        raise UnreadableSource("%s: missing <records> wrapper" % descriptor.location)
     for j in range(total_opens - matched_opens):
         rejects.append(
             Reject(descriptor.location, matched_opens + j, "truncated record")
@@ -169,10 +199,13 @@ def map_to_unified(raw_records, descriptor):
     empty CSV cell.  A source field without a mapping raises MappingGap;
     a null key, or a cell that is not a number, raises BadCell.  Records
     with the keys of the record before them, in the same order, reuse its
-    field plan.
+    field plan.  Records with the same key value share one machine_id or
+    program_id string.
     """
     unified = []
     keys = None
+    # keyed by the str of the cell, so 1, 1.0 and True stay apart
+    share = {}.setdefault
     for index, raw in enumerate(raw_records):
         if tuple(raw) != keys:
             keys = tuple(raw)
@@ -183,7 +216,9 @@ def map_to_unified(raw_records, descriptor):
                 raise ValueError
             values = tuple([None if cell is None or cell == NULL_TOKEN else float(cell)
                             for cell in map(raw.get, fields)])
-            unified.append(UnifiedRecord(str(machine_id), str(program_id), float(raw[stamp]),
+            machine_id, program_id = str(machine_id), str(program_id)
+            unified.append(UnifiedRecord(share(machine_id, machine_id),
+                                         share(program_id, program_id), float(raw[stamp]),
                                          values, descriptor.record_bytes))
         except (TypeError, ValueError):
             raise _bad_cell(raw, plan, descriptor.location, index) from None

@@ -5,7 +5,9 @@ sources (CSV, JSON, XML) that disagree in field naming and attribute
 availability.  Output is byte-deterministic for a given seed.
 """
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -122,11 +124,12 @@ def _draws(spec):
 
 
 def _cell_rows(spec):
-    """The record_cells row of each generated record, without building the records."""
+    """The record_cells row of each generated record, drawn as it is asked
+    for, without building the records."""
     strip, cells = _TRAILING_ZEROS.sub, _ATTRIBUTE_CELLS
-    return [[machine, program, stamp]
-            + strip(" ", cells % tuple(row)).replace(". ", ".0 ").split()
-            for machine, program, stamp, row in _draws(spec)]
+    for machine, program, stamp, row in _draws(spec):
+        yield ([machine, program, stamp]
+               + strip(" ", cells % tuple(row)).replace(". ", ".0 ").split())
 
 
 def _source_fields(field_of, absent):
@@ -139,54 +142,56 @@ def _picker(fields):
     return operator.itemgetter(*(UNIFIED_HEADER.index(prop) for _, prop in fields))
 
 
-def _write_csv(path, fields, rows):
+# Each source's text is head, then one line per record with joiner between
+# them, then tail; a layout gives those and the line of a record_cells row.
+
+def _csv_layout(fields):
     pick = _picker(fields)
-    lines = [",".join(field for field, _ in fields)]
-    lines += [",".join(pick(row)) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    head = ",".join(field for field, _ in fields) + "\n"
+    return head, "\n", "\n", lambda row: ",".join(pick(row))
 
 
-def _write_json(path, fields, rows):
+def _json_layout(fields):
     # The exact text of json.dumps(entries, indent=1): the key strings are
     # quoted, and every other cell is a float repr, so already a JSON number.
     pick, quote = _picker(fields), json.encoder.encode_basestring_ascii
     text = [j for j, (_, prop) in enumerate(fields) if prop in ("machine_id", "program_id")]
     template = " {\n%s\n }" % ",\n".join("  %s: %%s" % quote(field) for field, _ in fields)
-    entries = []
-    for row in rows:
+
+    def line(row):
         cells = list(pick(row))
         for j in text:
             cells[j] = quote(cells[j])
-        entries.append(template % tuple(cells))
-    _write(path, "[\n%s\n]\n" % ",\n".join(entries))
+        return template % tuple(cells)
+
+    return "[\n", ",\n", "\n]\n", line
 
 
-def _write_xml(path, fields, rows):
+def _xml_layout(fields):
     pick = _picker(fields)
     template = "  <record>%s</record>" % "".join("<%s>%%s</%s>" % (f, f) for f, _ in fields)
-    lines = ["<records>"]
-    lines += [template % pick(row) for row in rows]
-    lines.append("</records>")
-    _write(path, "\n".join(lines) + "\n")
+    return "<records>\n", "\n", "\n</records>\n", lambda row: template % pick(row)
 
 
-def _write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+_LAYOUTS = {"csv": _csv_layout, "json": _json_layout, "xml": _xml_layout}
 
-
-_WRITERS = {"csv": _write_csv, "json": _write_json, "xml": _write_xml}
+# Records drawn and written at a time: generate_workload holds one block of
+# rows and one block of each source's text, whatever the record count.
+BLOCK_ROWS = 1024
 
 
 def generate_workload(spec, out_dir):
-    """Write the three heterogeneous source files; returns descriptors."""
+    """Write the three heterogeneous source files; returns descriptors.
+
+    The records are drawn once, BLOCK_ROWS at a time, and each block is
+    appended to all three files before the next is drawn.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    rows = _cell_rows(spec)
-    descriptors = []
+    descriptors, layouts = [], []
     for fmt, field_of, absent in _SCHEMES:
         fields = _source_fields(field_of, absent)
         location = os.path.join(out_dir, "source_%s.%s" % (fmt, fmt))
-        _WRITERS[fmt](location, fields, rows)
+        layouts.append(_LAYOUTS[fmt](fields))
         descriptors.append(
             SourceDescriptor(
                 format=fmt,
@@ -196,4 +201,14 @@ def generate_workload(spec, out_dir):
                 record_bytes=spec.record_bytes,
             )
         )
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(desc.location, "w")) for desc in descriptors]
+        rows = _cell_rows(spec)
+        # a spec gives at least one record, so the first block writes each head
+        blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
+        for n, block in enumerate(blocks):
+            for fh, (head, joiner, _, line) in zip(files, layouts):
+                fh.write((joiner if n else head) + joiner.join(map(line, block)))
+        for fh, (_, _, tail, _) in zip(files, layouts):
+            fh.write(tail)
     return descriptors

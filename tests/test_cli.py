@@ -1,6 +1,7 @@
 """Command-line interface: the full loop on a small project config."""
 
 import dataclasses
+import errno
 import fnmatch
 import json
 import os
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 from semcloud import cli, config
 from semcloud.cli import main
 from semcloud.config import ConfigError, ProjectConfig, load_config
+from semcloud.etl import WorkloadSpec, workload
 from semcloud.optimizer import SearchSpace
 
 SMALL_PROJECT = {
@@ -269,6 +271,27 @@ def status_lines(result):
             if line.startswith("semcloud-status ")]
 
 
+class FullAfterOneWrite:
+    """A text file open for writing whose writes after the first raise the
+    OSError of a full disk."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.file.name)
+        return self.file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+
 class TestContract:
     """Bad input exits 1 (domain) or 2 (usage) with one status line, no traceback."""
 
@@ -311,15 +334,17 @@ class TestContract:
             error = result.stderr.splitlines()[0]
             assert error.startswith("error: cannot save model file ")
             assert "time_model.json: model scale must be a finite positive array" in error
-            assert not (tmp_path / "out" / "models" / "time_model.json").exists()
+            # a learn that fails leaves no model, the externals it saved included
+            assert list((tmp_path / "out" / "models").iterdir()) == []
             result = invoke(config_path, "configure")
             self.assert_failure(result, "configure", 1, "InputError")
-            assert "time_model.json is missing; run `semcloud learn` first" in result.stderr
+            assert re.search(r"models/func_\w+\.json is missing; run `semcloud learn` first",
+                             result.stderr)
 
         assert invoke(write_project(tmp_path), "gen").exit_code == 0
         refused_learn()
         # models learned from other pilot statistics do not outlive a learn
-        # that fails: configure finds no time model, not a stale one
+        # that fails: configure finds no model, not a stale one
         for stage in ("pilot", "learn", "configure"):
             assert invoke(write_project(tmp_path), stage).exit_code == 0, stage
         refused_learn()
@@ -361,20 +386,26 @@ class TestContract:
         assert "run `semcloud configure` first" in result.stderr
 
     @pytest.mark.parametrize("command, cut", [
+        ("gen", None),
         ("learn", "pilot.csv"),
         ("configure", "models/time_model.json"),
         ("simulate", "configured_pipeline.yaml"),
         ("report", "models/time_model.json"),
     ])
     def test_a_stage_that_starts_and_fails_leaves_none_of_its_outputs(
-            self, tmp_path, completed_chain, command, cut):
+            self, tmp_path, monkeypatch, completed_chain, command, cut):
         _, workdir, _ = completed_chain
         out = tmp_path / "out"
         shutil.copytree(workdir, out)
         outputs = main.commands[command].outputs
         assert all(list(out.glob(pattern)) for pattern in outputs)
-        path = out / cut
-        path.write_text(path.read_text()[:100])
+        if cut is None:
+            # gen's sources fill the disk after their first block of 100 rows
+            monkeypatch.setattr(workload, "BLOCK_ROWS", 100)
+            monkeypatch.setattr(workload, "open", FullAfterOneWrite, raising=False)
+        else:
+            path = out / cut
+            path.write_text(path.read_text()[:100])
         result = invoke(write_project(tmp_path), command)
         assert result.exit_code == 1, result.combined
         assert len(status_lines(result)) == 1
@@ -601,6 +632,10 @@ class TestContract:
         # over the grid budget: rejected when the file loads, never run
         ({"search": {"nc_steps": 1e300}}, ["pilot", "--dry-run"]),
         ({"search": {"ns_steps": 4097}}, ["configure"]),
+        # over the records budget: rejected when the file loads, never generated
+        ({"workload": {"machines": 1e300}}, ["gen"]),
+        ({"workload": {"rate": 1e300}}, ["gen"]),
+        ({"workload": {"duration": 1e300}}, ["gen"]),
         ({}, ["configure", "--pipeline", os.path.join("no", "such", "pipeline.yaml")]),
         ({"learn": {"methods": ["bogus"]}}, ["learn"]),
         ({"learn": {"time_method": "bogus"}}, ["learn"]),
@@ -717,6 +752,28 @@ class TestContract:
         # a step count the project file leaves out counts at SearchSpace's default
         defaults = {f.name: f.default for f in dataclasses.fields(SearchSpace)}
         assert defaults["nc_steps"] == defaults["ns_steps"] == config._GRID_STEPS
+
+    def test_the_record_budget_bounds_the_records_a_workload_generates(self):
+        # the paper-scale day: 12 machines at one record a second
+        day = ProjectConfig(workload={"machines": 12, "duration": 86400})
+        assert day.workload_spec().total_records() == 1036800
+        assert ProjectConfig(workload={"machines": 2, "duration": 2**20}).workload
+        # int(rate x duration) records per machine
+        assert ProjectConfig(workload={"machines": 1, "rate": 0.5,
+                                       "duration": 2**22 + 1}).workload
+        message = ("workload.machines x int(workload.rate x workload.duration) must be at most "
+                   "2097152 records, got ")
+        over = message + "2 x int(1.0 x 1048577.0) = 2097154"
+        with pytest.raises(ConfigError, match=re.escape(over)):
+            ProjectConfig(workload={"machines": 2, "duration": 2**20 + 1})
+        # a product past float range, and settings left out at their defaults
+        past_range = message + "45 x int(1e+300 x 1e+300) = inf"
+        with pytest.raises(ConfigError, match=re.escape(past_range)):
+            ProjectConfig(workload={"rate": 1e300, "duration": 1e300})
+        # a setting the project file leaves out counts at WorkloadSpec's default
+        defaults = {f.name: f.default for f in dataclasses.fields(WorkloadSpec)}
+        budgeted = config._WORKLOAD_DEFAULTS
+        assert {key: defaults[key] for key in budgeted} == budgeted
 
     def test_a_bad_value_fails_when_the_config_is_built(self):
         with pytest.raises(ConfigError, match="pilot.estimation_seeds"):

@@ -1,6 +1,7 @@
 """ETL core: workload generation, ingestion, slicing, prepare, store."""
 
 import collections
+import csv
 import dataclasses
 import hashlib
 import json
@@ -10,6 +11,7 @@ import pathlib
 import random
 import re
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -94,6 +96,20 @@ class TestWorkloadGeneration:
         again = generate_workload(spec, str(tmp_path))
         for a, b in zip(descriptors, again):
             assert pathlib.Path(a.location).read_bytes() == pathlib.Path(b.location).read_bytes()
+
+    def test_generation_peak_does_not_grow_with_the_records(self, tmp_path):
+        # the sources are written a block at a time, so twice the records
+        # (two blocks, then four) allocate no more at their peak
+        peaks = []
+        for duration in (1024.0, 2048.0):
+            spec = WorkloadSpec(machines=2, production_lines=1, duration=duration, seed=1)
+            tracemalloc.start()
+            try:
+                generate_workload(spec, str(tmp_path / str(duration)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20, peaks
 
     def test_golden_bytes(self, tmp_path):
         generate_workload(GOLDEN_SPEC, str(tmp_path))
@@ -233,6 +249,18 @@ class TestIngestion:
         assert len(raws) == 60
         assert raws[1]["PROG_NO"].startswith("p" + mark)
 
+    def test_a_quoted_csv_cell_keeps_the_line_feeds_it_spans(self, workload, tmp_path):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "csv")
+        lines = pathlib.Path(desc.location).read_text().splitlines()
+        program = lines[2].split(",")[1]
+        lines[2] = lines[2].replace("," + program, ',"%s\n%s"' % (program[:1], program[1:]), 1)
+        bad = tmp_path / "quoted.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        raws, rejects = ingest(dataclasses.replace(desc, location=str(bad)))
+        assert rejects == [] and len(raws) == 60
+        assert raws[1]["PROG_NO"] == "%s\n%s" % (program[:1], program[1:])
+
     def test_rejects_truncated_xml_record(self, workload, tmp_path):
         _, descriptors = workload
         desc = next(d for d in descriptors if d.format == "xml")
@@ -253,11 +281,51 @@ class TestIngestion:
         assert all(len(raw) == len(first) and all(map(operator.is_, raw, first))
                    for raw in raws)
 
+    def test_mapped_records_share_their_key_strings(self, workload):
+        _, descriptors = workload
+        for desc in descriptors:
+            records = map_to_unified(ingest(desc)[0], desc)
+            shared = {}
+            for record in records:
+                for key in (record.machine_id, record.program_id):
+                    assert shared.setdefault(key, key) is key
+            assert len(shared) == 6 + PROGRAM_COUNT
+
+    def test_key_cells_that_compare_equal_map_to_their_own_strings(self, workload):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "json")
+        raws = ingest(desc)[0][:3]
+        for raw, cell in zip(raws, [1, 1.0, True]):
+            raw["machineId"] = cell
+        assert [r.machine_id for r in map_to_unified(raws, desc)] == ["1", "1.0", "True"]
+
     def test_missing_file_is_unreadable(self, workload):
         _, descriptors = workload
         desc = dataclasses.replace(descriptors[0], location="/nonexistent.csv")
         with pytest.raises(UnreadableSource):
             ingest(desc)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "xml"])
+    def test_a_source_that_is_not_utf8_is_unreadable(self, workload, tmp_path, fmt):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == fmt)
+        data = pathlib.Path(desc.location).read_bytes()
+        bad = tmp_path / ("bad." + fmt)
+        # a byte that no UTF-8 sequence holds, near the end of the file
+        at = data.rindex(b"1")
+        bad.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(UnreadableSource, match=re.escape(str(bad)) + ".*can't decode byte 0xff"):
+            ingest(dataclasses.replace(desc, location=str(bad)))
+
+    def test_a_csv_field_over_the_field_limit_is_unreadable(self, workload, tmp_path):
+        _, descriptors = workload
+        desc = next(d for d in descriptors if d.format == "csv")
+        lines = pathlib.Path(desc.location).read_text().splitlines()
+        lines[3] = lines[3].replace(",p", ",p" + "9" * csv.field_size_limit(), 1)
+        bad = tmp_path / "long.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(UnreadableSource, match=re.escape(str(bad)) + ": field larger than"):
+            ingest(dataclasses.replace(desc, location=str(bad)))
 
     def test_unmapped_field_raises_in_strict_mode(self, workload):
         _, descriptors = workload
@@ -432,6 +500,17 @@ class TestXmlDifferential:
             return "unreadable"
 
     @staticmethod
+    def chunks(text, seed):
+        """text cut into chunks of 1 to 13 characters, so the cuts fall inside
+        tags and record blocks."""
+        rnd, chunks, at = random.Random(seed), [], 0
+        while at < len(text):
+            size = rnd.randint(1, 13)
+            chunks.append(text[at:at + size])
+            at += size
+        return chunks
+
+    @staticmethod
     def count_layout_hits(monkeypatch):
         """A list that gains one entry for each record a layout takes."""
         hits, layout = [], sources._xml_layout
@@ -459,9 +538,10 @@ class TestXmlDifferential:
             path.write_text(text)
             read = path.read_text()  # ingest reads with universal newlines
             assert self.read(ingest, desc) == self.read(block_by_block, str(path), read), case
-            # the raw text too, carriage returns and all
-            assert (self.read(sources._ingest_xml, desc, text)
-                    == self.read(block_by_block, str(path), text)), case
+            # the raw text too, carriage returns and all, whole and in chunks
+            expected = self.read(block_by_block, str(path), text)
+            assert self.read(sources._ingest_xml, desc, [text]) == expected, case
+            assert self.read(sources._ingest_xml, desc, self.chunks(text, case)) == expected, case
         assert len(hits) > 100  # layouts took a share of the records
         assert time.monotonic() - started < 10.0
 
@@ -521,8 +601,9 @@ class TestXmlDifferential:
             path.write_bytes(text.encode())
             read = path.read_text()  # ingest reads with universal newlines
             assert self.read(ingest, desc) == self.read(block_by_block, str(path), read), case
-            assert (self.read(sources._ingest_xml, desc, text)
-                    == self.read(block_by_block, str(path), text)), case
+            expected = self.read(block_by_block, str(path), text)
+            assert self.read(sources._ingest_xml, desc, [text]) == expected, case
+            assert self.read(sources._ingest_xml, desc, self.chunks(text, case)) == expected, case
             blocks += read.count("<record>") + text.count("<record>")
         assert len(hits) > blocks / 2
         assert time.monotonic() - started < 10.0
@@ -531,7 +612,7 @@ class TestXmlDifferential:
         desc = SourceDescriptor("xml", str(tmp_path / "doc.xml"), (), (), 1)
         text = ("<records><record><x.y_1>1</x.y_1><a>2</a></record>"
                 "<record><xAy_1>3</xAy_1><a>4</a></record></records>")
-        assert sources._ingest_xml(desc, text) == (
+        assert sources._ingest_xml(desc, [text]) == (
             [{"x.y_1": "1", "a": "2"}, {"xAy_1": "3", "a": "4"}], [])
 
     @pytest.mark.parametrize("first, second", [
@@ -543,7 +624,7 @@ class TestXmlDifferential:
         hits = self.count_layout_hits(monkeypatch)
         desc = SourceDescriptor("xml", str(tmp_path / "doc.xml"), (), (), 1)
         text = "<records><record>%s</record><record>%s</record></records>" % (first, second)
-        assert sources._ingest_xml(desc, text) == block_by_block(desc.location, text)
+        assert sources._ingest_xml(desc, [text]) == block_by_block(desc.location, text)
         assert hits == []
 
 
