@@ -68,15 +68,19 @@ def _rules():
     it reads CostModel's fields, the noise bound and the learning methods.
     """
     from .pilots import DEFAULT_GRIDS
-    from .sim import MAX_NOISE_AMPLITUDE, CostModel
+    from .specs import MAX_NOISE_AMPLITUDE, CostModel
 
     method = ("one of %s" % sorted(DEFAULT_GRIDS),
               lambda value: value if isinstance(value, str) and value in DEFAULT_GRIDS else None)
     return {
         "workload": {"production_lines": _COUNT, "machines": _COUNT, "duration": _POSITIVE,
                      "rate": _POSITIVE, "record_bytes": _COUNT},
-        "cluster": {"nodes": _COUNT, "node_memory": _POSITIVE, "node_storage": _POSITIVE,
-                    "queue_latency": _NON_NEGATIVE},
+        # Every pilot and simulate run deploys over the whole cluster, so its
+        # time grows with the node count: on a 2-vCPU VM the quick start's
+        # pilot took 0.54 s at 9 nodes, 1.5 s at 4,096, 6.5 s at 16,384 and
+        # 27 s at 65,536.
+        "cluster": {"nodes": _number(integer=True, at_most=4096), "node_memory": _POSITIVE,
+                    "node_storage": _POSITIVE, "queue_latency": _NON_NEGATIVE},
         # The noise is not a project setting: each caller passes its amplitude,
         # and each noisy run gets its own seed.
         "cost": {f.name: (_COUNT if f.type is int
@@ -111,9 +115,12 @@ GRID_BUDGET = 1 << 16
 _GRID_STEPS = 16
 
 
+def _grid_steps(search):
+    return search.get("nc_steps", _GRID_STEPS), search.get("ns_steps", _GRID_STEPS)
+
+
 def _check_grid_budget(search):
-    nc_steps = search.get("nc_steps", _GRID_STEPS)
-    ns_steps = search.get("ns_steps", _GRID_STEPS)
+    nc_steps, ns_steps = _grid_steps(search)
     if nc_steps * ns_steps > GRID_BUDGET:
         raise ConfigError(
             "search.nc_steps x search.ns_steps must be at most %d grid candidates, "
@@ -128,12 +135,13 @@ def _check_grid_budget(search):
 # 4 GB of sources and a minute of gen.  A setting that is not given counts
 # at WorkloadSpec's default.
 RECORD_BUDGET = 1 << 21
-_WORKLOAD_DEFAULTS = {"machines": 45, "rate": 1.0, "duration": 86.4}
 
 
 def _check_record_budget(workload):
-    machines, rate, duration = (workload.get(key, default)
-                                for key, default in _WORKLOAD_DEFAULTS.items())
+    from .specs import WorkloadSpec
+
+    machines, rate, duration = (workload.get(key, getattr(WorkloadSpec, key))
+                                for key in ("machines", "rate", "duration"))
     # in floats, so a product past float range is inf, not an OverflowError
     per_machine = rate * duration
     records = machines * float(int(per_machine)) if per_machine < math.inf else per_machine
@@ -142,6 +150,33 @@ def _check_record_budget(workload):
             "workload.machines x int(workload.rate x workload.duration) must be at most %d "
             "records, got %.15g x int(%r x %r) = %.15g"
             % (RECORD_BUDGET, machines, rate, duration, records))
+
+
+# The most simulations one pilot may plan, as the sum
+# len(pilot.durations) x len(pilot.record_bytes) x pilot.estimation_seeds
+# + search.nc_steps x search.ns_steps x pilot.configuration_seeds: the pilot
+# holds every run's workload, seed and record.  2**18 lets a full
+# GRID_BUDGET grid run at the default three configuration seeds.  A setting
+# that is not given counts at its default.
+PILOT_RUN_BUDGET = 1 << 18
+
+
+def _check_pilot_run_budget(pilot, search):
+    plan = dict(_DEFAULTS["pilot"], **pilot)
+    durations, record_sizes = len(plan["durations"]), len(plan["record_bytes"])
+    nc_steps, ns_steps = _grid_steps(search)
+    # in floats, so a product past float range is inf, not an OverflowError
+    estimation_seeds = float(plan["estimation_seeds"])
+    configuration_seeds = float(plan["configuration_seeds"])
+    runs = (durations * record_sizes * estimation_seeds
+            + nc_steps * ns_steps * configuration_seeds)
+    if runs > PILOT_RUN_BUDGET:
+        raise ConfigError(
+            "len(pilot.durations) x len(pilot.record_bytes) x pilot.estimation_seeds + "
+            "search.nc_steps x search.ns_steps x pilot.configuration_seeds must be at most "
+            "%d pilot runs, got %d x %d x %.15g + %d x %d x %.15g = %.15g"
+            % (PILOT_RUN_BUDGET, durations, record_sizes, estimation_seeds,
+               nc_steps, ns_steps, configuration_seeds, runs))
 
 
 def _checked(config):
@@ -166,6 +201,7 @@ def _checked(config):
                 raise ConfigError("%s.%s must be %s, got %r" % (section, key, what, value))
     _check_grid_budget(sections["search"])
     _check_record_budget(sections["workload"])
+    _check_pilot_run_budget(sections["pilot"], sections["search"])
     return sections
 
 
@@ -220,7 +256,7 @@ class ProjectConfig:
 
     # domain objects
     def workload_spec(self, **overrides):
-        from .etl import WorkloadSpec
+        from .specs import WorkloadSpec
 
         try:
             return WorkloadSpec(**dict(self.workload, **overrides))
@@ -237,7 +273,7 @@ class ProjectConfig:
         return dataclasses.replace(default_cluster(**nodes), **latency)
 
     def cost_model(self, **overrides):
-        from .sim import CostModel
+        from .specs import CostModel
 
         return CostModel(**dict(self.cost, **overrides))
 

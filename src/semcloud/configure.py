@@ -7,6 +7,7 @@ then yields one configured_resource tuple, which is applied back onto
 the graph.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -152,8 +153,6 @@ def mean_estimation_pilot(records):
     rows = [r for r in records if r.kind == "estimation"]
     if not rows:
         raise ConfigureError("no estimation-kind pilot rows to seed hasEst* facts")
-    import dataclasses
-
     means = {}
     for field in ("no_records", "volume", "slice_time", "prepare_time",
                   "slice_memory", "prepare_memory", "slice_storage",

@@ -112,7 +112,3 @@ def configuration_program():
 DEFAULT_C1 = 0.667
 DEFAULT_C2 = 0.667
 DEFAULT_C3 = 1.5
-
-# Averaging granularity of the per-slice-index estimates: range(1..RANGE_SIZE)
-# is emitted into every EDB.
-RANGE_SIZE = 10

@@ -26,7 +26,8 @@ from .steps import (
     slice_records,
     store_prepared,
 )
-from .workload import WorkloadSpec, generate_workload, machine_ids
+from .workload import generate_workload, machine_ids
+from ..specs import WorkloadSpec
 
 __all__ = [
     "BadCell",

@@ -1,6 +1,7 @@
 """Slice, prepare, and store steps."""
 
 import dataclasses
+import os
 
 from ..rng import LegacyRandom
 from .errors import CapacityExceeded, MissingReference
@@ -134,8 +135,6 @@ class PreparedStore:
     """Sink for prepared slices with a byte capacity (fast) or none (cloud)."""
 
     def __init__(self, mode, directory, capacity_bytes=None):
-        import os
-
         self.mode = mode
         self.directory = directory
         self.capacity_bytes = capacity_bytes
@@ -154,8 +153,6 @@ def store_prepared(prepared, store):
     Raises CapacityExceeded when a fast store cannot hold the slice; the
     caller may retry against a cloud-mode store.
     """
-    import os
-
     needed = prepared.total_bytes()
     if store.capacity_bytes is not None and needed > store.free_bytes():
         raise CapacityExceeded(needed, int(store.free_bytes()))

@@ -6,15 +6,13 @@ availability.  Output is byte-deterministic for a given seed.
 """
 
 import contextlib
-import dataclasses
 import itertools
 import json
-import math
 import operator
 import os
 import re
 
-from ..rng import LegacyRandom, check_seed
+from ..rng import LegacyRandom
 from .records import KEY_FIELDS, UNIFIED_ATTRIBUTES, UNIFIED_HEADER
 from .sources import SourceDescriptor
 
@@ -64,33 +62,6 @@ _SCHEMES = (
     ("json", _json_field, _JSON_ABSENT),
     ("xml", _xml_field, _XML_ABSENT),
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class WorkloadSpec:
-    production_lines: int = 3
-    machines: int = 45
-    duration: float = 86.4  # s, 1/1000 of one day
-    rate: float = 1.0  # records per second per machine
-    record_bytes: int = 1250  # 1/100 of the measured 125 KB per operation
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.production_lines <= self.machines:
-            raise ValueError("need machines >= production_lines >= 1")
-        for name in ("duration", "rate", "record_bytes"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError("%s must be positive and finite, got %r"
-                                 % (name, getattr(self, name)))
-        if self.records_per_machine() < 1:
-            raise ValueError("rate * duration must give each machine a record")
-        check_seed(self.seed)
-
-    def records_per_machine(self):
-        return int(self.rate * self.duration)
-
-    def total_records(self):
-        return self.machines * self.records_per_machine()
 
 
 def machine_ids(spec):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..datalog.corpus import RANGE_SIZE
 from ..datalog.factset import FactSet
+from ..specs import RANGE_SIZE
 from .errors import InvalidGraph, MissingTask
 from .model import (
     PROPERTIES,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..storage import STORAGE_MODES
+from ..specs import STORAGE_MODES
 from .errors import CycleError, StructureError
 from .model import FREQUENCY_CLASSES, PipelineGraph, TASK_KINDS
 

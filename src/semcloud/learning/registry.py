@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from ..datalog.errors import SignatureMismatch
+from ..specs import RANGE_SIZE
 from .errors import LearningError
 from .models import (
     KNNModel,
@@ -59,8 +59,6 @@ TIME_TARGET = "total_time"
 
 def training_frame(records, external: str):
     """(X, y) arrays for one external, drawn from the matching run kind."""
-    from ..datalog.corpus import RANGE_SIZE
-
     if external in ESTIMATION_TARGETS:
         features, target = ESTIMATION_TARGETS[external]
         rows = [r for r in records if r.kind == "estimation"]
@@ -102,7 +100,7 @@ def register_externals(models: dict) -> ExternalRegistry:
     CONFIGURATION_TARGETS, or a model's feature count differs from the
     number of feature columns its entry lists (the external's arity).
     """
-    from ..datalog.engine import ExternalRegistry
+    from ..datalog import ExternalRegistry, SignatureMismatch
 
     targets = {**ESTIMATION_TARGETS, **CONFIGURATION_TARGETS}
     registry = ExternalRegistry()

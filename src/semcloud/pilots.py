@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import LearningError
-from .storage import STORAGE_MODES
+from .specs import STORAGE_MODES
 
 RUN_KINDS = ("estimation", "configuration")
 

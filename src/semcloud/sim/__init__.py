@@ -9,10 +9,7 @@ from .engine import (
 )
 from .errors import InsufficientResources, SimError, SimulatedOutOfMemory
 from .model import (
-    MAX_NOISE_AMPLITUDE,
-    MB,
     ClusterSpec,
-    CostModel,
     NodeSpec,
     QueueChannel,
     RunTrace,
@@ -22,6 +19,7 @@ from .model import (
     legacy_node,
     write_trace,
 )
+from ..specs import MAX_NOISE_AMPLITUDE, MB, CostModel
 
 __all__ = [
     "MAX_NOISE_AMPLITUDE",

@@ -1,4 +1,4 @@
-"""Cluster, cost model, and trace data types."""
+"""Cluster, workload and trace data types; the cost model is in semcloud.specs."""
 
 import collections
 import dataclasses
@@ -8,8 +8,7 @@ import itertools
 import math
 import operator
 
-MB = 2**20
-MAX_NOISE_AMPLITUDE = 0.5
+from ..specs import MB
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,51 +38,6 @@ def default_cluster(node_count=7, node_memory=128.0, node_storage=4096.0):
 
 def legacy_node():
     return NodeSpec("legacy", 8192.0, 65536.0)
-
-
-@dataclasses.dataclass(frozen=True)
-class CostModel:
-    """Analytic stand-in for measured step behaviour.
-
-    Throughputs are records/s; memories are affine in the records held
-    in flight (MB); storage factors expand the input volume.  Noise is
-    multiplicative and seeded; amplitude 0 gives exact determinism.
-    """
-
-    thr_retrieve: float = 20000.0
-    thr_slice: float = 10000.0
-    thr_prepare: float = 2000.0  # the bottleneck step
-    thr_store: float = 20000.0
-    join_overhead: float = 0.05  # s per slice, the cross-pipeline lookup
-    alpha_slice: float = 3.0  # MB per in-flight chunk MB
-    beta_slice: float = 64.0  # MB
-    alpha_prepare: float = 5.0  # MB per in-flight slice MB
-    beta_prepare: float = 96.0  # MB
-    retrieve_memory: float = 48.0  # MB
-    store_memory: float = 48.0  # MB
-    expansion_slice: float = 1.0
-    expansion_prepare: float = 1.3
-    expansion_store: float = 1.1
-    legacy_kappa: float = 2.0  # MB retained per MB processed
-    legacy_factor: float = 1.2  # integration overhead of the monolith
-    restart_penalty: float = 1.0  # fraction of elapsed phase time
-    safety_margin: float = 1.05  # default reservation over working set
-    cpu_per_instance: float = 1000.0  # millicores while busy
-    max_prepare_instances: int = 8
-    noise_amplitude: float = 0.0
-
-    def __post_init__(self):
-        for name in ("thr_retrieve", "thr_slice", "thr_prepare", "thr_store"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError("%s must be positive" % name)
-        if not 0.0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE:
-            raise ValueError("noise amplitude must be in [0, %r]" % MAX_NOISE_AMPLITUDE)
-
-    def slice_working_mb(self, nc, record_bytes):
-        return self.alpha_slice * nc * record_bytes / MB + self.beta_slice
-
-    def prepare_working_mb(self, ns, record_bytes):
-        return self.alpha_prepare * ns * record_bytes / MB + self.beta_prepare
 
 
 @dataclasses.dataclass(frozen=True)

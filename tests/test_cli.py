@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from semcloud import cli, config
 from semcloud.cli import main
 from semcloud.config import ConfigError, ProjectConfig, load_config
-from semcloud.etl import WorkloadSpec, workload
+from semcloud.etl import workload
 from semcloud.optimizer import SearchSpace
 
 SMALL_PROJECT = {
@@ -636,6 +636,11 @@ class TestContract:
         ({"workload": {"machines": 1e300}}, ["gen"]),
         ({"workload": {"rate": 1e300}}, ["gen"]),
         ({"workload": {"duration": 1e300}}, ["gen"]),
+        # over the pilot-run budget or the node bound: rejected when the file
+        # loads, before the pilot builds a run, a seed or a node
+        ({"pilot": {"estimation_seeds": 1e300}}, ["pilot", "--dry-run"]),
+        ({"pilot": {"configuration_seeds": 1e300}}, ["pilot", "--dry-run"]),
+        ({"cluster": {"nodes": 1e300}}, ["pilot", "--dry-run"]),
         ({}, ["configure", "--pipeline", os.path.join("no", "such", "pipeline.yaml")]),
         ({"learn": {"methods": ["bogus"]}}, ["learn"]),
         ({"learn": {"time_method": "bogus"}}, ["learn"]),
@@ -770,10 +775,22 @@ class TestContract:
         past_range = message + "45 x int(1e+300 x 1e+300) = inf"
         with pytest.raises(ConfigError, match=re.escape(past_range)):
             ProjectConfig(workload={"rate": 1e300, "duration": 1e300})
-        # a setting the project file leaves out counts at WorkloadSpec's default
-        defaults = {f.name: f.default for f in dataclasses.fields(WorkloadSpec)}
-        budgeted = config._WORKLOAD_DEFAULTS
-        assert {key: defaults[key] for key in budgeted} == budgeted
+
+    def test_the_pilot_run_budget_bounds_the_runs_a_pilot_plans(self):
+        # a full grid at the default three configuration seeds
+        assert ProjectConfig(search={"nc_steps": 256, "ns_steps": 256}).search
+        message = ("len(pilot.durations) x len(pilot.record_bytes) x pilot.estimation_seeds + "
+                   "search.nc_steps x search.ns_steps x pilot.configuration_seeds must be at "
+                   "most 262144 pilot runs, got ")
+        over = message + "4 x 3 x 5 + 256 x 256 x 4 = 262204"
+        with pytest.raises(ConfigError, match=re.escape(over)):
+            ProjectConfig(search={"nc_steps": 256, "ns_steps": 256},
+                          pilot={"configuration_seeds": 4})
+        # the settings left out count at their defaults
+        huge = message + "2 x 1 x 1e+300 + 16 x 16 x 3 = 2e+300"
+        with pytest.raises(ConfigError, match=re.escape(huge)):
+            ProjectConfig(pilot={"durations": [43.2, 86.4], "record_bytes": [625],
+                                 "estimation_seeds": 1e300})
 
     def test_a_bad_value_fails_when_the_config_is_built(self):
         with pytest.raises(ConfigError, match="pilot.estimation_seeds"):

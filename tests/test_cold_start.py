@@ -21,21 +21,24 @@ STAGES = ("gen", "pilot", "learn", "configure", "simulate", "report")
 
 # The layers each stage loads, when the chain runs in order.  A change here
 # is a change in every stage's cold-start cost: say why in the same change.
-# The project check loads sim for CostModel's fields and the noise bound,
-# and reads the learning methods from semcloud.pilots, which imports no
-# layer; so does every stage that writes or reads pilot records without
-# fitting.  sim and etl draw numpy's stream from the standard library
-# (semcloud.rng), so only learning and configure load numpy.
+# The project check reads CostModel's fields and the noise bound from
+# semcloud.specs, and the learning methods from semcloud.pilots; neither
+# imports a layer, so no stage loads sim for the check, and the workload
+# spec (also in semcloud.specs) loads no etl.  sim and etl draw numpy's
+# stream from the standard library (semcloud.rng), so only learning and
+# configure load numpy.
 STAGE_LAYERS = {
-    "gen": {"etl", "sim"},
+    "gen": {"etl"},
     # the grid and the workloads
-    "pilot": {"etl", "optimizer", "sim"},
-    "learn": {"datalog", "learning", "sim"},
-    "configure": set(LAYERS),
-    # the configured document (kg, which reads the corpus constants) and
-    # the workloads; ConfigureError lives in semcloud.errors
-    "simulate": {"datalog", "etl", "kg", "sim"},
-    "report": set(LAYERS),
+    "pilot": {"optimizer", "sim"},
+    # learning imports datalog only when it builds a registry, which learn does not
+    "learn": {"learning"},
+    # everything but the workload sources
+    "configure": set(LAYERS) - {"etl"},
+    # the configured document (kg, whose facts are a datalog FactSet) and
+    # the workloads
+    "simulate": {"datalog", "kg", "sim"},
+    "report": set(LAYERS) - {"etl"},
 }
 NUMPY_STAGES = {"learn", "configure", "report"}
 

@@ -1,5 +1,6 @@
-"""Import hygiene: every import in the package is used, and every package
-exports exactly the names it imports."""
+"""Import hygiene: every import in the package is used, every package
+exports exactly the names it imports, and the layers import each other only
+along the edges of one declared DAG."""
 
 import ast
 import pathlib
@@ -106,3 +107,93 @@ def test_every_package_exports_exactly_what_it_imports():
     mismatched = {str(path.relative_to(PACKAGE)): export_mismatch(path.read_text())
                   for path in packages}
     assert {path: found for path, found in mismatched.items() if found != ([], [])} == {}
+
+
+# The units of the package a module-level import may reach from each unit:
+# a unit is a top-level module or a subpackage.  The leaves import no layer;
+# each layer imports only leaves, kg also datalog (its facts are a FactSet);
+# configure wires every layer together, and cli and config import the
+# layers inside the functions that run them, so each stage loads only what
+# it runs.  A function-level import is exempt.
+LEAVES = {"errors", "rng", "specs", "pilots"}
+LAYER_IMPORTS = {
+    "__init__": set(),
+    "errors": set(),
+    "rng": set(),
+    "specs": {"rng"},
+    "pilots": {"errors", "specs"},
+    "datalog": {"errors"},
+    "kg": {"datalog", "errors", "specs"},
+    "etl": LEAVES,
+    "sim": LEAVES,
+    "optimizer": LEAVES,
+    "learning": LEAVES,
+    "configure": LEAVES | {"datalog", "kg", "etl", "sim", "optimizer", "learning"},
+    "cli": {"config"},
+    "config": set(),
+}
+
+
+def _unit(path):
+    """The unit of the module at ``path``, relative to the package."""
+    return path.parts[0].removesuffix(".py")
+
+
+def module_level_edges(path, source):
+    """The units other than its own that the module-level imports of the
+    module at ``path`` (relative to the package) reach."""
+    # the dotted package of the module, as a relative import counts from it
+    package = ["semcloud", *path.parts[:-1]]
+    reached = set()
+    for node in _own_imports(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".") for alias in node.names]
+        elif node.level:
+            base = package[:len(package) - node.level + 1]
+            targets = ([base + node.module.split(".")] if node.module
+                       else [base + [alias.name] for alias in node.names])
+        else:
+            targets = [node.module.split(".")]
+        reached |= {parts[1] for parts in targets
+                    if parts[0] == "semcloud" and len(parts) > 1}
+    return reached - {_unit(path)}
+
+
+def test_the_edge_check_resolves_relative_imports():
+    source = ("import os\n"
+              "from . import model\n"
+              "from ..datalog.factset import FactSet\n"
+              "from ..specs import RANGE_SIZE\n"
+              "import semcloud.rng\n"
+              "def f():\n"
+              "    from ..sim import run\n")
+    path = pathlib.Path("kg", "facts.py")
+    assert module_level_edges(path, source) == {"datalog", "specs", "rng"}
+    assert module_level_edges(pathlib.Path("cli.py"), "from . import config\n") == {"config"}
+
+
+def test_the_declared_layer_imports_form_a_dag():
+    # depth-first, with every unit on the current path marked
+    done, path = set(), []
+
+    def visit(unit):
+        assert unit not in path, "cycle: %s" % " -> ".join(path + [unit])
+        if unit not in done:
+            path.append(unit)
+            for reached in LAYER_IMPORTS[unit]:
+                visit(reached)
+            path.pop()
+            done.add(unit)
+
+    for unit in LAYER_IMPORTS:
+        visit(unit)
+
+
+def test_each_layer_imports_only_along_the_declared_dag():
+    modules = sorted(p.relative_to(PACKAGE) for p in PACKAGE.rglob("*.py"))
+    assert {_unit(path) for path in modules} == set(LAYER_IMPORTS)
+    stray = ["%s -> %s" % (path, unit)
+             for path in modules
+             for unit in sorted(module_level_edges(path, (PACKAGE / path).read_text()))
+             if unit not in LAYER_IMPORTS[_unit(path)]]
+    assert stray == []
