@@ -77,8 +77,7 @@ def _rules():
                      "rate": _POSITIVE, "record_bytes": _COUNT},
         # Every pilot and simulate run deploys over the whole cluster, so its
         # time grows with the node count: on a 2-vCPU VM the quick start's
-        # pilot took 0.54 s at 9 nodes, 1.5 s at 4,096, 6.5 s at 16,384 and
-        # 27 s at 65,536.
+        # pilot took 0.51 s at 9 nodes and 0.95 s at 4,096.
         "cluster": {"nodes": _number(integer=True, at_most=4096), "node_memory": _POSITIVE,
                     "node_storage": _POSITIVE, "queue_latency": _NON_NEGATIVE},
         # The noise is not a project setting: each caller passes its amplitude,

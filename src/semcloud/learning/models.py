@@ -16,6 +16,7 @@ nearest stored targets and returns an exact stored target at zero distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ def _as_matrix(X) -> np.ndarray:
         X = X[:, None]
     if X.ndim != 2:
         raise DimensionMismatch(f"expected a samples x features matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise LearningError("non-finite feature values")
     return X
 
@@ -99,12 +100,24 @@ class PolyRModel:
 
 
 def _poly_design(X: np.ndarray, degree: int, scale: np.ndarray) -> np.ndarray:
+    """The intercept, then each feature's powers 1..degree: column
+    ``p + j * degree`` holds ``Xs[:, j] ** p``, with ``Xs = X / scale``.
+
+    Powers 1 and 2 are exact operations (a copy, and numpy's square, one
+    correctly rounded product), so they fill every feature's column at once
+    with the same bits.  Higher powers go through pow and are taken one
+    column at a time, so none depends on how numpy loops over a matrix.
+    """
     Xs = X / scale
-    columns = [np.ones(X.shape[0])]
+    design = np.empty((X.shape[0], X.shape[1] * degree + 1))
+    design[:, 0] = 1.0
+    design[:, 1::degree] = Xs
+    if degree > 1:
+        np.square(Xs, out=design[:, 2::degree])
     for j in range(X.shape[1]):
-        for p in range(1, degree + 1):
-            columns.append(Xs[:, j] ** p)
-    return np.column_stack(columns)
+        for p in range(3, degree + 1):
+            design[:, p + j * degree] = Xs[:, j] ** p
+    return design
 
 
 def fit_polyr(X, y, degree: int) -> PolyRModel:
@@ -275,6 +288,12 @@ class KNNModel:
         """What the grid search's tie-break minimises."""
         return self.k
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The samples transposed, one contiguous row per feature; copied on
+        the first prediction and kept with the model."""
+        return np.ascontiguousarray(self.samples.T)
+
 
 def fit_knn(X, y, k: int) -> KNNModel:
     X = _as_matrix(X)
@@ -289,9 +308,11 @@ def fit_knn(X, y, k: int) -> KNNModel:
 
 # Distances scored per block in predict_knn: a block's (rows, candidate
 # samples) distance matrix holds at most this many floats (128 KB), unless
-# one row alone has more candidates; the sum over features keeps one more
-# matrix that size per term in flight (eight lanes from 8 features on), and
-# the call keeps one per-sample vector per fixed feature.  A 241-row,
+# one row alone has more candidates.  A call whose rows x samples fit is one
+# block of every sample, with no bound to compute.  The sum over features
+# keeps one more matrix that size per term in flight (eight lanes from 8
+# features on), and the call keeps one per-sample vector per fixed feature;
+# the model keeps its samples transposed, copied once.  A 241-row,
 # 562-sample slicing-grid call, four of its six features fixed, peaked at
 # 300 KB (570 KB when every block scored all samples); the 300 grid calls
 # of a seed-101 fleet batch peaked at 460 KB in the median, 620 KB at most.
@@ -390,10 +411,12 @@ def _knn_blocks(k, columns, Xs, fixed):
     reach is farther from every block row than that row's k-th nearest,
     so dropping it changes no pick, tie-breaks included.  Blocks are
     sized so that rows * kept stays within _KNN_BLOCK_ELEMENTS, or are
-    one row.
+    one row.  A call whose rows * samples already fit is one block of
+    every sample: the bound could not make it fewer blocks.  ``columns``
+    is the model's cached transpose, one contiguous row per feature.
     """
     n = columns.shape[1]
-    if not fixed or len(fixed) == columns.shape[0]:
+    if not fixed or len(fixed) == columns.shape[0] or Xs.shape[0] * n <= _KNN_BLOCK_ELEMENTS:
         rows = max(1, _KNN_BLOCK_ELEMENTS // n)
         for start in range(0, Xs.shape[0], rows):
             yield start, start + rows, None
@@ -423,12 +446,12 @@ def _knn_blocks(k, columns, Xs, fixed):
 def predict_knn(model: KNNModel, X) -> np.ndarray:
     X = _model_rows(model, X)
     Xs = model.standardizer.apply(X)
-    columns = np.ascontiguousarray(model.samples.T)
+    columns = model.columns
     # A feature equal in every row of a many-row call adds one per-sample
     # vector of squared differences, computed once per call.
     fixed = {}
     if Xs.shape[0] > 1:
-        for j in np.flatnonzero((Xs == Xs[0]).all(axis=0)).tolist():
+        for j in (Xs == Xs[0]).all(axis=0).nonzero()[0].tolist():
             fixed[j] = d = columns[j] - Xs[0, j]
             d *= d
     out = np.empty(Xs.shape[0])
@@ -446,6 +469,6 @@ def predict_knn(model: KNNModel, X) -> np.ndarray:
         targets = model.targets[nearest]
         exact = d[:, 0] == 0.0  # exact stored point: its target, no weighting
         w = 1.0 / np.where(exact[:, None], 1.0, d)
-        weighted = np.sum(w * targets, axis=1) / np.sum(w, axis=1)
+        weighted = (w * targets).sum(axis=1) / w.sum(axis=1)
         out[start:stop] = np.where(exact, targets[:, 0], weighted)
     return out

@@ -92,15 +92,21 @@ def deploy(pipeline, cluster, cost, workload, prepare_instances=None, nc=None, n
         wanted.append(("prepare", i, mrp, prepare_working))
     wanted.append(("store", 0, cost.store_memory, cost.store_memory))
 
+    # Each instance goes to the node with the most free memory, the larger
+    # name on a tie: the top of a heap of (-free, i, name), where i counts
+    # the names from the largest down.
     free = {node.name: node.node_memory for node in cluster.nodes}
+    heap = [(-free[name], i, name) for i, name in enumerate(sorted(free, reverse=True))]
+    heapq.heapify(heap)
     placed = []
     for step, index, reservation, working in sorted(
         wanted, key=lambda w: (-w[2], w[0], w[1])
     ):
-        node = max(free, key=lambda name: (free[name], name))
-        if reservation > free[node]:
-            raise InsufficientResources(step, reservation, free[node])
-        free[node] -= reservation
+        negative_free, order, node = heap[0]
+        left = -negative_free
+        if reservation > left:
+            raise InsufficientResources(step, reservation, left)
+        heapq.heapreplace(heap, (reservation - left, order, node))
         placed.append(StepInstance(step, index, node, reservation, working))
     placed.sort(key=lambda inst: (inst.step, inst.index))
     return ExecutionPlan(

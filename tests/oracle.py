@@ -5,7 +5,9 @@ rules until no new fact appears, with its own unification and term
 evaluation.  It shares only the term dataclasses with the package; the
 evaluation mechanics are written from scratch so it can serve as a
 cross-check for the engine.  ``per_row_knn`` is the KNN prediction the
-blocked ``predict_knn`` must equal bit for bit, written one row at a time.
+blocked ``predict_knn`` must equal bit for bit, written one row at a time;
+``per_row_polyr`` is the same for ``predict_polyr``, stacking each row's
+design from one power column per feature and power.
 ``per_message_run`` is the simulation ``sim.run`` must equal bit for bit,
 served one message at a time on instance objects that each build an
 interval tuple; ``trace_of`` makes a trace of one instance per interval,
@@ -218,6 +220,19 @@ def per_row_knn(model, X):
             continue
         w = 1.0 / d
         out[row] = float(np.sum(w * model.targets[nearest]) / np.sum(w))
+    return out
+
+
+def per_row_polyr(model, X):
+    """predict_polyr one row at a time: the intercept and each feature's
+    powers 1..degree stacked into the row's design, then weighted and summed."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0])
+    for row in range(X.shape[0]):
+        Xs = X[row:row + 1] / model.feature_scale
+        columns = [np.ones(1)] + [Xs[:, j] ** p for j in range(Xs.shape[1])
+                                  for p in range(1, model.degree + 1)]
+        out[row] = (np.column_stack(columns) * model.weights).sum(axis=-1)[0]
     return out
 
 

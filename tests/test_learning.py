@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import semcloud.learning.models as models
 from semcloud.datalog import MissingExternal, SignatureMismatch
 from semcloud.learning.models import _KNN_BLOCK_ELEMENTS, _ordered_sum
 from semcloud.learning import (
@@ -44,7 +45,7 @@ from semcloud.learning import (
     write_pilot_csv,
 )
 
-from oracle import per_row_knn
+from oracle import per_row_knn, per_row_polyr
 
 
 def make_pilot_record(**overrides):
@@ -129,6 +130,18 @@ class TestPolyR:
         model = fit_polyr(np.ones((3, 1)), np.ones(3), degree=1)
         with pytest.raises(DimensionMismatch):
             predict_polyr(model, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_prediction_equals_the_per_row_oracle_bit_for_bit(self, degree):
+        rng = np.random.RandomState(20 + degree)
+        spread = rng.uniform(0.1, 100.0, size=4)
+        X = rng.randn(60, 4) * spread
+        model = fit_polyr(X, rng.randn(60), degree)
+        queries = rng.randn(40, 4) * spread * 1.5
+        for rows in (queries, queries[:1], queries[:0]):
+            prediction = predict_polyr(model, rows)
+            assert prediction.shape == (rows.shape[0],)
+            assert prediction.tobytes() == per_row_polyr(model, rows).tobytes()
 
 
 class TestKNN:
@@ -278,8 +291,6 @@ class TestKNNBlocks:
     @staticmethod
     def nearest_widths(monkeypatch):
         """The sample columns of each block predict_knn hands _nearest."""
-        import semcloud.learning.models as models
-
         real, widths = models._nearest, []
 
         def spy(dist, k):
@@ -316,6 +327,8 @@ class TestKNNBlocks:
         model = self.lattice_model(np.array(
             [[3.0, 0.0], [0.0, 3.0], [0.0, 5.0], [10.0, 0.0], [10.0, 1.0]]), k=1)
         queries = np.array([[0.0, 0.0], [0.0, 1.0]])
+        # a budget one short of the call's 2 x 5 distances, so it prunes
+        monkeypatch.setattr(models, "_KNN_BLOCK_ELEMENTS", 2 * 5 - 1)
         widths = self.nearest_widths(monkeypatch)
         self.assert_bitwise(model, queries)
         assert predict_knn(model, queries)[0] == 0.0 and widths[-1] == 3
@@ -370,6 +383,39 @@ class TestKNNBlocks:
         widths = self.nearest_widths(monkeypatch)
         self.assert_bitwise(model, queries)
         assert widths and max(widths) < 562
+
+    def test_a_call_that_fits_one_block_scores_every_sample(self, monkeypatch):
+        # test_fleet_shaped_grid_scores_fewer_samples's data on as many
+        # rows as one block holds: the bound would rule samples out, but
+        # the call scores them all at once
+        rng = np.random.RandomState(6)
+        X = rng.uniform(1.0, 4000.0, size=(562, 6))
+        model = fit_knn(X, rng.uniform(0.1, 5.0, 562), k=2)
+        queries = self.fixed_queries(rng, X, _KNN_BLOCK_ELEMENTS // 562, [0, 1, 4, 5])
+        queries[:, [0, 1]] = 4500.0
+        widths = self.nearest_widths(monkeypatch)
+        self.assert_bitwise(model, queries)
+        assert widths == [562]
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_sample_layout_does_not_change_the_bits(self, layout):
+        # 9 features, so the sum runs in lanes; random, fixed-column and
+        # one-row queries, pruned and not
+        rng = np.random.RandomState(14)
+        X = rng.randn(700, 9) * rng.uniform(0.1, 100.0, size=9)
+        model = fit_knn(X, rng.randn(700), k=3)
+        if layout == "fortran":
+            samples = np.asfortranarray(model.samples)
+        else:
+            samples = np.repeat(model.samples, 2, axis=1)[:, ::2]
+        assert not samples.flags.c_contiguous
+        other = KNNModel(k=model.k, samples=samples, targets=model.targets,
+                         standardizer=model.standardizer)
+        for queries in (rng.randn(50, 9) * X.std(axis=0),
+                        self.fixed_queries(rng, X, 60, [0, 3, 8]),
+                        self.fixed_queries(rng, X, 10, [1, 2]),
+                        X[:1]):
+            assert predict_knn(other, queries).tobytes() == predict_knn(model, queries).tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 128, 129, 300])

@@ -89,6 +89,48 @@ class TestDeploy:
             deploy(None, default_cluster(), quiet_cost(), small_workload(),
                    nc=10, ns=20)
 
+    @staticmethod
+    def greedy_nodes(cluster, instances):
+        """The node of each instance under the greedy rule, written plainly:
+        largest reservation first, each on the node with the most free
+        memory, the larger name on a tie; or the InsufficientResources
+        arguments of the first that does not fit."""
+        free = {node.name: node.node_memory for node in cluster.nodes}
+        nodes = {}
+        for inst in sorted(instances, key=lambda i: (-i.reservation_mb, i.step, i.index)):
+            node = max(free, key=lambda name: (free[name], name))
+            if inst.reservation_mb > free[node]:
+                return (inst.step, inst.reservation_mb, free[node])
+            free[node] -= inst.reservation_mb
+            nodes[inst.step, inst.index] = node
+        return nodes
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_placement_matches_the_greedy_rule(self, seed):
+        # random names (so "n10" sorts before "n9"), equal and unequal
+        # node memories, and clusters too small for some plans
+        gen = random.Random(seed)
+        names = gen.sample(["n%d" % i for i in range(60)] + ["a", "b", "zz"], gen.randint(1, 40))
+        memories = gen.choice([[128.0], [64.0, 128.0, 256.0], None])
+        cluster = ClusterSpec(nodes=tuple(
+            NodeSpec(name, gen.choice(memories) if memories else gen.uniform(8.0, 400.0))
+            for name in names))
+        cost = quiet_cost()
+        workload = small_workload(n=gen.randint(1, 1500), rb=gen.choice([125, 1250, 5000]))
+        nc = gen.randint(1, workload.n_records)
+        args = dict(prepare_instances=gen.randint(1, 8), nc=nc, ns=gen.randint(1, nc))
+        # the reservations do not depend on the cluster
+        wanted = deploy(None, ClusterSpec(nodes=(NodeSpec("all", 1e12),)), cost, workload,
+                        **args).instances
+        expected = self.greedy_nodes(cluster, wanted)
+        if isinstance(expected, tuple):
+            with pytest.raises(InsufficientResources) as exc:
+                deploy(None, cluster, cost, workload, **args)
+            assert (exc.value.step, exc.value.reservation_mb, exc.value.best_free_mb) == expected
+        else:
+            plan = deploy(None, cluster, cost, workload, **args)
+            assert {(i.step, i.index): i.node for i in plan.instances} == expected
+
 
 class TestRun:
     def test_deterministic_for_a_seed(self):
